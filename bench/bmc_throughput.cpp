@@ -1,7 +1,7 @@
 /**
  * @file
  * Formal-engine throughput: what suite-level batched cover solving buys
- * over the per-query deepening loop.
+ * over solving the same targets one at a time.
  *
  * Both sides run the identical lift-corpus workload — aged-STA endpoint
  * pairs of the ALU32 and FPU32, shadow-instrumented exactly as
@@ -10,9 +10,8 @@
  * per-config detection-latency obligation (unreachable: walks every
  * bound before settling — the deepening-heavy half of the workload):
  *
- *  - "per-query": one check_cover deepening loop per target, each on
- *    its own single-cone shadow netlist (the Incremental engine — the
- *    stronger of the two per-query engines, and the semantics oracle);
+ *  - "per-query": a loop of one-target check_cover calls, each on its
+ *    own single-cone shadow netlist;
  *  - "batched":   ONE formal::CoverBatch suite per module over a
  *    lift::build_shadow_bank netlist holding every fault cone — the
  *    module logic is unrolled once per frame for the whole suite, every

@@ -39,9 +39,10 @@ ctest --test-dir "$build" --output-on-failure \
 ctest --test-dir "$build" --output-on-failure -L mem -j "$jobs"
 # Bench smoke: runs bench/sim_throughput --smoke (lockstep-checks the
 # scalar/tape/batch simulator engines under the sanitizers),
-# bench/bmc_throughput --smoke (cross-checks the scratch and
-# incremental BMC engines query-by-query), bench/fleet_throughput
-# --smoke (thread-count byte-identity of the fleet engine),
+# bench/bmc_throughput --smoke (cross-checks one-target check_cover
+# calls against one batched CoverBatch suite, target by target),
+# bench/fleet_throughput --smoke (thread-count byte-identity of the
+# fleet engine),
 # bench/campaign_scaling --smoke (thread-count byte-identity of the
 # campaign engine), bench/mem_substrate --smoke (decoder lifting and
 # march detection), and tools/vega_fleet --smoke (a tiny end-to-end
@@ -50,15 +51,16 @@ ctest --test-dir "$build" --output-on-failure -L mem -j "$jobs"
 # pinned BENCH_*.json.
 ctest --test-dir "$build" --output-on-failure -L bench-smoke -j "$jobs"
 
-# Portfolio determinism gate: the CoverBatch corpus tests assert that
-# suite-level batched cover solving returns byte-identical results
-# (status, frames, induction depth, witness waveforms) at 1, 2, and 8
-# portfolio threads and under target-order permutation, against the
-# per-query oracle. Clause sharing and work partitioning must never
-# leak into verdicts; run the gate focused so a divergence fails
+# Portfolio determinism gate: the CoverBatch and CheckCover corpus
+# tests assert that batched cover solving and one-target check_cover
+# return byte-identical results (status, frames, induction depth,
+# witness waveforms) at 1, 2, and 8 portfolio threads and under
+# target-order permutation, against the fresh-instance reference in
+# tests/reference_bmc.cpp. Clause sharing and work partitioning must
+# never leak into verdicts; run the gate focused so a divergence fails
 # readably before the full suite.
 ctest --test-dir "$build" --output-on-failure \
-    -R 'CoverBatch|SatSolver' -j "$jobs"
+    -R 'CoverBatch|CheckCover|SatSolver' -j "$jobs"
 echo "ci_sanitize: portfolio determinism gate clean"
 
 # Thread-scaling gate: the campaign engine must actually scale where
@@ -140,6 +142,6 @@ cmake -S "$repo" -B "$tsan" \
 cmake --build "$tsan" -j "$jobs" --target vega_tests
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
     ctest --test-dir "$tsan" --output-on-failure \
-    -R 'Campaign|WaveCampaign|ThreadPool|ShardFleet|Obs|CoverBatch' \
+    -R 'Campaign|WaveCampaign|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover' \
     -j "$jobs"
 echo "ci_sanitize: ThreadSanitizer campaign/pool/portfolio pass clean"

@@ -83,10 +83,10 @@ struct CampaignConfig
     /** Checkpoint journal path; empty disables journaling. */
     std::string journal_path;
     /**
-     * Journal group-commit size: the file is rewritten once per this
-     * many settled jobs (and once at the end). 1 = every record, the
-     * most crash-safe and the slowest; larger values amortize the
-     * O(journal size) rewrite at the cost of a wider crash window.
+     * Journal group-commit size: buffered records are appended and
+     * fsynced once per this many settled jobs (and once at the end).
+     * 1 = every record, the most crash-safe and the slowest; larger
+     * values amortize the fsync at the cost of a wider crash window.
      */
     size_t journal_flush_every = 16;
     /** Reload an existing journal at journal_path and skip its jobs. */

@@ -19,7 +19,6 @@ namespace vega::campaign {
 
 namespace {
 
-constexpr const char *kMagicV1 = "# vega campaign journal v1";
 constexpr const char *kMagicV2 = "# vega campaign journal v2";
 constexpr const char *kTrailerTag = "trailer ";
 
@@ -98,7 +97,7 @@ take_u64(std::istringstream &ls, const char *key, uint64_t &out)
     return end && *end == '\0';
 }
 
-/** Parse context shared by the v1 and v2 payload walks. */
+/** Parse context of the payload walk. */
 struct PayloadParser
 {
     const std::string &path;
@@ -114,10 +113,9 @@ struct PayloadParser
 
     /**
      * Parse one payload body ("config ..." / "job ..." / "failed ...")
-     * into the state. @p version gates the shard fields (v2 only).
+     * into the state.
      */
-    Expected<void> parse(const std::string &body, size_t line_no,
-                         int version)
+    Expected<void> parse(const std::string &body, size_t line_no)
     {
         std::istringstream ls(body);
         std::string word;
@@ -142,13 +140,11 @@ struct PayloadParser
             h.probability = std::strtod(prob.c_str(), &end);
             if (!end || *end != '\0')
                 return corrupt(line_no, "malformed probability");
-            if (version >= 2) {
-                if (!take_u64(ls, "shards", h.num_shards) ||
-                    !take_u64(ls, "shard", h.shard_id))
-                    return corrupt(line_no, "malformed shard fields");
-                if (h.num_shards == 0 || h.shard_id >= h.num_shards)
-                    return corrupt(line_no, "invalid shard assignment");
-            }
+            if (!take_u64(ls, "shards", h.num_shards) ||
+                !take_u64(ls, "shard", h.shard_id))
+                return corrupt(line_no, "malformed shard fields");
+            if (h.num_shards == 0 || h.shard_id >= h.num_shards)
+                return corrupt(line_no, "invalid shard assignment");
             have_config = true;
         } else if (word == "job") {
             if (!have_config)
@@ -279,45 +275,18 @@ read_journal(const std::string &path, const JournalReadOptions &opts)
         return make_error(ErrorCode::JournalCorrupt,
                           path + ": empty journal");
 
+    if (lines[0] == "# vega campaign journal v1")
+        return make_error(ErrorCode::JournalCorrupt,
+                          path + ":1: journal format v1 (no checksums) "
+                                 "is no longer read; re-run the campaign");
+    if (lines[0] != kMagicV2)
+        return make_error(ErrorCode::JournalCorrupt,
+                          path + ":1: missing journal magic");
+
     JournalState state;
     PayloadParser parser{path, state};
 
-    int version;
-    if (lines[0] == kMagicV1)
-        version = 1;
-    else if (lines[0] == kMagicV2)
-        version = 2;
-    else
-        return make_error(ErrorCode::JournalCorrupt,
-                          path + ":1: missing journal magic");
-    state.version = version;
-
-    if (version == 1) {
-        log(LogLevel::Warn,
-            "journal " + path +
-                " is v1 (no checksums) — deprecated; resuming will "
-                "upgrade it to v2");
-        if (unterminated_tail)
-            return make_error(ErrorCode::JournalCorrupt,
-                              path + ": truncated final line");
-        for (size_t i = 1; i < lines.size(); ++i) {
-            if (lines[i].empty())
-                continue;
-            Expected<void> ok = parser.parse(lines[i], i + 1, 1);
-            if (!ok)
-                return ok.error();
-        }
-        if (!parser.have_config)
-            return make_error(ErrorCode::JournalCorrupt,
-                              path + ": no config line");
-        if (opts.require_trailer)
-            return make_error(ErrorCode::ShardIncomplete,
-                              path + ": v1 journal has no integrity "
-                                     "trailer; resume it to upgrade");
-        return state;
-    }
-
-    // v2: every payload line is "<crc8> <body>"; the trailer pins the
+    // Every payload line is "<crc8> <body>"; the trailer pins the
     // record count and a rolling checksum over all bodies.
     Crc32c rolling;
     for (size_t i = 1; i < lines.size(); ++i) {
@@ -384,7 +353,7 @@ read_journal(const std::string &path, const JournalReadOptions &opts)
                     ")");
         }
 
-        Expected<void> parsed = parser.parse(body, line_no, 2);
+        Expected<void> parsed = parser.parse(body, line_no);
         if (!parsed)
             return parsed.error();
         rolling.update(body);

@@ -40,9 +40,8 @@
  * record() buffers, and the buffer is appended + fsynced every
  * @p flush_every records (default every record) plus once at sync().
  *
- * v1 files (no checksums) are still read, with a deprecation warning;
- * resuming one upgrades it to v2 on the spot. The config line
- * fingerprints the campaign — including the shard split — and
+ * v1 files (no checksums) are refused with JournalCorrupt. The config
+ * line fingerprints the campaign — including the shard split — and
  * resuming under a different configuration is refused with
  * JournalMismatch rather than silently mixing incompatible results.
  */
@@ -89,11 +88,9 @@ struct JournalState
     std::vector<JobResult> completed;
     std::vector<FailedJob> failed;
 
-    /** Format version the file carried (1 = legacy, no checksums). */
-    int version = 2;
     /** The finalize() trailer was present and verified. */
     bool has_trailer = false;
-    /** A torn final line was detected and dropped (v2, resume path). */
+    /** A torn final line was detected and dropped (resume path). */
     bool torn_tail = false;
     /** job + failed records read (the trailer's records= count). */
     uint64_t records = 0;
@@ -104,7 +101,7 @@ struct JournalState
 /**
  * One record's journal body — no checksum prefix, no newline. The
  * writer checksums and frames these; exposed so tests (and the
- * corruptor harness) can craft fixture files in either version.
+ * corruptor harness) can craft fixture files.
  */
 std::string render_record(const JobResult &r);
 std::string render_record(const FailedJob &f);
@@ -119,7 +116,7 @@ struct JournalReadOptions
     bool require_trailer = false;
     /**
      * Drop a checksum-failing or newline-less *final* line of an
-     * unfinalized v2 journal instead of erroring — the signature of a
+     * unfinalized journal instead of erroring — the signature of a
      * crash mid-append. The resume path wants this; the aggregator
      * does not (its shards must be finalized anyway).
      */

@@ -1,16 +1,8 @@
 #include "formal/bmc.h"
 
-#include <algorithm>
-#include <chrono>
-
-#include "common/logging.h"
-#include "formal/bmc_internal.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "formal/cover_batch.h"
 
 namespace vega::formal {
-
-using sat::Lit;
 
 const char *
 bmc_status_name(BmcStatus status)
@@ -23,452 +15,16 @@ bmc_status_name(BmcStatus status)
     return "?";
 }
 
-namespace detail {
-
-/** Record all port buses of @p nl for frames [0, frames) into a Waveform. */
-Waveform
-extract_trace(const Netlist &nl, const Unroller &unroll, int frames)
-{
-    Waveform w;
-    for (int f = 0; f < frames; ++f) {
-        for (const auto &bus : nl.input_bus_names()) {
-            const auto &nets = nl.bus(bus);
-            BitVec v(nets.size());
-            for (size_t i = 0; i < nets.size(); ++i)
-                v.set(i, unroll.value(f, nets[i]));
-            w.record(bus, v);
-        }
-        for (const auto &bus : nl.output_bus_names()) {
-            const auto &nets = nl.bus(bus);
-            BitVec v(nets.size());
-            for (size_t i = 0; i < nets.size(); ++i)
-                v.set(i, unroll.value(f, nets[i]));
-            w.record(bus, v);
-        }
-    }
-    return w;
-}
-
-/** Count one query outcome into the bmc.covered/unreachable/timeout
- *  counters at whatever point check_cover settles on it. */
-void
-count_outcome(BmcStatus status)
-{
-    static obs::Counter &covered = obs::counter("bmc.covered");
-    static obs::Counter &unreachable = obs::counter("bmc.unreachable");
-    static obs::Counter &timeouts = obs::counter("bmc.timeouts");
-    switch (status) {
-      case BmcStatus::Covered:     covered.inc(); break;
-      case BmcStatus::Unreachable: unreachable.inc(); break;
-      case BmcStatus::Timeout:     timeouts.inc(); break;
-    }
-}
-
-/**
- * Fresh-instance bound-@p k cover query from reset. This is both the
- * scratch engine's inner step and the incremental engine's witness
- * derivation after a Sat answer: satisfiability at a fixed bound is
- * engine-independent, so routing both engines' traces through this one
- * function makes their extracted waveforms identical by construction.
- */
-sat::Solver::Result
-solve_reset_bound(const Netlist &nl, NetId target, const BmcOptions &opts,
-                  int k, int64_t conflict_budget, double wall_remaining,
-                  uint64_t &conflicts, Waveform *trace_out)
-{
-    Unroller unroll(nl, /*free_initial=*/false);
-    unroll.set_assumes(opts.assumes);
-    unroll.ensure_frames(k);
-    auto &solver = unroll.solver();
-    solver.add_clause(Lit(unroll.var(k - 1, target), false));
-
-    sat::SolveLimits limits;
-    limits.conflict_budget = conflict_budget;
-    limits.wall_seconds = wall_remaining;
-    auto res = solver.solve(limits);
-    conflicts += solver.num_conflicts();
-    if (res == sat::Solver::Result::Sat && trace_out)
-        *trace_out = extract_trace(nl, unroll, k);
-    return res;
-}
-
-double
-seconds_since(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-} // namespace detail
-
-using namespace detail;
-
-namespace {
-
-/**
- * Scratch deepening loop: a fresh Unroller + solver per bound. The
- * historical engine, kept as the semantic reference for the regression
- * tests and the baseline for bench/bmc_throughput.
- */
-BmcResult
-check_cover_scratch(const Netlist &nl, NetId target, const BmcOptions &opts)
-{
-    VEGA_SPAN("bmc.check_cover");
-    const auto wall0 = std::chrono::steady_clock::now();
-    LoopDeadline deadline(opts.wall_budget_seconds);
-    BmcResult result;
-    result.conflicts = 0;
-
-    // Phase 1: bounded search from reset, shortest trace first.
-    {
-        VEGA_SPAN("bmc.deepen");
-        for (int k = 1; k <= opts.max_frames; ++k) {
-            VEGA_SPAN("bmc.frame");
-            auto res = solve_reset_bound(nl, target, opts, k,
-                                         opts.conflict_budget,
-                                         deadline.remaining(),
-                                         result.conflicts, &result.trace);
-            if (res == sat::Solver::Result::Sat) {
-                result.status = BmcStatus::Covered;
-                result.frames = k;
-                result.wall_seconds = seconds_since(wall0);
-                count_outcome(result.status);
-                return result;
-            }
-            if (res == sat::Solver::Result::Unknown) {
-                result.status = BmcStatus::Timeout;
-                result.frames = k;
-                result.wall_seconds = seconds_since(wall0);
-                count_outcome(result.status);
-                return result;
-            }
-        }
-    }
-
-    // Phase 2: unreachability. From an arbitrary state whose shadow
-    // registers agree with their originals, can one more cycle raise the
-    // target? UNSAT generalizes over every reachable state (the shadow
-    // invariant holds on all of them), proving the cover unreachable.
-    {
-        VEGA_SPAN("bmc.unreachability");
-        Unroller unroll(nl, /*free_initial=*/true, opts.state_equalities);
-        unroll.set_assumes(opts.assumes);
-        unroll.ensure_frames(2);
-        auto &solver = unroll.solver();
-        solver.add_clause(Lit(unroll.var(0, target), false),
-                          Lit(unroll.var(1, target), false));
-
-        sat::SolveLimits limits;
-        limits.conflict_budget = opts.conflict_budget;
-        limits.wall_seconds = deadline.remaining();
-        auto res = solver.solve(limits);
-        result.conflicts += solver.num_conflicts();
-        if (res == sat::Solver::Result::Unsat) {
-            result.status = BmcStatus::Unreachable;
-            result.proven_by_induction = true;
-            result.wall_seconds = seconds_since(wall0);
-            count_outcome(result.status);
-            return result;
-        }
-        if (res == sat::Solver::Result::Unknown) {
-            result.status = BmcStatus::Timeout;
-            result.wall_seconds = seconds_since(wall0);
-            count_outcome(result.status);
-            return result;
-        }
-    }
-
-    // Phase 3: the k-induction post-pass, when enabled — deeper step
-    // queries can close proofs the 1-step check cannot.
-    if (int depth = kinduction_prove(nl, target, opts,
-                                     opts.conflict_budget,
-                                     deadline.remaining(),
-                                     result.conflicts)) {
-        result.status = BmcStatus::Unreachable;
-        result.proven_by_induction = true;
-        result.kinduction_depth = depth;
-        result.wall_seconds = seconds_since(wall0);
-        count_outcome(result.status);
-        return result;
-    }
-
-    // Free-state check is satisfiable but bounded search from reset found
-    // nothing: for these feed-forward pipelines (state fully refreshed
-    // every `latency` cycles) the bound is exhaustive, so report
-    // unreachable, flagged as a bounded proof.
-    result.status = BmcStatus::Unreachable;
-    result.proven_by_induction = false;
-    result.frames = opts.max_frames;
-    result.wall_seconds = seconds_since(wall0);
-    count_outcome(result.status);
-    return result;
-}
-
-} // namespace
-
-int
-kinduction_prove(const Netlist &nl, NetId target, const BmcOptions &opts,
-                 int64_t conflict_budget, double wall_remaining,
-                 uint64_t &conflicts)
-{
-    int max_depth = std::min(opts.kinduction_frames, opts.max_frames);
-    if (max_depth < 2)
-        return 0;
-    VEGA_SPAN("bmc.kinduction");
-    static obs::Counter &proofs = obs::counter("bmc.kinduction_proofs");
-    LoopDeadline deadline(wall_remaining);
-
-    // Depth-k step query: from a free, shadow-consistent state, the
-    // target stays low for frames 0..k-1 — can it rise at frame k?
-    // UNSAT closes the induction: a first rise at time T >= max_frames
-    // >= k would need this very window to be satisfiable, and phase 1
-    // already refuted every rise before max_frames (the base case).
-    // Depth 1 is skipped: the phase-2 free-state check subsumes it
-    // (its clause target@0 ∨ target@1 is the k=1 window plus the
-    // state itself).
-    for (int k = 2; k <= max_depth; ++k) {
-        Unroller unroll(nl, /*free_initial=*/true, opts.state_equalities);
-        unroll.set_assumes(opts.assumes);
-        unroll.ensure_frames(k + 1);
-        auto &solver = unroll.solver();
-        for (int j = 0; j < k; ++j)
-            solver.add_clause(Lit(unroll.var(j, target), true));
-        solver.add_clause(Lit(unroll.var(k, target), false));
-
-        sat::SolveLimits limits;
-        limits.conflict_budget = conflict_budget;
-        limits.wall_seconds = deadline.remaining();
-        auto res = solver.solve(limits);
-        conflicts += solver.num_conflicts();
-        if (res == sat::Solver::Result::Unsat) {
-            proofs.inc();
-            return k;
-        }
-        if (res == sat::Solver::Result::Unknown)
-            return 0; // starve out: fall back to the bounded verdict
-    }
-    return 0;
-}
-
-CoverSession::CoverSession(const Netlist &nl, NetId target,
-                           const BmcOptions &opts)
-    : nl_(nl), target_(target), opts_(opts),
-      reset_unroller_(nl, /*free_initial=*/false)
-{
-    reset_unroller_.set_assumes(opts_.assumes);
-}
-
-BmcResult
-CoverSession::run()
-{
-    return run(opts_.conflict_budget, opts_.wall_budget_seconds);
-}
-
-BmcResult
-CoverSession::run(int64_t conflict_budget, double wall_budget_seconds)
-{
-    if (settled_)
-        return settled_result_;
-
-    VEGA_SPAN("bmc.check_cover");
-    static obs::Counter &frames_reused = obs::counter("bmc.frames_reused");
-    static obs::Counter &incremental_solves =
-        obs::counter("bmc.incremental_solves");
-
-    const auto wall0 = std::chrono::steady_clock::now();
-    LoopDeadline deadline(wall_budget_seconds);
-    BmcResult result;
-    result.conflicts = 0;
-    auto settle = [&](const BmcResult &r) {
-        settled_ = true;
-        settled_result_ = r;
-        // A replayed settled result charges no further conflicts/time.
-        settled_result_.conflicts = 0;
-        settled_result_.wall_seconds = 0.0;
-    };
-
-    // Phase 1: deepen on the persistent instance, shortest trace first.
-    // Bound k is the assumption query solve({act_k}); Unsat retires the
-    // bound and appends one more frame, Unknown leaves everything in
-    // place for the next (escalated) run.
-    {
-        VEGA_SPAN("bmc.deepen");
-        while (!phase1_done_) {
-            int k = next_bound_;
-            if (k > opts_.max_frames) {
-                phase1_done_ = true;
-                break;
-            }
-            VEGA_SPAN("bmc.frame");
-            frames_reused.add(static_cast<uint64_t>(
-                std::min(reset_unroller_.num_frames(), k)));
-            reset_unroller_.ensure_frames(k);
-            Lit act = reset_unroller_.cover_activation(k - 1, target_);
-
-            sat::SolveLimits limits;
-            limits.conflict_budget = conflict_budget;
-            limits.wall_seconds = deadline.remaining();
-            incremental_solves.inc();
-            auto &solver = reset_unroller_.solver();
-            uint64_t before = solver.num_conflicts();
-            auto res = solver.solve({act}, limits);
-            result.conflicts += solver.num_conflicts() - before;
-
-            if (res == sat::Solver::Result::Sat) {
-                // Canonicalize the witness through the scratch engine's
-                // bound-k query so both engines extract byte-identical
-                // waveforms (bound-k satisfiability is engine-
-                // independent; only the particular model is not).
-                auto wres = solve_reset_bound(
-                    nl_, target_, opts_, k, conflict_budget,
-                    deadline.remaining(), result.conflicts, &result.trace);
-                if (wres == sat::Solver::Result::Unknown) {
-                    result.status = BmcStatus::Timeout;
-                    result.frames = k;
-                    result.wall_seconds = seconds_since(wall0);
-                    count_outcome(result.status);
-                    return result; // resumable: retry bound k
-                }
-                VEGA_CHECK(wres == sat::Solver::Result::Sat,
-                           "bmc: canonical witness vanished at bound ", k);
-                result.status = BmcStatus::Covered;
-                result.frames = k;
-                result.wall_seconds = seconds_since(wall0);
-                count_outcome(result.status);
-                settle(result);
-                return result;
-            }
-            if (res == sat::Solver::Result::Unknown) {
-                result.status = BmcStatus::Timeout;
-                result.frames = k;
-                result.wall_seconds = seconds_since(wall0);
-                count_outcome(result.status);
-                return result; // resumable: retry bound k
-            }
-            // Unsat at bound k: retire the bound's activation literal
-            // and deepen. Clauses learned here keep pruning bound k+1.
-            reset_unroller_.retire(act);
-            next_bound_ = k + 1;
-        }
-    }
-
-    // Phase 2: free-state unreachability (see check_cover_scratch). The
-    // instance persists across runs so an escalated retry re-solves it
-    // with learned clauses intact.
-    {
-        VEGA_SPAN("bmc.unreachability");
-        if (!free_unroller_) {
-            free_unroller_ = std::make_unique<Unroller>(
-                nl_, /*free_initial=*/true, opts_.state_equalities);
-            free_unroller_->set_assumes(opts_.assumes);
-            free_unroller_->ensure_frames(2);
-            free_unroller_->solver().add_clause(
-                Lit(free_unroller_->var(0, target_), false),
-                Lit(free_unroller_->var(1, target_), false));
-        }
-        sat::SolveLimits limits;
-        limits.conflict_budget = conflict_budget;
-        limits.wall_seconds = deadline.remaining();
-        auto &solver = free_unroller_->solver();
-        uint64_t before = solver.num_conflicts();
-        auto res = solver.solve(limits);
-        result.conflicts += solver.num_conflicts() - before;
-        if (res == sat::Solver::Result::Unsat) {
-            result.status = BmcStatus::Unreachable;
-            result.proven_by_induction = true;
-            result.wall_seconds = seconds_since(wall0);
-            count_outcome(result.status);
-            settle(result);
-            return result;
-        }
-        if (res == sat::Solver::Result::Unknown) {
-            result.status = BmcStatus::Timeout;
-            result.wall_seconds = seconds_since(wall0);
-            count_outcome(result.status);
-            return result; // resumable: re-solve phase 2
-        }
-    }
-
-    // Phase 3: the k-induction post-pass (identical to the scratch
-    // engine's, so the per-query oracle agrees at any option set).
-    if (int depth = kinduction_prove(nl_, target_, opts_, conflict_budget,
-                                     deadline.remaining(),
-                                     result.conflicts)) {
-        result.status = BmcStatus::Unreachable;
-        result.proven_by_induction = true;
-        result.kinduction_depth = depth;
-        result.wall_seconds = seconds_since(wall0);
-        count_outcome(result.status);
-        settle(result);
-        return result;
-    }
-
-    result.status = BmcStatus::Unreachable;
-    result.proven_by_induction = false;
-    result.frames = opts_.max_frames;
-    result.wall_seconds = seconds_since(wall0);
-    count_outcome(result.status);
-    settle(result);
-    return result;
-}
-
 BmcResult
 check_cover(const Netlist &nl, NetId target, const BmcOptions &opts)
 {
-    if (opts.engine == BmcEngine::Scratch)
-        return check_cover_scratch(nl, target, opts);
-    CoverSession session(nl, target, opts);
-    return session.run();
-}
-
-EscalatedBmcResult
-check_cover_escalating(const Netlist &nl, NetId target,
-                       const BmcOptions &opts,
-                       const EscalationPolicy &policy)
-{
-    static obs::Counter &escalations = obs::counter("bmc.escalations");
-    EscalatedBmcResult out;
-    int max_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-
-    if (opts.engine == BmcEngine::Scratch) {
-        BmcOptions attempt_opts = opts;
-        for (int attempt = 1;; ++attempt) {
-            if (attempt > 1)
-                escalations.inc();
-            out.result = check_cover(nl, target, attempt_opts);
-            out.attempts = attempt;
-            out.total_conflicts += out.result.conflicts;
-            if (out.result.status != BmcStatus::Timeout ||
-                attempt >= max_attempts)
-                return out;
-            // Escalate: grow both budgets geometrically for the retry.
-            attempt_opts.conflict_budget = int64_t(
-                double(attempt_opts.conflict_budget) * policy.budget_growth);
-            if (attempt_opts.wall_budget_seconds >= 0.0)
-                attempt_opts.wall_budget_seconds *= policy.budget_growth;
-        }
-    }
-
-    // Incremental: every rung of the ladder resumes the same session —
-    // frames and learned clauses survive the escalation, so attempt n+1
-    // continues the timed-out bound instead of re-unrolling 1..k.
-    CoverSession session(nl, target, opts);
-    int64_t budget = opts.conflict_budget;
-    double wall = opts.wall_budget_seconds;
-    for (int attempt = 1;; ++attempt) {
-        if (attempt > 1)
-            escalations.inc();
-        out.result = session.run(budget, wall);
-        out.attempts = attempt;
-        out.total_conflicts += out.result.conflicts;
-        if (out.result.status != BmcStatus::Timeout ||
-            attempt >= max_attempts)
-            return out;
-        budget = int64_t(double(budget) * policy.budget_growth);
-        if (wall >= 0.0)
-            wall *= policy.budget_growth;
-    }
+    CoverBatch batch(nl, opts);
+    CoverTargetSpec spec;
+    spec.target = target;
+    spec.state_equalities = opts.state_equalities;
+    batch.add_target(std::move(spec));
+    batch.run();
+    return batch.result(0);
 }
 
 } // namespace vega::formal

@@ -14,27 +14,11 @@
  *                 bound on these feed-forward pipeline modules.
  *  - Timeout:     the SAT solver exceeded its conflict budget.
  *
- * Two engines implement the *per-query* deepening loop (selected by
- * BmcOptions::engine):
- *
- *  - Incremental (default): one long-lived Unroller whose persistent
- *    solver accumulates frames and learned clauses; bound k is the
- *    assumption query solve({act_k}) on a per-bound activation literal.
- *    Total frame encodings are O(K), and conflicts learned at bound k
- *    prune bound k+1. Mirrors how the paper's industrial model checker
- *    amortizes deepening. On a Sat answer the witness is re-derived
- *    through the same fresh-instance query the scratch engine runs, so
- *    both engines return byte-identical waveforms.
- *  - Scratch: a fresh Unroller + solver per bound (the historical
- *    engine, kept as the semantic reference and benchmark baseline).
- *
- * check_cover() and CoverSession answer ONE cover target per deepening
- * loop; they are the semantics oracle. Whole suites of targets on the
- * same module (every fault config of a lifted pair-batch) go through
- * formal::CoverBatch (cover_batch.h), which runs one deepening loop
- * per (module × fault-config) group, resolves every still-open target
- * at each bound, and returns per-target BmcResults byte-identical to
- * looping check_cover — at a fraction of the encoding and solving work.
+ * check_cover() answers ONE cover target; it is a one-target
+ * formal::CoverBatch (cover_batch.h), the library's only cover-solving
+ * engine. CoverBatch keeps one persistent instance per portfolio worker,
+ * deepens it one frame per bound with activation-literal queries, and
+ * resolves every still-open target of a suite at each bound.
  *
  * With BmcOptions::kinduction_frames > 0, a k-induction post-pass
  * upgrades bound-exhaustion verdicts to real Unreachable proofs: after
@@ -42,23 +26,18 @@
  * check is inconclusive, depth k is proved by the step query "from a
  * shadow-consistent free state, target low for k frames, can it rise
  * at frame k?" — UNSAT at any k <= max_frames closes the induction
- * (phase 1 is the base case). All engines run the identical pass.
+ * (phase 1 is the base case).
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "formal/unroller.h"
 #include "netlist/netlist.h"
 #include "sim/waveform.h"
 
 namespace vega::formal {
-
-/** Deepening-loop implementation selector; see the file comment. */
-enum class BmcEngine { Incremental, Scratch };
 
 struct BmcOptions
 {
@@ -67,7 +46,8 @@ struct BmcOptions
     /** SAT conflict budget per query; exceeded => Timeout ("FF"). */
     int64_t conflict_budget = 3000000;
     /**
-     * Wall-clock budget in seconds for the *whole* check_cover call;
+     * Wall-clock budget in seconds for a *whole* check_cover call or
+     * CoverBatch run;
      * exceeded => Timeout. One loop-wide deadline is armed at entry and
      * every SAT query receives only the remaining time, so the call
      * cannot take max_frames × the configured budget. Negative disables
@@ -82,11 +62,10 @@ struct BmcOptions
     std::vector<NetId> assumes;
     /**
      * Register pairs (original, shadow) tied equal in the free-state
-     * unreachability check.
+     * unreachability check. check_cover only: CoverBatch takes them per
+     * target, in CoverTargetSpec.
      */
     std::vector<std::pair<NetId, NetId>> state_equalities;
-    /** Deepening-loop engine. */
-    BmcEngine engine = BmcEngine::Incremental;
     /**
      * Max depth of the k-induction post-pass (0 disables it, the
      * default). Depths 2..min(kinduction_frames, max_frames) are tried
@@ -96,7 +75,7 @@ struct BmcOptions
      */
     int kinduction_frames = 0;
     /**
-     * CoverBatch only: worker threads of the portfolio. Targets are
+     * Worker threads of the CoverBatch portfolio. Targets are
      * partitioned round-robin across workers, which share learned
      * clauses after every bound; per-target verdicts are deterministic
      * regardless of this value (it only moves wall time).
@@ -115,7 +94,7 @@ struct BmcResult
     int frames = 0;
     /** Input and output bus values per cycle (Covered only). */
     Waveform trace;
-    /** Conflicts spent by this call (this run, for a resumed session). */
+    /** Conflicts spent by this call (this run, for a resumed batch). */
     uint64_t conflicts = 0;
     /** Unreachable only: proven by the induction-style free-state check
      *  (or by the deeper k-induction post-pass; see kinduction_depth). */
@@ -128,112 +107,21 @@ struct BmcResult
     int kinduction_depth = 0;
     /**
      * Wall-clock seconds of SAT solving attributed to this target by
-     * this call. Under CoverBatch the loop-wide wall budget is shared
-     * by all targets and this field carries each target's slice, so
-     * summing it over a batch never double-counts the budget the way
-     * per-call accounting did when callers looped check_cover.
+     * this call. A CoverBatch run's wall budget is shared by all its
+     * targets and this field carries each target's slice, so summing it
+     * over a batch never double-counts the budget.
      */
     double wall_seconds = 0.0;
 };
 
 /**
- * Check the cover property "target == 1 eventually" on @p nl.
+ * Check the cover property "target == 1 eventually" on @p nl: a
+ * one-target CoverBatch carrying opts.state_equalities in its spec.
  *
  * The trace records every input bus and every output bus of @p nl per
  * cycle, so it can be replayed on a Simulator or lowered to instructions.
  */
 BmcResult check_cover(const Netlist &nl, NetId target,
                       const BmcOptions &opts);
-
-/**
- * The k-induction step queries, standalone: prove `target` can never
- * rise, given that phase-1 bounded search already refuted every bound
- * <= opts.max_frames (the base case). Tries depths 2..min(
- * opts.kinduction_frames, opts.max_frames); returns the first depth
- * whose step query is UNSAT, or 0 when none is (or a budget ran out).
- * Shared by both per-query engines and cross-checked against
- * exhaustive unrolling in the tests; CoverBatch runs the same queries
- * on its shared free-state instance.
- */
-int kinduction_prove(const Netlist &nl, NetId target,
-                     const BmcOptions &opts, int64_t conflict_budget,
-                     double wall_remaining, uint64_t &conflicts);
-
-/**
- * A resumable incremental cover query: the state behind the Incremental
- * engine, exposed so retry ladders can escalate budgets *without*
- * discarding the unrolled frames and learned clauses.
- *
- * run() executes (or resumes) the deepening loop under the given
- * budgets. A Timeout answer does not settle the session: calling run()
- * again retries from the exact bound that timed out, on the same solver
- * — the escalated attempt starts where the starved one stopped instead
- * of re-encoding 1..k frames. Covered/Unreachable answers settle the
- * session; further run() calls return the cached result.
- */
-class CoverSession
-{
-  public:
-    CoverSession(const Netlist &nl, NetId target, const BmcOptions &opts);
-
-    /** Run or resume with the budgets given at construction. */
-    BmcResult run();
-
-    /** Run or resume under explicit budgets (an escalation rung). */
-    BmcResult run(int64_t conflict_budget, double wall_budget_seconds);
-
-    /** True once a Covered/Unreachable answer has been reached. */
-    bool settled() const { return settled_; }
-
-  private:
-    const Netlist &nl_;
-    NetId target_;
-    BmcOptions opts_;
-    /** Phase 1: reset-state deepening, one frame appended per bound. */
-    Unroller reset_unroller_;
-    /** Phase 2: free-state unreachability instance (built lazily). */
-    std::unique_ptr<Unroller> free_unroller_;
-    int next_bound_ = 1;
-    bool phase1_done_ = false;
-    bool settled_ = false;
-    BmcResult settled_result_;
-};
-
-/**
- * Retry policy for check_cover_escalating: on Timeout, re-run with the
- * conflict (and wall) budget grown geometrically, up to @p max_attempts
- * total attempts.
- */
-struct EscalationPolicy
-{
-    /** Total attempts, including the first (>= 1). */
-    int max_attempts = 1;
-    /** Budget multiplier applied between attempts (> 1 to escalate). */
-    double budget_growth = 4.0;
-};
-
-struct EscalatedBmcResult
-{
-    BmcResult result;
-    /** Attempts actually spent (1 = first try sufficed). */
-    int attempts = 1;
-    /** Conflicts summed over every attempt. */
-    uint64_t total_conflicts = 0;
-};
-
-/**
- * check_cover wrapped in retry-with-escalation: each Timeout retries
- * with budgets scaled by policy.budget_growth, up to
- * policy.max_attempts attempts. With the Incremental engine the
- * attempts share one CoverSession, so a retry resumes the timed-out
- * bound with a bigger budget instead of re-unrolling from scratch;
- * with the Scratch engine each attempt is an independent check_cover.
- * A result that is still Timeout after the final attempt is the
- * caller's signal to degrade (fuzz fallback) or record a structured
- * Exhausted outcome.
- */
-EscalatedBmcResult check_cover_escalating(const Netlist &nl, NetId target,
-                                          const BmcOptions &opts,
-                                          const EscalationPolicy &policy);
 
 } // namespace vega::formal

@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "formal/bmc_internal.h"
+#include "formal/unroller.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -14,7 +14,104 @@ namespace vega::formal {
 
 using sat::Lit;
 
+namespace detail {
+
+/**
+ * One wall-clock deadline for a whole run: each SAT query is handed only
+ * the time remaining, so the run — not each query — honours
+ * wall_budget_seconds.
+ */
+class LoopDeadline
+{
+  public:
+    explicit LoopDeadline(double seconds) : armed_(seconds >= 0.0)
+    {
+        if (armed_)
+            end_ = Clock::now() +
+                   std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(seconds));
+    }
+
+    /** Seconds left for the next query; -1 when no deadline is armed. */
+    double remaining() const
+    {
+        if (!armed_)
+            return -1.0;
+        double left = std::chrono::duration<double>(end_ - Clock::now())
+                          .count();
+        return left > 0.0 ? left : 0.0;
+    }
+
+  private:
+    using Clock = std::chrono::steady_clock;
+    bool armed_;
+    Clock::time_point end_;
+};
+
+} // namespace detail
+
 namespace {
+
+/** Record all port buses of @p nl for frames [0, frames) into a Waveform. */
+Waveform
+extract_trace(const Netlist &nl, const Unroller &unroll, int frames)
+{
+    Waveform w;
+    for (int f = 0; f < frames; ++f)
+        for (const auto *buses : {&nl.input_bus_names(),
+                                  &nl.output_bus_names()})
+            for (const auto &bus : *buses) {
+                const auto &nets = nl.bus(bus);
+                BitVec v(nets.size());
+                for (size_t i = 0; i < nets.size(); ++i)
+                    v.set(i, unroll.value(f, nets[i]));
+                w.record(bus, v);
+            }
+    return w;
+}
+
+/**
+ * Fresh-instance bound-@p k cover query from reset: the witness of a
+ * target covered at bound k. The persistent instance's own model depends
+ * on the clauses it carries (batch shape, portfolio sharing), this one
+ * does not, so witnesses are the same at any batch shape or thread count.
+ */
+sat::Solver::Result
+solve_reset_bound(const Netlist &nl, NetId target,
+                  const std::vector<NetId> &assumes, int k,
+                  int64_t conflict_budget, double wall_remaining,
+                  uint64_t &conflicts, Waveform &trace_out)
+{
+    Unroller unroll(nl, /*free_initial=*/false);
+    unroll.set_assumes(assumes);
+    unroll.ensure_frames(k);
+    auto &solver = unroll.solver();
+    solver.add_clause(Lit(unroll.var(k - 1, target), false));
+
+    sat::SolveLimits limits;
+    limits.conflict_budget = conflict_budget;
+    limits.wall_seconds = wall_remaining;
+    auto res = solver.solve(limits);
+    conflicts += solver.num_conflicts();
+    if (res == sat::Solver::Result::Sat)
+        trace_out = extract_trace(nl, unroll, k);
+    return res;
+}
+
+/** Count one settled or parked outcome into bmc.covered/unreachable/
+ *  timeouts. */
+void
+count_outcome(BmcStatus status)
+{
+    static obs::Counter &covered = obs::counter("bmc.covered");
+    static obs::Counter &unreachable = obs::counter("bmc.unreachable");
+    static obs::Counter &timeouts = obs::counter("bmc.timeouts");
+    switch (status) {
+      case BmcStatus::Covered:     covered.inc(); break;
+      case BmcStatus::Unreachable: unreachable.inc(); break;
+      case BmcStatus::Timeout:     timeouts.inc(); break;
+    }
+}
 
 /**
  * Support closure of @p seeds: the cell mask containing every cell
@@ -152,6 +249,14 @@ CoverBatch::add_target(CoverTargetSpec spec)
     batch_targets.inc();
     Target t;
     t.spec = std::move(spec);
+    if (!t.spec.witness_netlist) {
+        t.spec.witness_netlist = &nl_;
+        t.spec.witness_target = t.spec.target;
+        t.spec.witness_assumes = opts_.assumes;
+    }
+    // No bound to search: start at the free-state check.
+    if (opts_.max_frames < 1)
+        t.phase = Target::Phase::Free;
     targets_.push_back(std::move(t));
     return static_cast<int>(targets_.size()) - 1;
 }
@@ -212,8 +317,8 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
     ++runs_;
 
     // Fresh per-run accounting: unsettled targets restart their spend
-    // (each run reports its own slice, like CoverSession::run), and a
-    // settled target's replay charges nothing.
+    // (each run reports its own slice), and a settled target's replay
+    // charges nothing.
     for (Target &t : targets_) {
         if (t.phase == Target::Phase::Settled) {
             t.result.conflicts = 0;
@@ -230,8 +335,7 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
     if (workers_.size() > 1) {
         nl_.topo_order();
         for (const Target &t : targets_)
-            if (t.spec.witness_netlist)
-                t.spec.witness_netlist->topo_order();
+            t.spec.witness_netlist->topo_order();
     }
 
     detail::LoopDeadline deadline(wall_budget_seconds);
@@ -257,6 +361,8 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
         obs::counter("bmc.targets_retired_per_bound");
     static obs::Counter &kinduction_proofs =
         obs::counter("bmc.kinduction_proofs");
+    static obs::Counter &witness_rederive =
+        obs::counter("bmc.witness_rederive");
 
     const bool sharing = workers_.size() > 1;
     // The whole-worklist conflict pool handed to one solve_batch call:
@@ -270,13 +376,13 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
     auto settle = [](Target &t, BmcStatus status) {
         t.result.status = status;
         t.phase = Target::Phase::Settled;
-        detail::count_outcome(status);
+        count_outcome(status);
     };
     auto park = [](Target &t, int frames) {
         t.result.status = BmcStatus::Timeout;
         t.result.frames = frames;
         t.parked = true;
-        detail::count_outcome(BmcStatus::Timeout);
+        count_outcome(BmcStatus::Timeout);
     };
 
     // ---- Phase 1: bounded deepening on the shared reset instance ----
@@ -359,25 +465,25 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
                 park(t, k); // resumable: retry bound k next run
                 break;
               case sat::Solver::Result::Sat: {
-                // Re-derive the witness through the same fresh-instance
-                // bound-k query the per-query engines use, on the
-                // target's witness netlist — byte-identical waveforms
-                // by construction, never the batch instance's model.
-                const Netlist *wnl = t.spec.witness_netlist
-                                         ? t.spec.witness_netlist
-                                         : &nl_;
-                NetId wtarget = t.spec.witness_netlist
-                                    ? t.spec.witness_target
-                                    : t.spec.target;
-                BmcOptions wopts = opts_;
-                if (t.spec.witness_netlist)
-                    wopts.assumes = t.spec.witness_assumes;
+                // Re-derive the witness through a fresh-instance bound-k
+                // query on the target's witness netlist, never the batch
+                // instance's model: the waveform is then independent of
+                // batch shape and thread count.
                 const auto t0 = std::chrono::steady_clock::now();
-                auto wres = detail::solve_reset_bound(
-                    *wnl, wtarget, wopts, k, conflict_budget,
-                    deadline.remaining(), t.result.conflicts,
-                    &t.result.trace);
-                t.result.wall_seconds += detail::seconds_since(t0);
+                sat::Solver::Result wres;
+                {
+                    VEGA_SPAN("bmc.witness_rederive");
+                    witness_rederive.inc();
+                    wres = solve_reset_bound(
+                        *t.spec.witness_netlist, t.spec.witness_target,
+                        t.spec.witness_assumes, k, conflict_budget,
+                        deadline.remaining(), t.result.conflicts,
+                        t.result.trace);
+                }
+                t.result.wall_seconds +=
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
                 if (wres == sat::Solver::Result::Unknown) {
                     park(t, k); // resumable: retry bound k next run
                     break;
@@ -399,7 +505,7 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
     // Each target's shadow-consistency equalities ride behind its own
     // gate literal and its target@0 ∨ target@1 clause behind an
     // activation literal, so the per-target query is the assumption
-    // set {gate, clause} — the batched form of check_cover's phase 2.
+    // set {gate, clause}.
     std::vector<int> due_free;
     for (int ti : w.targets)
         if (targets_[ti].phase == Target::Phase::Free &&
@@ -478,10 +584,11 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
 
     // ---- Phase 3: k-induction on the same free-state instance ----
     //
-    // The depth-k step query mirrors kinduction_prove(): target low for
-    // frames 0..k-1 (assumed directly on the net variables), can it
-    // rise at frame k? Unknown falls back to the bounded verdict, as
-    // the per-query pass does.
+    // Depth-k step query: from a free, shadow-consistent state, target
+    // low for frames 0..k-1 (assumed directly on the net variables), can
+    // it rise at frame k? UNSAT closes the induction: phase 1 already
+    // refuted every rise before max_frames (the base case). Depth 1 is
+    // the phase-2 check. Unknown falls back to the bounded verdict.
     for (int k = 2; k <= max_depth; ++k) {
         std::vector<int> due;
         for (int ti : w.targets)

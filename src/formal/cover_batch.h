@@ -1,23 +1,24 @@
 /**
  * @file
- * Suite-level batched cover solving (the one-deepening-loop-per-module
- * refactor of ROADMAP item 4).
+ * Cover solving: the library's one engine for "shortest cover trace from
+ * reset, or Unreachable/Timeout", for one target or a whole suite.
  *
- * check_cover() runs one deepening loop per cover target, so a lifted
- * pair-batch with N fault configurations unrolls and solves the same
- * module N times over. CoverBatch registers N activation-literal
- * targets against ONE persistent instance per portfolio worker, deepens
- * the shared frames once, resolves every still-open target at each
- * bound, and retires covered/refuted targets as it goes — the module
- * logic every target shares is encoded once per frame instead of once
- * per (frame × target), and clauses learned refuting one target prune
- * its siblings.
+ * A lifted pair-batch with N fault configurations asks the same module
+ * the same bounded question N times. CoverBatch registers N activation-
+ * literal targets against ONE persistent instance per portfolio worker,
+ * deepens the shared frames once (one appended frame per bound), resolves
+ * every still-open target at each bound, and retires covered/refuted
+ * targets as it goes — the module logic every target shares is encoded
+ * once per frame instead of once per (frame × target), and clauses
+ * learned refuting one target prune its siblings. check_cover() is the
+ * one-target case.
  *
- * Per-target results are byte-identical to looping check_cover:
- * statuses and frames are bound-exhaustion semantics independent of
- * batching, and witnesses are re-derived through the same fresh-
- * instance query (detail::solve_reset_bound) both per-query engines
- * use — optionally against a caller-supplied witness netlist, which is
+ * Each target runs three phases: bounded deepening from reset, the
+ * 1-step free-state check, and (with BmcOptions::kinduction_frames) the
+ * k-induction step queries; see bmc.h for the verdicts they produce.
+ * Statuses and frames are bound-exhaustion semantics independent of
+ * batching. Covered witnesses are re-derived through a fresh bound-k
+ * instance — optionally on a caller-supplied witness netlist, which is
  * how lift gets traces on its per-config shadow netlists while solving
  * against the multi-config shadow bank. `conflicts`/`wall_seconds` are
  * accounting, not semantics, and do vary with batch shape.
@@ -27,13 +28,12 @@
  * workers exchange learned clauses after every bound in the canonical
  * (frame, net) form of Unroller::take_shared_clauses(). Sharing and
  * partitioning only move wall time: verdicts at any thread count are
- * identical (and equal to the per-query oracle's).
+ * identical.
  *
  * Budgets: run(conflict_budget, wall_budget_seconds) arms ONE wall
  * deadline for the whole run — every query gets only the remaining
  * time, so a batch of N targets honours the budget once rather than N
- * times (the per-call accounting bug when callers looped check_cover).
- * The conflict budget is a shared per-bound pool (see
+ * times. The conflict budget is a shared per-bound pool (see
  * sat::Solver::solve_batch). Targets starved by either budget park
  * with a Timeout result and resume exactly where they stopped on the
  * next run() — the escalation ladder re-runs the batch with grown

@@ -32,10 +32,9 @@ struct EquivResult
 
 /**
  * Compare @p a and @p b, which must declare identical input buses and
- * identical output bus names/widths. @p opts bounds the search and
- * selects the deepening engine (BmcOptions::engine passes straight
- * through to check_cover); the assume/state-equality fields are
- * ignored.
+ * identical output bus names/widths. @p opts bounds the search (frames,
+ * budgets, k-induction depth) of the miter's check_cover; the
+ * assume/state-equality fields are ignored.
  */
 EquivResult check_equivalence(const Netlist &a, const Netlist &b,
                               const BmcOptions &opts = {});

@@ -178,9 +178,9 @@ struct PairFlags
 };
 
 /**
- * Conversion + validation tail shared by the per-query and batched
- * paths: lower a Covered trace to a software test case, validate it
- * against the matching failing netlist, and record the ConfigOutcome.
+ * Conversion + validation tail: lower a Covered trace to a software
+ * test case, validate it against the matching failing netlist, and
+ * record the ConfigOutcome.
  */
 void
 finalize_config(const HwModule &module, size_t pi, const std::string &name,
@@ -247,9 +247,9 @@ finish_pair(PairResult &&pr, const PairFlags &flags, LiftResult &result)
 }
 
 /**
- * §6.3 fuzz-first step shared by both paths. Returns true when the
- * config's verdict is decided without the formal engine (a fuzzer
- * trace, or the Fuzzing engine's structured giving-up outcome).
+ * §6.3 fuzz-first step. Returns true when the config's verdict is
+ * decided without the formal engine (a fuzzer trace, or the Fuzzing
+ * engine's structured giving-up outcome).
  */
 bool
 fuzz_first(const LiftConfig &config, const ShadowInstrumentation &shadow,
@@ -285,8 +285,8 @@ fuzz_first(const LiftConfig &config, const ShadowInstrumentation &shadow,
     return false;
 }
 
-/** The Timeout-triggered fuzz fallback + Exhausted bookkeeping shared
- *  by both paths (the last rungs of the degradation ladder). */
+/** The Timeout-triggered fuzz fallback + Exhausted bookkeeping (the
+ *  last rungs of the degradation ladder). */
 void
 apply_degradation(const LiftConfig &config,
                   const ShadowInstrumentation &shadow, ModuleKind kind,
@@ -322,83 +322,20 @@ apply_degradation(const LiftConfig &config,
     }
 }
 
-/**
- * Per-query reference path: one deepening loop (check_cover /
- * CoverSession) per configuration. Kept verbatim as the semantics
- * oracle the batched path is pinned against.
- */
-LiftResult
-run_error_lifting_scalar(const HwModule &module,
-                         const std::vector<sta::EndpointPair> &pairs,
-                         const LiftConfig &config)
-{
-    LiftResult result;
-    size_t limit = std::min(pairs.size(), config.max_pairs);
-
-    for (size_t pi = 0; pi < limit; ++pi) {
-        const sta::EndpointPair &pair = pairs[pi];
-        PairResult pr;
-        pr.pair = pair;
-
-        if (pair.launch == kInvalidId) {
-            // Primary-input-launched path: the upstream register lives
-            // outside this module; not modeled (and not produced by our
-            // registered-input modules in practice).
-            pr.status = PairStatus::Unreachable;
-            result.pairs.push_back(std::move(pr));
-            ++result.n_unreachable;
-            continue;
-        }
-
-        PairFlags flags;
-        for (auto &[name, spec] : make_configs(pair, config.mitigation)) {
-            ConfigOutcome co;
-            co.spec = spec;
-            co.name = name;
-
-            ShadowInstrumentation shadow =
-                build_shadow_instrumentation(module.netlist, spec);
-
-            formal::BmcResult bmc;
-            if (!fuzz_first(config, shadow, module.kind, pi, bmc, co)) {
-                formal::BmcOptions opts = config.bmc;
-                opts.assumes = build_assumes(shadow.netlist, module.kind);
-                opts.state_equalities = shadow.state_pairs;
-                formal::EscalationPolicy policy;
-                policy.max_attempts = config.formal_attempts;
-                policy.budget_growth = config.formal_budget_growth;
-                // Under the incremental engine the escalation rungs
-                // resume one CoverSession (frames + learned clauses
-                // survive each retry); see check_cover_escalating.
-                formal::EscalatedBmcResult esc = formal::check_cover_escalating(
-                    shadow.netlist, shadow.mismatch, opts, policy);
-                bmc = std::move(esc.result);
-                bmc.conflicts = esc.total_conflicts;
-                co.attempts = esc.attempts;
-                apply_degradation(config, shadow, module.kind, pi,
-                                  esc.attempts, esc.total_conflicts, bmc,
-                                  co);
-            }
-            finalize_config(module, pi, name, spec, std::move(bmc),
-                            std::move(co), pr, flags);
-        }
-        finish_pair(std::move(pr), flags, result);
-    }
-    return result;
-}
+} // namespace
 
 /**
- * Suite-level path: every fault configuration of a pair-batch becomes
- * one target of a formal::CoverBatch over a shared shadow bank, so the
- * module is unrolled once per frame for the whole batch and the
- * escalation ladder resumes only the starved targets. Witnesses are
- * re-derived on each config's own shadow instrumentation, keeping
- * per-config results byte-identical to the scalar path.
+ * Every fault configuration of a pair-batch becomes one target of a
+ * formal::CoverBatch over a shared shadow bank, so the module is unrolled
+ * once per frame for the whole batch and the escalation ladder resumes
+ * only the starved targets. Witnesses are re-derived on each config's
+ * own shadow instrumentation, so per-config results do not depend on
+ * how the configs were batched.
  */
 LiftResult
-run_error_lifting_batched(const HwModule &module,
-                          const std::vector<sta::EndpointPair> &pairs,
-                          const LiftConfig &config)
+run_error_lifting(const HwModule &module,
+                  const std::vector<sta::EndpointPair> &pairs,
+                  const LiftConfig &config)
 {
     LiftResult result;
     size_t limit = std::min(pairs.size(), config.max_pairs);
@@ -489,7 +426,7 @@ run_error_lifting_batched(const HwModule &module,
 
             // The per-batch escalation ladder: each rung resumes only
             // the still-starved targets with the budgets grown, frames
-            // and learned clauses intact (cf. check_cover_escalating).
+            // and learned clauses intact.
             static obs::Counter &escalations =
                 obs::counter("bmc.escalations");
             int max_attempts = std::max(1, config.formal_attempts);
@@ -525,8 +462,7 @@ run_error_lifting_batched(const HwModule &module,
             }
         }
 
-        // Emit results in pair order, configs in make_configs order —
-        // exactly the scalar path's output shape.
+        // Emit results in pair order, configs in make_configs order.
         for (PairWork &pw : work) {
             if (pw.skipped) {
                 pw.pr.status = PairStatus::Unreachable;
@@ -545,18 +481,6 @@ run_error_lifting_batched(const HwModule &module,
         }
     }
     return result;
-}
-
-} // namespace
-
-LiftResult
-run_error_lifting(const HwModule &module,
-                  const std::vector<sta::EndpointPair> &pairs,
-                  const LiftConfig &config)
-{
-    if (config.batch_cover)
-        return run_error_lifting_batched(module, pairs, config);
-    return run_error_lifting_scalar(module, pairs, config);
 }
 
 } // namespace vega::lift

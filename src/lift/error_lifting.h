@@ -52,9 +52,9 @@ struct LiftConfig
 
     // Retry-with-degradation ladder for the formal engine. Defaults
     // reproduce the single-attempt baseline; the campaign CLI opts in.
-    // With the (default) incremental BMC engine the rungs share one
-    // CoverSession: a retry resumes the timed-out bound on the same
-    // solver with a bigger budget instead of re-unrolling from scratch.
+    // The rungs re-run one CoverBatch: a retry resumes each timed-out
+    // target at its bound on the same solver with a bigger budget
+    // instead of re-unrolling from scratch.
     /** Formal attempts per configuration; Timeouts retry with the
      *  conflict/wall budget multiplied by formal_budget_growth. */
     int formal_attempts = 1;
@@ -65,17 +65,11 @@ struct LiftConfig
     bool degrade_to_fuzz = false;
 
     /**
-     * Solve all fault configurations of a pair-batch as ONE
-     * formal::CoverBatch suite against a multi-cone shadow bank (the
-     * default): the shared module logic is unrolled once per frame for
-     * the whole batch instead of once per configuration, and each
-     * escalation rung re-runs only the still-starved targets. Per-config
-     * statuses, frames, and traces are byte-identical to looping
-     * check_cover per configuration (batch_cover = false), which stays
-     * available as the semantics oracle.
+     * Endpoint pairs per formal::CoverBatch suite: all fault
+     * configurations of this many pairs are solved as one batch against
+     * a multi-cone shadow bank, so the shared module logic is unrolled
+     * once per frame for the whole batch.
      */
-    bool batch_cover = true;
-    /** Endpoint pairs per CoverBatch suite when batch_cover is set. */
     size_t batch_pairs = 8;
 };
 

@@ -69,7 +69,8 @@ TEST(Bmc, BoundTooShallowTimesOutIntoUnreachable)
 TEST(Bmc, ImpossibleCoverProvenUnreachable)
 {
     // target = q & !q is structurally false: the free-state check proves
-    // it, yielding a by-induction unreachability verdict.
+    // it, yielding a by-induction unreachability verdict — also with no
+    // bound to search at all.
     Netlist nl("t");
     Builder b(nl);
     auto d = nl.add_input_bus("d", 1);
@@ -77,11 +78,13 @@ TEST(Bmc, ImpossibleCoverProvenUnreachable)
     NetId target = b.and_(q, b.not_(q));
     nl.add_output_bus("o", {target});
 
-    BmcOptions opts;
-    opts.max_frames = 4;
-    BmcResult r = check_cover(nl, target, opts);
-    EXPECT_EQ(r.status, BmcStatus::Unreachable);
-    EXPECT_TRUE(r.proven_by_induction);
+    for (int frames : {4, 0}) {
+        BmcOptions opts;
+        opts.max_frames = frames;
+        BmcResult r = check_cover(nl, target, opts);
+        EXPECT_EQ(r.status, BmcStatus::Unreachable) << frames;
+        EXPECT_TRUE(r.proven_by_induction) << frames;
+    }
 }
 
 TEST(Bmc, AssumesConstrainInputs)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Suite-level batched cover solving: byte-identity against the
- * per-query oracle on the real lift corpus (any seed, any thread
- * count), the k-induction post-pass cross-checked against exhaustive
- * unrolling, and mid-batch timeout resume.
+ * Cover solving: check_cover and CoverBatch byte-identical to the
+ * fresh-instance reference (reference_bmc.h) on the real lift corpus
+ * (any seed, any thread count), the k-induction post-pass cross-checked
+ * against exhaustive unrolling, and timeout resume.
  */
 #include "formal/cover_batch.h"
 
@@ -18,6 +18,7 @@
 #include "lift/instruction_builder.h"
 #include "netlist/builder.h"
 #include "obs/metrics.h"
+#include "reference_bmc.h"
 #include "rtl/alu32.h"
 #include "rtl/blocks.h"
 #include "rtl/fpu32.h"
@@ -94,13 +95,22 @@ expect_identical(const BmcResult &got, const BmcResult &want,
                 << label << " signal " << sig << " cycle " << cyc;
 }
 
-/** One lift config with its shadow netlist and per-query oracle run. */
+/** One lift config with its shadow netlist and reference verdict. */
 struct ConfigCase
 {
     lift::FailureModelSpec spec;
     lift::ShadowInstrumentation shadow;
     std::vector<NetId> assumes;
     BmcResult oracle;
+
+    /** The config's query on its own shadow netlist. */
+    BmcOptions options(const BmcOptions &base) const
+    {
+        BmcOptions opts = base;
+        opts.assumes = assumes;
+        opts.state_equalities = shadow.state_pairs;
+        return opts;
+    }
 };
 
 std::vector<ConfigCase>
@@ -122,12 +132,8 @@ build_cases(ModuleKind kind, size_t max_pairs, const BmcOptions &base)
             cc.shadow = lift::build_shadow_instrumentation(
                 c.module.netlist, cc.spec);
             cc.assumes = lift::build_assumes(cc.shadow.netlist, kind);
-
-            BmcOptions opts = base;
-            opts.assumes = cc.assumes;
-            opts.state_equalities = cc.shadow.state_pairs;
-            cc.oracle =
-                check_cover(cc.shadow.netlist, cc.shadow.mismatch, opts);
+            cc.oracle = reference_check_cover(
+                cc.shadow.netlist, cc.shadow.mismatch, cc.options(base));
             cases.push_back(std::move(cc));
         }
         if (++used >= max_pairs)
@@ -137,7 +143,7 @@ build_cases(ModuleKind kind, size_t max_pairs, const BmcOptions &base)
 }
 
 /** Run the permuted corpus as one CoverBatch and check every target
- *  against its per-query oracle. */
+ *  against its reference verdict. */
 void
 check_batch_identity(ModuleKind kind, const std::vector<ConfigCase> &cases,
                      const BmcOptions &base, uint64_t seed, int threads)
@@ -178,6 +184,33 @@ check_batch_identity(ModuleKind kind, const std::vector<ConfigCase> &cases,
                              std::to_string(i));
 }
 
+/** check_cover on each config's own shadow netlist against the
+ *  reference. */
+void
+check_cover_identity(ModuleKind kind, size_t max_pairs)
+{
+    BmcOptions base;
+    base.max_frames = 4;
+    auto cases = build_cases(kind, max_pairs, base);
+    ASSERT_FALSE(cases.empty()) << "corpus produced no liftable pairs";
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const ConfigCase &cc = cases[i];
+        expect_identical(check_cover(cc.shadow.netlist, cc.shadow.mismatch,
+                                     cc.options(base)),
+                         cc.oracle, "config " + std::to_string(i));
+    }
+}
+
+TEST(CheckCover, Alu32CorpusMatchesReference)
+{
+    check_cover_identity(ModuleKind::Alu32, 3);
+}
+
+TEST(CheckCover, Fpu32CorpusMatchesReference)
+{
+    check_cover_identity(ModuleKind::Fpu32, 2);
+}
+
 TEST(CoverBatch, AluCorpusByteIdenticalAcrossSeedsAndThreads)
 {
     BmcOptions base;
@@ -199,7 +232,7 @@ TEST(CoverBatch, FpuCorpusByteIdenticalAcrossThreads)
     base.max_frames = 4;
     auto cases = build_cases(ModuleKind::Fpu32, 2, base);
     ASSERT_GE(cases.size(), 2u);
-    for (int threads : {1, 8})
+    for (int threads : {1, 2, 8})
         check_batch_identity(ModuleKind::Fpu32, cases, base, /*seed=*/7,
                              threads);
 }
@@ -255,19 +288,19 @@ TEST(CoverBatch, KInductionUpgradesBoundExhaustionToProof)
     // Exhaustive unrolling far past the 4-state diameter: never covered.
     BmcOptions deep;
     deep.max_frames = 16;
-    BmcResult exhaustive = check_cover(nl, swap_t, deep);
+    BmcResult exhaustive = reference_check_cover(nl, swap_t, deep);
     EXPECT_EQ(exhaustive.status, BmcStatus::Unreachable);
     EXPECT_FALSE(exhaustive.proven_by_induction);
 
     // The k-induction post-pass turns the same verdict into a proof at
-    // depth 2 — scalar and batch alike, byte-identically.
+    // depth 2 — reference and batch alike, byte-identically.
     BmcOptions opts;
     opts.max_frames = 4;
     opts.kinduction_frames = 4;
-    BmcResult scalar = check_cover(nl, swap_t, opts);
-    EXPECT_EQ(scalar.status, BmcStatus::Unreachable);
-    EXPECT_TRUE(scalar.proven_by_induction);
-    EXPECT_EQ(scalar.kinduction_depth, 2);
+    BmcResult reference = reference_check_cover(nl, swap_t, opts);
+    EXPECT_EQ(reference.status, BmcStatus::Unreachable);
+    EXPECT_TRUE(reference.proven_by_induction);
+    EXPECT_EQ(reference.kinduction_depth, 2);
 
     CoverBatch batch(nl, opts);
     CoverTargetSpec ts;
@@ -277,7 +310,7 @@ TEST(CoverBatch, KInductionUpgradesBoundExhaustionToProof)
     uint64_t before = proofs.value();
     batch.run();
     EXPECT_GT(proofs.value(), before);
-    expect_identical(batch.result(idx), scalar, "kinduction batch");
+    expect_identical(batch.result(idx), reference, "kinduction batch");
 }
 
 TEST(CoverBatch, KInductionNeverFalselyProvesReachableTargets)
@@ -293,24 +326,24 @@ TEST(CoverBatch, KInductionNeverFalselyProvesReachableTargets)
 
     BmcOptions deep;
     deep.max_frames = 16;
-    BmcResult exhaustive = check_cover(nl, ctr_t, deep);
+    BmcResult exhaustive = reference_check_cover(nl, ctr_t, deep);
     ASSERT_EQ(exhaustive.status, BmcStatus::Covered);
     EXPECT_EQ(exhaustive.frames, 6);
 
     BmcOptions opts;
     opts.max_frames = 3;
     opts.kinduction_frames = 3;
-    BmcResult scalar = check_cover(nl, ctr_t, opts);
-    EXPECT_EQ(scalar.status, BmcStatus::Unreachable);
-    EXPECT_FALSE(scalar.proven_by_induction);
-    EXPECT_EQ(scalar.kinduction_depth, 0);
+    BmcResult reference = reference_check_cover(nl, ctr_t, opts);
+    EXPECT_EQ(reference.status, BmcStatus::Unreachable);
+    EXPECT_FALSE(reference.proven_by_induction);
+    EXPECT_EQ(reference.kinduction_depth, 0);
 
     CoverBatch batch(nl, opts);
     CoverTargetSpec ts;
     ts.target = ctr_t;
     int idx = batch.add_target(std::move(ts));
     batch.run();
-    expect_identical(batch.result(idx), scalar, "no false proof");
+    expect_identical(batch.result(idx), reference, "no false proof");
 }
 
 TEST(CoverBatch, MixedPhaseTargetsShareOneInstance)
@@ -338,7 +371,7 @@ TEST(CoverBatch, MixedPhaseTargetsShareOneInstance)
     batch.run();
     for (size_t i = 0; i < targets.size(); ++i)
         expect_identical(batch.result(static_cast<int>(i)),
-                         check_cover(nl, targets[i], opts),
+                         reference_check_cover(nl, targets[i], opts),
                          "mixed target " + std::to_string(i));
 }
 
@@ -348,7 +381,7 @@ TEST(CoverBatch, MidBatchTimeoutResumesWhereItStopped)
     // prime-"factoring" target (hundreds of conflicts per bound): a
     // small per-target conflict pool settles the first, parks the
     // second, and the resumed run finishes byte-identical to the
-    // oracle.
+    // reference.
     Netlist nl("resume");
     Builder b(nl, "mul");
     NetId ctr_t = add_counter(nl, 5, "_r");
@@ -387,10 +420,76 @@ TEST(CoverBatch, MidBatchTimeoutResumesWhereItStopped)
     // The escalation rung resumes the starved target only.
     batch.run();
     EXPECT_TRUE(batch.all_settled());
-    expect_identical(batch.result(ctr_idx), check_cover(nl, ctr_t, opts),
+    expect_identical(batch.result(ctr_idx),
+                     reference_check_cover(nl, ctr_t, opts),
                      "resume counter");
-    expect_identical(batch.result(mul_idx), check_cover(nl, mul_t, opts),
+    expect_identical(batch.result(mul_idx),
+                     reference_check_cover(nl, mul_t, opts),
                      "resume multiplier");
+}
+
+/** a * b == 143 (11 × 13) over registered 4-bit operands: covered at
+ *  bound 2, and only after real search. */
+NetId
+add_mul_cover(Netlist &nl)
+{
+    Builder b(nl, "mul");
+    auto a = nl.add_input_bus("a", 4);
+    auto bb = nl.add_input_bus("b", 4);
+    Bus aq, bq;
+    for (int i = 0; i < 4; ++i) {
+        aq.push_back(b.dff(a[size_t(i)]));
+        bq.push_back(b.dff(bb[size_t(i)]));
+    }
+    Bus p = rtl::multiply(b, aq, bq);
+    nl.add_output_bus("p", p);
+    return rtl::bus_eq(b, p, b.const_bus(8, 143));
+}
+
+TEST(CoverBatch, StarvedTargetResumesToOneShotResult)
+{
+    // A one-conflict run parks the lone target; the run with the full
+    // budget resumes it on the same instance and lands on the one-shot
+    // answer, trace included.
+    Netlist nl("mul");
+    NetId target = add_mul_cover(nl);
+    BmcOptions opts;
+    opts.max_frames = 4;
+    BmcResult oneshot = reference_check_cover(nl, target, opts);
+    ASSERT_EQ(oneshot.status, BmcStatus::Covered);
+
+    CoverBatch batch(nl, opts);
+    CoverTargetSpec ts;
+    ts.target = target;
+    int idx = batch.add_target(std::move(ts));
+    batch.run(/*conflict_budget=*/1, /*wall_budget_seconds=*/-1.0);
+    EXPECT_FALSE(batch.settled(idx));
+    EXPECT_EQ(batch.result(idx).status, BmcStatus::Timeout);
+
+    batch.run();
+    ASSERT_TRUE(batch.settled(idx));
+    expect_identical(batch.result(idx), oneshot, "resumed multiplier");
+}
+
+TEST(CoverBatch, SettledTargetRerunChargesNoConflicts)
+{
+    Netlist nl("mul");
+    NetId target = add_mul_cover(nl);
+    BmcOptions opts;
+    opts.max_frames = 4;
+    CoverBatch batch(nl, opts);
+    CoverTargetSpec ts;
+    ts.target = target;
+    int idx = batch.add_target(std::move(ts));
+    batch.run();
+    ASSERT_TRUE(batch.settled(idx));
+    BmcResult first = batch.result(idx);
+    ASSERT_EQ(first.status, BmcStatus::Covered);
+    EXPECT_GT(first.conflicts, 0u);
+
+    batch.run(); // replays the settled answer, no solving
+    expect_identical(batch.result(idx), first, "settled re-run");
+    EXPECT_EQ(batch.result(idx).conflicts, 0u);
 }
 
 TEST(CoverBatch, WallBudgetIsLoopWideWithPerTargetAttribution)
@@ -431,7 +530,7 @@ TEST(CoverBatch, WallBudgetIsLoopWideWithPerTargetAttribution)
         const BmcResult &r = batch.result(static_cast<int>(i));
         EXPECT_GE(r.wall_seconds, 0.0);
         attributed += r.wall_seconds;
-        expect_identical(r, check_cover(nl, targets[i], opts),
+        expect_identical(r, reference_check_cover(nl, targets[i], opts),
                          "wall target " + std::to_string(i));
     }
     EXPECT_LE(attributed, elapsed + 0.05);
