@@ -96,8 +96,6 @@ usage(const char *argv0)
         "<out>.manifest.json)\n"
         "  --kill-after N         raise SIGKILL after N completed "
         "jobs (kill-and-resume testing)\n"
-        "  --scalar               one netlist simulation per job "
-        "instead of 64-episode waves (same report, slower)\n"
         "  --no-timing            omit wall-clock timing from the "
         "JSON (diffable reports)\n"
         "  --trace-out FILE       write a Chrome trace-event JSON "
@@ -224,8 +222,6 @@ parse_args(int argc, char **argv, CliOptions &opt)
             if (!v)
                 return false;
             opt.campaign.kill_after_jobs = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--scalar") {
-            opt.campaign.wave_execution = false;
         } else if (arg == "--no-timing") {
             opt.include_timing = false;
         } else if (arg == "--trace-out") {

@@ -132,9 +132,11 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 # Concurrency pass under ThreadSanitizer (its own tree: TSan cannot
 # share a process with ASan). Focused on the code where a missed lock
 # becomes silent corruption — the campaign engine's wave dispatch and
-# group-commit journaling, the work-stealing pool, the sharded
-# aggregator, the observability counters/rings, and the CoverBatch
-# clause-sharing portfolio (worker mailboxes, shared netlist caches).
+# group-commit journaling, the fleet fault matrix's wave tasks (which
+# write into shared per-class slots), the work-stealing pool, the
+# sharded aggregator, the observability counters/rings, and the
+# CoverBatch clause-sharing portfolio (worker mailboxes, shared netlist
+# caches).
 tsan="$repo/build-tsan"
 cmake -S "$repo" -B "$tsan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -142,6 +144,6 @@ cmake -S "$repo" -B "$tsan" \
 cmake --build "$tsan" -j "$jobs" --target vega_tests
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
     ctest --test-dir "$tsan" --output-on-failure \
-    -R 'Campaign|WaveCampaign|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover' \
+    -R 'Campaign|WaveCampaign|FleetMatrix|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover' \
     -j "$jobs"
 echo "ci_sanitize: ThreadSanitizer campaign/pool/portfolio pass clean"

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <optional>
 
-#include "campaign/engine.h"
 #include "campaign/journal.h"
 #include "campaign/shard.h"
 #include "campaign/thread_pool.h"
@@ -40,17 +39,6 @@ worker_jobs_counter()
     return *c;
 }
 
-lift::FailureModelSpec
-fault_spec(const sta::EndpointPair &pair, lift::FaultConstant c)
-{
-    lift::FailureModelSpec fm;
-    fm.launch = pair.launch;
-    fm.capture = pair.capture;
-    fm.is_setup = pair.is_setup;
-    fm.constant = c;
-    return fm;
-}
-
 /**
  * Resolve job @p id from its splitmix64 stream. Pairs are covered
  * round-robin (every pair in the working set gets injected); the
@@ -74,16 +62,14 @@ make_spec(const CampaignConfig &cfg, size_t npairs, uint64_t id)
 }
 
 /**
- * One Monte Carlo injection. Functional-unit campaigns mount the
- * failing netlist as the ISS's unit; memory campaigns mount the
- * classified wrong-address fault as the ISS's data-memory backend
- * (@p mem_cls, ignored otherwise).
+ * One march-test injection: the classified wrong-address fault mounted
+ * as the ISS's data-memory backend, screened slot by slot by the aging
+ * library until the suite fires or the slot budget runs out.
  */
 JobResult
-run_job(ModuleKind kind, const lift::FailingNetlist &failing,
-        const mem::MemFaultClass &mem_cls,
-        const std::vector<runtime::TestCase> &suite, const JobSpec &spec,
-        bool corrupts)
+run_mem_job(const mem::MemFaultClass &cls,
+            const std::vector<runtime::TestCase> &suite, const JobSpec &spec,
+            bool corrupts)
 {
     JobResult res;
     res.id = spec.id;
@@ -91,18 +77,7 @@ run_job(ModuleKind kind, const lift::FailingNetlist &failing,
     res.constant = spec.constant;
     res.policy = spec.policy;
 
-    std::optional<NetlistEngine> netlist_engine;
-    std::optional<mem::MarchEngine> march_engine;
-    runtime::Engine *engine;
-    if (is_mem_module(kind)) {
-        march_engine.emplace(mem_cls);
-        engine = &*march_engine;
-    } else {
-        netlist_engine.emplace(kind, failing.netlist,
-                               failing.has_random_input, spec.seed);
-        engine = &*netlist_engine;
-    }
-
+    mem::MarchEngine engine(cls);
     runtime::AgingLibraryOptions opt;
     opt.policy = spec.policy;
     opt.probability = spec.probability;
@@ -110,7 +85,7 @@ run_job(ModuleKind kind, const lift::FailingNetlist &failing,
     runtime::AgingLibrary lib(suite, opt);
 
     for (uint64_t slot = 0; slot < spec.max_slots; ++slot) {
-        runtime::Detection d = lib.run_next(*engine);
+        runtime::Detection d = lib.run_next(engine);
         if (d != runtime::Detection::None) {
             res.detected = true;
             res.kind = d;
@@ -119,8 +94,7 @@ run_job(ModuleKind kind, const lift::FailingNetlist &failing,
         }
     }
     res.tests_dispatched = lib.runs();
-    res.sim_cycles = netlist_engine ? netlist_engine->cycles()
-                                    : march_engine->cycles();
+    res.sim_cycles = engine.cycles();
     res.corrupts_workload = corrupts;
     res.escape = corrupts && !res.detected;
     return res;
@@ -245,160 +219,93 @@ try_run_campaign(const HwModule &module,
         meter.emplace(needed_count + todo.size(),
                       cfg.progress_interval, cfg.progress_sink);
 
-    // Wave mode splices every needed fault into ONE bank netlist
+    // Executors. Functional-unit faults all live in ONE bank netlist
     // (disabled faults are exact pass-throughs) compiled to ONE shared
-    // tape, then runs characterization and injection in 64-episode
-    // waves over it. Memory-module campaigns stay on the scalar
-    // MarchEngine path, as do runs with a job_fault_hook (the hook's
-    // per-attempt throw semantics are scalar by definition); any wave
-    // that throws falls back to the scalar oracle per job, so wave
-    // execution is purely a throughput knob.
-    bool use_waves = cfg.wave_execution && !is_mem_module(module.kind) &&
-                     !cfg.job_fault_hook;
-    lift::FaultBank bank;
-    WaveContext wave_ctx;
-    std::vector<size_t> bank_pos;
-    if (use_waves) {
-        try {
-            std::vector<lift::FailureModelSpec> bank_specs;
-            bank_pos.assign(npairs * nconst, SIZE_MAX);
-            for (size_t pi = 0; pi < npairs; ++pi)
-                for (size_t ci = 0; ci < nconst; ++ci)
-                    if (needed[pi * nconst + ci]) {
-                        bank_pos[pi * nconst + ci] = bank_specs.size();
-                        bank_specs.push_back(
-                            fault_spec(pairs[pi], cfg.constants[ci]));
-                    }
-            if (bank_specs.empty()) {
-                use_waves = false;
-            } else {
-                VEGA_SPAN("campaign.build_bank");
-                bank = lift::build_fault_bank(module.netlist, bank_specs);
-                wave_ctx.kind = module.kind;
-                wave_ctx.tape =
-                    std::make_shared<const EvalTape>(bank.netlist);
-                wave_ctx.num_faults = bank.num_faults;
-                wave_ctx.fault_random = &bank.fault_random;
-                wave_ctx.suite = &suite;
-            }
-        } catch (const std::exception &) {
-            use_waves = false;
-        }
-    }
+    // tape, and run as 64-lane waves over it; memory faults run on the
+    // march engine, one job per batch. Work is bucketed, in index/id
+    // order, into batches as wide as the executor — so memory
+    // characterizations and jobs keep one pool task each.
+    const bool mem_module = is_mem_module(module.kind);
+    const size_t width = mem_module ? 1 : kWaveLanes;
+    std::vector<size_t> pending_faults;
+    pending_faults.reserve(needed_count);
+    for (size_t idx = 0; idx < npairs * nconst; ++idx)
+        if (needed[idx])
+            pending_faults.push_back(idx);
 
     // Characterization pass: once per unique (pair, constant) fault —
     // never per job — probe whether the fault corrupts the
     // representative workload. Only faults some pending job of this
     // shard actually injects are probed, so shards (and resumed runs)
-    // don't redo the whole matrix. In scalar mode the failing netlists
-    // are kept and shared read-only by every job that injects the same
-    // fault; in wave mode the bank tape serves that role. A
-    // characterization that throws poisons only the jobs that depend
-    // on that fault; they quarantine instead of crashing the run.
-    std::vector<lift::FailingNetlist> faults(
-        use_waves ? 0 : npairs * nconst);
+    // don't redo the whole matrix. A batch that throws poisons only the
+    // jobs that depend on its faults; they quarantine instead of
+    // crashing the run.
     std::vector<mem::MemFaultClass> mem_faults(
-        is_mem_module(module.kind) ? npairs * nconst : 0);
+        mem_module ? npairs * nconst : 0);
     std::vector<char> corrupts(npairs * nconst, 0);
     std::vector<std::string> char_error(npairs * nconst);
-    if (use_waves) {
-        std::vector<size_t> pending_faults;
-        pending_faults.reserve(needed_count);
-        for (size_t idx = 0; idx < npairs * nconst; ++idx)
-            if (needed[idx])
-                pending_faults.push_back(idx);
-        for (size_t base = 0; base < pending_faults.size();
-             base += kWaveLanes) {
-            size_t count =
-                std::min(kWaveLanes, pending_faults.size() - base);
-            std::vector<size_t> chunk(
-                pending_faults.begin() + long(base),
-                pending_faults.begin() + long(base + count));
-            pool.submit([&, chunk] {
-                VEGA_SPAN("campaign.characterize");
-                try {
-                    std::vector<std::pair<size_t, uint64_t>> req;
-                    req.reserve(chunk.size());
-                    for (size_t idx : chunk)
-                        req.push_back(
-                            {bank_pos[idx],
-                             job_stream(~cfg.seed, uint64_t(idx))});
-                    std::vector<char> verdicts =
-                        characterize_wave(wave_ctx, req);
-                    for (size_t i = 0; i < chunk.size(); ++i)
-                        corrupts[chunk[i]] = verdicts[i];
-                } catch (const std::exception &) {
-                    // Wave execution must never cost correctness:
-                    // probe each fault standalone, exactly like the
-                    // scalar path would have.
-                    for (size_t idx : chunk) {
-                        try {
-                            lift::FailingNetlist f =
-                                lift::build_failing_netlist(
-                                    module.netlist,
-                                    fault_spec(
-                                        pairs[idx / nconst],
-                                        cfg.constants[idx % nconst]));
-                            corrupts[idx] = workload_corrupts(
-                                module.kind, f.netlist,
-                                f.has_random_input,
-                                job_stream(~cfg.seed, uint64_t(idx)));
-                        } catch (const std::exception &e) {
-                            char_error[idx] = e.what();
-                        } catch (...) {
-                            char_error[idx] = "non-standard exception";
-                        }
-                    }
-                }
-                if (meter)
-                    for (size_t i = 0; i < chunk.size(); ++i)
-                        meter->job_done(0);
-            });
+    WaveContext wave_ctx;
+    std::vector<size_t> bank_pos(npairs * nconst, SIZE_MAX);
+    if (!mem_module && !pending_faults.empty()) {
+        std::vector<lift::FailureModelSpec> bank_specs;
+        for (size_t idx : pending_faults) {
+            bank_pos[idx] = bank_specs.size();
+            bank_specs.push_back(fault_spec(pairs[idx / nconst],
+                                            cfg.constants[idx % nconst]));
         }
-    } else {
-        for (size_t pi = 0; pi < npairs; ++pi) {
-            for (size_t ci = 0; ci < nconst; ++ci) {
-                if (!needed[pi * nconst + ci])
-                    continue;
-                pool.submit([&, pi, ci] {
-                    VEGA_SPAN("campaign.characterize");
-                    size_t idx = pi * nconst + ci;
-                    try {
-                        if (is_mem_module(module.kind)) {
-                            // Decoder lifting: the constant axis does
-                            // not apply to slow-gate faults; every
-                            // (pair, C) slot carries the pair's
-                            // classified class.
-                            CellId gate = mem::pick_decoder_gate(
-                                module.netlist, pairs[pi].worst);
-                            if (gate == kInvalidId)
-                                throw std::runtime_error(
-                                    "no decode gate on worst path");
-                            mem_faults[idx] = mem::classify_slow_gate(
-                                module.netlist, gate);
-                            corrupts[idx] = mem::mem_workload_corrupts(
-                                mem_faults[idx]);
-                        } else {
-                            faults[idx] = lift::build_failing_netlist(
-                                module.netlist,
-                                fault_spec(pairs[pi],
-                                           cfg.constants[ci]));
-                            uint64_t seed =
-                                job_stream(~cfg.seed, uint64_t(idx));
-                            corrupts[idx] = workload_corrupts(
-                                module.kind, faults[idx].netlist,
-                                faults[idx].has_random_input, seed);
-                        }
-                    } catch (const std::exception &e) {
-                        char_error[idx] = e.what();
-                    } catch (...) {
-                        char_error[idx] = "non-standard exception";
-                    }
-                    if (meter)
-                        meter->job_done(0);
-                });
+        try {
+            VEGA_SPAN("campaign.build_bank");
+            wave_ctx = make_wave_context(module, bank_specs);
+            wave_ctx.suite = &suite;
+        } catch (...) {
+            std::string why = current_exception_text();
+            for (size_t idx : pending_faults)
+                char_error[idx] = why;
+            pending_faults.clear();
+        }
+    }
+
+    auto characterize = [&](const std::vector<size_t> &batch) {
+        if (mem_module) {
+            // Decoder lifting: the constant axis does not apply to
+            // slow-gate faults; every (pair, C) slot carries the pair's
+            // classified class.
+            size_t idx = batch[0];
+            CellId gate = mem::pick_decoder_gate(module.netlist,
+                                                 pairs[idx / nconst].worst);
+            if (gate == kInvalidId)
+                throw std::runtime_error("no decode gate on worst path");
+            mem_faults[idx] = mem::classify_slow_gate(module.netlist, gate);
+            corrupts[idx] = mem::mem_workload_corrupts(mem_faults[idx]);
+            return;
+        }
+        std::vector<Episode> probes;
+        probes.reserve(batch.size());
+        for (size_t idx : batch)
+            probes.push_back(probe_episode(
+                module.kind, bank_pos[idx],
+                job_stream(~cfg.seed, uint64_t(idx))));
+        std::vector<EpisodeResult> got = characterize_wave(wave_ctx, probes);
+        for (size_t i = 0; i < batch.size(); ++i)
+            corrupts[batch[i]] = probe_corrupts(module.kind, got[i]);
+    };
+    for (size_t base = 0; base < pending_faults.size(); base += width) {
+        size_t end = std::min(base + width, pending_faults.size());
+        pool.submit([&, base, end] {
+            VEGA_SPAN("campaign.characterize");
+            std::vector<size_t> batch(pending_faults.begin() + long(base),
+                                      pending_faults.begin() + long(end));
+            try {
+                characterize(batch);
+            } catch (...) {
+                std::string why = current_exception_text();
+                for (size_t idx : batch)
+                    char_error[idx] = why;
             }
-        }
+            if (meter)
+                for (size_t i = 0; i < batch.size(); ++i)
+                    meter->job_done(0);
+        });
     }
     pool.wait_idle();
     double characterize_wall =
@@ -407,10 +314,9 @@ try_run_campaign(const HwModule &module,
             .count();
 
     // Injection pass: the Monte Carlo jobs proper. Results land in
-    // slots keyed by job id, so completion order is irrelevant. A job
-    // that throws retries with a fresh (deterministically derived)
-    // seed; one that fails every attempt is quarantined. Every settled
-    // job is checkpointed to the journal before the campaign moves on.
+    // slots keyed by job id, so completion order is irrelevant. Every
+    // settled job is checkpointed to the journal before the campaign
+    // moves on.
     auto t_inject = std::chrono::steady_clock::now();
     std::mutex state_mu;
     std::mutex journal_mu;
@@ -418,10 +324,11 @@ try_run_campaign(const HwModule &module,
     std::atomic<uint64_t> journal_nanos{0};
     size_t completed_this_run = 0;
     size_t settled_this_run = 0;
+    uint64_t cycles_this_run = 0;
     std::optional<VegaError> journal_error;
 
     // Journal writes run under their own mutex, off the hot state_mu:
-    // a group-commit rewrite (and its fsync) must not block workers
+    // a group-commit append (and its fsync) must not block workers
     // that only need to settle counters. Record order across threads
     // is arbitrary, which is fine — replay is keyed by job id.
     auto journal_record = [&](const auto &record) {
@@ -450,6 +357,7 @@ try_run_campaign(const HwModule &module,
             done[jr.id] = jr;
             ++settled_this_run;
             ++completed_this_run;
+            cycles_this_run += jr.sim_cycles;
             if (cfg.stop_after_jobs &&
                 completed_this_run >= cfg.stop_after_jobs)
                 stop.store(true, std::memory_order_relaxed);
@@ -460,15 +368,22 @@ try_run_campaign(const HwModule &module,
         journal_record(jr);
         // The real thing, not a simulation: SIGKILL is uncatchable, so
         // buffered journal records die with the process exactly as in
-        // a production OOM kill. In wave mode the trigger lands mid-
-        // wave, with sibling episodes' records still unflushed.
+        // a production OOM kill. The trigger lands mid-wave, with
+        // sibling episodes' records still unflushed.
         if (do_kill)
             std::raise(SIGKILL);
         if (meter)
             meter->job_done(jr.sim_cycles);
     };
 
-    auto settle_failed = [&](const FailedJob &f, bool meter_tick) {
+    auto settle_failed = [&](uint64_t id, size_t pair_index,
+                             uint32_t attempts, VegaError error,
+                             bool meter_tick) {
+        FailedJob f;
+        f.id = id;
+        f.pair_index = pair_index;
+        f.attempts = attempts;
+        f.error = std::move(error);
         {
             std::lock_guard<std::mutex> lk(state_mu);
             failed.push_back(f);
@@ -479,181 +394,112 @@ try_run_campaign(const HwModule &module,
             meter->job_done(0);
     };
 
-    auto char_failed_job = [&](const JobSpec &spec, size_t idx) {
-        FailedJob f;
-        f.id = spec.id;
-        f.pair_index = spec.pair_index;
-        f.attempts = 0;
-        f.error = make_error(ErrorCode::JobFailed,
-                             "characterization: " + char_error[idx]);
-        return f;
-    };
-
-    // The scalar retry ladder — the semantics oracle wave execution is
-    // measured against, and the per-job fallback when a wave throws.
-    auto run_with_retries = [&](const JobSpec &spec,
-                                const lift::FailingNetlist &failing,
-                                const mem::MemFaultClass &mem_cls,
-                                bool corrupting, JobResult &jr,
-                                VegaError &last) {
-        JobSpec attempt_spec = spec;
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-            try {
-                if (cfg.job_fault_hook)
-                    cfg.job_fault_hook(spec, attempt);
-                jr = run_job(module.kind, failing, mem_cls, suite,
-                             attempt_spec, corrupting);
-                jr.attempts = uint32_t(attempt);
-                return true;
-            } catch (const std::exception &e) {
-                last = make_error(ErrorCode::JobFailed,
-                                  "attempt " + std::to_string(attempt) +
-                                      ": " + e.what());
-            } catch (...) {
-                last = make_error(ErrorCode::JobFailed,
-                                  "attempt " + std::to_string(attempt) +
-                                      ": non-standard exception");
-            }
-            static obs::Counter &retry_counter =
-                obs::counter("campaign.retries");
-            retry_counter.inc();
-            // Fresh downstream randomness for the retry, still a pure
-            // function of (campaign seed, job id, attempt).
-            uint64_t stream = job_stream(
-                cfg.seed ^ (0x9e3779b97f4a7c15ull * uint64_t(attempt)),
-                spec.id);
-            attempt_spec.seed = splitmix64(stream);
+    auto execute = [&](const std::vector<WaveJob> &lanes) {
+        if (!mem_module) {
+            VEGA_SPAN("campaign.wave");
+            return run_wave(wave_ctx, lanes);
         }
-        return false;
+        const JobSpec &s = lanes[0].spec;
+        return std::vector<JobResult>{
+            run_mem_job(mem_faults[s.pair_index * nconst + s.constant_index],
+                        suite, s, lanes[0].corrupts)};
     };
 
-    if (use_waves) {
-        // Wave dispatch: pending jobs bucket into 64-episode waves in
-        // id order, each wave one pool task sharing the read-only bank
-        // tape. Per-job settling keeps stop/kill semantics exact: a
-        // stop flag raised mid-wave drops the wave's remaining
-        // (unsettled) episodes, which a resume simply re-runs.
-        std::vector<JobSpec> wave_specs;
-        wave_specs.reserve(kWaveLanes);
-        auto flush_wave = [&] {
-            if (wave_specs.empty())
-                return;
-            pool.submit([&, specs = wave_specs] {
-                if (stop.load(std::memory_order_relaxed))
-                    return;
-                VEGA_SPAN("campaign.wave");
-                std::vector<WaveJob> wjobs;
-                wjobs.reserve(specs.size());
-                for (const JobSpec &s : specs) {
-                    size_t idx =
-                        s.pair_index * nconst + s.constant_index;
-                    if (char_error[idx].empty())
-                        wjobs.push_back(
-                            {s, bank_pos[idx], corrupts[idx] != 0});
-                }
-                std::vector<JobResult> results;
-                bool wave_ok = true;
+    // One batch of up to `width` jobs, settled one at a time in id
+    // order so stop/kill semantics stay per-job: a stop flag raised
+    // mid-batch drops the batch's remaining (unsettled) jobs, which a
+    // resume simply re-runs.
+    auto run_batch = [&](size_t base) {
+        if (stop.load(std::memory_order_relaxed))
+            return;
+        std::vector<JobSpec> specs;
+        for (size_t i = base; i < std::min(base + width, todo.size()); ++i)
+            specs.push_back(make_spec(cfg, npairs, todo[i]));
+        // The fault hook runs per (job, attempt) before the job gets a
+        // lane; a throw fails that attempt, and the next one draws
+        // fresh downstream randomness, still a pure function of
+        // (campaign seed, job id, attempt). A job that gets a lane
+        // keeps the attempt count it took (0 = none: quarantined).
+        std::vector<WaveJob> lanes;
+        std::vector<uint32_t> attempts(specs.size(), 0);
+        std::vector<VegaError> hook_error(specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            size_t idx =
+                specs[i].pair_index * nconst + specs[i].constant_index;
+            if (!char_error[idx].empty())
+                continue;
+            JobSpec attempt_spec = specs[i];
+            for (int attempt = 1; attempt <= max_attempts && !attempts[i];
+                 ++attempt) {
                 try {
-                    results = run_wave(wave_ctx, wjobs);
-                } catch (const std::exception &) {
-                    wave_ok = false;
+                    if (cfg.job_fault_hook)
+                        cfg.job_fault_hook(specs[i], attempt);
+                    attempts[i] = uint32_t(attempt);
+                } catch (...) {
+                    hook_error[i] = make_error(
+                        ErrorCode::JobFailed,
+                        "attempt " + std::to_string(attempt) + ": " +
+                            current_exception_text());
+                    static obs::Counter &retry_counter =
+                        obs::counter("campaign.retries");
+                    retry_counter.inc();
+                    uint64_t stream = job_stream(
+                        cfg.seed ^
+                            (0x9e3779b97f4a7c15ull * uint64_t(attempt)),
+                        specs[i].id);
+                    attempt_spec.seed = splitmix64(stream);
                 }
-                size_t ri = 0;
-                for (const JobSpec &s : specs) {
-                    if (stop.load(std::memory_order_relaxed))
-                        return;
-                    VEGA_SPAN("campaign.job");
-                    static obs::Counter &jobs_counter =
-                        obs::counter("campaign.jobs");
-                    jobs_counter.inc();
-                    worker_jobs_counter().inc();
-                    size_t idx =
-                        s.pair_index * nconst + s.constant_index;
-                    if (!char_error[idx].empty()) {
-                        settle_failed(char_failed_job(s, idx), false);
-                        continue;
-                    }
-                    if (wave_ok) {
-                        settle_result(results[ri++]);
-                        continue;
-                    }
-                    // The wave threw: rerun this episode standalone
-                    // through the scalar oracle (identical result by
-                    // the lockstep contract).
-                    std::optional<lift::FailingNetlist> failing;
-                    JobResult jr;
-                    VegaError last;
-                    bool ok = false;
-                    try {
-                        failing.emplace(lift::build_failing_netlist(
-                            module.netlist,
-                            fault_spec(pairs[s.pair_index],
-                                       cfg.constants[s.constant_index])));
-                    } catch (const std::exception &e) {
-                        last = make_error(ErrorCode::JobFailed,
-                                          e.what());
-                    }
-                    if (failing)
-                        ok = run_with_retries(s, *failing,
-                                              mem::MemFaultClass{},
-                                              corrupts[idx] != 0, jr,
-                                              last);
-                    if (ok) {
-                        settle_result(jr);
-                    } else {
-                        FailedJob f;
-                        f.id = s.id;
-                        f.pair_index = s.pair_index;
-                        f.attempts = uint32_t(max_attempts);
-                        f.error = last;
-                        settle_failed(f, true);
-                    }
-                }
-            });
-            wave_specs.clear();
-        };
-        for (uint64_t id : todo) {
-            wave_specs.push_back(make_spec(cfg, npairs, id));
-            if (wave_specs.size() == kWaveLanes)
-                flush_wave();
+            }
+            if (attempts[i])
+                lanes.push_back(
+                    {attempt_spec, bank_pos[idx], corrupts[idx] != 0});
         }
-        flush_wave();
-    } else {
-        for (uint64_t id : todo) {
-            JobSpec spec = make_spec(cfg, npairs, id);
-            size_t idx = spec.pair_index * nconst + spec.constant_index;
-            pool.submit([&, spec, idx] {
-                if (stop.load(std::memory_order_relaxed))
-                    return;
-                VEGA_SPAN("campaign.job");
-                static obs::Counter &jobs_counter =
-                    obs::counter("campaign.jobs");
-                jobs_counter.inc();
-                worker_jobs_counter().inc();
-                if (!char_error[idx].empty()) {
-                    settle_failed(char_failed_job(spec, idx), false);
-                    return;
-                }
-                JobResult jr;
-                VegaError last;
-                bool ok = run_with_retries(
-                    spec, faults[idx],
-                    is_mem_module(module.kind) ? mem_faults[idx]
-                                               : mem::MemFaultClass{},
-                    corrupts[idx] != 0, jr, last);
-                if (ok) {
-                    settle_result(jr);
-                } else {
-                    FailedJob f;
-                    f.id = spec.id;
-                    f.pair_index = spec.pair_index;
-                    f.attempts = uint32_t(max_attempts);
-                    f.error = last;
-                    settle_failed(f, true);
-                }
-            });
+        // An executor that throws quarantines every job it held.
+        std::vector<JobResult> results;
+        std::string exec_error;
+        if (!lanes.empty()) {
+            try {
+                results = execute(lanes);
+            } catch (...) {
+                exec_error = current_exception_text();
+            }
         }
-    }
+        size_t ri = 0;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            if (stop.load(std::memory_order_relaxed))
+                return;
+            VEGA_SPAN("campaign.job");
+            static obs::Counter &jobs_counter =
+                obs::counter("campaign.jobs");
+            jobs_counter.inc();
+            worker_jobs_counter().inc();
+            const JobSpec &s = specs[i];
+            size_t idx = s.pair_index * nconst + s.constant_index;
+            if (!char_error[idx].empty())
+                settle_failed(s.id, s.pair_index, 0,
+                              make_error(ErrorCode::JobFailed,
+                                         "characterization: " +
+                                             char_error[idx]),
+                              false);
+            else if (attempts[i] == 0)
+                settle_failed(s.id, s.pair_index, uint32_t(max_attempts),
+                              hook_error[i], true);
+            else if (!exec_error.empty())
+                settle_failed(s.id, s.pair_index, attempts[i],
+                              make_error(ErrorCode::JobFailed, exec_error),
+                              true);
+            else {
+                JobResult jr = results[ri++];
+                jr.attempts = attempts[i];
+                settle_result(jr);
+            }
+        }
+    };
+    // A task carries only its batch's first index, small enough for
+    // std::function's inline storage: a memory campaign queues one task
+    // per job.
+    for (size_t base = 0; base < todo.size(); base += width)
+        pool.submit([&run_batch, base] { run_batch(base); });
     pool.wait_idle();
     double simulate_wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -699,10 +545,12 @@ try_run_campaign(const HwModule &module,
                                       t0)
             .count();
     report.timing.wall_seconds = wall;
+    // Rates count this run's work only: a resumed run's report also
+    // holds jobs a prior run settled.
     report.timing.jobs_per_sec =
-        wall > 0 ? double(results.size()) / wall : 0.0;
+        wall > 0 ? double(completed_this_run) / wall : 0.0;
     report.timing.sims_per_sec =
-        wall > 0 ? double(report.total_sim_cycles) / wall : 0.0;
+        wall > 0 ? double(cycles_this_run) / wall : 0.0;
     report.timing.threads = pool.size();
     report.timing.steals = pool.steals();
     report.timing.peak_queue_depth = pool.peak_queued();

@@ -5,13 +5,14 @@
  * A campaign takes the artifacts of a Vega workflow run — the lifted
  * endpoint pairs and the generated runtime suite — and fans out over
  * (failing netlist × stimulus seed × schedule policy) jobs on a
- * work-stealing thread pool. A characterization pass builds each
- * unique fault — the logical failure model (§3.3.1) spliced into a
- * copy of the module, shared read-only by all jobs that inject it —
- * and probes whether it silently corrupts a representative workload.
- * Each job then runs the aging library against the failing gate-level
- * netlist on its own Simulator instance and records detection
- * latency; undetected corrupting faults count as SDC escapes.
+ * work-stealing thread pool. Every unique fault — the logical failure
+ * model (§3.3.1) — is spliced into one fault-bank copy of the module,
+ * and a characterization pass probes once per fault whether it
+ * silently corrupts a representative workload. Each job then runs the
+ * aging library against its fault as one lane of a 64-lane wave
+ * (wave.h) and records detection latency; undetected corrupting faults
+ * count as SDC escapes. Memory modules run their march engine instead,
+ * one job per task.
  *
  * Determinism contract: the campaign seed fully determines every job
  * (pair/constant/policy sampling and all downstream randomness, via
@@ -56,15 +57,6 @@ struct CampaignConfig
     double probability = 0.5;
     /** Per-job scheduler slot budget (0 ⇒ 2 × suite size). */
     uint64_t max_slots = 0;
-    /**
-     * Execute functional-unit jobs in 64-episode waves on a shared
-     * fault-bank tape (campaign/wave.h) instead of one netlist
-     * simulation per job. Reports are byte-identical either way — the
-     * scalar path remains the semantics oracle — so this is purely a
-     * throughput knob. Memory-module campaigns and runs with a
-     * job_fault_hook always take the scalar path.
-     */
-    bool wave_execution = true;
     /** Cap on the endpoint-pair working set. */
     size_t max_pairs = SIZE_MAX;
     /** Emit periodic progress lines to stderr. */
@@ -100,8 +92,9 @@ struct CampaignConfig
      */
     size_t stop_after_jobs = 0;
     /**
-     * Test hook run before each job attempt (1-based); a throw counts
-     * as that attempt failing, feeding the retry/quarantine path.
+     * Test hook run for each job attempt (1-based) before the job gets
+     * a lane; a throw counts as that attempt failing, feeding the
+     * retry/quarantine path.
      */
     std::function<void(const JobSpec &, int attempt)> job_fault_hook;
     /**

@@ -2,7 +2,8 @@
  * @file
  * The unit of work of a fault-injection campaign (§4 / Tables 6–7 at
  * scale): one (failing netlist × stimulus seed × schedule policy)
- * combination, executed on its own Simulator/AgingLibrary instance.
+ * combination, executed with its own AgingLibrary on one wave lane
+ * (functional units) or one march engine (memory modules).
  *
  * Seeding is hierarchical and collision-free by construction: the
  * campaign seed and the job id feed a splitmix64 stream, and every

@@ -79,6 +79,8 @@ struct PolicyStats
 struct CampaignTiming
 {
     double wall_seconds = 0.0;
+    /** Jobs and gate-level cycles this run completed, per wall second
+     *  (a resumed run does not count what the journal settled). */
     double jobs_per_sec = 0.0;
     double sims_per_sec = 0.0;
     size_t threads = 1;

@@ -1,20 +1,76 @@
 #include "campaign/wave.h"
 
-#include <memory>
 #include <optional>
 
-#include "campaign/engine.h"
 #include "common/bitvec.h"
 #include "common/logging.h"
 #include "cpu/batch_backend.h"
 #include "cpu/iss.h"
+#include "obs/metrics.h"
 #include "runtime/aging_library.h"
-#include "workloads/kernels.h"
 
 namespace vega::campaign {
 
 static_assert(kWaveLanes == size_t(cpu::BatchNetlistEngine::kLanes),
               "wave.h lane count must match the batch engine");
+
+const workloads::Kernel &
+representative_kernel(ModuleKind kind)
+{
+    const auto &suite = workloads::embench_suite();
+    const char *want = "minver";
+    switch (kind) {
+      case ModuleKind::Fpu32: want = "minver"; break;
+      case ModuleKind::Alu32: want = "crc32"; break;
+      case ModuleKind::Mdu32: want = "ud"; break;
+      default:
+        VEGA_CHECK(false, "not a CPU functional unit");
+    }
+    for (const auto &k : suite)
+        if (k.name == want)
+            return k;
+    VEGA_CHECK(false, "kernel missing from embench suite");
+    return suite.front();
+}
+
+lift::FailureModelSpec
+fault_spec(const sta::EndpointPair &pair, lift::FaultConstant c)
+{
+    lift::FailureModelSpec fm;
+    fm.launch = pair.launch;
+    fm.capture = pair.capture;
+    fm.is_setup = pair.is_setup;
+    fm.constant = c;
+    return fm;
+}
+
+namespace {
+
+/** The bank netlist and its tape, owned together by the tape pointer. */
+struct BankTape
+{
+    explicit BankTape(lift::FaultBank b)
+        : bank(std::move(b)), tape(bank.netlist)
+    {
+    }
+    lift::FaultBank bank;
+    EvalTape tape;
+};
+
+} // namespace
+
+WaveContext
+make_wave_context(const HwModule &module,
+                  const std::vector<lift::FailureModelSpec> &faults)
+{
+    auto owner = std::make_shared<const BankTape>(
+        lift::build_fault_bank(module.netlist, faults));
+    WaveContext ctx;
+    ctx.kind = module.kind;
+    ctx.tape = std::shared_ptr<const EvalTape>(owner, &owner->tape);
+    ctx.fault_random = owner->bank.fault_random;
+    return ctx;
+}
 
 namespace {
 
@@ -88,41 +144,70 @@ inject(cpu::Iss &iss, cpu::BatchNetlistEngine &eng, int lane,
     pending = Pending::None;
 }
 
+/**
+ * A stopped test run as the aging library sees it. A test that never
+ * completes cleanly is a stall-class detection, whether the handshake
+ * hung (Stalled), the fault sent execution into a loop the watchdog
+ * had to break (Watchdog), or a corrupted address left the
+ * architectural envelope (Trap).
+ */
+runtime::Detection
+stop_detection(const cpu::Iss &iss, bool new_tag_mismatch)
+{
+    if (iss.stop_status() != cpu::Iss::Status::Halted)
+        return runtime::Detection::Stall;
+    if (iss.reg(31) != 0)
+        return runtime::Detection::Mismatch;
+    if (new_tag_mismatch)
+        return runtime::Detection::TagAnomaly;
+    return runtime::Detection::None;
+}
+
+/** Start a wave: check its width and record how many lanes it fills. */
+void
+check_wave(const WaveContext &ctx, size_t lanes)
+{
+    VEGA_CHECK(ctx.tape, "wave context incomplete");
+    VEGA_CHECK(lanes <= kWaveLanes, "wave exceeds lane count");
+    // The top bucket counts full waves only.
+    static obs::Histogram &lanes_used = obs::histogram(
+        "campaign.wave_lanes_used", {1, 2, 4, 8, 16, 32, 63, 64});
+    lanes_used.observe(double(lanes));
+}
+
 /** Enable lane @p lane's fault and seed its fm_rand stream. */
 void
 bind_lane_fault(const WaveContext &ctx, cpu::BatchNetlistEngine &eng,
                 int lane, size_t bank_index, uint64_t seed)
 {
-    VEGA_CHECK(bank_index < ctx.num_faults, "bank index out of range");
-    BitVec en(ctx.num_faults);
+    VEGA_CHECK(bank_index < ctx.fault_random.size(),
+               "bank index out of range");
+    BitVec en(ctx.fault_random.size());
     en.set(bank_index, true);
     eng.set_lane_bus("fm_en", lane, en);
-    eng.configure_lane_random(lane, (*ctx.fault_random)[bank_index] != 0,
+    eng.configure_lane_random(lane, ctx.fault_random[bank_index] != 0,
                               seed);
 }
 
 } // namespace
 
-std::vector<char>
+std::vector<EpisodeResult>
 characterize_wave(const WaveContext &ctx,
-                  const std::vector<std::pair<size_t, uint64_t>> &faults)
+                  const std::vector<Episode> &episodes)
 {
-    VEGA_CHECK(ctx.tape && ctx.fault_random, "wave context incomplete");
-    VEGA_CHECK(faults.size() <= size_t(cpu::BatchNetlistEngine::kLanes),
-               "characterization wave exceeds lane count");
-    const workloads::Kernel &kernel = representative_kernel(ctx.kind);
+    check_wave(ctx, episodes.size());
     cpu::BatchNetlistEngine eng(ctx.kind, ctx.tape);
 
-    const size_t n = faults.size();
-    std::vector<char> corrupts(n, 0);
+    const size_t n = episodes.size();
+    std::vector<EpisodeResult> results(n);
     std::vector<std::unique_ptr<cpu::Iss>> iss(n);
     std::vector<Pending> pending(n, Pending::None);
     for (size_t i = 0; i < n; ++i) {
-        bind_lane_fault(ctx, eng, int(i), faults[i].first,
-                        faults[i].second);
+        const Episode &ep = episodes[i];
+        bind_lane_fault(ctx, eng, int(i), ep.bank_index, ep.seed);
         cpu::IssConfig cfg;
-        cfg.max_instructions = kWorkloadWatchdog;
-        iss[i] = std::make_unique<cpu::Iss>(kernel.program, cfg);
+        cfg.max_instructions = ep.watchdog;
+        iss[i] = std::make_unique<cpu::Iss>(*ep.program, cfg);
     }
 
     while (true) {
@@ -131,12 +216,12 @@ characterize_wave(const WaveContext &ctx,
                 continue;
             if (!advance_program(*iss[i], eng, int(i), ctx.kind,
                                  pending[i])) {
-                // Same verdict as scalar workload_corrupts(): any
-                // non-clean stop, or a deviated stored checksum.
-                corrupts[i] =
-                    iss[i]->stop_status() != cpu::Iss::Status::Halted ||
-                    iss[i]->read_u32(workloads::kChecksumAddr) !=
-                        kernel.expected_checksum;
+                // Every lane starts from reset, so any dbg-tag
+                // mismatch at all is this episode's own.
+                results[i].detection =
+                    stop_detection(*iss[i], eng.tag_mismatches(int(i)) > 0);
+                results[i].checksum =
+                    iss[i]->read_u32(workloads::kChecksumAddr);
                 iss[i].reset();
             }
         }
@@ -147,7 +232,21 @@ characterize_wave(const WaveContext &ctx,
             if (iss[i] && pending[i] != Pending::None)
                 inject(*iss[i], eng, int(i), pending[i]);
     }
-    return corrupts;
+    return results;
+}
+
+Episode
+probe_episode(ModuleKind kind, size_t bank_index, uint64_t seed)
+{
+    return {bank_index, seed, &representative_kernel(kind).program,
+            kWorkloadWatchdog};
+}
+
+bool
+probe_corrupts(ModuleKind kind, const EpisodeResult &result)
+{
+    return result.detection == runtime::Detection::Stall ||
+           result.checksum != representative_kernel(kind).expected_checksum;
 }
 
 namespace {
@@ -198,9 +297,9 @@ finish_lane(Lane &ln, const cpu::BatchNetlistEngine &eng, int li)
 }
 
 /**
- * Drive lane @p li until it posts a transaction or its job completes.
- * The slot loop, detection mapping, and tag accounting replicate
- * run_job() + NetlistEngine::run() exactly.
+ * Drive lane @p li until it posts a transaction or its job completes:
+ * claim slots, run the dispatched test, map its stop to a detection
+ * and stop at the first one or when the slot budget runs out.
  */
 void
 advance_lane(const WaveContext &ctx, cpu::BatchNetlistEngine &eng, int li,
@@ -219,14 +318,8 @@ advance_lane(const WaveContext &ctx, cpu::BatchNetlistEngine &eng, int li,
             // Stopped without posting (trap, or watchdog checked before
             // the step): fall through to the end-of-test mapping.
         }
-        auto status = ln.iss->stop_status();
-        runtime::Detection det = runtime::Detection::None;
-        if (status != cpu::Iss::Status::Halted)
-            det = runtime::Detection::Stall;
-        else if (ln.iss->reg(31) != 0)
-            det = runtime::Detection::Mismatch;
-        else if (eng.tag_mismatches(li) > ln.tags_seen)
-            det = runtime::Detection::TagAnomaly;
+        runtime::Detection det =
+            stop_detection(*ln.iss, eng.tag_mismatches(li) > ln.tags_seen);
         ln.tags_seen = eng.tag_mismatches(li);
         ln.lib->record_result(ln.cur_test, det);
         ln.iss.reset();
@@ -245,11 +338,9 @@ advance_lane(const WaveContext &ctx, cpu::BatchNetlistEngine &eng, int li,
 std::vector<JobResult>
 run_wave(const WaveContext &ctx, const std::vector<WaveJob> &jobs)
 {
-    VEGA_CHECK(ctx.tape && ctx.fault_random, "wave context incomplete");
+    check_wave(ctx, jobs.size());
     VEGA_CHECK(ctx.suite && !ctx.suite->empty(),
                "wave needs a non-empty suite");
-    VEGA_CHECK(jobs.size() <= size_t(cpu::BatchNetlistEngine::kLanes),
-               "injection wave exceeds lane count");
     cpu::BatchNetlistEngine eng(ctx.kind, ctx.tape);
 
     std::vector<Lane> lanes(jobs.size());

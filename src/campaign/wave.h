@@ -1,55 +1,123 @@
 /**
  * @file
- * 64-episode wave execution for fault-injection campaigns.
+ * 64-lane gate-level execution: the only functional-unit executor of
+ * campaigns and fleet characterization.
  *
- * A *wave* runs up to 64 independent campaign episodes in lockstep on
- * one BatchSimulator pass over a shared fault-bank tape
+ * A *wave* runs up to 64 independent episodes in lockstep on one
+ * BatchSimulator pass over a shared fault-bank tape
  * (lift::build_fault_bank): each lane enables its own fault, seeds its
- * own fm_rand / scheduler streams, and keeps its own slot clock,
- * aging-library bookkeeping, and detection outcome. The ISS side runs
- * scalar per lane (it is a negligible fraction of the work — gate
- * evaluation dominates by orders of magnitude) through the
+ * own fm_rand stream, and runs its own scalar ISS through the
  * split-transaction protocol (cpu::FuIssue / Iss::step_one), while
- * every module clock edge is shared across lanes via
- * cpu::BatchNetlistEngine.
+ * cpu::BatchNetlistEngine shares every module clock edge across lanes.
+ * characterize_wave() runs from-reset episodes (workload probes, fleet
+ * per-test screens); run_wave() runs campaign jobs, each lane's
+ * hardware state carried across its tests.
  *
- * Semantics contract: per-lane results are bit-identical to the scalar
- * oracle (campaign run_job / workload_corrupts on a standalone failing
- * netlist), and independent of wave composition — which jobs happen to
- * share a wave, in which lanes. That is what keeps sharded, resumed,
- * and mid-wave-killed campaigns byte-identical to a straight run. The
- * lockstep tests in tests/test_campaign_wave.cpp pin both properties.
+ * Semantics contract: per-lane results are bit-identical to one scalar
+ * run on the standalone failing netlist, and independent of wave
+ * composition — which episodes share a wave, in which lanes. That is
+ * what keeps sharded, resumed, and mid-wave-killed campaigns
+ * byte-identical to a straight run. The scalar path lives on as the
+ * oracle in tests/reference_campaign.h.
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "campaign/job.h"
+#include "cpu/isa.h"
+#include "lift/failure_model.h"
 #include "rtl/module.h"
 #include "runtime/test_case.h"
 #include "sim/eval_tape.h"
+#include "sta/sta.h"
+#include "workloads/kernels.h"
 
 namespace vega::campaign {
 
 /** Episodes per wave (mirrors cpu::BatchNetlistEngine::kLanes). */
 constexpr size_t kWaveLanes = 64;
 
-/** Read-only per-campaign context shared by every wave. */
+/**
+ * Instruction budgets for gate-level runs. A fault that corrupts loop
+ * control flow can turn a terminating kernel into an infinite one, and
+ * the ISS default watchdog (100M instructions) is far too generous
+ * when every instruction is a gate-level netlist simulation. The
+ * representative kernels retire at most ~81k instructions (ud; crc32
+ * and minver are well under that), so the workload bound only ever
+ * trips on runaway faulty executions — and every extra watchdog
+ * instruction is pure wall-clock on runs already known corrupt.
+ */
+constexpr uint64_t kWorkloadWatchdog = 120000;
+constexpr uint64_t kTestWatchdog = 1000000;
+
+/**
+ * The kernel whose checksum stands in for "application data" when a
+ * fault in @p kind's unit is probed: minver (FP) for the FPU, crc32
+ * for the ALU, ud (divide/remainder chains) for the MDU.
+ */
+const workloads::Kernel &representative_kernel(ModuleKind kind);
+
+/** The failure model of @p pair with constant @p c (no mitigation). */
+lift::FailureModelSpec fault_spec(const sta::EndpointPair &pair,
+                                  lift::FaultConstant c);
+
+/** Read-only context shared by every wave over one fault bank. */
 struct WaveContext
 {
     ModuleKind kind = ModuleKind::Alu32;
-    /** Compiled fault-bank netlist tape (one per campaign). */
+    /** Compiled fault-bank tape; it keeps the bank netlist alive. */
     std::shared_ptr<const EvalTape> tape;
-    /** Width of the bank's "fm_en" enable bus. */
-    size_t num_faults = 0;
     /** Per bank position: does the fault read "fm_rand"? */
-    const std::vector<char> *fault_random = nullptr;
-    /** The campaign's runtime suite (shared, never copied per lane). */
+    std::vector<char> fault_random;
+    /** The campaign's runtime suite (run_wave only; never copied). */
     const std::vector<runtime::TestCase> *suite = nullptr;
 };
+
+/**
+ * Splice @p faults into one bank copy of @p module and compile it:
+ * enable bit i of the bank activates faults[i].
+ */
+WaveContext
+make_wave_context(const HwModule &module,
+                  const std::vector<lift::FailureModelSpec> &faults);
+
+/** One from-reset lane: @p program on bank fault @p bank_index. */
+struct Episode
+{
+    size_t bank_index = 0;
+    /** Seed of the lane's fm_rand stream. */
+    uint64_t seed = 0;
+    /** Must outlive the wave. */
+    const std::vector<cpu::Instr> *program = nullptr;
+    /** Instruction budget (kWorkloadWatchdog or kTestWatchdog). */
+    uint64_t watchdog = 0;
+};
+
+/** How an episode stopped. */
+struct EpisodeResult
+{
+    /** The stop read as a suite test would read it (see run_wave). */
+    runtime::Detection detection = runtime::Detection::None;
+    /** Word at workloads::kChecksumAddr when the run stopped. */
+    uint32_t checksum = 0;
+};
+
+/** Run up to 64 episodes; results come back in input order. */
+std::vector<EpisodeResult>
+characterize_wave(const WaveContext &ctx,
+                  const std::vector<Episode> &episodes);
+
+/** The workload probe: @p kind's representative kernel on one fault. */
+Episode probe_episode(ModuleKind kind, size_t bank_index, uint64_t seed);
+
+/**
+ * A probe episode's verdict: the run did not stop cleanly or its
+ * stored checksum deviates — the fault reaches application data.
+ */
+bool probe_corrupts(ModuleKind kind, const EpisodeResult &result);
 
 /** One lane's work order in an injection wave. */
 struct WaveJob
@@ -62,18 +130,10 @@ struct WaveJob
 };
 
 /**
- * Batched characterization: run the representative kernel once per
- * lane, fault (bank position, backend seed) per lane. Returns the
- * corrupts verdict per input position — identical to scalar
- * workload_corrupts() on each standalone failing netlist.
- */
-std::vector<char>
-characterize_wave(const WaveContext &ctx,
-                  const std::vector<std::pair<size_t, uint64_t>> &faults);
-
-/**
- * Run up to 64 injection jobs in lockstep. Returns JobResults in input
- * order, each bit-identical to scalar run_job() of the same spec.
+ * Run up to 64 injection jobs in lockstep; JobResults come back in
+ * input order. A test that stops uncleanly (handshake hang, watchdog,
+ * trap) detects as Stall, else x31 != 0 as Mismatch, else a new dbg
+ * tag mismatch as TagAnomaly.
  */
 std::vector<JobResult> run_wave(const WaveContext &ctx,
                                 const std::vector<WaveJob> &jobs);

@@ -1,6 +1,7 @@
 #include "common/error.h"
 
 #include <array>
+#include <exception>
 
 namespace vega {
 
@@ -57,6 +58,18 @@ VegaError::to_string() const
         out += context;
     }
     return out;
+}
+
+std::string
+current_exception_text()
+{
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        return *e.what() ? e.what() : "std::exception";
+    } catch (...) {
+        return "non-standard exception";
+    }
 }
 
 } // namespace vega

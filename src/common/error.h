@@ -60,6 +60,12 @@ make_error(ErrorCode code, std::string context)
 }
 
 /**
+ * what() of the exception being handled, or "non-standard exception";
+ * never empty. Call only from inside a catch block.
+ */
+std::string current_exception_text();
+
+/**
  * A value or a VegaError. Minimal stand-in for std::expected (C++23):
  * construction is implicit from either alternative, access is checked
  * by the underlying variant.

@@ -10,7 +10,7 @@
 namespace vega::cpu {
 
 Iss::Iss(std::vector<Instr> program, IssConfig cfg)
-    : program_(std::move(program)), cfg_(cfg), mem_(cfg.memory_bytes, 0),
+    : program_(std::move(program)), cfg_(cfg),
       exec_counts_(program_.size(), 0)
 {
 }
@@ -33,12 +33,29 @@ Iss::reset()
     std::fill(exec_counts_.begin(), exec_counts_.end(), 0);
 }
 
+void
+Iss::load(uint32_t addr, void *out, size_t bytes) const
+{
+    if (mem_.empty())
+        std::memset(out, 0, bytes); // never written: still all zeros
+    else
+        std::memcpy(out, &mem_[addr], bytes);
+}
+
+void
+Iss::store(uint32_t addr, const void *in, size_t bytes)
+{
+    if (mem_.empty())
+        mem_.resize(cfg_.memory_bytes, 0);
+    std::memcpy(&mem_[addr], in, bytes);
+}
+
 uint32_t
 Iss::read_u32(uint32_t addr) const
 {
     VEGA_CHECK(mem_ok(addr, 4), "load out of bounds: ", addr);
     uint32_t v;
-    std::memcpy(&v, &mem_[addr], 4);
+    load(addr, &v, 4);
     return v;
 }
 
@@ -46,42 +63,29 @@ void
 Iss::write_u32(uint32_t addr, uint32_t value)
 {
     VEGA_CHECK(mem_ok(addr, 4), "store out of bounds: ", addr);
-    std::memcpy(&mem_[addr], &value, 4);
+    store(addr, &value, 4);
 }
 
-uint8_t
-Iss::read_u8(uint32_t addr) const
-{
-    VEGA_CHECK(addr < mem_.size(), "load out of bounds: ", addr);
-    return mem_[addr];
-}
-
-void
-Iss::write_u8(uint32_t addr, uint8_t value)
-{
-    VEGA_CHECK(addr < mem_.size(), "store out of bounds: ", addr);
-    mem_[addr] = value;
-}
-
+template <typename T>
 bool
-Iss::data_read_u32(uint32_t addr, uint32_t &out)
+Iss::data_read(uint32_t addr, T &out)
 {
     MemBackend::Plan plan;
     plan.addr = addr;
     if (mem_backend_)
         plan = mem_backend_->access(addr, false);
     if (plan.squash) {
-        out = 0xffffffffu; // precharged bitlines, no row selected
+        out = T(~T(0)); // precharged bitlines, no row selected
     } else {
-        if (!mem_ok(plan.addr, 4))
+        if (!mem_ok(plan.addr, sizeof(T)))
             return false;
-        std::memcpy(&out, &mem_[plan.addr], 4);
+        load(plan.addr, &out, sizeof(T));
         if (plan.has_extra) {
             // Two wordlines up: the read senses the wired-OR of both rows.
-            if (!mem_ok(plan.extra, 4))
+            if (!mem_ok(plan.extra, sizeof(T)))
                 return false;
-            uint32_t other;
-            std::memcpy(&other, &mem_[plan.extra], 4);
+            T other;
+            load(plan.extra, &other, sizeof(T));
             out |= other;
         }
     }
@@ -90,67 +94,22 @@ Iss::data_read_u32(uint32_t addr, uint32_t &out)
     return true;
 }
 
+template <typename T>
 bool
-Iss::data_write_u32(uint32_t addr, uint32_t value)
+Iss::data_write(uint32_t addr, T value)
 {
     MemBackend::Plan plan;
     plan.addr = addr;
     if (mem_backend_)
         plan = mem_backend_->access(addr, true);
     if (!plan.squash) {
-        if (!mem_ok(plan.addr, 4))
+        if (!mem_ok(plan.addr, sizeof(T)))
             return false;
-        std::memcpy(&mem_[plan.addr], &value, 4);
+        store(plan.addr, &value, sizeof(T));
         if (plan.has_extra) {
-            if (!mem_ok(plan.extra, 4))
+            if (!mem_ok(plan.extra, sizeof(T)))
                 return false;
-            std::memcpy(&mem_[plan.extra], &value, 4);
-        }
-    }
-    if (cfg_.record_mem_trace)
-        mem_trace_.push_back({ModuleKind::MemDec16, 1, addr, value});
-    return true;
-}
-
-bool
-Iss::data_read_u8(uint32_t addr, uint8_t &out)
-{
-    MemBackend::Plan plan;
-    plan.addr = addr;
-    if (mem_backend_)
-        plan = mem_backend_->access(addr, false);
-    if (plan.squash) {
-        out = 0xff;
-    } else {
-        if (!mem_ok(plan.addr, 1))
-            return false;
-        out = mem_[plan.addr];
-        if (plan.has_extra) {
-            if (!mem_ok(plan.extra, 1))
-                return false;
-            out |= mem_[plan.extra];
-        }
-    }
-    if (cfg_.record_mem_trace)
-        mem_trace_.push_back({ModuleKind::MemDec16, 0, addr, out});
-    return true;
-}
-
-bool
-Iss::data_write_u8(uint32_t addr, uint8_t value)
-{
-    MemBackend::Plan plan;
-    plan.addr = addr;
-    if (mem_backend_)
-        plan = mem_backend_->access(addr, true);
-    if (!plan.squash) {
-        if (!mem_ok(plan.addr, 1))
-            return false;
-        mem_[plan.addr] = value;
-        if (plan.has_extra) {
-            if (!mem_ok(plan.extra, 1))
-                return false;
-            mem_[plan.extra] = value;
+            store(plan.extra, &value, sizeof(T));
         }
     }
     if (cfg_.record_mem_trace)
@@ -318,7 +277,7 @@ Iss::step()
       case Op::Lw: {
         uint32_t addr = x_[i.rs1] + uint32_t(i.imm);
         uint32_t v;
-        if (!data_read_u32(addr, v)) {
+        if (!data_read(addr, v)) {
             trapped_ = true;
             return;
         }
@@ -328,7 +287,7 @@ Iss::step()
       }
       case Op::Sw: {
         uint32_t addr = x_[i.rs1] + uint32_t(i.imm);
-        if (!data_write_u32(addr, x_[i.rs2])) {
+        if (!data_write(addr, x_[i.rs2])) {
             trapped_ = true;
             return;
         }
@@ -337,7 +296,7 @@ Iss::step()
       case Op::Lb: {
         uint32_t addr = x_[i.rs1] + uint32_t(i.imm);
         uint8_t v;
-        if (!data_read_u8(addr, v)) {
+        if (!data_read(addr, v)) {
             trapped_ = true;
             return;
         }
@@ -348,7 +307,7 @@ Iss::step()
       case Op::Lbu: {
         uint32_t addr = x_[i.rs1] + uint32_t(i.imm);
         uint8_t v;
-        if (!data_read_u8(addr, v)) {
+        if (!data_read(addr, v)) {
             trapped_ = true;
             return;
         }
@@ -358,7 +317,7 @@ Iss::step()
       }
       case Op::Sb: {
         uint32_t addr = x_[i.rs1] + uint32_t(i.imm);
-        if (!data_write_u8(addr, uint8_t(x_[i.rs2]))) {
+        if (!data_write(addr, uint8_t(x_[i.rs2]))) {
             trapped_ = true;
             return;
         }
@@ -425,7 +384,7 @@ Iss::step()
         break;
       case Op::Flw: {
         uint32_t v;
-        if (!data_read_u32(x_[i.rs1] + uint32_t(i.imm), v)) {
+        if (!data_read(x_[i.rs1] + uint32_t(i.imm), v)) {
             trapped_ = true;
             return;
         }
@@ -434,7 +393,7 @@ Iss::step()
         break;
       }
       case Op::Fsw:
-        if (!data_write_u32(x_[i.rs1] + uint32_t(i.imm), f_[i.rs2])) {
+        if (!data_write(x_[i.rs1] + uint32_t(i.imm), f_[i.rs2])) {
             trapped_ = true;
             return;
         }

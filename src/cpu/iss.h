@@ -218,8 +218,6 @@ class Iss
 
     uint32_t read_u32(uint32_t addr) const;
     void write_u32(uint32_t addr, uint32_t value);
-    uint8_t read_u8(uint32_t addr) const;
-    void write_u8(uint32_t addr, uint8_t value);
     /// @}
 
     /// @name Statistics
@@ -251,8 +249,11 @@ class Iss
     /** True when @p bytes at @p addr fit in memory (no u32 wrap). */
     bool mem_ok(uint32_t addr, uint32_t bytes) const
     {
-        return uint64_t(addr) + bytes <= mem_.size();
+        return uint64_t(addr) + bytes <= cfg_.memory_bytes;
     }
+    /** Copy in-bounds bytes out of / into data memory. */
+    void load(uint32_t addr, void *out, size_t bytes) const;
+    void store(uint32_t addr, const void *in, size_t bytes);
 
     /**
      * Data-side accesses: apply the memory backend's plan (wrong-row
@@ -261,10 +262,8 @@ class Iss
      * traps instead of asserting, since a faulty backend can redirect
      * anywhere.
      */
-    bool data_read_u32(uint32_t addr, uint32_t &out);
-    bool data_write_u32(uint32_t addr, uint32_t value);
-    bool data_read_u8(uint32_t addr, uint8_t &out);
-    bool data_write_u8(uint32_t addr, uint8_t value);
+    template <typename T> bool data_read(uint32_t addr, T &out);
+    template <typename T> bool data_write(uint32_t addr, T value);
 
     std::vector<Instr> program_;
     IssConfig cfg_;
@@ -272,6 +271,8 @@ class Iss
     uint32_t f_[32] = {};
     uint8_t fflags_ = 0;
     uint32_t pc_ = 0;
+    /** Data memory, allocated zero-filled on the first store: FU test
+     *  programs never touch it, and a wave holds 64 ISS instances. */
     std::vector<uint8_t> mem_;
     uint64_t cycles_ = 0;
     uint64_t instret_ = 0;

@@ -18,21 +18,6 @@ NetlistBackend::NetlistBackend(ModuleKind kind, const Netlist &netlist,
     }
 }
 
-NetlistBackend::NetlistBackend(ModuleKind kind,
-                               std::shared_ptr<const EvalTape> tape,
-                               bool has_random_input, uint64_t seed)
-    : kind_(kind), nl_(tape->netlist()), sim_(tape),
-      has_random_input_(has_random_input), rng_(seed)
-{
-    VEGA_CHECK(kind == ModuleKind::Alu32 || kind == ModuleKind::Fpu32 ||
-                   kind == ModuleKind::Mdu32,
-               "backend supports alu32/fpu32/mdu32 modules");
-    if (kind_ == ModuleKind::Fpu32) {
-        sim_.set_bus("valid", BitVec(1, 0));
-        sim_.set_bus("clear", BitVec(1, 0));
-    }
-}
-
 void
 NetlistBackend::tick()
 {

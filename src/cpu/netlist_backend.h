@@ -22,8 +22,6 @@
  */
 #pragma once
 
-#include <memory>
-
 #include "common/rng.h"
 #include "cpu/iss.h"
 #include "rtl/module.h"
@@ -42,16 +40,6 @@ class NetlistBackend : public FuBackend
      * @param seed    RNG seed for the fm_rand stream
      */
     NetlistBackend(ModuleKind kind, const Netlist &netlist,
-                   bool has_random_input = false, uint64_t seed = 1);
-
-    /**
-     * Share a pre-compiled tape instead of lowering @p netlist again.
-     * Fleet-scale characterization constructs many short-lived backends
-     * over the same failing netlist; one compile amortizes over all of
-     * them. The tape (and the netlist it references) must outlive the
-     * backend.
-     */
-    NetlistBackend(ModuleKind kind, std::shared_ptr<const EvalTape> tape,
                    bool has_random_input = false, uint64_t seed = 1);
 
     FuResult alu(uint8_t op, uint32_t a, uint32_t b) override;

@@ -1,15 +1,17 @@
 #include "fleet/fault_matrix.h"
 
-#include <memory>
+#include <algorithm>
+#include <mutex>
+#include <string>
 
-#include "campaign/engine.h"
 #include "campaign/job.h"
 #include "campaign/thread_pool.h"
+#include "campaign/wave.h"
+#include "common/logging.h"
 #include "mem/decoder_lift.h"
 #include "mem/mem_backend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/eval_tape.h"
 
 namespace vega::fleet {
 
@@ -35,76 +37,26 @@ FaultMatrix::corrupting_classes() const
 
 namespace {
 
-lift::FailureModelSpec
-fault_spec(const sta::EndpointPair &pair, lift::FaultConstant c)
-{
-    lift::FailureModelSpec fm;
-    fm.launch = pair.launch;
-    fm.capture = pair.capture;
-    fm.is_setup = pair.is_setup;
-    fm.constant = c;
-    return fm;
-}
-
-/** Characterize one fault class; exceptions leave it undetectable. */
+/**
+ * Screen one memory fault class: the aged decode gate lifts to a
+ * wrong-address class, and each test runs through the faulty-memory
+ * ISS instead of a netlist mount.
+ */
 void
-characterize(const HwModule &module,
-             const std::vector<runtime::TestCase> &suite,
-             const sta::EndpointPair &pair, lift::FaultConstant constant,
-             uint64_t stream_root, FaultClass &out)
+characterize_mem(const HwModule &module,
+                 const std::vector<runtime::TestCase> &suite,
+                 const sta::EndpointPair &pair, FaultClass &out)
 {
-    VEGA_SPAN("fleet.characterize");
-    out.per_test.assign(suite.size(), runtime::Detection::None);
-    try {
-        if (is_mem_module(module.kind)) {
-            // Memory substrate: the aged decode gate lifts to a
-            // wrong-address class; screening runs the suite through
-            // the faulty-memory ISS instead of a netlist mount.
-            CellId gate =
-                mem::pick_decoder_gate(module.netlist, pair.worst);
-            if (gate == kInvalidId)
-                return; // pure datapath path: inert at fleet level
-            mem::MemFaultClass cls =
-                mem::classify_slow_gate(module.netlist, gate);
-            if (cls.kind == mem::MemFaultKind::None)
-                return;
-            out.corrupts = mem::mem_workload_corrupts(cls);
-            for (size_t t = 0; t < suite.size(); ++t) {
-                mem::MarchEngine engine(cls);
-                runtime::Detection d = engine.run(suite[t]);
-                out.per_test[t] = d;
-                if (d != runtime::Detection::None)
-                    ++out.detecting_tests;
-            }
-            return;
-        }
-        lift::FailingNetlist failing =
-            lift::build_failing_netlist(module.netlist,
-                                        fault_spec(pair, constant));
-        auto tape =
-            std::make_shared<const EvalTape>(failing.netlist);
-        uint64_t stream = stream_root;
-        out.corrupts = campaign::workload_corrupts(
-            module.kind, tape, failing.has_random_input,
-            campaign::splitmix64(stream));
-        for (size_t t = 0; t < suite.size(); ++t) {
-            // Fresh engine per test: the matrix models each dispatch
-            // as an independent screen (hardware state carried across
-            // tests is a second-order effect at fleet granularity).
-            campaign::NetlistEngine engine(
-                module.kind, tape, failing.has_random_input,
-                campaign::splitmix64(stream));
-            runtime::Detection d = engine.run(suite[t]);
-            out.per_test[t] = d;
-            if (d != runtime::Detection::None)
-                ++out.detecting_tests;
-        }
-    } catch (...) {
-        // A malformed fault class is recorded as inert rather than
-        // sinking the whole fleet characterization.
-        out.corrupts = false;
-        out.detecting_tests = 0;
-        out.per_test.assign(suite.size(), runtime::Detection::None);
+    CellId gate = mem::pick_decoder_gate(module.netlist, pair.worst);
+    if (gate == kInvalidId)
+        return; // pure datapath path: inert at fleet level
+    mem::MemFaultClass cls = mem::classify_slow_gate(module.netlist, gate);
+    if (cls.kind == mem::MemFaultKind::None)
+        return;
+    out.corrupts = mem::mem_workload_corrupts(cls);
+    for (size_t t = 0; t < suite.size(); ++t) {
+        mem::MarchEngine engine(cls);
+        out.per_test[t] = engine.run(suite[t]);
     }
 }
 
@@ -133,27 +85,122 @@ build_fault_matrix(const HwModule &module,
     m.num_pairs = pairs.size();
     m.num_tests = suite.size();
     m.faults.resize(pairs.size() * constants.size());
+    for (size_t idx = 0; idx < m.faults.size(); ++idx) {
+        FaultClass &f = m.faults[idx];
+        f.pair_index = idx / constants.size();
+        f.constant = constants[idx % constants.size()];
+        f.per_test.assign(suite.size(), runtime::Detection::None);
+    }
     m.test_cycles.reserve(suite.size());
     for (const runtime::TestCase &tc : suite) {
         m.test_cycles.push_back(tc.cycle_cost);
         m.suite_cycles += tc.cycle_cost;
     }
 
+    // A class whose characterization throws is recorded inert rather
+    // than sinking the whole fleet characterization — but counted and
+    // logged, never silently.
+    std::mutex poison_mu;
+    std::vector<std::string> poisoned(m.faults.size());
+    auto poison = [&](size_t idx) {
+        std::string why = current_exception_text();
+        std::lock_guard<std::mutex> lk(poison_mu);
+        poisoned[idx] = why;
+    };
+
+    // Functional units: every class goes into one fault bank (bank
+    // index = class index), and each (class × test) screen — plus one
+    // workload probe per class — runs as a from-reset wave lane, the
+    // "fresh engine per test" model: hardware state carried across
+    // tests is a second-order effect at fleet granularity. Class idx's
+    // splitmix64 stream seeds the probe with its first draw and test t
+    // with draw t + 2. Probes and tests run in separate waves, because
+    // a pass costs the same however many lanes it fills and a probe
+    // runs ~100x longer than a test.
     campaign::ThreadPool pool(threads);
-    for (size_t pi = 0; pi < pairs.size(); ++pi) {
-        for (size_t ci = 0; ci < constants.size(); ++ci) {
-            size_t idx = pi * constants.size() + ci;
-            FaultClass &slot = m.faults[idx];
-            slot.pair_index = pi;
-            slot.constant = constants[ci];
-            pool.submit([&, idx, pi, ci] {
-                characterize(module, suite, pairs[pi], constants[ci],
-                             campaign::job_stream(seed, uint64_t(idx)),
-                             m.faults[idx]);
+    campaign::WaveContext ctx;
+    std::vector<campaign::Episode> probes, screens; // screens class-major
+    auto submit_waves = [&](const std::vector<campaign::Episode> *eps,
+                            bool probing) {
+        for (size_t base = 0; base < eps->size();
+             base += campaign::kWaveLanes) {
+            size_t end = std::min(base + campaign::kWaveLanes, eps->size());
+            pool.submit([&, eps, base, end, probing] {
+                VEGA_SPAN("fleet.characterize");
+                try {
+                    std::vector<campaign::EpisodeResult> got =
+                        campaign::characterize_wave(
+                            ctx, {eps->begin() + long(base),
+                                  eps->begin() + long(end)});
+                    for (size_t i = base; i < end; ++i) {
+                        FaultClass &f = m.faults[(*eps)[i].bank_index];
+                        if (probing)
+                            f.corrupts = campaign::probe_corrupts(
+                                module.kind, got[i - base]);
+                        else
+                            f.per_test[i % suite.size()] =
+                                got[i - base].detection;
+                    }
+                } catch (...) {
+                    for (size_t i = base; i < end; ++i)
+                        poison((*eps)[i].bank_index);
+                }
             });
         }
+    };
+    if (is_mem_module(module.kind)) {
+        for (size_t idx = 0; idx < m.faults.size(); ++idx)
+            pool.submit([&, idx] {
+                VEGA_SPAN("fleet.characterize");
+                try {
+                    characterize_mem(module, suite,
+                                     pairs[m.faults[idx].pair_index],
+                                     m.faults[idx]);
+                } catch (...) {
+                    poison(idx);
+                }
+            });
+    } else {
+        try {
+            std::vector<lift::FailureModelSpec> specs;
+            for (const FaultClass &f : m.faults)
+                specs.push_back(
+                    campaign::fault_spec(pairs[f.pair_index], f.constant));
+            ctx = campaign::make_wave_context(module, specs);
+        } catch (...) {
+            for (size_t idx = 0; idx < m.faults.size(); ++idx)
+                poison(idx);
+        }
+        for (size_t idx = 0; ctx.tape && idx < m.faults.size(); ++idx) {
+            uint64_t stream = campaign::job_stream(seed, uint64_t(idx));
+            probes.push_back(campaign::probe_episode(
+                module.kind, idx, campaign::splitmix64(stream)));
+            for (const runtime::TestCase &tc : suite)
+                screens.push_back({idx, campaign::splitmix64(stream),
+                                   &tc.program, campaign::kTestWatchdog});
+        }
+        submit_waves(&probes, true);
+        submit_waves(&screens, false);
     }
     pool.wait_idle();
+
+    static obs::Counter &poisoned_counter =
+        obs::counter("fleet.classes_poisoned");
+    for (size_t idx = 0; idx < m.faults.size(); ++idx) {
+        FaultClass &f = m.faults[idx];
+        if (!poisoned[idx].empty()) {
+            f.corrupts = false;
+            f.per_test.assign(suite.size(), runtime::Detection::None);
+            poisoned_counter.inc();
+            log(LogLevel::Warn, "fleet: fault class " + std::to_string(idx) +
+                                    " recorded inert: characterization "
+                                    "threw: " +
+                                    poisoned[idx]);
+        }
+        for (runtime::Detection d : f.per_test)
+            if (d != runtime::Detection::None)
+                ++f.detecting_tests;
+    }
 
     static obs::Counter &classes = obs::counter("fleet.fault_classes");
     classes.add(m.faults.size());

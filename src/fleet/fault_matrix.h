@@ -11,10 +11,12 @@
  * failing netlist, plus whether the representative workload's output
  * corrupts — and shared read-only by all devices.
  *
- * Each failing netlist is compiled to one EvalTape shared across its
- * per-test engines and its workload probe, so characterization cost is
- * one netlist lowering + (tests + 1) gate-level executions per fault
- * class, regardless of fleet size.
+ * Functional-unit classes are spliced into one fault bank compiled to
+ * one EvalTape, and every (class × test) screen and per-class workload
+ * probe runs as a from-reset lane of a 64-lane wave (campaign/wave.h).
+ * Characterization therefore costs one netlist lowering plus one wave
+ * per 64 probes and per 64 screens, regardless of fleet size. Memory
+ * classes screen on the march engine instead.
  */
 #pragma once
 
@@ -67,10 +69,11 @@ struct FaultMatrix
 /**
  * Characterize every (pair × constant) fault class of @p module against
  * @p suite, fanning out over @p threads workers. Deterministic: results
- * are keyed by fault index and every engine seed derives from @p seed.
- * Empty pairs/suite/constants come back as InvalidArgument; a fault
- * whose netlist construction throws poisons only that class (its
- * per_test outcomes are all None and it is marked non-corrupting).
+ * are keyed by fault index and every lane seed derives from @p seed.
+ * Empty pairs/suite/constants come back as InvalidArgument. A class
+ * whose characterization throws is recorded inert (per_test all None,
+ * non-corrupting), counted in `fleet.classes_poisoned` and logged as a
+ * warning.
  */
 Expected<FaultMatrix>
 build_fault_matrix(const HwModule &module,

@@ -52,8 +52,8 @@ class MemFaultInjector : public cpu::MemBackend
 
 /**
  * runtime::Engine running test blocks on the golden ISS with a
- * MemFaultInjector mounted — the memory-substrate counterpart of
- * campaign::NetlistEngine. March blocks that set the fail flag report
+ * MemFaultInjector mounted — the memory-substrate counterpart of a
+ * campaign wave lane. March blocks that set the fail flag report
  * Detection::WrongAddress; non-mem blocks (e.g. ALU value probes run
  * for comparison) report Mismatch, and any run that never halts
  * cleanly reports Stall.

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <set>
 
-#include "campaign/engine.h"
 #include "campaign/thread_pool.h"
 #include "cpu/alu_ops.h"
 #include "obs/trace.h"

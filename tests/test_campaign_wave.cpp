@@ -1,22 +1,24 @@
 /**
  * @file
- * Lockstep contract of wave execution: a campaign run in 64-episode
- * waves over a fault-bank tape must be byte-identical — the full
- * deterministic CampaignReport JSON — to the scalar per-job oracle, at
- * every thread count, on every module family. Plus unit checks of the
- * two properties the contract rests on: disabled fault-bank muxes are
- * exact pass-throughs, and wave characterization reproduces scalar
- * workload_corrupts() verdict for verdict.
+ * Lockstep contract of wave execution: a campaign run in 64-lane waves
+ * over a fault-bank tape must reproduce, job for job, the scalar
+ * reference executor (tests/reference_campaign.h) — every JobResult
+ * equal, at every thread count, on every module family — and its
+ * report JSON must be byte-identical across thread counts. Plus unit
+ * checks of the two properties the contract rests on: disabled
+ * fault-bank muxes are exact pass-throughs, and wave characterization
+ * reproduces the reference workload_corrupts() verdict for verdict.
  */
 #include "campaign/wave.h"
 
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.h"
-#include "campaign/engine.h"
+#include "campaign/journal.h"
 #include "cpu/alu_ops.h"
 #include "cpu/softfp.h"
 #include "lift/failure_model.h"
+#include "reference_campaign.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
 #include "vega/workflow.h"
@@ -127,14 +129,13 @@ fpu_env()
 }
 
 CampaignConfig
-base_config(uint64_t seed, size_t threads, bool waves)
+base_config(uint64_t seed, size_t threads)
 {
     CampaignConfig cfg;
     cfg.seed = seed;
     cfg.num_jobs = 18;
     cfg.threads = threads;
     cfg.max_slots = 6;
-    cfg.wave_execution = waves;
     return cfg;
 }
 
@@ -144,15 +145,33 @@ all_fault_specs(const WaveEnv &e,
 {
     std::vector<lift::FailureModelSpec> specs;
     for (const auto &pair : e.pairs)
-        for (lift::FaultConstant c : constants) {
-            lift::FailureModelSpec fm;
-            fm.launch = pair.launch;
-            fm.capture = pair.capture;
-            fm.is_setup = pair.is_setup;
-            fm.constant = c;
-            specs.push_back(fm);
-        }
+        for (lift::FaultConstant c : constants)
+            specs.push_back(fault_spec(pair, c));
     return specs;
+}
+
+/** Every job of @p cfg rendered as a journal record, in id order. */
+std::vector<std::string>
+reference_records(const WaveEnv &e, const CampaignConfig &cfg)
+{
+    std::vector<std::string> out;
+    for (const JobResult &r :
+         reference_campaign(e.module, e.pairs, e.suite, cfg))
+        out.push_back(render_record(r));
+    return out;
+}
+
+/** @p report holds every job, each equal to its reference result. */
+void
+expect_reference_jobs(const std::vector<std::string> &reference,
+                      const CampaignReport &report)
+{
+    ASSERT_EQ(report.jobs.size(), reference.size());
+    EXPECT_TRUE(report.failed_jobs.empty());
+    for (const JobResult &j : report.jobs) {
+        ASSERT_LT(j.id, reference.size());
+        EXPECT_EQ(reference[j.id], render_record(j)) << "job " << j.id;
+    }
 }
 
 TEST(WaveCampaign, FaultBankDisabledLanesArePassThrough)
@@ -167,8 +186,7 @@ TEST(WaveCampaign, FaultBankDisabledLanesArePassThrough)
 
     // With every enable low the bank must behave exactly like the
     // healthy module: the representative workload runs clean.
-    auto tape = std::make_shared<const EvalTape>(bank.netlist);
-    EXPECT_FALSE(workload_corrupts(e.module.kind, tape,
+    EXPECT_FALSE(workload_corrupts(e.module.kind, bank.netlist,
                                    bank.has_random_input, 1));
 }
 
@@ -178,80 +196,65 @@ TEST(WaveCampaign, CharacterizeWaveMatchesScalarVerdicts)
     std::vector<lift::FaultConstant> constants = {
         lift::FaultConstant::Zero, lift::FaultConstant::One};
     auto specs = all_fault_specs(e, constants);
-    lift::FaultBank bank =
-        lift::build_fault_bank(e.module.netlist, specs);
+    WaveContext ctx = make_wave_context(e.module, specs);
 
-    WaveContext ctx;
-    ctx.kind = e.module.kind;
-    ctx.tape = std::make_shared<const EvalTape>(bank.netlist);
-    ctx.num_faults = bank.num_faults;
-    ctx.fault_random = &bank.fault_random;
-    ctx.suite = &e.suite;
-
-    std::vector<std::pair<size_t, uint64_t>> req;
+    std::vector<Episode> probes;
     std::vector<char> scalar(specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
         uint64_t seed = job_stream(~uint64_t(99), i);
-        req.push_back({i, seed});
+        probes.push_back(probe_episode(e.module.kind, i, seed));
         lift::FailingNetlist f =
             lift::build_failing_netlist(e.module.netlist, specs[i]);
         scalar[i] = workload_corrupts(e.module.kind, f.netlist,
                                       f.has_random_input, seed);
     }
-    std::vector<char> wave = characterize_wave(ctx, req);
+    std::vector<EpisodeResult> wave = characterize_wave(ctx, probes);
     ASSERT_EQ(wave.size(), specs.size());
     for (size_t i = 0; i < specs.size(); ++i)
-        EXPECT_EQ(int(wave[i]), int(scalar[i])) << "fault " << i;
+        EXPECT_EQ(int(probe_corrupts(e.module.kind, wave[i])),
+                  int(scalar[i]))
+            << "fault " << i;
 }
 
-TEST(WaveCampaign, AluReportsByteIdenticalAcrossModesAndThreads)
+TEST(WaveCampaign, AluJobsMatchReferenceAtAnyThreadCount)
 {
     const WaveEnv &e = alu_env();
     for (uint64_t seed : {99ull, 31ull}) {
-        CampaignReport oracle = run_campaign(
-            e.module, e.pairs, e.suite, base_config(seed, 1, false));
-        std::string golden = oracle.to_json(false);
+        std::vector<std::string> reference =
+            reference_records(e, base_config(seed, 1));
+        std::string golden;
         for (size_t threads : {1, 2, 4, 8}) {
-            CampaignReport wave =
-                run_campaign(e.module, e.pairs, e.suite,
-                             base_config(seed, threads, true));
+            CampaignReport wave = run_campaign(e.module, e.pairs, e.suite,
+                                               base_config(seed, threads));
+            expect_reference_jobs(reference, wave);
+            if (golden.empty())
+                golden = wave.to_json(false);
             EXPECT_EQ(golden, wave.to_json(false))
                 << "seed " << seed << " threads " << threads;
         }
-        CampaignReport scalar_mt = run_campaign(
-            e.module, e.pairs, e.suite, base_config(seed, 4, false));
-        EXPECT_EQ(golden, scalar_mt.to_json(false));
     }
 }
 
-TEST(WaveCampaign, MultiWaveCampaignMatchesScalar)
+TEST(WaveCampaign, MultiWaveCampaignMatchesReference)
 {
-    // More jobs than one 64-episode wave holds: exercises wave
-    // bucketing and cross-wave result assembly.
+    // More jobs than one 64-lane wave holds: exercises wave bucketing
+    // and cross-wave result assembly.
     const WaveEnv &e = alu_env();
-    CampaignConfig scalar = base_config(7, 2, false);
-    scalar.num_jobs = kWaveLanes + 9;
-    scalar.max_slots = 4;
-    CampaignConfig waves = scalar;
-    waves.wave_execution = true;
-    CampaignReport a = run_campaign(e.module, e.pairs, e.suite, scalar);
-    CampaignReport b = run_campaign(e.module, e.pairs, e.suite, waves);
-    ASSERT_EQ(a.jobs.size(), scalar.num_jobs);
-    EXPECT_EQ(a.to_json(false), b.to_json(false));
+    CampaignConfig cfg = base_config(7, 2);
+    cfg.num_jobs = kWaveLanes + 9;
+    cfg.max_slots = 4;
+    CampaignReport r = run_campaign(e.module, e.pairs, e.suite, cfg);
+    expect_reference_jobs(reference_records(e, cfg), r);
 }
 
-TEST(WaveCampaign, FpuReportsByteIdenticalAcrossModes)
+TEST(WaveCampaign, FpuJobsMatchReference)
 {
     const WaveEnv &e = fpu_env();
-    CampaignConfig scalar = base_config(7, 1, false);
-    scalar.num_jobs = 12;
-    CampaignConfig waves = scalar;
-    waves.wave_execution = true;
-    waves.threads = 2;
-    CampaignReport a = run_campaign(e.module, e.pairs, e.suite, scalar);
-    CampaignReport b = run_campaign(e.module, e.pairs, e.suite, waves);
-    EXPECT_EQ(a.to_json(false), b.to_json(false));
-    EXPECT_GT(a.detected + a.escapes + a.benign, 0u);
+    CampaignConfig cfg = base_config(7, 2);
+    cfg.num_jobs = 12;
+    CampaignReport r = run_campaign(e.module, e.pairs, e.suite, cfg);
+    expect_reference_jobs(reference_records(e, cfg), r);
+    EXPECT_GT(r.detected + r.escapes + r.benign, 0u);
 }
 
 TEST(WaveCampaign, StopAfterJobsHonoredMidWave)
@@ -259,7 +262,7 @@ TEST(WaveCampaign, StopAfterJobsHonoredMidWave)
     // One wave holds all 18 jobs; the stop flag must still land after
     // ~5 completions, not at the wave boundary.
     const WaveEnv &e = alu_env();
-    CampaignConfig cfg = base_config(99, 1, true);
+    CampaignConfig cfg = base_config(99, 1);
     cfg.stop_after_jobs = 5;
     CampaignReport r = run_campaign(e.module, e.pairs, e.suite, cfg);
     EXPECT_GE(r.jobs.size(), 5u);

@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <set>
 
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
@@ -13,6 +15,7 @@
 #include "common/fs.h"
 #include "cpu/alu_ops.h"
 #include "journal_corruptor.h"
+#include "reference_campaign.h"
 #include "rtl/alu32.h"
 
 namespace vega::campaign {
@@ -479,6 +482,16 @@ TEST(CampaignFaults, TransientJobFailureRetriesWithFreshSeed)
     EXPECT_EQ(r->failed, 0u);
     for (const JobResult &j : r->jobs)
         EXPECT_EQ(j.attempts, j.id == 4 ? 2u : 1u) << "job " << j.id;
+
+    // Job 4 ran its second attempt with fresh downstream randomness:
+    // exactly the standalone reference run under the attempt-2 seed.
+    JobSpec spec = reference_spec(cfg, e.pairs.size(), e.suite.size(), 4);
+    uint64_t stream = job_stream(cfg.seed ^ 0x9e3779b97f4a7c15ull, 4);
+    spec.seed = splitmix64(stream);
+    JobResult expected =
+        reference_job(e.module, e.pairs, e.suite, cfg, spec);
+    expected.attempts = 2;
+    EXPECT_EQ(render_record(r->jobs[4]), render_record(expected));
 }
 
 TEST(CampaignFaults, AlwaysTrappingJobIsQuarantinedNotFatal)
@@ -548,6 +561,47 @@ TEST(CampaignFaults, KillAndResumeReportIsByteIdentical)
     ASSERT_TRUE(full.ok()) << full.error().to_string();
 
     EXPECT_EQ(full->to_json(false), ref.to_json(false));
+    std::remove(journal.c_str());
+}
+
+TEST(CampaignFaults, ResumedRatesCountOnlyThisRunsJobs)
+{
+    const CampaignEnv &e = env();
+    std::string journal = tmp_path("resume_rates.journal");
+    std::remove(journal.c_str());
+
+    CampaignConfig killed = small_config(1);
+    killed.journal_path = journal;
+    killed.stop_after_jobs = 5;
+    Expected<CampaignReport> partial =
+        try_run_campaign(e.module, e.pairs, e.suite, killed);
+    ASSERT_TRUE(partial.ok()) << partial.error().to_string();
+
+    CampaignConfig resumed = small_config(1);
+    resumed.journal_path = journal;
+    resumed.resume = true;
+    Expected<CampaignReport> full =
+        try_run_campaign(e.module, e.pairs, e.suite, resumed);
+    ASSERT_TRUE(full.ok()) << full.error().to_string();
+    ASSERT_EQ(full->jobs.size(), 12u);
+
+    // The report holds all 12 jobs, but the rates divide this run's
+    // wall time, so they count only the jobs (and cycles) it ran.
+    std::set<uint64_t> prior;
+    for (const JobResult &j : partial->jobs)
+        prior.insert(j.id);
+    uint64_t ran = 0, cycles = 0;
+    for (const JobResult &j : full->jobs)
+        if (!prior.count(j.id)) {
+            ++ran;
+            cycles += j.sim_cycles;
+        }
+    ASSERT_GT(ran, 0u);
+    const CampaignTiming &t = full->timing;
+    EXPECT_EQ(std::llround(t.jobs_per_sec * t.wall_seconds),
+              (long long)ran);
+    EXPECT_EQ(std::llround(t.sims_per_sec * t.wall_seconds),
+              (long long)cycles);
     std::remove(journal.c_str());
 }
 

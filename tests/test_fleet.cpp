@@ -3,8 +3,8 @@
  * Mission-mode fleet simulator tests: config validation through
  * vega::Expected (the negative paths a fleet service must reject
  * without crashing), deterministic population simulation on a
- * hand-built fault matrix, and one gate-level integration pass on the
- * real ALU.
+ * hand-built fault matrix, and gate-level passes on the real ALU and
+ * FPU, checked against the scalar reference characterization.
  */
 #include "fleet/fleet_sim.h"
 
@@ -13,11 +13,14 @@
 #include <algorithm>
 #include <cstring>
 
-#include "campaign/engine.h"
+#include "campaign/job.h"
 #include "cpu/alu_ops.h"
+#include "cpu/softfp.h"
 #include "fleet/config.h"
 #include "fleet/fault_matrix.h"
+#include "reference_campaign.h"
 #include "rtl/alu32.h"
+#include "rtl/fpu32.h"
 #include "vega/workflow.h"
 
 namespace vega::fleet {
@@ -368,18 +371,103 @@ alu_test(const char *name, AluOp op, uint32_t a, uint32_t b, int pair)
     return tc;
 }
 
-TEST(FleetMatrix, CharacterizesRealAluFaultsDeterministically)
+runtime::TestCase
+fpu_test(const char *name, fp::FpuOp op, uint32_t a, uint32_t b, int pair,
+         bool check_flags)
 {
-    HwModule module = rtl::make_alu32();
+    runtime::TestCase tc;
+    tc.name = name;
+    tc.module = ModuleKind::Fpu32;
+    tc.stimulus = {runtime::ModuleStep{a, b, uint32_t(op), true, false}};
+    fp::FpResult r = fp::fpu_compute(op, a, b);
+    bool to_xreg = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
+                   op == fp::FpuOp::Le;
+    tc.checks = {{0, r.bits, to_xreg}};
+    if (check_flags) {
+        tc.check_final_flags = true;
+        tc.expected_flags = r.flags;
+    }
+    tc.pair_index = pair;
+    runtime::finalize_test_case(tc);
+    return tc;
+}
+
+/** The first @p count liftable endpoint pairs of @p module (minver). */
+std::vector<sta::EndpointPair>
+aged_pairs(HwModule &module, size_t count = 2)
+{
     auto lib = aging::AgingTimingLibrary::build(aging::RdModelParams{});
     AgingAnalysisConfig cfg;
     cfg.utilization = 0.99;
     cfg.max_trace = 1500;
     auto aged = run_aging_analysis(module, lib, minver_trace(), cfg);
     auto pairs = aged.liftable_pairs();
+    if (pairs.size() > count)
+        pairs.resize(count);
+    return pairs;
+}
+
+/**
+ * The wave-built matrix at 1 and 4 threads equals, class for class,
+ * the scalar reference: one failing netlist per class, a workload
+ * probe, and a fresh engine per test.
+ */
+void
+expect_matrix_matches_reference(HwModule module, size_t npairs,
+                                const std::vector<runtime::TestCase> &suite)
+{
+    std::vector<sta::EndpointPair> pairs = aged_pairs(module, npairs);
     ASSERT_FALSE(pairs.empty());
-    if (pairs.size() > 2)
-        pairs.resize(2);
+    std::vector<lift::FaultConstant> constants = {
+        lift::FaultConstant::Zero, lift::FaultConstant::One};
+    const uint64_t seed = 5;
+    std::vector<FaultClass> reference;
+    for (size_t idx = 0; idx < pairs.size() * constants.size(); ++idx)
+        reference.push_back(reference_fault_class(
+            module, suite, pairs[idx / constants.size()],
+            constants[idx % constants.size()],
+            campaign::job_stream(seed, uint64_t(idx))));
+    for (size_t threads : {1, 4}) {
+        auto m = build_fault_matrix(module, pairs, suite, constants,
+                                    threads, seed);
+        ASSERT_TRUE(m.ok()) << m.error().to_string();
+        ASSERT_EQ(m->faults.size(), reference.size());
+        for (size_t i = 0; i < reference.size(); ++i) {
+            const FaultClass &got = m->faults[i];
+            EXPECT_EQ(got.corrupts, reference[i].corrupts)
+                << "class " << i << " threads " << threads;
+            EXPECT_EQ(got.per_test, reference[i].per_test)
+                << "class " << i << " threads " << threads;
+            EXPECT_EQ(got.detecting_tests, reference[i].detecting_tests)
+                << "class " << i << " threads " << threads;
+        }
+    }
+}
+
+TEST(FleetMatrix, WaveMatrixMatchesReference)
+{
+    expect_matrix_matches_reference(
+        rtl::make_alu32(), 2,
+        {alu_test("c0", AluOp::Add, 0xffffffff, 1, 0),
+         alu_test("c1", AluOp::Sub, 0, 1, 0),
+         alu_test("c2", AluOp::Xor, 0xaaaaaaaa, 0x55555555, 1),
+         alu_test("c3", AluOp::Sll, 1, 31, 1)});
+    // The FPU screens cover every wave transaction kind: ops writing
+    // f-regs, a compare writing an x-reg, and fflags checks. One pair
+    // keeps the scalar minver probes affordable.
+    expect_matrix_matches_reference(
+        rtl::make_fpu32(), 1,
+        {fpu_test("f0", fp::FpuOp::Add, 0x3f800000, 0x3f800000, 0, false),
+         fpu_test("f1", fp::FpuOp::Mul, 0x40490fdb, 0x3eaaaaab, 0, true),
+         fpu_test("f2", fp::FpuOp::Lt, 0xbf800000, 0x3f800000, 1, false),
+         fpu_test("f3", fp::FpuOp::Sub, 0x7f7fffff, 0xff7fffff, 1, true)});
+}
+
+TEST(FleetMatrix, CharacterizesRealAluFaultsDeterministically)
+{
+    HwModule module = rtl::make_alu32();
+    std::vector<sta::EndpointPair> pairs = aged_pairs(module);
+    ASSERT_FALSE(pairs.empty());
 
     std::vector<runtime::TestCase> suite = {
         alu_test("c0", AluOp::Add, 0xffffffff, 1, 0),

@@ -162,6 +162,57 @@ TEST(Iss, OutOfBoundsStoreTraps)
     EXPECT_EQ(iss.run(), Iss::Status::Trap);
 }
 
+TEST(Iss, UntouchedMemoryReadsZero)
+{
+    Asm a;
+    a.li(5, 4096);
+    a.li(6, 0x1234);
+    a.lw(6, 5, 0); // never written: the load sees zero
+    a.halt();
+    Iss iss(a.finish());
+    EXPECT_EQ(iss.read_u32(4096), 0u);
+    EXPECT_EQ(iss.run(), Iss::Status::Halted);
+    EXPECT_EQ(iss.reg(6), 0u);
+}
+
+TEST(Iss, MemoryBoundIsConfiguredSize)
+{
+    IssConfig cfg;
+    cfg.memory_bytes = 4096;
+    Asm a;
+    a.li(5, 0xcafef00d);
+    a.li(6, 4092);
+    a.sw(5, 6, 0); // the last word fits
+    a.lw(7, 6, 0);
+    a.halt();
+    Iss iss(a.finish(), cfg);
+    EXPECT_EQ(iss.run(), Iss::Status::Halted);
+    EXPECT_EQ(iss.reg(7), 0xcafef00du);
+    EXPECT_EQ(iss.read_u32(4092), 0xcafef00du);
+
+    Asm past;
+    past.li(6, 4096);
+    past.lw(7, 6, 0); // one word past the end
+    past.halt();
+    Iss trap(past.finish(), cfg);
+    EXPECT_EQ(trap.run(), Iss::Status::Trap);
+    EXPECT_DEATH(trap.read_u32(4096), "load out of bounds");
+}
+
+TEST(Iss, ResetRezeroesWrittenMemory)
+{
+    Asm a;
+    a.li(5, 77);
+    a.li(6, 256);
+    a.sw(5, 6, 0);
+    a.halt();
+    Iss iss(a.finish());
+    EXPECT_EQ(iss.run(), Iss::Status::Halted);
+    EXPECT_EQ(iss.read_u32(256), 77u);
+    iss.reset();
+    EXPECT_EQ(iss.read_u32(256), 0u);
+}
+
 TEST(Iss, WildJumpTraps)
 {
     Asm a;

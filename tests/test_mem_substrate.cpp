@@ -567,15 +567,6 @@ TEST(MemCampaign, RunsAndDetectsWrongAddress)
     // Every detection on the memory path is a wrong-address flag.
     EXPECT_EQ(rep.detections.wrong_address, rep.detected);
     EXPECT_EQ(rep.detections.mismatch, 0u);
-
-    // Memory modules always take the scalar MarchEngine path: asking
-    // for wave execution must be a no-op, byte for byte. (The default
-    // above is wave_execution = true; pin the explicit-off run too.)
-    campaign::CampaignConfig scalar = cc;
-    scalar.wave_execution = false;
-    campaign::CampaignReport rep2 =
-        campaign::run_campaign(module, pairs, r.suite, scalar);
-    EXPECT_EQ(rep.to_json(false), rep2.to_json(false));
 }
 
 TEST(MemFleet, FaultMatrixScreensWithMarchSuite)
