@@ -28,9 +28,9 @@ main()
 
     HwModule adder = rtl::make_adder2();
     sta::calibrate_timing_scale(adder, bench::timing_library(), 0.99);
-    Simulator sp_sim(adder.netlist);
+    BatchSimulator sp_sim(adder.netlist);
     SpProfile profile = profile_signal_probability(
-        sp_sim, 128, [](Simulator &, uint64_t) {});
+        sp_sim, 128, [](BatchSimulator &, uint64_t) {});
     sta::AgedTiming aged = sta::compute_aged_timing(
         adder, profile, bench::timing_library(), 10.0);
     sta::StaResult sta = sta::run_sta(adder, aged);
@@ -44,7 +44,7 @@ main()
             launches_of[p.capture].insert(p.launch);
 
     TimingSimulator timed(adder.netlist, aged);
-    Simulator golden(adder.netlist);
+    BatchSimulator golden(adder.netlist);
     Rng rng(2024);
 
     const int kCycles = 20000;
@@ -58,12 +58,12 @@ main()
         BitVec a(2, rng.below(4)), b(2, rng.below(4));
         timed.set_bus("a", a);
         timed.set_bus("b", b);
-        golden.set_bus("a", a);
-        golden.set_bus("b", b);
+        golden.set_bus_all("a", a);
+        golden.set_bus_all("b", b);
 
         // Snapshot launch registers before the edge.
         for (auto &[l, v] : launch_now)
-            v = golden.value(adder.netlist.cell(l).out);
+            v = golden.value_lane(adder.netlist.cell(l).out, 0);
 
         auto edge_events = timed.step();
         golden.step();
@@ -80,7 +80,7 @@ main()
                 ++activation_explained;
         }
         if (timed.bus_value("o").to_u64() !=
-            golden.bus_value("o").to_u64())
+            golden.bus_value("o", 0).to_u64())
             ++output_mismatch;
 
         launch_prev = launch_now;

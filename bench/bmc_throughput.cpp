@@ -36,7 +36,7 @@
 #include "netlist/builder.h"
 #include "lift/instruction_builder.h"
 #include "obs/metrics.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "sim/sp_profiler.h"
 #include "sta/sta.h"
 
@@ -67,9 +67,9 @@ build_corpus(ModuleKind kind)
     c.module = kind == ModuleKind::Alu32 ? rtl::make_alu32()
                                          : rtl::make_fpu32();
     sta::calibrate_timing_scale(c.module, bench::timing_library(), 0.99);
-    Simulator sim(c.module.netlist);
-    SpProfile profile =
-        profile_signal_probability(sim, 64, [](Simulator &, uint64_t) {});
+    BatchSimulator sim(c.module.netlist);
+    SpProfile profile = profile_signal_probability(
+        sim, 64, [](BatchSimulator &, uint64_t) {});
     sta::AgedTiming aged = sta::compute_aged_timing(
         c.module, profile, bench::timing_library(), 10.0);
     c.pairs = sta::run_sta(c.module, aged).pairs;

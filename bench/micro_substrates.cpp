@@ -35,10 +35,10 @@ fpu()
 void
 BM_SimAluCycle(benchmark::State &state)
 {
-    Simulator sim(alu().netlist);
-    sim.set_bus("a", BitVec(32, 0x12345678));
-    sim.set_bus("b", BitVec(32, 0x9abcdef0));
-    sim.set_bus("op", BitVec(4, 0));
+    BatchSimulator sim(alu().netlist);
+    sim.set_bus_all("a", BitVec(32, 0x12345678));
+    sim.set_bus_all("b", BitVec(32, 0x9abcdef0));
+    sim.set_bus_all("op", BitVec(4, 0));
     for (auto _ : state)
         sim.step();
     state.SetItemsProcessed(state.iterations() * alu().netlist.num_cells());
@@ -48,12 +48,12 @@ BENCHMARK(BM_SimAluCycle);
 void
 BM_SimFpuCycle(benchmark::State &state)
 {
-    Simulator sim(fpu().netlist);
-    sim.set_bus("a", BitVec(32, 0x3f800000));
-    sim.set_bus("b", BitVec(32, 0x40000000));
-    sim.set_bus("op", BitVec(3, 0));
-    sim.set_bus("valid", BitVec(1, 1));
-    sim.set_bus("clear", BitVec(1, 0));
+    BatchSimulator sim(fpu().netlist);
+    sim.set_bus_all("a", BitVec(32, 0x3f800000));
+    sim.set_bus_all("b", BitVec(32, 0x40000000));
+    sim.set_bus_all("op", BitVec(3, 0));
+    sim.set_bus_all("valid", BitVec(1, 1));
+    sim.set_bus_all("clear", BitVec(1, 0));
     for (auto _ : state)
         sim.step();
     state.SetItemsProcessed(state.iterations() * fpu().netlist.num_cells());

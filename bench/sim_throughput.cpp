@@ -1,21 +1,22 @@
 /**
  * @file
- * Simulation-core throughput: how much the EvalTape refactor buys.
+ * Simulation-core throughput: what the EvalTape interpreter buys.
  *
- * Three engines run the same stimulus on the real ALU32 and FPU32
+ * Two engines run the same stimulus on the real ALU32 and FPU32
  * netlists:
  *
- *  - "scalar": a verbatim replica of the pre-tape Simulator (per-eval
+ *  - "legacy": a verbatim replica of the pre-tape simulator (per-eval
  *    topo_order() walk over AoS Cell structs), the refactor baseline;
- *  - "tape":   today's 1-lane Simulator interpreting the compiled
- *    instruction stream;
- *  - "batch":  the 64-lane BatchSimulator, scored in lane-cycles/sec
- *    (steps/sec x 64) since each step advances 64 simulations.
+ *  - "batch":  the 64-lane BatchSimulator, the library's only tape
+ *    interpreter. It is scored in steps/sec (what a single-stream
+ *    consumer, which reads lane 0, gets) and in lane-cycles/sec
+ *    (steps/sec x 64, what a 64-episode wave gets).
  *
- * Before timing, all three are spot-checked in lockstep so a speedup
- * can never come from computing the wrong values. Results land in
- * BENCH_sim.json in the working directory; `--smoke` shrinks the time
- * budget for CI (numbers get noisy, schema and lockstep check do not).
+ * Before timing, batch lane 0 is spot-checked in lockstep against the
+ * legacy engine, so a speedup can never come from computing the wrong
+ * values. Results land in BENCH_sim.json in the working directory;
+ * `--smoke` shrinks the time budget for CI (numbers get noisy, schema
+ * and lockstep check do not).
  */
 #include <chrono>
 #include <cstdio>
@@ -26,14 +27,13 @@
 #include "bench/common.h"
 #include "common/rng.h"
 #include "sim/batch_sim.h"
-#include "sim/simulator.h"
 
 using namespace vega;
 
 namespace {
 
 /**
- * The pre-refactor Simulator, kept alive here as the bench baseline:
+ * The pre-tape simulator, kept alive here as the bench baseline:
  * this is the exact eval/step loop (including the dirty-flag
  * short-circuit) that shipped before the tape existed.
  */
@@ -121,13 +121,14 @@ measure_steps_per_sec(StepFn &&step_fn, DriveFn &&drive_fn,
 }
 
 /**
- * Drive all three engines with identical random stimulus for a few
- * cycles and demand bit-identical nets. Dies loudly on mismatch: a
- * throughput number for a wrong simulator is worse than no number.
+ * Drive both engines with identical random stimulus for a few cycles
+ * and demand bit-identical nets in batch lane 0. Dies loudly on
+ * mismatch: a throughput number for a wrong simulator is worse than no
+ * number.
  */
 bool
-lockstep_check(const Netlist &nl, LegacySim &legacy, Simulator &tape,
-               BatchSimulator &batch, uint64_t seed)
+lockstep_check(const Netlist &nl, LegacySim &legacy, BatchSimulator &batch,
+               uint64_t seed)
 {
     Rng stim(seed);
     auto inputs = nl.primary_inputs();
@@ -135,24 +136,20 @@ lockstep_check(const Netlist &nl, LegacySim &legacy, Simulator &tape,
         for (NetId in : inputs) {
             uint64_t plane = stim.next();
             legacy.set_input(in, plane & 1);
-            tape.set_input(in, plane & 1);
             batch.set_input(in, plane);
         }
         legacy.eval();
         for (NetId n = 0; n < nl.num_nets(); ++n) {
             bool l = legacy.values[n];
-            bool s = tape.value(n);
-            bool b0 = (batch.value(n) >> 0) & 1;
-            if (l != s || l != b0) {
+            bool b0 = batch.value_lane(n, 0);
+            if (l != b0) {
                 std::printf("LOCKSTEP MISMATCH net %s cycle %d: "
-                            "legacy=%d tape=%d batch[0]=%d\n",
-                            nl.net(n).name.c_str(), t, int(l), int(s),
-                            int(b0));
+                            "legacy=%d batch[0]=%d\n",
+                            nl.net(n).name.c_str(), t, int(l), int(b0));
                 return false;
             }
         }
         legacy.step();
-        tape.step();
         batch.step();
     }
     return true;
@@ -162,10 +159,14 @@ struct ModuleResult
 {
     std::string name;
     size_t cells = 0, nets = 0, instrs = 0;
-    double scalar_cps = 0, tape_cps = 0, batch_cps = 0;
+    double legacy_cps = 0, batch_steps = 0;
 
-    double tape_speedup() const { return tape_cps / scalar_cps; }
-    double batch_speedup() const { return batch_cps / scalar_cps; }
+    double batch_lane_cps() const
+    {
+        return BatchSimulator::kLanes * batch_steps;
+    }
+    double step_speedup() const { return batch_steps / legacy_cps; }
+    double batch_speedup() const { return batch_lane_cps() / legacy_cps; }
 };
 
 ModuleResult
@@ -177,48 +178,35 @@ bench_module(const std::string &name, const Netlist &nl,
     r.cells = nl.num_cells();
     r.nets = nl.num_nets();
 
-    auto tape = std::make_shared<const EvalTape>(nl);
-    r.instrs = tape->num_instrs();
-
     LegacySim legacy(nl);
-    Simulator scalar_tape(tape);
-    BatchSimulator batch(tape);
-    if (!lockstep_check(nl, legacy, scalar_tape, batch, 0x5eed))
+    BatchSimulator batch(nl);
+    r.instrs = batch.tape().num_instrs();
+    if (!lockstep_check(nl, legacy, batch, 0x5eed))
         std::exit(1);
 
     auto inputs = nl.primary_inputs();
     NetId flip_net = inputs.empty() ? kInvalidId : inputs.front();
 
-    r.scalar_cps = measure_steps_per_sec(
+    r.legacy_cps = measure_steps_per_sec(
         [&] { legacy.step(); },
         [&](bool f) {
             if (flip_net != kInvalidId)
                 legacy.set_input(flip_net, f);
         },
         budget_sec);
-    r.tape_cps = measure_steps_per_sec(
-        [&] { scalar_tape.step(); },
+    r.batch_steps = measure_steps_per_sec(
+        [&] { batch.step(); },
         [&](bool f) {
             if (flip_net != kInvalidId)
-                scalar_tape.set_input(flip_net, f);
+                batch.set_input_all(flip_net, f);
         },
         budget_sec);
-    // Each batch step advances 64 independent simulations: score it in
-    // lane-cycles/sec so all three columns share a unit.
-    r.batch_cps = BatchSimulator::kLanes *
-                  measure_steps_per_sec(
-                      [&] { batch.step(); },
-                      [&](bool f) {
-                          if (flip_net != kInvalidId)
-                              batch.set_input(flip_net,
-                                              f ? ~uint64_t(0) : 0);
-                      },
-                      budget_sec);
 
     std::printf("%-6s | %6zu cells | %6zu instrs | %11.0f | %11.0f "
                 "(%5.2fx) | %12.0f (%6.2fx)\n",
-                name.c_str(), r.cells, r.instrs, r.scalar_cps, r.tape_cps,
-                r.tape_speedup(), r.batch_cps, r.batch_speedup());
+                name.c_str(), r.cells, r.instrs, r.legacy_cps,
+                r.batch_steps, r.step_speedup(), r.batch_lane_cps(),
+                r.batch_speedup());
     return r;
 }
 
@@ -235,11 +223,12 @@ main(int argc, char **argv)
     // only proves the bench runs and the JSON is well-formed.
     const double budget = smoke ? 0.02 : 1.0;
 
-    bench::banner(std::string("Simulator throughput: pre-tape scalar vs "
-                              "tape vs 64-lane batch") +
+    bench::banner(std::string("Simulation throughput: pre-tape legacy vs "
+                              "64-lane batch") +
                   (smoke ? " [smoke]" : ""));
     std::printf("%-6s | %12s | %13s | %11s | %20s | %22s\n", "module",
-                "size", "tape", "scalar c/s", "tape c/s", "batch lane-c/s");
+                "size", "tape", "legacy c/s", "batch steps/s",
+                "batch lane-c/s");
 
     HwModule alu = rtl::make_alu32();
     HwModule fpu = rtl::make_fpu32();
@@ -255,12 +244,13 @@ main(int argc, char **argv)
         char buf[512];
         std::snprintf(buf, sizeof buf,
                       "%s{\"module\":\"%s\",\"cells\":%zu,\"nets\":%zu,"
-                      "\"tape_instrs\":%zu,\"scalar_cps\":%.0f,"
-                      "\"tape_cps\":%.0f,\"batch_lane_cps\":%.0f,"
-                      "\"tape_speedup\":%.3f,\"batch_speedup\":%.3f}",
+                      "\"tape_instrs\":%zu,\"legacy_cps\":%.0f,"
+                      "\"batch_steps_per_s\":%.0f,\"batch_lane_cps\":%.0f,"
+                      "\"step_speedup\":%.3f,\"batch_speedup\":%.3f}",
                       i ? "," : "", r.name.c_str(), r.cells, r.nets,
-                      r.instrs, r.scalar_cps, r.tape_cps, r.batch_cps,
-                      r.tape_speedup(), r.batch_speedup());
+                      r.instrs, r.legacy_cps, r.batch_steps,
+                      r.batch_lane_cps(), r.step_speedup(),
+                      r.batch_speedup());
         json += buf;
     }
     json += "]}}";

@@ -32,14 +32,14 @@ main()
                 adder.netlist.clock_period_ps());
 
     // ---- Phase 1a: signal probability simulation (Table 1) -------------
-    Simulator sim(adder.netlist);
+    BatchSimulator sim(adder.netlist);
     Rng rng(42);
     SpProfile profile = profile_signal_probability(
-        sim, 2000, [&](Simulator &s, uint64_t) {
+        sim, 2000, [&](BatchSimulator &s, uint64_t) {
             // A workload that rarely drives b's high bit: cell $7 parks.
-            s.set_bus("a", BitVec(2, rng.below(4)));
-            s.set_bus("b", BitVec(2, rng.chance(0.9) ? rng.below(2)
-                                                     : rng.below(4)));
+            s.set_bus_all("a", BitVec(2, rng.below(4)));
+            s.set_bus_all("b", BitVec(2, rng.chance(0.9) ? rng.below(2)
+                                                         : rng.below(4)));
         });
     std::printf("\nSP profile (cf. paper Table 1):\n");
     for (CellId c = 0; c < adder.netlist.num_cells(); ++c)

@@ -37,8 +37,17 @@ ctest --test-dir "$build" --output-on-failure \
 # ASan/UBSan catch. The `mem` label covers vega_mem_tests plus the
 # mem_substrate bench smoke (decoder aging -> march detection).
 ctest --test-dir "$build" --output-on-failure -L mem -j "$jobs"
-# Bench smoke: runs bench/sim_throughput --smoke (lockstep-checks the
-# scalar/tape/batch simulator engines under the sanitizers),
+# The one tape interpreter: every gate-level consumer (SP profiling,
+# test replay, the ISS netlist backends, waves, fuzzing) runs on
+# BatchSimulator's plane arithmetic and save/restore buffers, so check
+# it, its lane-by-lane reference lockstep, and the SP profile built on
+# it before the full suite, where a failure would read less clearly.
+ctest --test-dir "$build" --output-on-failure \
+    -R 'EvalTape|BatchSimulator|SpProfiler|SpActivity|AgingAnalysis' \
+    -j "$jobs"
+# Bench smoke: runs bench/sim_throughput --smoke (lockstep-checks
+# BatchSimulator lane 0 against the pre-tape legacy replica under the
+# sanitizers),
 # bench/bmc_throughput --smoke (cross-checks one-target check_cover
 # calls against one batched CoverBatch suite, target by target),
 # bench/fleet_throughput --smoke (thread-count byte-identity of the

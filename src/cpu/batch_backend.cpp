@@ -1,6 +1,9 @@
 #include "cpu/batch_backend.h"
 
+#include <bit>
+
 #include "common/logging.h"
+#include "obs/metrics.h"
 
 namespace vega::cpu {
 
@@ -160,6 +163,10 @@ BatchNetlistEngine::commit_round()
     }
     draw_rand(participant_mask_);
     sim_.step();
+    // Lane-cycles that carry an episode: the real edge's participants.
+    // The speculative edges around it add nothing.
+    static obs::Counter &lane_cycles = obs::counter("sim.lane_cycles");
+    lane_cycles.add(uint64_t(std::popcount(participant_mask_)));
     if (kind_ == ModuleKind::Fpu32) {
         sim_.set_input(valid_net_, 0);
         sim_.set_input(clear_net_, 0);

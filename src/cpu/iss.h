@@ -5,9 +5,11 @@
  * In-order, single-issue, one instruction per cycle (+1 for taken
  * control flow), standing in for the Verilator-simulated CV32E40P of the
  * paper's evaluation. Arithmetic uses the golden models (alu_compute,
- * softfp); the gate-level functional units are exercised by the module
- * harness (runtime/module_harness.h) which replays generated test blocks
- * on (possibly failing) netlists.
+ * softfp); a gate-level functional unit (healthy or failing netlist)
+ * plugs in through an FuBackend such as cpu::NetlistBackend
+ * (cpu/netlist_backend.h), and lift::replay_on_module
+ * (lift/error_lifting.h) replays generated test blocks on the module
+ * alone.
  *
  * The ISS also produces the two artifacts the Vega workflow needs from
  * software execution:

@@ -6,15 +6,15 @@ namespace vega::cpu {
 
 NetlistBackend::NetlistBackend(ModuleKind kind, const Netlist &netlist,
                                bool has_random_input, uint64_t seed)
-    : kind_(kind), nl_(netlist), sim_(netlist),
+    : kind_(kind), sim_(netlist),
       has_random_input_(has_random_input), rng_(seed)
 {
     VEGA_CHECK(kind == ModuleKind::Alu32 || kind == ModuleKind::Fpu32 ||
                    kind == ModuleKind::Mdu32,
                "backend supports alu32/fpu32/mdu32 modules");
     if (kind_ == ModuleKind::Fpu32) {
-        sim_.set_bus("valid", BitVec(1, 0));
-        sim_.set_bus("clear", BitVec(1, 0));
+        sim_.set_bus_all("valid", BitVec(1, 0));
+        sim_.set_bus_all("clear", BitVec(1, 0));
     }
 }
 
@@ -22,7 +22,7 @@ void
 NetlistBackend::tick()
 {
     if (has_random_input_)
-        sim_.set_bus("fm_rand", BitVec(1, rng_.next() & 1));
+        sim_.set_bus_all("fm_rand", BitVec(1, rng_.next() & 1));
     sim_.step();
 }
 
@@ -33,22 +33,22 @@ NetlistBackend::peek_outputs(uint32_t &r, uint8_t &flags, bool &valid,
     // One speculative edge commits the in-flight op's outputs without
     // disturbing the real timeline (the clone's inputs are don't-cares
     // for the already-captured stage-1 state).
-    auto saved = sim_.save_state();
+    sim_.save_state_into(saved_);
     Rng saved_rng = rng_;
     tick();
-    r = uint32_t(sim_.bus_value("r").to_u64());
+    r = uint32_t(sim_.bus_value("r", 0).to_u64());
     if (kind_ == ModuleKind::Fpu32) {
-        flags = uint8_t(sim_.bus_value("flags").to_u64());
-        valid = sim_.bus_value("valid_out").to_u64() != 0;
-        ack = sim_.bus_value("ack").to_u64() != 0;
-        dbg = sim_.bus_value("dbg_out").to_u64() != 0;
+        flags = uint8_t(sim_.bus_value("flags", 0).to_u64());
+        valid = sim_.bus_value("valid_out", 0).to_u64() != 0;
+        ack = sim_.bus_value("ack", 0).to_u64() != 0;
+        dbg = sim_.bus_value("dbg_out", 0).to_u64() != 0;
     } else {
         flags = 0;
         valid = true;
         ack = true;
         dbg = false;
     }
-    sim_.restore_state(saved);
+    sim_.restore_state(saved_);
     rng_ = saved_rng;
 }
 
@@ -56,9 +56,9 @@ FuBackend::FuResult
 NetlistBackend::alu(uint8_t op, uint32_t a, uint32_t b)
 {
     VEGA_CHECK(kind_ == ModuleKind::Alu32, "not an ALU backend");
-    sim_.set_bus("a", BitVec(32, a));
-    sim_.set_bus("b", BitVec(32, b));
-    sim_.set_bus("op", BitVec(4, op));
+    sim_.set_bus_all("a", BitVec(32, a));
+    sim_.set_bus_all("b", BitVec(32, b));
+    sim_.set_bus_all("op", BitVec(4, op));
     tick();
     FuResult out;
     uint8_t flags;
@@ -71,9 +71,9 @@ FuBackend::FuResult
 NetlistBackend::mdu(uint8_t op, uint32_t a, uint32_t b)
 {
     VEGA_CHECK(kind_ == ModuleKind::Mdu32, "not an MDU backend");
-    sim_.set_bus("a", BitVec(32, a));
-    sim_.set_bus("b", BitVec(32, b));
-    sim_.set_bus("op", BitVec(2, op));
+    sim_.set_bus_all("a", BitVec(32, a));
+    sim_.set_bus_all("b", BitVec(32, b));
+    sim_.set_bus_all("op", BitVec(2, op));
     tick();
     FuResult out;
     uint8_t flags;
@@ -86,13 +86,13 @@ FuBackend::FuResult
 NetlistBackend::fpu(uint8_t op, uint32_t a, uint32_t b)
 {
     VEGA_CHECK(kind_ == ModuleKind::Fpu32, "not an FPU backend");
-    sim_.set_bus("a", BitVec(32, a));
-    sim_.set_bus("b", BitVec(32, b));
-    sim_.set_bus("op", BitVec(3, op));
-    sim_.set_bus("valid", BitVec(1, 1));
-    sim_.set_bus("clear", BitVec(1, 0));
+    sim_.set_bus_all("a", BitVec(32, a));
+    sim_.set_bus_all("b", BitVec(32, b));
+    sim_.set_bus_all("op", BitVec(3, op));
+    sim_.set_bus_all("valid", BitVec(1, 1));
+    sim_.set_bus_all("clear", BitVec(1, 0));
     tick();
-    sim_.set_bus("valid", BitVec(1, 0));
+    sim_.set_bus_all("valid", BitVec(1, 0));
 
     FuResult out;
     uint8_t flags;
@@ -122,18 +122,18 @@ NetlistBackend::read_fflags()
 void
 NetlistBackend::clear_fflags()
 {
-    sim_.set_bus("clear", BitVec(1, 1));
-    sim_.set_bus("valid", BitVec(1, 0));
+    sim_.set_bus_all("clear", BitVec(1, 1));
+    sim_.set_bus_all("valid", BitVec(1, 0));
     tick();
-    sim_.set_bus("clear", BitVec(1, 0));
+    sim_.set_bus_all("clear", BitVec(1, 0));
 }
 
 void
 NetlistBackend::idle()
 {
     if (kind_ == ModuleKind::Fpu32) {
-        sim_.set_bus("valid", BitVec(1, 0));
-        sim_.set_bus("clear", BitVec(1, 0));
+        sim_.set_bus_all("valid", BitVec(1, 0));
+        sim_.set_bus_all("clear", BitVec(1, 0));
     }
     tick();
 }

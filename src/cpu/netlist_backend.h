@@ -2,16 +2,15 @@
  * @file
  * Gate-level functional-unit backend for the ISS.
  *
- * Drives a Simulator of the ALU or FPU netlist — healthy or a failing
- * netlist from Error Lifting — one clock cycle per ISS instruction, so
+ * Drives the ALU, FPU or MDU netlist — healthy or a failing netlist
+ * from Error Lifting — one clock cycle per ISS instruction, so
  * consecutive instructions hit the module back-to-back exactly as the
- * formal traces assume. Results are read by cloning the pipeline state
- * and advancing the clone past the output registers, leaving the real
- * timeline untouched. The backend is inherently 1-lane (one
- * architectural instruction stream), so it rides the scalar Simulator
- * and picks up the compiled EvalTape underneath it transparently —
- * the speculative save/tick/restore peek is slot-ordered state on the
- * same tape, never a re-lowering.
+ * formal traces assume. Results are read by saving the pipeline state,
+ * advancing one speculative edge past the output registers and
+ * restoring, leaving the real timeline untouched. The backend carries
+ * one architectural instruction stream, so it drives every
+ * BatchSimulator lane alike and reads lane 0; the speculative peek
+ * saves into a member buffer, so it allocates nothing per op.
  *
  * Observable fault behaviour surfaced to the ISS:
  *  - wrong results (architecturally visible, checked by test blocks);
@@ -25,7 +24,7 @@
 #include "common/rng.h"
 #include "cpu/iss.h"
 #include "rtl/module.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega::cpu {
 
@@ -54,8 +53,6 @@ class NetlistBackend : public FuBackend
     /** Module clock cycles consumed so far. */
     uint64_t cycles() const { return sim_.cycle(); }
 
-    Simulator &simulator() { return sim_; }
-
   private:
     /** Advance one real cycle with current inputs; handle fm_rand. */
     void tick();
@@ -64,8 +61,8 @@ class NetlistBackend : public FuBackend
                       bool &ack, bool &dbg);
 
     ModuleKind kind_;
-    const Netlist &nl_;
-    Simulator sim_;
+    BatchSimulator sim_;
+    std::vector<uint64_t> saved_; ///< peek_outputs() snapshot buffer
     bool has_random_input_;
     Rng rng_;
     bool expected_tag_ = false;     ///< predicted dbg parity

@@ -119,7 +119,8 @@ struct BmcResult
  * one-target CoverBatch carrying opts.state_equalities in its spec.
  *
  * The trace records every input bus and every output bus of @p nl per
- * cycle, so it can be replayed on a Simulator or lowered to instructions.
+ * cycle, so it can be replayed on a BatchSimulator or lowered to
+ * instructions.
  */
 BmcResult check_cover(const Netlist &nl, NetId target,
                       const BmcOptions &opts);

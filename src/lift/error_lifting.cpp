@@ -5,7 +5,7 @@
 #include "formal/cover_batch.h"
 #include "lift/fuzz_lifting.h"
 #include "obs/metrics.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega::lift {
 
@@ -56,7 +56,7 @@ runtime::Detection
 replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
                  bool has_random_input, uint64_t seed)
 {
-    Simulator sim(netlist);
+    BatchSimulator sim(netlist);
     Rng rng(seed);
     bool is_fpu = tc.module == ModuleKind::Fpu32;
 
@@ -68,29 +68,29 @@ replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
     for (size_t t = 0; t < n + 2; ++t) {
         if (t < n) {
             const runtime::ModuleStep &s = tc.stimulus[t];
-            sim.set_bus("a", BitVec(32, s.a));
-            sim.set_bus("b", BitVec(32, s.b));
-            sim.set_bus("op",
-                        BitVec(tc.module == ModuleKind::Mdu32 ? 2
-                               : is_fpu                       ? 3
-                                                              : 4,
-                               s.op));
+            sim.set_bus_all("a", BitVec(32, s.a));
+            sim.set_bus_all("b", BitVec(32, s.b));
+            sim.set_bus_all("op",
+                            BitVec(tc.module == ModuleKind::Mdu32 ? 2
+                                   : is_fpu                       ? 3
+                                                                  : 4,
+                                   s.op));
             if (is_fpu) {
-                sim.set_bus("valid", BitVec(1, s.valid ? 1 : 0));
-                sim.set_bus("clear", BitVec(1, s.clear ? 1 : 0));
+                sim.set_bus_all("valid", BitVec(1, s.valid ? 1 : 0));
+                sim.set_bus_all("clear", BitVec(1, s.clear ? 1 : 0));
             }
         } else if (is_fpu) {
-            sim.set_bus("valid", BitVec(1, 0));
-            sim.set_bus("clear", BitVec(1, 0));
+            sim.set_bus_all("valid", BitVec(1, 0));
+            sim.set_bus_all("clear", BitVec(1, 0));
         }
         if (has_random_input)
-            sim.set_bus("fm_rand", BitVec(1, rng.next() & 1));
+            sim.set_bus_all("fm_rand", BitVec(1, rng.next() & 1));
         if (t >= 2) {
             size_t k = t - 2;
-            r_out[k] = uint32_t(sim.bus_value("r").to_u64());
+            r_out[k] = uint32_t(sim.bus_value("r", 0).to_u64());
             if (is_fpu) {
-                valid_out[k] = sim.bus_value("valid_out").to_u64() != 0;
-                ack_out[k] = sim.bus_value("ack").to_u64() != 0;
+                valid_out[k] = sim.bus_value("valid_out", 0).to_u64() != 0;
+                ack_out[k] = sim.bus_value("ack", 0).to_u64() != 0;
             }
         }
         if (is_fpu) {
@@ -101,7 +101,7 @@ replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
             for (size_t k = 0; k + 3 <= t && k < n; ++k)
                 if (tc.stimulus[k].valid)
                     ++ops_visible;
-            bool dbg = sim.bus_value("dbg_out").to_u64() != 0;
+            bool dbg = sim.bus_value("dbg_out", 0).to_u64() != 0;
             if (dbg != (ops_visible % 2 == 1))
                 tag_anomaly = true;
         }
@@ -121,7 +121,7 @@ replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
 
     if (is_fpu) {
         if (tc.check_final_flags) {
-            uint8_t flags = uint8_t(sim.bus_value("flags").to_u64());
+            uint8_t flags = uint8_t(sim.bus_value("flags", 0).to_u64());
             if (flags != tc.expected_flags)
                 return runtime::Detection::Mismatch;
         }
@@ -131,7 +131,7 @@ replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
         for (const auto &s : tc.stimulus)
             if (s.valid)
                 ++n_ops;
-        bool dbg = sim.bus_value("dbg_out").to_u64() != 0;
+        bool dbg = sim.bus_value("dbg_out", 0).to_u64() != 0;
         if (tag_anomaly || dbg != (n_ops % 2 == 1))
             return runtime::Detection::TagAnomaly;
     }

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "sim/batch_sim.h"
 
 namespace vega::lift {
@@ -35,6 +36,8 @@ fuzz_cover(const ShadowInstrumentation &shadow, ModuleKind kind,
     Rng rng(config.seed);
     FuzzResult result;
     constexpr int kLanes = BatchSimulator::kLanes;
+    // Every lane carries a fuzzing episode on every step.
+    static obs::Counter &lane_cycles = obs::counter("sim.lane_cycles");
 
     // Record exactly what BMC records: every port bus, inputs first.
     std::vector<std::string> buses;
@@ -93,6 +96,7 @@ fuzz_cover(const ShadowInstrumentation &shadow, ModuleKind kind,
                 return result;
             }
             sim.step();
+            lane_cycles.add(kLanes);
         }
     }
     result.episodes = config.max_episodes;

@@ -4,7 +4,7 @@
 
 #include "common/logging.h"
 #include "mem/mem_backend.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "workloads/march.h"
 
 namespace vega::mem {
@@ -79,10 +79,10 @@ note(Anomalies &a, uint32_t victim, uint32_t aggressor)
 
 /** Drive @p addr for @p cycles on both simulators (we=0, din=0). */
 void
-settle(Simulator &sim, size_t addr_bits, uint32_t addr, int cycles)
+settle(BatchSimulator &sim, size_t addr_bits, uint32_t addr, int cycles)
 {
-    sim.set_bus("addr", BitVec(addr_bits, addr));
-    sim.set_bus("we", BitVec(1, 0));
+    sim.set_bus_all("addr", BitVec(addr_bits, addr));
+    sim.set_bus_all("we", BitVec(1, 0));
     for (int i = 0; i < cycles; ++i)
         sim.step();
 }
@@ -99,8 +99,8 @@ classify_slow_gate(const Netlist &healthy, CellId gate)
     size_t addr_bits = healthy.bus("addr").size();
 
     lift::FailingNetlist faulty = build_slow_gate_netlist(healthy, gate);
-    Simulator golden(healthy);
-    Simulator bad(faulty.netlist);
+    BatchSimulator golden(healthy);
+    BatchSimulator bad(faulty.netlist);
 
     MemFaultClass cls;
     cls.rows = rows;
@@ -124,8 +124,8 @@ classify_slow_gate(const Netlist &healthy, CellId gate)
             settle(golden, addr_bits, cur, 2);
             settle(bad, addr_bits, cur, 2);
             for (int bi = 0; bi < 2; ++bi) {
-                BitVec g = golden.bus_value(kBuses[bi]);
-                BitVec f = bad.bus_value(kBuses[bi]);
+                BitVec g = golden.bus_value(kBuses[bi], 0);
+                BitVec f = bad.bus_value(kBuses[bi], 0);
                 if (f == g)
                     continue;
                 size_t pop = f.popcount();

@@ -7,9 +7,11 @@ namespace vega::mem {
 
 namespace {
 
-/** Same bounds the campaign engine uses for gate-level runs; the ISS
- *  alone is far faster, but a redirected store can still turn a
- *  terminating loop into an endless one. */
+/** Instruction budgets for march tests and workload probes. The test
+ *  bound matches campaign/wave.h's kTestWatchdog; the workload bound is
+ *  looser than its 120k gate-level one, since an ISS-only run is cheap.
+ *  A redirected store can still turn a terminating loop into an
+ *  endless one. */
 constexpr uint64_t kWorkloadWatchdog = 400000;
 constexpr uint64_t kTestWatchdog = 1000000;
 

@@ -2,7 +2,7 @@
  * @file
  * Process-wide metrics registry: counters, gauges, and fixed-bucket
  * histograms registered by stable dotted names ("sat.conflicts",
- * "sim.cycles", "campaign.steals").
+ * "sim.batch_cycles", "campaign.steals").
  *
  * Design goals, in order:
  *  - hot-path cheapness: Counter::add is one relaxed fetch_add on a

@@ -15,13 +15,6 @@ batch_cycles_counter()
 }
 
 obs::Counter &
-lane_cycles_counter()
-{
-    static obs::Counter &c = obs::counter("sim.lane_cycles");
-    return c;
-}
-
-obs::Counter &
 batch_evals_counter()
 {
     static obs::Counter &c = obs::counter("sim.batch_evals");
@@ -160,7 +153,6 @@ BatchSimulator::step()
         planes_[dffs[i].q] = dff_next_[i];
     ++cycle_;
     batch_cycles_counter().inc();
-    lane_cycles_counter().add(kLanes);
     dirty_ = true;
     eval();
 }

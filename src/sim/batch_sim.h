@@ -9,14 +9,19 @@
  * simulations: an AND2 is a single `&` across all lanes, a clock edge
  * commits all DFF planes at once.
  *
- * Semantics per lane are exactly the Simulator's: combinational cells
- * settle in topological order, then step() commits every DFF
- * atomically and re-settles. Lockstep equivalence against 64 scalar
- * Simulator runs is pinned by tests/test_eval_tape.cpp.
+ * Per lane, combinational cells settle in topological order, then
+ * step() commits every DFF atomically and re-settles. Every lane is
+ * checked in lockstep against the pre-tape reference interpreter
+ * (tests/reference_sim.h) by tests/test_eval_tape.cpp.
  *
- * Consumers: SpProfile::sample(BatchSimulator&) popcounts planes into
- * its per-cell counters (64 samples per call), and lift::fuzz_cover
- * runs 64 fuzzing episodes per simulated cycle.
+ * This is the only EvalTape interpreter. Single-stream consumers (SP
+ * profiling, capture_waveform, test replay, cpu::NetlistBackend, the
+ * memory decoder classifier) drive every lane alike (set_bus_all /
+ * set_input_all) and read lane 0. lift::fuzz_cover runs 64 fuzzing
+ * episodes per simulated cycle, and cpu::BatchNetlistEngine runs 64
+ * ISS streams. The simulator counts tape passes (`sim.batch_cycles`,
+ * `sim.batch_evals`); the multi-lane consumers count the lane-cycles
+ * that carry an episode (`sim.lane_cycles`).
  */
 #pragma once
 
@@ -70,7 +75,7 @@ class BatchSimulator
     /** One clock edge in every lane: settle, commit DFFs, settle. */
     void step();
 
-    /** Run @p n clock cycles (n * 64 lane-cycles). */
+    /** Run @p n clock cycles. */
     void run(uint64_t n);
 
     /** Per-lane plane of @p net (post-settle). */

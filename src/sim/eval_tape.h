@@ -3,7 +3,7 @@
  * Compiled evaluation tape: a Netlist lowered once into a flat,
  * cache-friendly instruction stream.
  *
- * The levelized Simulator used to re-walk Netlist::topo_order() every
+ * The pre-tape levelized simulator re-walked Netlist::topo_order() every
  * eval, chasing AoS Cell structs (each carrying a std::string name) and
  * re-deriving pin counts per cell per cycle. The EvalTape performs that
  * traversal exactly once per netlist and records its result as
@@ -20,10 +20,10 @@
  * Value slots are a permutation of NetIds ordered by evaluation phase
  * (primary inputs, constants, DFF Qs, then combinational outputs in
  * topo order), so a simulator's value plane is written front-to-back
- * each settle. Every simulation consumer — the 1-lane Simulator, the
- * 64-lane BatchSimulator, SP profiling, fuzz lifting, the ISS netlist
- * backend, and the campaign engine — interprets this one artifact, so
- * all of them share a single lowering of eval_cell semantics.
+ * each settle. One interpreter, the 64-lane BatchSimulator, runs it for
+ * every simulation consumer — SP profiling, test replay, fuzz lifting,
+ * the ISS netlist backends and the campaign engine — so all of them
+ * share a single lowering of eval_cell semantics.
  */
 #pragma once
 
@@ -43,10 +43,10 @@ class EvalTape
 {
   public:
     /**
-     * Lower @p nl. Panics (like Simulator always has) if the
-     * combinational subgraph is cyclic. The netlist must outlive the
-     * tape; the tape is immutable afterwards and safe to share across
-     * simulator instances and threads.
+     * Lower @p nl. Panics if the combinational subgraph is cyclic.
+     * The netlist must outlive the tape; the tape is immutable
+     * afterwards and safe to share across simulator instances and
+     * threads.
      */
     explicit EvalTape(const Netlist &nl);
 

@@ -1,45 +1,22 @@
 #include "sim/sp_profiler.h"
 
-#include <bit>
-
 #include "common/logging.h"
 
 namespace vega {
-
-void
-SpProfile::sample(Simulator &sim)
-{
-    const Netlist &nl = sim.netlist();
-    VEGA_CHECK(nl.num_cells() == ones_.size(), "profile/netlist mismatch");
-    VEGA_CHECK(width_ != SampleWidth::Batch,
-               "scalar sample() on a batch-sampled profile");
-    width_ = SampleWidth::Scalar;
-    for (CellId c = 0; c < nl.num_cells(); ++c) {
-        uint64_t v = sim.value(nl.cell(c).out) ? 1 : 0;
-        ones_[c] += v;
-        if (samples_ > 0 && v != prev_[c])
-            ++transitions_[c];
-        prev_[c] = v;
-    }
-    ++samples_;
-}
 
 void
 SpProfile::sample(BatchSimulator &sim)
 {
     const Netlist &nl = sim.netlist();
     VEGA_CHECK(nl.num_cells() == ones_.size(), "profile/netlist mismatch");
-    VEGA_CHECK(width_ != SampleWidth::Scalar,
-               "batch sample() on a scalar-sampled profile");
-    width_ = SampleWidth::Batch;
     for (CellId c = 0; c < nl.num_cells(); ++c) {
-        uint64_t plane = sim.value(nl.cell(c).out);
-        ones_[c] += std::popcount(plane);
-        if (samples_ > 0)
-            transitions_[c] += std::popcount(plane ^ prev_[c]);
-        prev_[c] = plane;
+        uint8_t v = sim.value_lane(nl.cell(c).out, 0) ? 1 : 0;
+        ones_[c] += v;
+        if (samples_ > 0 && v != prev_[c])
+            ++transitions_[c];
+        prev_[c] = v;
     }
-    samples_ += BatchSimulator::kLanes;
+    ++samples_;
 }
 
 void

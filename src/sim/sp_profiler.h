@@ -7,14 +7,9 @@
  * aggregates the fraction of time each cell output rests at logical "1".
  * The resulting SP profile feeds the aging-aware STA.
  *
- * Two sampling paths share the same counters: the scalar path reads one
- * Simulator (one sample per call), and the batched path popcounts a
- * 64-lane BatchSimulator plane per cell (64 samples per call — one per
- * lane). A profile accumulated from one 64-lane batch is bit-for-bit
- * identical in ones/transitions/samples to 64 merged single-lane
- * profiles over the same per-lane stimulus (pinned by
- * SpProfiler.BatchSampleMatchesMergedLanes). The two paths must not be
- * mixed within one profile: lane history is per-width.
+ * A workload trace is one stimulus stream, so the profile samples lane 0
+ * of a BatchSimulator whose lanes are all driven alike: one sample per
+ * call, and activity() keeps its per-stream `samples - 1` denominator.
  */
 #pragma once
 
@@ -23,7 +18,6 @@
 
 #include "netlist/netlist.h"
 #include "sim/batch_sim.h"
-#include "sim/simulator.h"
 
 namespace vega {
 
@@ -39,7 +33,7 @@ class SpProfile
 
     size_t num_cells() const { return ones_.size(); }
 
-    /** Total samples; the batched path adds 64 (one per lane) per call. */
+    /** Total samples (one per sample() call). */
     uint64_t samples() const { return samples_; }
 
     /** SP of cell @p c: fraction of samples with output at "1". */
@@ -61,28 +55,17 @@ class SpProfile
                                    (samples_ - 1);
     }
 
-    /** Record one sample of every cell output. */
-    void sample(Simulator &sim);
-
-    /**
-     * Record one sample per lane (64 total) of every cell output by
-     * popcounting the lane planes. Not mixable with the scalar
-     * sample() in one profile.
-     */
+    /** Record one sample of every cell output, read in lane 0. */
     void sample(BatchSimulator &sim);
 
     /** Merge another profile over the same netlist. */
     void merge(const SpProfile &other);
 
   private:
-    /** Which sample() width this profile has been fed (prev_ format). */
-    enum class SampleWidth : uint8_t { None, Scalar, Batch };
-
     std::vector<uint64_t> ones_;
     std::vector<uint64_t> transitions_;
-    std::vector<uint64_t> prev_; ///< lane planes; scalar uses bit 0
+    std::vector<uint8_t> prev_;
     uint64_t samples_;
-    SampleWidth width_ = SampleWidth::None;
 };
 
 /**
@@ -91,32 +74,13 @@ class SpProfile
  *
  * @param sim      simulator over the netlist under profile
  * @param cycles   number of cycles to run
- * @param drive    callback invoked before each cycle to set inputs;
- *                 receives the cycle index
+ * @param drive    callback invoked before each cycle to set inputs in
+ *                 every lane; receives the cycle index
  */
 template <typename DriveFn>
 SpProfile
-profile_signal_probability(Simulator &sim, uint64_t cycles, DriveFn drive)
-{
-    SpProfile profile(sim.netlist().num_cells());
-    for (uint64_t t = 0; t < cycles; ++t) {
-        drive(sim, t);
-        sim.eval();
-        profile.sample(sim);
-        sim.step();
-    }
-    return profile;
-}
-
-/**
- * Batched harness: 64 independent stimulus lanes per cycle, so
- * @p cycles simulated cycles yield 64 * cycles samples. @p drive sets
- * per-lane inputs (set_input / set_bus_lane) before each cycle.
- */
-template <typename DriveFn>
-SpProfile
-profile_signal_probability_batch(BatchSimulator &sim, uint64_t cycles,
-                                 DriveFn drive)
+profile_signal_probability(BatchSimulator &sim, uint64_t cycles,
+                           DriveFn drive)
 {
     SpProfile profile(sim.netlist().num_cells());
     for (uint64_t t = 0; t < cycles; ++t) {

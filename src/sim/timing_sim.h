@@ -2,7 +2,7 @@
  * @file
  * Dynamic timing-aware simulation.
  *
- * The levelized Simulator is purely logical; this simulator additionally
+ * BatchSimulator is purely logical; this simulator additionally
  * propagates per-net arrival times from the (aged) timing annotations
  * and plays the clock edge physically: a flip-flop whose data arrives
  * inside the setup window captures the *stale* previous value, and one

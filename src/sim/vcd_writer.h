@@ -13,7 +13,7 @@
 #include <ostream>
 #include <string>
 
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "sim/waveform.h"
 
 namespace vega {
@@ -31,11 +31,12 @@ std::string to_vcd(const Waveform &w,
 
 /**
  * Capture a live simulation into a Waveform: records every port bus of
- * the netlist each cycle while @p drive supplies stimulus.
+ * the netlist, read in lane 0, each cycle while @p drive supplies
+ * stimulus to every lane.
  */
 template <typename DriveFn>
 Waveform
-capture_waveform(Simulator &sim, uint64_t cycles, DriveFn drive)
+capture_waveform(BatchSimulator &sim, uint64_t cycles, DriveFn drive)
 {
     Waveform w;
     const Netlist &nl = sim.netlist();
@@ -43,9 +44,9 @@ capture_waveform(Simulator &sim, uint64_t cycles, DriveFn drive)
         drive(sim, t);
         sim.eval();
         for (const auto &bus : nl.input_bus_names())
-            w.record(bus, sim.bus_value(bus));
+            w.record(bus, sim.bus_value(bus, 0));
         for (const auto &bus : nl.output_bus_names())
-            w.record(bus, sim.bus_value(bus));
+            w.record(bus, sim.bus_value(bus, 0));
         sim.step();
     }
     return w;

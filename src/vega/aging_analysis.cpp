@@ -1,7 +1,7 @@
 #include "vega/aging_analysis.h"
 
 #include "common/logging.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega {
 
@@ -65,7 +65,7 @@ op_width(ModuleKind kind)
 
 /** Drive one trace entry (or an idle cycle) into the module. */
 void
-apply_entry(Simulator &sim, ModuleKind kind, const cpu::FuTraceEntry *e)
+apply_entry(BatchSimulator &sim, ModuleKind kind, const cpu::FuTraceEntry *e)
 {
     if (is_mem_module(kind)) {
         // Memory substrate ports (rtl/memdec.h): the byte address maps
@@ -73,26 +73,26 @@ apply_entry(Simulator &sim, ModuleKind kind, const cpu::FuTraceEntry *e)
         // 16-row macro — the whole data space is stripe-aliased onto
         // it), op carries the store bit, b the written value.
         if (e) {
-            sim.set_bus("addr", BitVec(4, (e->a >> 2) & 0xf));
-            sim.set_bus("we", BitVec(1, e->op ? 1 : 0));
-            sim.set_bus("din", BitVec(8, e->b & 0xff));
+            sim.set_bus_all("addr", BitVec(4, (e->a >> 2) & 0xf));
+            sim.set_bus_all("we", BitVec(1, e->op ? 1 : 0));
+            sim.set_bus_all("din", BitVec(8, e->b & 0xff));
         } else {
-            sim.set_bus("we", BitVec(1, 0));
+            sim.set_bus_all("we", BitVec(1, 0));
         }
         return;
     }
     bool is_fpu_module = kind == ModuleKind::Fpu32;
     if (e) {
-        sim.set_bus("a", BitVec(32, e->a));
-        sim.set_bus("b", BitVec(32, e->b));
-        sim.set_bus("op", BitVec(op_width(kind), e->op));
+        sim.set_bus_all("a", BitVec(32, e->a));
+        sim.set_bus_all("b", BitVec(32, e->b));
+        sim.set_bus_all("op", BitVec(op_width(kind), e->op));
         if (is_fpu_module) {
-            sim.set_bus("valid", BitVec(1, 1));
-            sim.set_bus("clear", BitVec(1, 0));
+            sim.set_bus_all("valid", BitVec(1, 1));
+            sim.set_bus_all("clear", BitVec(1, 0));
         }
     } else if (is_fpu_module) {
-        sim.set_bus("valid", BitVec(1, 0));
-        sim.set_bus("clear", BitVec(1, 0));
+        sim.set_bus_all("valid", BitVec(1, 0));
+        sim.set_bus_all("clear", BitVec(1, 0));
     }
 }
 
@@ -108,10 +108,9 @@ run_aging_analysis(HwModule &module, const aging::AgingTimingLibrary &lib,
 
     // Signal Probability Simulation: replay the workload; ops for the
     // other functional unit appear as idle cycles, preserving realistic
-    // activity ratios. One recorded trace is one stimulus stream, so
-    // this stays on the scalar (1-lane) tape interpreter rather than
-    // the 64-lane batch profiler.
-    Simulator sim(module.netlist);
+    // activity ratios. One recorded trace is one stimulus stream: every
+    // lane gets the same entry and the profile samples lane 0.
+    BatchSimulator sim(module.netlist);
     SpProfile profile(module.netlist.num_cells());
     size_t limit = config.max_trace == 0
                        ? trace.size()

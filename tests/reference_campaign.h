@@ -4,11 +4,14 @@
  *
  * Scalar execution: each fault is spliced into its own standalone
  * failing netlist (lift::build_failing_netlist), mounted as the ISS's
- * unit through a one-lane cpu::NetlistBackend, and every run simulates
- * that netlist alone. No fault bank, no lanes, no shared passes — so
- * its verdicts are an independent oracle for
+ * unit through cpu::NetlistBackend (one instruction stream, with its
+ * own FU protocol and ISS routing), and every run simulates that
+ * netlist alone. No fault bank, no per-lane protocol, no shared passes
+ * — so its verdicts are an independent oracle for
  * campaign::characterize_wave, campaign::run_wave and everything built
- * on them (try_run_campaign, fleet::build_fault_matrix).
+ * on them (try_run_campaign, fleet::build_fault_matrix). The tape
+ * interpreter both sides share, BatchSimulator, is checked separately
+ * against the pre-tape ReferenceSim (tests/reference_sim.h).
  */
 #pragma once
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "sim/sp_profiler.h"
 
 namespace vega::rtl {
@@ -23,7 +23,7 @@ TEST(Adder2, MatchesFigure3Structure)
 TEST(Adder2, TwoCyclePipelinedSum)
 {
     HwModule m = make_adder2();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
 
     // Drive (a, b) pairs back to back; o shows a+b two cycles later.
     struct Step { unsigned a, b; };
@@ -31,11 +31,11 @@ TEST(Adder2, TwoCyclePipelinedSum)
     std::vector<unsigned> results;
     for (size_t t = 0; t < steps.size() + 2; ++t) {
         if (t < steps.size()) {
-            sim.set_bus("a", BitVec(2, steps[t].a));
-            sim.set_bus("b", BitVec(2, steps[t].b));
+            sim.set_bus_all("a", BitVec(2, steps[t].a));
+            sim.set_bus_all("b", BitVec(2, steps[t].b));
         }
         if (t >= 2)
-            results.push_back(unsigned(sim.bus_value("o").to_u64()));
+            results.push_back(unsigned(sim.bus_value("o", 0).to_u64()));
         sim.step();
     }
     ASSERT_EQ(results.size(), steps.size());
@@ -46,15 +46,15 @@ TEST(Adder2, TwoCyclePipelinedSum)
 TEST(Adder2, ExhaustiveSingleOp)
 {
     HwModule m = make_adder2();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     for (unsigned a = 0; a < 4; ++a) {
         for (unsigned b = 0; b < 4; ++b) {
             sim.reset();
-            sim.set_bus("a", BitVec(2, a));
-            sim.set_bus("b", BitVec(2, b));
+            sim.set_bus_all("a", BitVec(2, a));
+            sim.set_bus_all("b", BitVec(2, b));
             sim.step();
             sim.step();
-            EXPECT_EQ(sim.bus_value("o").to_u64(), (a + b) & 3u);
+            EXPECT_EQ(sim.bus_value("o", 0).to_u64(), (a + b) & 3u);
         }
     }
 }
@@ -63,18 +63,18 @@ TEST(Adder2, SpProfileReflectsStimulus)
 {
     // Hold a = b = 0: every non-constant signal rests at 0 => SP 0.
     HwModule m = make_adder2();
-    Simulator sim(m.netlist);
-    auto p0 = profile_signal_probability(sim, 100,
-                                         [](Simulator &, uint64_t) {});
+    BatchSimulator sim(m.netlist);
+    auto p0 = profile_signal_probability(
+        sim, 100, [](BatchSimulator &, uint64_t) {});
     for (CellId c = 0; c < m.netlist.num_cells(); ++c)
         EXPECT_DOUBLE_EQ(p0.sp(c), 0.0);
 
     // Hold a = b = 3: aq/bq rest at 1, carry at 1, sums at 2 -> o = 2.
     sim.reset();
     auto p1 = profile_signal_probability(
-        sim, 100, [](Simulator &s, uint64_t) {
-            s.set_bus("a", BitVec(2, 3));
-            s.set_bus("b", BitVec(2, 3));
+        sim, 100, [](BatchSimulator &s, uint64_t) {
+            s.set_bus_all("a", BitVec(2, 3));
+            s.set_bus_all("b", BitVec(2, 3));
         });
     // XOR $5 output: aq0^bq0 = 0 steady state.
     // AND $6 (carry): 1.

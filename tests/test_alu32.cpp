@@ -4,22 +4,22 @@
 
 #include "common/rng.h"
 #include "cpu/alu_ops.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega::rtl {
 namespace {
 
 /** Issue one op through the 2-stage pipeline from reset. */
 uint32_t
-run_op(Simulator &sim, AluOp op, uint32_t a, uint32_t b)
+run_op(BatchSimulator &sim, AluOp op, uint32_t a, uint32_t b)
 {
     sim.reset();
-    sim.set_bus("a", BitVec(32, a));
-    sim.set_bus("b", BitVec(32, b));
-    sim.set_bus("op", BitVec(4, uint64_t(op)));
+    sim.set_bus_all("a", BitVec(32, a));
+    sim.set_bus_all("b", BitVec(32, b));
+    sim.set_bus_all("op", BitVec(4, uint64_t(op)));
     sim.step();
     sim.step();
-    return uint32_t(sim.bus_value("r").to_u64());
+    return uint32_t(sim.bus_value("r", 0).to_u64());
 }
 
 class AluOpTest : public ::testing::TestWithParam<AluOp>
@@ -31,7 +31,7 @@ class AluOpTest : public ::testing::TestWithParam<AluOp>
 TEST_P(AluOpTest, MatchesGoldenOnRandomInputs)
 {
     AluOp op = GetParam();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     Rng rng(uint64_t(op) * 977 + 5);
     for (int i = 0; i < 60; ++i) {
         uint32_t a = uint32_t(rng.next());
@@ -44,7 +44,7 @@ TEST_P(AluOpTest, MatchesGoldenOnRandomInputs)
 TEST_P(AluOpTest, MatchesGoldenOnCorners)
 {
     AluOp op = GetParam();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     const uint32_t corners[] = {0u,         1u,          0x7fffffffu,
                                 0x80000000u, 0xffffffffu, 31u,
                                 32u,        0xaaaaaaaau, 0x55555555u};
@@ -66,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Alu32, PipelinesBackToBack)
 {
     HwModule m = make_alu32();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
 
     struct Step { AluOp op; uint32_t a, b; };
     std::vector<Step> steps{{AluOp::Add, 10, 20},
@@ -76,12 +76,12 @@ TEST(Alu32, PipelinesBackToBack)
     std::vector<uint32_t> results;
     for (size_t t = 0; t < steps.size() + 2; ++t) {
         if (t < steps.size()) {
-            sim.set_bus("a", BitVec(32, steps[t].a));
-            sim.set_bus("b", BitVec(32, steps[t].b));
-            sim.set_bus("op", BitVec(4, uint64_t(steps[t].op)));
+            sim.set_bus_all("a", BitVec(32, steps[t].a));
+            sim.set_bus_all("b", BitVec(32, steps[t].b));
+            sim.set_bus_all("op", BitVec(4, uint64_t(steps[t].op)));
         }
         if (t >= 2)
-            results.push_back(uint32_t(sim.bus_value("r").to_u64()));
+            results.push_back(uint32_t(sim.bus_value("r", 0).to_u64()));
         sim.step();
     }
     ASSERT_EQ(results.size(), steps.size());
@@ -94,15 +94,15 @@ TEST(Alu32, PipelinesBackToBack)
 TEST(Alu32, UndefinedOpcodesAliasAnd)
 {
     HwModule m = make_alu32();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     for (uint64_t op = 10; op < 16; ++op) {
         sim.reset();
-        sim.set_bus("a", BitVec(32, 0xdeadbeef));
-        sim.set_bus("b", BitVec(32, 0x0f0f0f0f));
-        sim.set_bus("op", BitVec(4, op));
+        sim.set_bus_all("a", BitVec(32, 0xdeadbeef));
+        sim.set_bus_all("b", BitVec(32, 0x0f0f0f0f));
+        sim.set_bus_all("op", BitVec(4, op));
         sim.step();
         sim.step();
-        EXPECT_EQ(sim.bus_value("r").to_u64(), 0xdeadbeefu & 0x0f0f0f0fu);
+        EXPECT_EQ(sim.bus_value("r", 0).to_u64(), 0xdeadbeefu & 0x0f0f0f0fu);
     }
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega::rtl {
 namespace {
@@ -23,7 +23,7 @@ class BlockFixture
     void finish(const std::string &name, const Bus &out)
     {
         nl.add_output_bus(name, out);
-        sim_ = std::make_unique<Simulator>(nl);
+        sim_ = std::make_unique<BatchSimulator>(nl);
     }
 
     uint64_t
@@ -31,12 +31,12 @@ class BlockFixture
          const std::string &out)
     {
         for (auto &[name, v] : ins)
-            sim_->set_bus(name, BitVec(nl.bus(name).size(), v));
-        return sim_->bus_value(out).to_u64();
+            sim_->set_bus_all(name, BitVec(nl.bus(name).size(), v));
+        return sim_->bus_value(out, 0).to_u64();
     }
 
   private:
-    std::unique_ptr<Simulator> sim_;
+    std::unique_ptr<BatchSimulator> sim_;
 };
 
 TEST(Blocks, RippleAddMatchesInteger)

@@ -4,7 +4,7 @@
 
 #include "netlist/builder.h"
 #include "rtl/blocks.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega::formal {
 namespace {
@@ -145,13 +145,13 @@ TEST(Bmc, TraceReplaysOnSimulator)
     BmcResult r = check_cover(nl, target, opts);
     ASSERT_EQ(r.status, BmcStatus::Covered);
 
-    Simulator sim(nl);
+    BatchSimulator sim(nl);
     for (int f = 0; f < r.frames; ++f) {
-        sim.set_bus("a", r.trace.at("a", f));
+        sim.set_bus_all("a", r.trace.at("a", f));
         if (f + 1 < r.frames)
             sim.step();
     }
-    EXPECT_EQ(sim.value(target), true);
+    EXPECT_EQ(sim.value_lane(target, 0), true);
 }
 
 TEST(Bmc, ConflictBudgetYieldsTimeout)

@@ -18,6 +18,7 @@
 #include "cpu/alu_ops.h"
 #include "cpu/softfp.h"
 #include "lift/failure_model.h"
+#include "obs/metrics.h"
 #include "reference_campaign.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
@@ -214,6 +215,30 @@ TEST(WaveCampaign, CharacterizeWaveMatchesScalarVerdicts)
         EXPECT_EQ(int(probe_corrupts(e.module.kind, wave[i])),
                   int(scalar[i]))
             << "fault " << i;
+}
+
+TEST(WaveCampaign, LaneCyclesCountOnlyOccupiedLanes)
+{
+    // sim.lane_cycles counts lane-cycles that carry an episode: a
+    // 3-episode wave adds at most 3 per tape pass, not all 64 lanes.
+    const WaveEnv &e = alu_env();
+    auto specs = all_fault_specs(
+        e, {lift::FaultConstant::Zero, lift::FaultConstant::One});
+    ASSERT_GE(specs.size(), 3u);
+    WaveContext ctx = make_wave_context(e.module, specs);
+    std::vector<Episode> probes;
+    for (size_t i = 0; i < 3; ++i)
+        probes.push_back(
+            probe_episode(e.module.kind, i, job_stream(~uint64_t(5), i)));
+
+    obs::Counter &lane_cycles = obs::counter("sim.lane_cycles");
+    obs::Counter &passes = obs::counter("sim.batch_cycles");
+    uint64_t lanes0 = lane_cycles.value(), passes0 = passes.value();
+    characterize_wave(ctx, probes);
+    uint64_t lanes = lane_cycles.value() - lanes0;
+    uint64_t edges = passes.value() - passes0;
+    EXPECT_GT(lanes, 0u);
+    EXPECT_LE(lanes, 3 * edges);
 }
 
 TEST(WaveCampaign, AluJobsMatchReferenceAtAnyThreadCount)

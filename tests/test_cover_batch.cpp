@@ -22,7 +22,7 @@
 #include "rtl/alu32.h"
 #include "rtl/blocks.h"
 #include "rtl/fpu32.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "sim/sp_profiler.h"
 #include "sta/sta.h"
 
@@ -54,9 +54,9 @@ corpus(ModuleKind kind)
         Corpus c;
         c.module = rtl::make_alu32();
         sta::calibrate_timing_scale(c.module, lib(), 0.99);
-        Simulator sim(c.module.netlist);
+        BatchSimulator sim(c.module.netlist);
         SpProfile p = profile_signal_probability(
-            sim, 64, [](Simulator &, uint64_t) {});
+            sim, 64, [](BatchSimulator &, uint64_t) {});
         c.pairs = sta::run_sta(c.module, sta::compute_aged_timing(
                                              c.module, p, lib(), 10.0))
                       .pairs;
@@ -66,9 +66,9 @@ corpus(ModuleKind kind)
         Corpus c;
         c.module = rtl::make_fpu32();
         sta::calibrate_timing_scale(c.module, lib(), 0.99);
-        Simulator sim(c.module.netlist);
+        BatchSimulator sim(c.module.netlist);
         SpProfile p = profile_signal_probability(
-            sim, 64, [](Simulator &, uint64_t) {});
+            sim, 64, [](BatchSimulator &, uint64_t) {});
         c.pairs = sta::run_sta(c.module, sta::compute_aged_timing(
                                              c.module, p, lib(), 10.0))
                       .pairs;

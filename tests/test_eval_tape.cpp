@@ -1,12 +1,12 @@
 /**
  * @file
- * The compiled-tape contract: a freshly lowered EvalTape must behave
- * exactly like the pre-tape levelized simulator (a reference
- * interpreter of topo_order() + eval_cell lives below), and every lane
- * of the 64-lane BatchSimulator must match an independent scalar run
- * in lockstep — on random sequential netlists and on the real
- * ALU32/FPU32 blocks. Save/restore round-trips and the batched
- * SpProfile popcount path are pinned here too.
+ * The compiled-tape contract: BatchSimulator, the only EvalTape
+ * interpreter, must behave exactly like the pre-tape levelized
+ * simulator (ReferenceSim, tests/reference_sim.h). Every lane is
+ * checked against its own ReferenceSim in lockstep, on random
+ * sequential netlists and on the real ALU32/FPU32 blocks, and lanes
+ * driven alike must all match it (single-stream consumers read lane
+ * 0). Save/restore round-trips are pinned here too.
  */
 #include "sim/eval_tape.h"
 
@@ -14,11 +14,10 @@
 
 #include "common/rng.h"
 #include "netlist/builder.h"
+#include "reference_sim.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
 #include "sim/batch_sim.h"
-#include "sim/simulator.h"
-#include "sim/sp_profiler.h"
 
 namespace vega {
 namespace {
@@ -77,54 +76,6 @@ random_netlist(uint64_t seed, size_t n_inputs, size_t n_cells,
     return nl;
 }
 
-/**
- * Reference interpreter replicating the pre-tape Simulator loop
- * verbatim (per-cycle topo_order() walk over AoS cells): the
- * regression oracle the compiled tape must match bit-for-bit.
- */
-struct ReferenceSim
-{
-    const Netlist &nl;
-    std::vector<uint8_t> values;
-
-    explicit ReferenceSim(const Netlist &n) : nl(n), values(n.num_nets(), 0)
-    {
-        reset();
-    }
-
-    void reset()
-    {
-        std::fill(values.begin(), values.end(), 0);
-        for (CellId c : nl.dffs())
-            values[nl.cell(c).out] = nl.cell(c).init ? 1 : 0;
-        eval();
-    }
-
-    void eval()
-    {
-        for (CellId c : nl.topo_order()) {
-            const Cell &cell = nl.cell(c);
-            bool a = cell.num_inputs() > 0 ? values[cell.in[0]] : false;
-            bool b = cell.num_inputs() > 1 ? values[cell.in[1]] : false;
-            bool s = cell.num_inputs() > 2 ? values[cell.in[2]] : false;
-            values[cell.out] = eval_cell(cell.type, a, b, s) ? 1 : 0;
-        }
-    }
-
-    void step()
-    {
-        eval();
-        auto dffs = nl.dffs();
-        std::vector<uint8_t> next;
-        next.reserve(dffs.size());
-        for (CellId c : dffs)
-            next.push_back(values[nl.cell(c).in[0]]);
-        for (size_t i = 0; i < dffs.size(); ++i)
-            values[nl.cell(dffs[i]).out] = next[i];
-        eval();
-    }
-};
-
 TEST(EvalTape, LowersEveryNetToExactlyOneSlot)
 {
     Netlist nl = random_netlist(11, 8, 200, 6);
@@ -155,22 +106,23 @@ TEST(EvalTape, LowersEveryNetToExactlyOneSlot)
 
 TEST(EvalTape, MatchesPreTapeReferenceOnRandomNetlists)
 {
+    // Inputs driven alike in every lane: every lane of every net must
+    // equal the reference, the contract single-stream consumers rely on.
     for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
         Netlist nl = random_netlist(seed, 10, 300, 8);
-        Simulator sim(nl);
+        BatchSimulator sim(nl);
         ReferenceSim ref(nl);
         Rng stim(seed * 977);
         auto inputs = nl.primary_inputs();
         for (int t = 0; t < 20; ++t) {
             for (NetId in : inputs) {
                 bool v = stim.chance(0.5);
-                sim.set_input(in, v);
+                sim.set_input_all(in, v);
                 ref.values[in] = v ? 1 : 0;
             }
-            sim.eval();
             ref.eval();
             for (NetId n = 0; n < nl.num_nets(); ++n)
-                ASSERT_EQ(sim.value(n), bool(ref.values[n]))
+                ASSERT_EQ(sim.value(n), ref.values[n] ? ~uint64_t(0) : 0)
                     << "seed " << seed << " cycle " << t << " net "
                     << nl.net(n).name;
             sim.step();
@@ -181,13 +133,15 @@ TEST(EvalTape, MatchesPreTapeReferenceOnRandomNetlists)
 
 TEST(BatchSimulator, LockstepWithScalarOnRandomNetlists)
 {
+    // Each lane carries its own stimulus and is checked against its
+    // own scalar ReferenceSim.
     for (uint64_t seed : {21u, 22u, 23u}) {
         Netlist nl = random_netlist(seed, 6, 250, 10);
-        auto tape = std::make_shared<const EvalTape>(nl);
-        BatchSimulator batch(tape);
-        std::vector<std::unique_ptr<Simulator>> lanes;
+        BatchSimulator batch(nl);
+        std::vector<ReferenceSim> lanes;
+        lanes.reserve(BatchSimulator::kLanes);
         for (int l = 0; l < BatchSimulator::kLanes; ++l)
-            lanes.push_back(std::make_unique<Simulator>(tape));
+            lanes.emplace_back(nl);
 
         Rng stim(seed * 1319);
         auto inputs = nl.primary_inputs();
@@ -196,32 +150,36 @@ TEST(BatchSimulator, LockstepWithScalarOnRandomNetlists)
                 uint64_t plane = stim.next();
                 batch.set_input(in, plane);
                 for (int l = 0; l < BatchSimulator::kLanes; ++l)
-                    lanes[l]->set_input(in, (plane >> l) & 1);
+                    lanes[l].values[in] = (plane >> l) & 1;
             }
+            for (ReferenceSim &lane : lanes)
+                lane.eval();
             for (NetId n = 0; n < nl.num_nets(); ++n) {
                 uint64_t plane = batch.value(n);
                 for (int l = 0; l < BatchSimulator::kLanes; ++l)
-                    ASSERT_EQ((plane >> l) & 1,
-                              uint64_t(lanes[l]->value(n)))
+                    ASSERT_EQ((plane >> l) & 1, uint64_t(lanes[l].values[n]))
                         << "seed " << seed << " cycle " << t << " lane "
                         << l << " net " << nl.net(n).name;
             }
             batch.step();
-            for (auto &lane : lanes)
-                lane->step();
+            for (ReferenceSim &lane : lanes)
+                lane.step();
         }
     }
 }
 
-/** All 64 lanes vs 64 scalar runs on a real block, via its port buses. */
+/**
+ * All 64 lanes vs 64 scalar ReferenceSim runs on a real block, via its
+ * port buses.
+ */
 void
 lockstep_module(const Netlist &nl, bool is_fpu, uint64_t seed)
 {
-    auto tape = std::make_shared<const EvalTape>(nl);
-    BatchSimulator batch(tape);
-    std::vector<std::unique_ptr<Simulator>> lanes;
+    BatchSimulator batch(nl);
+    std::vector<ReferenceSim> lanes;
+    lanes.reserve(BatchSimulator::kLanes);
     for (int l = 0; l < BatchSimulator::kLanes; ++l)
-        lanes.push_back(std::make_unique<Simulator>(tape));
+        lanes.emplace_back(nl);
 
     Rng stim(seed);
     std::vector<std::string> outs(nl.output_bus_names());
@@ -233,25 +191,25 @@ lockstep_module(const Netlist &nl, bool is_fpu, uint64_t seed)
             batch.set_bus_lane("a", l, a);
             batch.set_bus_lane("b", l, b);
             batch.set_bus_lane("op", l, op);
-            lanes[l]->set_bus("a", a);
-            lanes[l]->set_bus("b", b);
-            lanes[l]->set_bus("op", op);
+            lanes[l].set_bus("a", a);
+            lanes[l].set_bus("b", b);
+            lanes[l].set_bus("op", op);
             if (is_fpu) {
                 BitVec valid(1, stim.chance(0.8) ? 1 : 0);
                 batch.set_bus_lane("valid", l, valid);
                 batch.set_bus_lane("clear", l, BitVec(1, 0));
-                lanes[l]->set_bus("valid", valid);
-                lanes[l]->set_bus("clear", BitVec(1, 0));
+                lanes[l].set_bus("valid", valid);
+                lanes[l].set_bus("clear", BitVec(1, 0));
             }
+            lanes[l].eval();
         }
         for (const std::string &bus : outs)
             for (int l = 0; l < BatchSimulator::kLanes; ++l)
-                ASSERT_EQ(batch.bus_value(bus, l),
-                          lanes[l]->bus_value(bus))
+                ASSERT_EQ(batch.bus_value(bus, l), lanes[l].bus_value(bus))
                     << "cycle " << t << " lane " << l << " bus " << bus;
         batch.step();
-        for (auto &lane : lanes)
-            lane->step();
+        for (ReferenceSim &lane : lanes)
+            lane.step();
     }
 }
 
@@ -303,67 +261,6 @@ TEST(BatchSimulator, RestoreStateRejectsWrongSize)
     BatchSimulator sim(nl);
     std::vector<uint64_t> wrong(nl.num_nets() + 3, 0);
     EXPECT_DEATH(sim.restore_state(wrong), "restore_state plane count");
-}
-
-TEST(SpProfiler, BatchSampleMatchesMergedLanes)
-{
-    // Profiling N cycles in one 64-lane batch must equal merging 64
-    // single-lane profiles bit-for-bit in ones/transitions/samples.
-    Netlist nl = random_netlist(55, 6, 200, 10);
-    auto tape = std::make_shared<const EvalTape>(nl);
-    auto inputs = nl.primary_inputs();
-    const uint64_t kCycles = 40;
-
-    // Pre-draw the stimulus planes so scalar lanes can replay bits.
-    Rng stim(31337);
-    std::vector<std::vector<uint64_t>> planes(kCycles);
-    for (auto &row : planes)
-        for (size_t i = 0; i < inputs.size(); ++i)
-            row.push_back(stim.next());
-
-    BatchSimulator batch(tape);
-    SpProfile batched = profile_signal_probability_batch(
-        batch, kCycles, [&](BatchSimulator &s, uint64_t t) {
-            for (size_t i = 0; i < inputs.size(); ++i)
-                s.set_input(inputs[i], planes[t][i]);
-        });
-
-    SpProfile merged(nl.num_cells());
-    for (int lane = 0; lane < BatchSimulator::kLanes; ++lane) {
-        Simulator sim(tape);
-        SpProfile p = profile_signal_probability(
-            sim, kCycles, [&](Simulator &s, uint64_t t) {
-                for (size_t i = 0; i < inputs.size(); ++i)
-                    s.set_input(inputs[i], (planes[t][i] >> lane) & 1);
-            });
-        merged.merge(p);
-    }
-
-    ASSERT_EQ(batched.samples(), merged.samples());
-    ASSERT_EQ(batched.samples(), kCycles * BatchSimulator::kLanes);
-    for (CellId c = 0; c < nl.num_cells(); ++c) {
-        // sp/activity are integer-counter ratios: exact doubles, so
-        // exact equality here means ones_/transitions_ are identical.
-        EXPECT_DOUBLE_EQ(batched.sp(c), merged.sp(c)) << "cell " << c;
-        EXPECT_DOUBLE_EQ(batched.activity(c), merged.activity(c))
-            << "cell " << c;
-    }
-}
-
-TEST(SpProfiler, MixedSampleWidthsAreRejected)
-{
-    Netlist nl = random_netlist(56, 4, 50, 2);
-    auto tape = std::make_shared<const EvalTape>(nl);
-    Simulator sim(tape);
-    BatchSimulator batch(tape);
-
-    SpProfile p(nl.num_cells());
-    p.sample(sim);
-    EXPECT_DEATH(p.sample(batch), "batch sample");
-
-    SpProfile q(nl.num_cells());
-    q.sample(batch);
-    EXPECT_DEATH(q.sample(sim), "scalar sample");
 }
 
 } // namespace

@@ -54,10 +54,10 @@ TEST(VcdWriter, OnlyChangesAreDumpedAfterTimeZero)
 TEST(VcdWriter, CaptureWaveformRecordsSimulation)
 {
     HwModule m = rtl::make_adder2();
-    Simulator sim(m.netlist);
-    Waveform w = capture_waveform(sim, 4, [](Simulator &s, uint64_t t) {
-        s.set_bus("a", BitVec(2, t % 4));
-        s.set_bus("b", BitVec(2, 1));
+    BatchSimulator sim(m.netlist);
+    Waveform w = capture_waveform(sim, 4, [](BatchSimulator &s, uint64_t t) {
+        s.set_bus_all("a", BitVec(2, t % 4));
+        s.set_bus_all("b", BitVec(2, 1));
     });
     EXPECT_EQ(w.num_cycles(), 4u);
     // Pipeline: o at cycle 2 shows a=0,b=1 -> 1.

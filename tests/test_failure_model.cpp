@@ -6,7 +6,7 @@
 #include "netlist/builder.h"
 #include "netlist/verilog_writer.h"
 #include "rtl/adder2.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega::lift {
 namespace {
@@ -51,16 +51,17 @@ paper_hold_spec(const Netlist &nl, FaultConstant c)
 
 /** Run one (a, b) pair per cycle and return o two cycles later. */
 std::vector<unsigned>
-run_pipeline(Simulator &sim, const std::vector<std::pair<unsigned, unsigned>> &in)
+run_pipeline(BatchSimulator &sim,
+             const std::vector<std::pair<unsigned, unsigned>> &in)
 {
     std::vector<unsigned> out;
     for (size_t t = 0; t < in.size() + 2; ++t) {
         if (t < in.size()) {
-            sim.set_bus("a", BitVec(2, in[t].first));
-            sim.set_bus("b", BitVec(2, in[t].second));
+            sim.set_bus_all("a", BitVec(2, in[t].first));
+            sim.set_bus_all("b", BitVec(2, in[t].second));
         }
         if (t >= 2)
-            out.push_back(unsigned(sim.bus_value("o").to_u64()));
+            out.push_back(unsigned(sim.bus_value("o", 0).to_u64()));
         sim.step();
     }
     return out;
@@ -73,7 +74,7 @@ TEST(FailureModel, SetupFaultTriggersOnlyWhenLaunchChanges)
     FailingNetlist failing =
         build_failing_netlist(m.netlist, paper_setup_spec(m.netlist,
                                                           FaultConstant::Zero));
-    Simulator sim(failing.netlist);
+    BatchSimulator sim(failing.netlist);
 
     // b = 2 constantly: bq[1] stable after warmup, sums correct.
     auto stable = run_pipeline(sim, {{1, 2}, {2, 2}, {3, 2}});
@@ -97,7 +98,7 @@ TEST(FailureModel, SetupFaultWithCOneForcesBitHigh)
     FailingNetlist failing =
         build_failing_netlist(m.netlist, paper_setup_spec(m.netlist,
                                                           FaultConstant::One));
-    Simulator sim(failing.netlist);
+    BatchSimulator sim(failing.netlist);
     // a=b=0 but b[1] toggles: sum should be 0, fault forces o[1]=1 -> 2.
     auto out = run_pipeline(sim, {{0, 2}, {0, 0}, {0, 2}, {0, 0}});
     EXPECT_EQ(out[1] & 2u, 2u); // golden 2+0=2? no: a=0,b=0 -> 0, fault -> 2
@@ -111,7 +112,7 @@ TEST(FailureModel, HoldFaultTriggersWhenLaunchAboutToChange)
     FailingNetlist failing =
         build_failing_netlist(m.netlist, paper_hold_spec(m.netlist,
                                                          FaultConstant::One));
-    Simulator sim(failing.netlist);
+    BatchSimulator sim(failing.netlist);
 
     // Hold a constant: no corruption after warmup.
     auto stable = run_pipeline(sim, {{1, 0}, {1, 0}, {1, 0}});
@@ -136,8 +137,8 @@ TEST(FailureModel, RandomInputModeAddsInputBus)
     // With fm_rand driven to the golden value, behaviour can be correct;
     // driven wrong on an activation cycle, it corrupts. Spot check: the
     // bus exists and is simulable.
-    Simulator sim(failing.netlist);
-    sim.set_bus("fm_rand", BitVec(1, 0));
+    BatchSimulator sim(failing.netlist);
+    sim.set_bus_all("fm_rand", BitVec(1, 0));
     sim.run(4);
 }
 
@@ -149,7 +150,7 @@ TEST(FailureModel, MitigationNarrowsActivation)
         m.netlist,
         paper_setup_spec(m.netlist, FaultConstant::Zero,
                          Mitigation::RisingEdge));
-    Simulator sim(rise.netlist);
+    BatchSimulator sim(rise.netlist);
     // b[1]: 0 -> 1 (rising into bq at cycle 2): corrupts that result;
     // 1 -> 0 (falling): does not corrupt.
     auto out = run_pipeline(sim, {{0, 0}, {0, 2}, {0, 0}, {0, 0}});
@@ -185,12 +186,12 @@ TEST(ShadowReplica, BuildsFigure7Structure)
     EXPECT_NE(find_cell(shadow.netlist, "$10_s"), kInvalidId);
 
     // Original outputs must be untouched: healthy sums on the o bus.
-    Simulator sim(shadow.netlist);
-    sim.set_bus("a", BitVec(2, 1));
-    sim.set_bus("b", BitVec(2, 2));
+    BatchSimulator sim(shadow.netlist);
+    sim.set_bus_all("a", BitVec(2, 1));
+    sim.set_bus_all("b", BitVec(2, 2));
     sim.step();
     sim.step();
-    EXPECT_EQ(sim.bus_value("o").to_u64(), 3u);
+    EXPECT_EQ(sim.bus_value("o", 0).to_u64(), 3u);
 }
 
 TEST(ShadowReplica, CoverTraceMatchesTable2Semantics)
@@ -211,16 +212,16 @@ TEST(ShadowReplica, CoverTraceMatchesTable2Semantics)
     EXPECT_EQ(r.frames, 3); // same depth as the paper's example trace
 
     // Replay: drive the recorded inputs; the mismatch must reproduce.
-    Simulator sim(shadow.netlist);
+    BatchSimulator sim(shadow.netlist);
     for (int f = 0; f < r.frames; ++f) {
-        sim.set_bus("a", r.trace.at("a", f));
-        sim.set_bus("b", r.trace.at("b", f));
+        sim.set_bus_all("a", r.trace.at("a", f));
+        sim.set_bus_all("b", r.trace.at("b", f));
         if (f + 1 < r.frames)
             sim.step();
     }
-    EXPECT_EQ(sim.bus_value("mismatch").to_u64(), 1u);
-    EXPECT_NE(sim.bus_value("o").to_u64(),
-              sim.bus_value("o_s").to_u64());
+    EXPECT_EQ(sim.bus_value("mismatch", 0).to_u64(), 1u);
+    EXPECT_NE(sim.bus_value("o", 0).to_u64(),
+              sim.bus_value("o_s", 0).to_u64());
 }
 
 TEST(ShadowReplica, HoldFaultCoverable)
@@ -245,7 +246,7 @@ TEST(ShadowReplica, SameFlopMetastableModel)
     spec.is_setup = false;
     spec.constant = FaultConstant::One;
     FailingNetlist failing = build_failing_netlist(m.netlist, spec);
-    Simulator sim(failing.netlist);
+    BatchSimulator sim(failing.netlist);
     auto out = run_pipeline(sim, {{0, 0}, {0, 0}, {0, 0}});
     for (unsigned o : out)
         EXPECT_EQ(o & 1u, 1u); // o[0] stuck at C = 1

@@ -4,7 +4,7 @@
 
 #include "common/rng.h"
 #include "cpu/softfp.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega::rtl {
 namespace {
@@ -13,20 +13,20 @@ using fp::FpuOp;
 
 /** Drive one op through the 2-stage pipeline from a cleared state. */
 fp::FpResult
-run_op(Simulator &sim, FpuOp op, uint32_t a, uint32_t b)
+run_op(BatchSimulator &sim, FpuOp op, uint32_t a, uint32_t b)
 {
     sim.reset();
-    sim.set_bus("a", BitVec(32, a));
-    sim.set_bus("b", BitVec(32, b));
-    sim.set_bus("op", BitVec(3, uint64_t(op)));
-    sim.set_bus("valid", BitVec(1, 1));
-    sim.set_bus("clear", BitVec(1, 0));
+    sim.set_bus_all("a", BitVec(32, a));
+    sim.set_bus_all("b", BitVec(32, b));
+    sim.set_bus_all("op", BitVec(3, uint64_t(op)));
+    sim.set_bus_all("valid", BitVec(1, 1));
+    sim.set_bus_all("clear", BitVec(1, 0));
     sim.step();
-    sim.set_bus("valid", BitVec(1, 0));
+    sim.set_bus_all("valid", BitVec(1, 0));
     sim.step();
     fp::FpResult r;
-    r.bits = uint32_t(sim.bus_value("r").to_u64());
-    r.flags = uint8_t(sim.bus_value("flags").to_u64());
+    r.bits = uint32_t(sim.bus_value("r", 0).to_u64());
+    r.flags = uint8_t(sim.bus_value("flags", 0).to_u64());
     return r;
 }
 
@@ -56,7 +56,7 @@ random_any(vega::Rng &rng)
 TEST_P(FpuOpTest, MatchesSoftFpOnRandomInputs)
 {
     FpuOp op = GetParam();
-    Simulator sim(module().netlist);
+    BatchSimulator sim(module().netlist);
     vega::Rng rng(uint64_t(op) * 131 + 17);
     for (int i = 0; i < 40; ++i) {
         uint32_t a = random_any(rng), b = random_any(rng);
@@ -72,7 +72,7 @@ TEST_P(FpuOpTest, MatchesSoftFpOnRandomInputs)
 TEST_P(FpuOpTest, MatchesSoftFpOnCorners)
 {
     FpuOp op = GetParam();
-    Simulator sim(module().netlist);
+    BatchSimulator sim(module().netlist);
     const uint32_t corners[] = {
         0x00000000, 0x80000000, // +-0
         0x3f800000, 0xbf800000, // +-1
@@ -111,71 +111,71 @@ TEST(Fpu32, ValidHandshakePipelines)
         static HwModule mod = make_fpu32();
         return mod;
     }();
-    Simulator sim(m.netlist);
-    sim.set_bus("valid", BitVec(1, 1));
-    sim.set_bus("clear", BitVec(1, 0));
-    sim.set_bus("a", BitVec(32, 0x3f800000));
-    sim.set_bus("b", BitVec(32, 0x3f800000));
-    sim.set_bus("op", BitVec(3, 0));
+    BatchSimulator sim(m.netlist);
+    sim.set_bus_all("valid", BitVec(1, 1));
+    sim.set_bus_all("clear", BitVec(1, 0));
+    sim.set_bus_all("a", BitVec(32, 0x3f800000));
+    sim.set_bus_all("b", BitVec(32, 0x3f800000));
+    sim.set_bus_all("op", BitVec(3, 0));
 
-    EXPECT_EQ(sim.bus_value("valid_out").to_u64(), 0u);
+    EXPECT_EQ(sim.bus_value("valid_out", 0).to_u64(), 0u);
     sim.step();
-    sim.set_bus("valid", BitVec(1, 0));
-    EXPECT_EQ(sim.bus_value("valid_out").to_u64(), 0u);
+    sim.set_bus_all("valid", BitVec(1, 0));
+    EXPECT_EQ(sim.bus_value("valid_out", 0).to_u64(), 0u);
     sim.step();
-    EXPECT_EQ(sim.bus_value("valid_out").to_u64(), 1u);
-    EXPECT_EQ(sim.bus_value("ack").to_u64(), 1u);
-    EXPECT_EQ(sim.bus_value("r").to_u64(), 0x40000000u); // 1+1
+    EXPECT_EQ(sim.bus_value("valid_out", 0).to_u64(), 1u);
+    EXPECT_EQ(sim.bus_value("ack", 0).to_u64(), 1u);
+    EXPECT_EQ(sim.bus_value("r", 0).to_u64(), 0x40000000u); // 1+1
     // The transaction tag toggles once for the single accepted op and
     // reaches dbg_out one cycle later.
-    EXPECT_EQ(sim.bus_value("dbg_out").to_u64(), 0u);
+    EXPECT_EQ(sim.bus_value("dbg_out", 0).to_u64(), 0u);
     sim.step();
-    EXPECT_EQ(sim.bus_value("dbg_out").to_u64(), 1u);
+    EXPECT_EQ(sim.bus_value("dbg_out", 0).to_u64(), 1u);
 }
 
 TEST(Fpu32, FlagsAreStickyUntilCleared)
 {
     static HwModule m = make_fpu32();
-    Simulator sim(m.netlist);
-    sim.set_bus("clear", BitVec(1, 0));
+    BatchSimulator sim(m.netlist);
+    sim.set_bus_all("clear", BitVec(1, 0));
 
     // Raise NX via 1 + tiny.
-    sim.set_bus("a", BitVec(32, 0x3f800000));
-    sim.set_bus("b", BitVec(32, 0x20000000));
-    sim.set_bus("op", BitVec(3, 0));
-    sim.set_bus("valid", BitVec(1, 1));
+    sim.set_bus_all("a", BitVec(32, 0x3f800000));
+    sim.set_bus_all("b", BitVec(32, 0x20000000));
+    sim.set_bus_all("op", BitVec(3, 0));
+    sim.set_bus_all("valid", BitVec(1, 1));
     sim.step();
-    sim.set_bus("valid", BitVec(1, 0));
+    sim.set_bus_all("valid", BitVec(1, 0));
     sim.step();
-    EXPECT_TRUE(sim.bus_value("flags").to_u64() & fp::kNX);
+    EXPECT_TRUE(sim.bus_value("flags", 0).to_u64() & fp::kNX);
 
     // An exact op afterwards must not clear NX.
-    sim.set_bus("a", BitVec(32, 0x3f800000));
-    sim.set_bus("b", BitVec(32, 0x3f800000));
-    sim.set_bus("valid", BitVec(1, 1));
+    sim.set_bus_all("a", BitVec(32, 0x3f800000));
+    sim.set_bus_all("b", BitVec(32, 0x3f800000));
+    sim.set_bus_all("valid", BitVec(1, 1));
     sim.step();
-    sim.set_bus("valid", BitVec(1, 0));
+    sim.set_bus_all("valid", BitVec(1, 0));
     sim.step();
-    EXPECT_TRUE(sim.bus_value("flags").to_u64() & fp::kNX);
+    EXPECT_TRUE(sim.bus_value("flags", 0).to_u64() & fp::kNX);
 
     // clear wipes the register.
-    sim.set_bus("clear", BitVec(1, 1));
+    sim.set_bus_all("clear", BitVec(1, 1));
     sim.step();
     sim.step();
-    EXPECT_EQ(sim.bus_value("flags").to_u64(), 0u);
+    EXPECT_EQ(sim.bus_value("flags", 0).to_u64(), 0u);
 }
 
 TEST(Fpu32, InvalidOpsDoNotRaiseFlagsWithoutValid)
 {
     static HwModule m = make_fpu32();
-    Simulator sim(m.netlist);
-    sim.set_bus("a", BitVec(32, 0x7f800001)); // sNaN
-    sim.set_bus("b", BitVec(32, 0x3f800000));
-    sim.set_bus("op", BitVec(3, 0));
-    sim.set_bus("valid", BitVec(1, 0)); // not a real op
-    sim.set_bus("clear", BitVec(1, 0));
+    BatchSimulator sim(m.netlist);
+    sim.set_bus_all("a", BitVec(32, 0x7f800001)); // sNaN
+    sim.set_bus_all("b", BitVec(32, 0x3f800000));
+    sim.set_bus_all("op", BitVec(3, 0));
+    sim.set_bus_all("valid", BitVec(1, 0)); // not a real op
+    sim.set_bus_all("clear", BitVec(1, 0));
     sim.run(4);
-    EXPECT_EQ(sim.bus_value("flags").to_u64(), 0u);
+    EXPECT_EQ(sim.bus_value("flags", 0).to_u64(), 0u);
 }
 
 TEST(Fpu32, ModuleShape)

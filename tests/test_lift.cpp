@@ -41,10 +41,10 @@ class AluLift : public ::testing::Test
     static const sta::StaResult &sta_result()
     {
         static sta::StaResult r = [] {
-            Simulator sim(module().netlist);
+            BatchSimulator sim(module().netlist);
             // Park inputs at zero: worst-case NBTI stress everywhere.
             SpProfile profile = profile_signal_probability(
-                sim, 64, [](Simulator &, uint64_t) {});
+                sim, 64, [](BatchSimulator &, uint64_t) {});
             sta::AgedTiming aged =
                 sta::compute_aged_timing(module(), profile, lib(), 10.0);
             return sta::run_sta(module(), aged);

@@ -6,22 +6,22 @@
 #include "cpu/assembler.h"
 #include "cpu/mdu_ops.h"
 #include "cpu/netlist_backend.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "vega/workflow.h"
 
 namespace vega::rtl {
 namespace {
 
 uint32_t
-run_op(Simulator &sim, MduOp op, uint32_t a, uint32_t b)
+run_op(BatchSimulator &sim, MduOp op, uint32_t a, uint32_t b)
 {
     sim.reset();
-    sim.set_bus("a", BitVec(32, a));
-    sim.set_bus("b", BitVec(32, b));
-    sim.set_bus("op", BitVec(2, uint64_t(op)));
+    sim.set_bus_all("a", BitVec(32, a));
+    sim.set_bus_all("b", BitVec(32, b));
+    sim.set_bus_all("op", BitVec(2, uint64_t(op)));
     sim.step();
     sim.step();
-    return uint32_t(sim.bus_value("r").to_u64());
+    return uint32_t(sim.bus_value("r", 0).to_u64());
 }
 
 class MduOpTest : public ::testing::TestWithParam<MduOp>
@@ -37,7 +37,7 @@ class MduOpTest : public ::testing::TestWithParam<MduOp>
 TEST_P(MduOpTest, MatchesGoldenOnRandomInputs)
 {
     MduOp op = GetParam();
-    Simulator sim(module().netlist);
+    BatchSimulator sim(module().netlist);
     Rng rng(uint64_t(op) * 31 + 3);
     for (int i = 0; i < 60; ++i) {
         uint32_t a = uint32_t(rng.next()), b = uint32_t(rng.next());
@@ -49,7 +49,7 @@ TEST_P(MduOpTest, MatchesGoldenOnRandomInputs)
 TEST_P(MduOpTest, MatchesGoldenOnCorners)
 {
     MduOp op = GetParam();
-    Simulator sim(module().netlist);
+    BatchSimulator sim(module().netlist);
     const uint32_t corners[] = {0u,          1u,          0x7fffffffu,
                                 0x80000000u, 0xffffffffu, 0x00010001u,
                                 0xaaaaaaaau, 0x55555555u};

@@ -7,7 +7,7 @@
 #include "mem/mem_backend.h"
 #include "rtl/memdec.h"
 #include "runtime/suite_io.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "vega/workflow.h"
 #include "workloads/march.h"
 
@@ -27,11 +27,11 @@ lib()
 
 /** Drive addr/we/din and step once. */
 void
-drive(Simulator &sim, uint32_t addr, bool we, uint32_t din)
+drive(BatchSimulator &sim, uint32_t addr, bool we, uint32_t din)
 {
-    sim.set_bus("addr", BitVec(4, addr));
-    sim.set_bus("we", BitVec(1, we ? 1 : 0));
-    sim.set_bus("din", BitVec(8, din));
+    sim.set_bus_all("addr", BitVec(4, addr));
+    sim.set_bus_all("we", BitVec(1, we ? 1 : 0));
+    sim.set_bus_all("din", BitVec(8, din));
     sim.step();
 }
 
@@ -41,13 +41,13 @@ drive(Simulator &sim, uint32_t addr, bool we, uint32_t din)
 TEST(MemDecSubstrate, WordlinesAreOneHot)
 {
     HwModule m = rtl::make_memdec16();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     sim.reset();
     for (uint32_t a = 0; a < 16; ++a) {
         for (int i = 0; i < 3; ++i)
             drive(sim, a, false, 0);
-        BitVec rwl = sim.bus_value("rwl");
-        BitVec wwl = sim.bus_value("wwl");
+        BitVec rwl = sim.bus_value("rwl", 0);
+        BitVec wwl = sim.bus_value("wwl", 0);
         EXPECT_EQ(rwl.popcount(), 1u) << "addr " << a;
         EXPECT_TRUE(rwl.get(a)) << "addr " << a;
         EXPECT_EQ(wwl.popcount(), 1u) << "addr " << a;
@@ -58,7 +58,7 @@ TEST(MemDecSubstrate, WordlinesAreOneHot)
 TEST(MemDecSubstrate, WriteReadRoundTrip)
 {
     HwModule m = rtl::make_memdec16();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     sim.reset();
 
     // Write distinct values to three rows, then read them back.
@@ -70,7 +70,7 @@ TEST(MemDecSubstrate, WriteReadRoundTrip)
     for (int i = 0; i < 3; ++i) {
         for (int c = 0; c < 5; ++c)
             drive(sim, rows[i], false, 0);
-        EXPECT_EQ(sim.bus_value("rdata").to_u64(), vals[i])
+        EXPECT_EQ(sim.bus_value("rdata", 0).to_u64(), vals[i])
             << "row " << rows[i];
     }
 
@@ -79,10 +79,10 @@ TEST(MemDecSubstrate, WriteReadRoundTrip)
         drive(sim, 7, true, 0x11);
     for (int c = 0; c < 5; ++c)
         drive(sim, 7, false, 0);
-    EXPECT_EQ(sim.bus_value("rdata").to_u64(), 0x11u);
+    EXPECT_EQ(sim.bus_value("rdata", 0).to_u64(), 0x11u);
     for (int c = 0; c < 5; ++c)
         drive(sim, 15, false, 0);
-    EXPECT_EQ(sim.bus_value("rdata").to_u64(), 0xffu);
+    EXPECT_EQ(sim.bus_value("rdata", 0).to_u64(), 0xffu);
 }
 
 TEST(MemDecSubstrate, ParamValidation)

@@ -21,9 +21,9 @@ TEST(SpActivity, TogglingCellHasFullActivity)
     NetId one = b.const1();
     nl.add_output_bus("o", {q, one});
 
-    Simulator sim(nl);
-    SpProfile p = profile_signal_probability(sim, 512,
-                                             [](Simulator &, uint64_t) {});
+    BatchSimulator sim(nl);
+    SpProfile p = profile_signal_probability(
+        sim, 512, [](BatchSimulator &, uint64_t) {});
     EXPECT_NEAR(p.activity(ff), 1.0, 0.01);
     EXPECT_NEAR(p.activity(inv), 1.0, 0.01);
     EXPECT_DOUBLE_EQ(p.activity(nl.net(one).driver), 0.0);
@@ -42,9 +42,9 @@ TEST(SpActivity, DividerChainHalvesActivity)
     CellId f1 = nl.add_dff("f1", d1, q1, false);
     nl.add_output_bus("o", {q0, q1});
 
-    Simulator sim(nl);
-    SpProfile p = profile_signal_probability(sim, 1024,
-                                             [](Simulator &, uint64_t) {});
+    BatchSimulator sim(nl);
+    SpProfile p = profile_signal_probability(
+        sim, 1024, [](BatchSimulator &, uint64_t) {});
     EXPECT_NEAR(p.activity(f0), 1.0, 0.01);
     EXPECT_NEAR(p.activity(f1), 0.5, 0.01);
 }
@@ -58,11 +58,11 @@ TEST(SpActivity, MergedProfilesAccumulateTransitions)
     CellId ff = nl.add_dff("ff", d, q, false);
     nl.add_output_bus("o", {q});
 
-    Simulator sim(nl);
+    BatchSimulator sim(nl);
     SpProfile p1 = profile_signal_probability(
-        sim, 100, [](Simulator &, uint64_t) {});
+        sim, 100, [](BatchSimulator &, uint64_t) {});
     SpProfile p2 = profile_signal_probability(
-        sim, 100, [](Simulator &, uint64_t) {});
+        sim, 100, [](BatchSimulator &, uint64_t) {});
     p1.merge(p2);
     EXPECT_GT(p1.activity(ff), 0.9);
 }
@@ -70,12 +70,12 @@ TEST(SpActivity, MergedProfilesAccumulateTransitions)
 TEST(IrDrop, DerateOnlySlowsActiveCells)
 {
     HwModule m = rtl::make_adder2();
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     // Toggle everything to build up activity.
     SpProfile p = profile_signal_probability(
-        sim, 256, [](Simulator &s, uint64_t t) {
-            s.set_bus("a", BitVec(2, t % 4));
-            s.set_bus("b", BitVec(2, (t / 2) % 4));
+        sim, 256, [](BatchSimulator &s, uint64_t t) {
+            s.set_bus_all("a", BitVec(2, t % 4));
+            s.set_bus_all("b", BitVec(2, (t / 2) % 4));
         });
     auto lib = aging::AgingTimingLibrary::build(aging::RdModelParams{});
 

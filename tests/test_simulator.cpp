@@ -1,4 +1,11 @@
-#include "sim/simulator.h"
+/**
+ * @file
+ * Simulation semantics (combinational settle, atomic DFF commit, reset,
+ * buses, shared tapes) and SP profiling, exercised the way
+ * single-stream consumers use BatchSimulator: every lane driven alike,
+ * lane 0 read.
+ */
+#include "sim/batch_sim.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +15,7 @@
 namespace vega {
 namespace {
 
-TEST(Simulator, CombinationalEval)
+TEST(BatchSimulator, CombinationalEval)
 {
     Netlist nl("t");
     Builder b(nl);
@@ -16,17 +23,17 @@ TEST(Simulator, CombinationalEval)
     NetId y = b.xor_(a[0], a[1]);
     nl.add_output_bus("y", {y});
 
-    Simulator sim(nl);
+    BatchSimulator sim(nl);
     for (int va = 0; va < 2; ++va) {
         for (int vb = 0; vb < 2; ++vb) {
-            sim.set_input(a[0], va);
-            sim.set_input(a[1], vb);
-            EXPECT_EQ(sim.value(y), va != vb);
+            sim.set_input_all(a[0], va);
+            sim.set_input_all(a[1], vb);
+            EXPECT_EQ(sim.value_lane(y, 0), va != vb);
         }
     }
 }
 
-TEST(Simulator, DffDelaysOneCycle)
+TEST(BatchSimulator, DffDelaysOneCycle)
 {
     Netlist nl("t");
     Builder b(nl);
@@ -34,18 +41,18 @@ TEST(Simulator, DffDelaysOneCycle)
     NetId q = b.dff(d[0], false);
     nl.add_output_bus("q", {q});
 
-    Simulator sim(nl);
-    EXPECT_FALSE(sim.value(q)); // init value
-    sim.set_input(d[0], true);
-    EXPECT_FALSE(sim.value(q)); // not clocked yet
+    BatchSimulator sim(nl);
+    EXPECT_FALSE(sim.value_lane(q, 0)); // init value
+    sim.set_input_all(d[0], true);
+    EXPECT_FALSE(sim.value_lane(q, 0)); // not clocked yet
     sim.step();
-    EXPECT_TRUE(sim.value(q));
-    sim.set_input(d[0], false);
+    EXPECT_TRUE(sim.value_lane(q, 0));
+    sim.set_input_all(d[0], false);
     sim.step();
-    EXPECT_FALSE(sim.value(q));
+    EXPECT_FALSE(sim.value_lane(q, 0));
 }
 
-TEST(Simulator, DffInitValueAppliesAtReset)
+TEST(BatchSimulator, DffInitValueAppliesAtReset)
 {
     Netlist nl("t");
     Builder b(nl);
@@ -53,16 +60,16 @@ TEST(Simulator, DffInitValueAppliesAtReset)
     NetId q = b.dff(d[0], true);
     nl.add_output_bus("q", {q});
 
-    Simulator sim(nl);
-    EXPECT_TRUE(sim.value(q));
+    BatchSimulator sim(nl);
+    EXPECT_TRUE(sim.value_lane(q, 0));
     sim.step(); // d = 0 -> q drops
-    EXPECT_FALSE(sim.value(q));
+    EXPECT_FALSE(sim.value_lane(q, 0));
     sim.reset();
-    EXPECT_TRUE(sim.value(q));
+    EXPECT_TRUE(sim.value_lane(q, 0));
     EXPECT_EQ(sim.cycle(), 0u);
 }
 
-TEST(Simulator, ToggleCounterChain)
+TEST(BatchSimulator, ToggleCounterChain)
 {
     // q <= !q : a 1-bit divider.
     Netlist nl("t");
@@ -73,17 +80,17 @@ TEST(Simulator, ToggleCounterChain)
     nl.add_dff("ff", d, q, false);
     nl.add_output_bus("q", {q});
 
-    Simulator sim(nl);
+    BatchSimulator sim(nl);
     bool expected = false;
     for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(sim.value(q), expected);
+        EXPECT_EQ(sim.value_lane(q, 0), expected);
         sim.step();
         expected = !expected;
     }
     EXPECT_EQ(sim.cycle(), 10u);
 }
 
-TEST(Simulator, AtomicDffCommit)
+TEST(BatchSimulator, AtomicDffCommit)
 {
     // Shift register: q2 must get q1's *old* value on the same edge.
     Netlist nl("t");
@@ -93,16 +100,16 @@ TEST(Simulator, AtomicDffCommit)
     NetId q2 = b.dff(q1);
     nl.add_output_bus("q", {q1, q2});
 
-    Simulator sim(nl);
-    sim.set_input(d[0], true);
+    BatchSimulator sim(nl);
+    sim.set_input_all(d[0], true);
     sim.step();
-    EXPECT_TRUE(sim.value(q1));
-    EXPECT_FALSE(sim.value(q2)); // not yet
+    EXPECT_TRUE(sim.value_lane(q1, 0));
+    EXPECT_FALSE(sim.value_lane(q2, 0)); // not yet
     sim.step();
-    EXPECT_TRUE(sim.value(q2));
+    EXPECT_TRUE(sim.value_lane(q2, 0));
 }
 
-TEST(Simulator, BusRoundTrip)
+TEST(BatchSimulator, BusRoundTrip)
 {
     Netlist nl("t");
     Builder b(nl);
@@ -112,56 +119,13 @@ TEST(Simulator, BusRoundTrip)
         q.push_back(b.dff(n));
     nl.add_output_bus("q", q);
 
-    Simulator sim(nl);
-    sim.set_bus("a", BitVec(8, 0x5a));
+    BatchSimulator sim(nl);
+    sim.set_bus_all("a", BitVec(8, 0x5a));
     sim.step();
-    EXPECT_EQ(sim.bus_value("q").to_u64(), 0x5au);
+    EXPECT_EQ(sim.bus_value("q", 0).to_u64(), 0x5au);
 }
 
-TEST(Simulator, SaveRestoreRoundTrip)
-{
-    // Shift register driven, saved mid-flight, diverged, restored: the
-    // replay must retrace the original trajectory exactly.
-    Netlist nl("t");
-    Builder b(nl);
-    auto d = nl.add_input_bus("d", 1);
-    NetId q1 = b.dff(d[0]);
-    NetId q2 = b.dff(q1);
-    nl.add_output_bus("q", {q1, q2});
-
-    Simulator sim(nl);
-    sim.set_input(d[0], true);
-    sim.step();
-    auto saved = sim.save_state();
-    bool saved_q1 = sim.value(q1), saved_q2 = sim.value(q2);
-
-    sim.set_input(d[0], false);
-    sim.step();
-    sim.step();
-
-    sim.restore_state(saved);
-    EXPECT_EQ(sim.value(q1), saved_q1);
-    EXPECT_EQ(sim.value(q2), saved_q2);
-    sim.step();
-    EXPECT_TRUE(sim.value(q2)); // q1's old 1 shifted on as before
-}
-
-TEST(Simulator, RestoreStateRejectsWrongSize)
-{
-    Netlist nl("t");
-    Builder b(nl);
-    auto d = nl.add_input_bus("d", 1);
-    NetId q = b.dff(d[0]);
-    nl.add_output_bus("q", {q});
-
-    Simulator sim(nl);
-    std::vector<uint8_t> wrong(nl.num_nets() + 1, 0);
-    EXPECT_DEATH(sim.restore_state(wrong), "restore_state size");
-    std::vector<uint8_t> empty;
-    EXPECT_DEATH(sim.restore_state(empty), "restore_state size");
-}
-
-TEST(Simulator, SharedTapeMatchesPrivateTape)
+TEST(BatchSimulator, SharedTapeMatchesPrivateTape)
 {
     // Two simulators over one compiled tape are fully independent and
     // agree with a simulator that lowered the netlist itself.
@@ -174,16 +138,16 @@ TEST(Simulator, SharedTapeMatchesPrivateTape)
     nl.add_output_bus("q", q);
 
     auto tape = std::make_shared<const EvalTape>(nl);
-    Simulator s1(tape), s2(tape), owned(nl);
-    s1.set_bus("a", BitVec(4, 0x5));
-    s2.set_bus("a", BitVec(4, 0xa));
-    owned.set_bus("a", BitVec(4, 0x5));
+    BatchSimulator s1(tape), s2(tape), owned(nl);
+    s1.set_bus_all("a", BitVec(4, 0x5));
+    s2.set_bus_all("a", BitVec(4, 0xa));
+    owned.set_bus_all("a", BitVec(4, 0x5));
     s1.step();
     s2.step();
     owned.step();
-    EXPECT_EQ(s1.bus_value("q").to_u64(), 0xau);
-    EXPECT_EQ(s2.bus_value("q").to_u64(), 0x5u);
-    EXPECT_EQ(s1.bus_value("q"), owned.bus_value("q"));
+    EXPECT_EQ(s1.bus_value("q", 0).to_u64(), 0xau);
+    EXPECT_EQ(s2.bus_value("q", 0).to_u64(), 0x5u);
+    EXPECT_EQ(s1.bus_value("q", 0), owned.bus_value("q", 0));
 }
 
 TEST(SpProfiler, CountsOnesFraction)
@@ -200,9 +164,9 @@ TEST(SpProfiler, CountsOnesFraction)
     CellId ff = nl.add_dff("ff", d, q, false);
     nl.add_output_bus("o", {one, zero, q});
 
-    Simulator sim(nl);
+    BatchSimulator sim(nl);
     auto profile = profile_signal_probability(
-        sim, 1000, [](Simulator &, uint64_t) {});
+        sim, 1000, [](BatchSimulator &, uint64_t) {});
 
     EXPECT_EQ(profile.samples(), 1000u);
     EXPECT_DOUBLE_EQ(profile.sp(nl.net(one).driver), 1.0);
@@ -217,12 +181,12 @@ TEST(SpProfiler, MergeAccumulates)
     Builder b(nl);
     NetId one = b.const1();
     nl.add_output_bus("o", {one});
-    Simulator sim(nl);
+    BatchSimulator sim(nl);
 
-    auto p1 = profile_signal_probability(sim, 10,
-                                         [](Simulator &, uint64_t) {});
-    auto p2 = profile_signal_probability(sim, 30,
-                                         [](Simulator &, uint64_t) {});
+    auto p1 = profile_signal_probability(
+        sim, 10, [](BatchSimulator &, uint64_t) {});
+    auto p2 = profile_signal_probability(
+        sim, 30, [](BatchSimulator &, uint64_t) {});
     p1.merge(p2);
     EXPECT_EQ(p1.samples(), 40u);
     EXPECT_DOUBLE_EQ(p1.sp(0), 1.0);

@@ -4,7 +4,7 @@
 
 #include "netlist/builder.h"
 #include "rtl/adder2.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "sta/clock_analysis.h"
 
 namespace vega::sta {
@@ -156,9 +156,9 @@ TEST(Sta, AgedAdderViolatesWhenParkedAtZero)
     HwModule m = rtl::make_adder2();
     calibrate_timing_scale(m, lib(), 0.99);
 
-    Simulator sim(m.netlist);
+    BatchSimulator sim(m.netlist);
     auto profile = profile_signal_probability(
-        sim, 200, [](Simulator &, uint64_t) {}); // inputs held at 0
+        sim, 200, [](BatchSimulator &, uint64_t) {}); // inputs held at 0
 
     AgedTiming fresh = compute_aged_timing(m, profile, lib(), 0.0);
     EXPECT_GE(run_sta(m, fresh).wns_setup, 0.0);

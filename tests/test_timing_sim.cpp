@@ -6,7 +6,7 @@
 #include "netlist/builder.h"
 #include "rtl/adder2.h"
 #include "rtl/alu32.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 #include "sim/sp_profiler.h"
 
 namespace vega {
@@ -30,17 +30,17 @@ TEST(TimingSim, FreshTimingMatchesLogicalSimulatorOnAdder)
     sta::AgedTiming fresh =
         sta::compute_aged_timing(m, neutral, lib(), 0.0);
 
-    Simulator logical(m.netlist);
+    BatchSimulator logical(m.netlist);
     TimingSimulator timed(m.netlist, fresh);
     Rng rng(5);
     for (int t = 0; t < 200; ++t) {
         BitVec a(2, rng.below(4)), b(2, rng.below(4));
-        logical.set_bus("a", a);
-        logical.set_bus("b", b);
+        logical.set_bus_all("a", a);
+        logical.set_bus_all("b", b);
         timed.set_bus("a", a);
         timed.set_bus("b", b);
         EXPECT_EQ(timed.bus_value("o").to_u64(),
-                  logical.bus_value("o").to_u64())
+                  logical.bus_value("o", 0).to_u64())
             << "cycle " << t;
         auto events = timed.step();
         EXPECT_TRUE(events.empty()) << "cycle " << t;
@@ -56,20 +56,20 @@ TEST(TimingSim, FreshTimingMatchesLogicalSimulatorOnAlu)
     sta::AgedTiming fresh =
         sta::compute_aged_timing(m, neutral, lib(), 0.0);
 
-    Simulator logical(m.netlist);
+    BatchSimulator logical(m.netlist);
     TimingSimulator timed(m.netlist, fresh);
     Rng rng(6);
     for (int t = 0; t < 40; ++t) {
         BitVec a(32, rng.next()), b(32, rng.next());
         BitVec op(4, rng.below(10));
-        logical.set_bus("a", a);
-        logical.set_bus("b", b);
-        logical.set_bus("op", op);
+        logical.set_bus_all("a", a);
+        logical.set_bus_all("b", b);
+        logical.set_bus_all("op", op);
         timed.set_bus("a", a);
         timed.set_bus("b", b);
         timed.set_bus("op", op);
         EXPECT_EQ(timed.bus_value("r").to_u64(),
-                  logical.bus_value("r").to_u64());
+                  logical.bus_value("r", 0).to_u64());
         EXPECT_TRUE(timed.step().empty());
         logical.step();
     }
@@ -89,9 +89,9 @@ struct AgedAdder
     AgedAdder()
     {
         sta::calibrate_timing_scale(module, lib(), 0.99);
-        Simulator sim(module.netlist);
+        BatchSimulator sim(module.netlist);
         profile = profile_signal_probability(
-            sim, 128, [](Simulator &, uint64_t) {});
+            sim, 128, [](BatchSimulator &, uint64_t) {});
         aged = sta::compute_aged_timing(module, profile, lib(), 10.0);
         for (CellId c = 0; c < module.netlist.num_cells(); ++c) {
             if (module.netlist.cell(c).name == "$4")
@@ -143,7 +143,7 @@ TEST(TimingSim, SetupCorruptionCapturesStaleValue)
     // logical simulator tracking golden D values.
     AgedAdder f;
     TimingSimulator timed(f.module.netlist, f.aged);
-    Simulator golden(f.module.netlist);
+    BatchSimulator golden(f.module.netlist);
 
     Rng rng(11);
     NetId d10 = f.module.netlist.cell(f.dff10).in[0];
@@ -153,9 +153,9 @@ TEST(TimingSim, SetupCorruptionCapturesStaleValue)
         BitVec a(2, rng.below(4)), b(2, rng.below(4));
         timed.set_bus("a", a);
         timed.set_bus("b", b);
-        golden.set_bus("a", a);
-        golden.set_bus("b", b);
-        bool golden_d = golden.value(d10);
+        golden.set_bus_all("a", a);
+        golden.set_bus_all("b", b);
+        bool golden_d = golden.value_lane(d10, 0);
 
         auto events = timed.step();
         golden.step();
@@ -167,7 +167,7 @@ TEST(TimingSim, SetupCorruptionCapturesStaleValue)
             // Captured the stale previous-cycle value...
             EXPECT_EQ(timed.value(q10), prev_golden_d);
             // ...which must differ from the intended one (else no event).
-            EXPECT_NE(timed.value(q10), golden.value(q10));
+            EXPECT_NE(timed.value(q10), golden.value_lane(q10, 0));
         }
         prev_golden_d = golden_d;
     }

@@ -10,7 +10,7 @@
 #include "netlist/verilog_writer.h"
 #include "rtl/adder2.h"
 #include "rtl/alu32.h"
-#include "sim/simulator.h"
+#include "sim/batch_sim.h"
 
 namespace vega {
 namespace {
@@ -25,15 +25,15 @@ TEST(VerilogReader, RoundTripsTheExampleAdder)
     EXPECT_EQ(parsed.output_bus_names(), m.netlist.output_bus_names());
 
     // Behavioural agreement on exhaustive pipelined stimulus.
-    Simulator orig(m.netlist), back(parsed);
+    BatchSimulator orig(m.netlist), back(parsed);
     for (unsigned v = 0; v < 64; ++v) {
         BitVec a(2, v & 3), b(2, (v >> 2) & 3);
-        orig.set_bus("a", a);
-        orig.set_bus("b", b);
-        back.set_bus("a", a);
-        back.set_bus("b", b);
-        EXPECT_EQ(back.bus_value("o").to_u64(),
-                  orig.bus_value("o").to_u64())
+        orig.set_bus_all("a", a);
+        orig.set_bus_all("b", b);
+        back.set_bus_all("a", a);
+        back.set_bus_all("b", b);
+        EXPECT_EQ(back.bus_value("o", 0).to_u64(),
+                  orig.bus_value("o", 0).to_u64())
             << v;
         orig.step();
         back.step();
@@ -56,19 +56,19 @@ TEST(VerilogReader, RoundTripsTheAlu)
     HwModule m = rtl::make_alu32();
     Netlist parsed = read_verilog(to_verilog(m.netlist));
 
-    Simulator orig(m.netlist), back(parsed);
+    BatchSimulator orig(m.netlist), back(parsed);
     Rng rng(31);
     for (int t = 0; t < 50; ++t) {
         BitVec a(32, rng.next()), b(32, rng.next());
         BitVec op(4, rng.below(10));
-        orig.set_bus("a", a);
-        orig.set_bus("b", b);
-        orig.set_bus("op", op);
-        back.set_bus("a", a);
-        back.set_bus("b", b);
-        back.set_bus("op", op);
-        EXPECT_EQ(back.bus_value("r").to_u64(),
-                  orig.bus_value("r").to_u64());
+        orig.set_bus_all("a", a);
+        orig.set_bus_all("b", b);
+        orig.set_bus_all("op", op);
+        back.set_bus_all("a", a);
+        back.set_bus_all("b", b);
+        back.set_bus_all("op", op);
+        EXPECT_EQ(back.bus_value("r", 0).to_u64(),
+                  orig.bus_value("r", 0).to_u64());
         orig.step();
         back.step();
     }
@@ -95,16 +95,16 @@ TEST(VerilogReader, RoundTripsFailingNetlistsWithInit)
         lift::build_failing_netlist(m.netlist, spec);
 
     Netlist parsed = read_verilog(to_verilog(failing.netlist));
-    Simulator orig(failing.netlist), back(parsed);
+    BatchSimulator orig(failing.netlist), back(parsed);
     Rng rng(77);
     for (int t = 0; t < 100; ++t) {
         BitVec a(2, rng.below(4)), b(2, rng.below(4));
-        orig.set_bus("a", a);
-        orig.set_bus("b", b);
-        back.set_bus("a", a);
-        back.set_bus("b", b);
-        EXPECT_EQ(back.bus_value("o").to_u64(),
-                  orig.bus_value("o").to_u64())
+        orig.set_bus_all("a", a);
+        orig.set_bus_all("b", b);
+        back.set_bus_all("a", a);
+        back.set_bus_all("b", b);
+        EXPECT_EQ(back.bus_value("o", 0).to_u64(),
+                  orig.bus_value("o", 0).to_u64())
             << t;
         orig.step();
         back.step();
@@ -229,10 +229,10 @@ TEST(VerilogReader, DffInitValuesSurvive)
     nl.add_output_bus("o", {q});
 
     Netlist parsed = read_verilog(to_verilog(nl));
-    Simulator sim(parsed);
-    EXPECT_EQ(sim.bus_value("o").to_u64(), 1u); // init = 1
+    BatchSimulator sim(parsed);
+    EXPECT_EQ(sim.bus_value("o", 0).to_u64(), 1u); // init = 1
     sim.step();
-    EXPECT_EQ(sim.bus_value("o").to_u64(), 0u); // toggles
+    EXPECT_EQ(sim.bus_value("o", 0).to_u64(), 0u); // toggles
 }
 
 } // namespace

@@ -1,8 +1,12 @@
 #include "vega/workflow.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "reference_sim.h"
 #include "rtl/alu32.h"
+#include "rtl/memdec.h"
 
 namespace vega {
 namespace {
@@ -60,6 +64,88 @@ TEST(AgingAnalysis, FreshCleanAgedViolating)
             ++mid;
     }
     EXPECT_GT(mid, module.netlist.num_cells() / 20);
+}
+
+/**
+ * Drive one trace entry into @p ref the way run_aging_analysis drives
+ * its simulator: memory entries set the decoder ports, FU entries of
+ * the profiled unit set the ALU operands, and anything else (nullptr)
+ * is an idle cycle.
+ */
+void
+apply_reference_entry(ReferenceSim &ref, ModuleKind kind,
+                      const cpu::FuTraceEntry *e)
+{
+    if (kind == ModuleKind::MemDec16) {
+        if (e) {
+            ref.set_bus("addr", BitVec(4, (e->a >> 2) & 0xf));
+            ref.set_bus("we", BitVec(1, e->op ? 1 : 0));
+            ref.set_bus("din", BitVec(8, e->b & 0xff));
+        } else {
+            ref.set_bus("we", BitVec(1, 0));
+        }
+        return;
+    }
+    ASSERT_EQ(kind, ModuleKind::Alu32);
+    if (e) {
+        ref.set_bus("a", BitVec(32, e->a));
+        ref.set_bus("b", BitVec(32, e->b));
+        ref.set_bus("op", BitVec(4, e->op));
+    }
+}
+
+/**
+ * run_aging_analysis's SP profile must equal, cell for cell and bit for
+ * bit, the SP and activity of the same trace replayed on the pre-tape
+ * reference interpreter.
+ */
+void
+expect_profile_matches_reference(HwModule module,
+                                 const std::vector<cpu::FuTraceEntry> &trace,
+                                 size_t max_trace)
+{
+    AgingAnalysisConfig cfg;
+    cfg.max_trace = max_trace;
+    AgingAnalysisResult r = run_aging_analysis(module, lib(), trace, cfg);
+
+    const Netlist &nl = module.netlist;
+    ReferenceSim ref(nl);
+    std::vector<uint64_t> ones(nl.num_cells(), 0);
+    std::vector<uint64_t> toggles(nl.num_cells(), 0);
+    std::vector<uint8_t> prev(nl.num_cells(), 0);
+    size_t n = max_trace == 0 ? trace.size()
+                              : std::min(trace.size(), max_trace);
+    for (size_t i = 0; i < n; ++i) {
+        const cpu::FuTraceEntry &e = trace[i];
+        apply_reference_entry(ref, module.kind,
+                              e.unit == module.kind ? &e : nullptr);
+        ref.eval();
+        for (CellId c = 0; c < nl.num_cells(); ++c) {
+            uint8_t v = ref.values[nl.cell(c).out];
+            ones[c] += v;
+            if (i > 0 && v != prev[c])
+                ++toggles[c];
+            prev[c] = v;
+        }
+        ref.step();
+    }
+
+    ASSERT_GT(n, 1u);
+    ASSERT_EQ(r.profile.samples(), n);
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+        ASSERT_EQ(r.profile.sp(c), double(ones[c]) / double(n))
+            << nl.name() << " cell " << nl.cell(c).name;
+        ASSERT_EQ(r.profile.activity(c), double(toggles[c]) / double(n - 1))
+            << nl.name() << " cell " << nl.cell(c).name;
+    }
+}
+
+TEST(AgingAnalysis, ProfileMatchesPreTapeReference)
+{
+    expect_profile_matches_reference(rtl::make_alu32(), minver_trace(),
+                                     4000);
+    expect_profile_matches_reference(rtl::make_memdec16(),
+                                     mem_workload_trace(), 0);
 }
 
 TEST(Workflow, EndToEndOnAluProducesArtifacts)

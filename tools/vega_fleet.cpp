@@ -16,6 +16,7 @@
  * BENCH_fleet.smoke.json so a smoke run can never clobber a pinned
  * full-run BENCH_fleet.json.
  */
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +42,15 @@ struct CliOptions
     std::string metrics_out;
     bool smoke = false;
 };
+
+/** Seconds since the first call; main() calls it first. */
+double
+now_seconds()
+{
+    using clock = std::chrono::steady_clock;
+    static const clock::time_point t0 = clock::now();
+    return std::chrono::duration<double>(clock::now() - t0).count();
+}
 
 void
 usage(const char *argv0)
@@ -178,6 +188,7 @@ write_json(const std::string &path, const std::string &json)
 int
 main(int argc, char **argv)
 {
+    now_seconds();
     CliOptions opt;
     if (!parse_args(argc, argv, opt)) {
         usage(argv[0]);
@@ -226,7 +237,9 @@ main(int argc, char **argv)
                 opt.workflow_max_pairs);
     const auto &trace = is_mem_module(opt.module) ? mem_workload_trace()
                                                   : minver_trace();
+    double t = now_seconds();
     WorkflowResult wf = run_workflow(module, lib, trace, wf_cfg);
+    double workflow_s = now_seconds() - t;
     std::printf("workflow: %zu lifted pairs, %zu suite tests\n",
                 wf.lift.pairs.size(), wf.suite.size());
     if (wf.suite.empty()) {
@@ -244,9 +257,11 @@ main(int argc, char **argv)
     std::printf("characterizing %zu fault classes against %zu "
                 "tests...\n",
                 pairs.size() * constants.size(), wf.suite.size());
+    t = now_seconds();
     Expected<fleet::FaultMatrix> matrix = fleet::build_fault_matrix(
         module, pairs, wf.suite, constants, opt.fleet.threads,
         opt.fleet.seed);
+    double matrix_s = now_seconds() - t;
     if (!matrix) {
         std::fprintf(stderr, "characterization failed: %s\n",
                      matrix.error().to_string().c_str());
@@ -258,8 +273,10 @@ main(int argc, char **argv)
                 matrix->corrupting_classes());
 
     // Mission mode: the fleet.
+    t = now_seconds();
     Expected<fleet::FleetReport> run =
         fleet::run_fleet(opt.fleet, *matrix);
+    double fleet_s = now_seconds() - t;
     if (!run) {
         std::fprintf(stderr, "fleet run failed: %s\n",
                      run.error().to_string().c_str());
@@ -296,7 +313,11 @@ main(int argc, char **argv)
                     report.adversarial_detected_before_corruption,
                 (unsigned long long)
                     report.adversarial_silently_corrupted);
-    std::printf("  %.2fs wall, %.0f device-epochs/s, %zu threads\n",
+    std::printf("  time         workflow %.2fs, fault matrix %.2fs, "
+                "fleet %.2fs; process %.2fs\n",
+                workflow_s, matrix_s, fleet_s, now_seconds());
+    std::printf("  epoch loop   %.2fs wall, %.0f device-epochs/s, "
+                "%zu threads\n",
                 report.timing.wall_seconds,
                 report.timing.device_epochs_per_sec,
                 report.timing.threads);

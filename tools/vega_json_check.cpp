@@ -6,7 +6,7 @@
  *
  * Exits 0 iff FILE parses as strict RFC 8259 JSON and contains every
  * --require substring (how the tests assert that a metrics snapshot
- * actually carries sat.conflicts, sim.cycles, ... without a full JSON
+ * actually carries sat.conflicts, sim.batch_cycles, ... without a full JSON
  * query language). Parse errors print the byte offset.
  */
 #include <cstdio>
