@@ -55,32 +55,17 @@ main()
 
     // Table-6-style detection against the C = 0/1/R failing netlists.
     auto suite = lifted.suite();
-    for (bench::FailureMode fm :
-         {bench::FailureMode::Zero, bench::FailureMode::One,
-          bench::FailureMode::Random}) {
-        size_t count = 0, detected = 0;
-        for (size_t pi = 0; pi < lifted.pairs.size(); ++pi) {
-            const auto &pr = lifted.pairs[pi];
-            if (pr.tests.empty())
-                continue;
-            ++count;
-            lift::FailureModelSpec spec;
-            spec.launch = pr.pair.launch;
-            spec.capture = pr.pair.capture;
-            spec.is_setup = pr.pair.is_setup;
-            spec.constant = bench::to_constant(fm);
-            lift::FailingNetlist failing =
-                lift::build_failing_netlist(mdu.netlist, spec);
-            if (bench::run_suite_against(suite, ModuleKind::Mdu32,
-                                         failing.netlist,
-                                         failing.has_random_input,
-                                         7 + pi)
-                    .detected)
+    for (lift::FaultConstant c : bench::kFailureModes) {
+        bench::FailingBank bank = bench::make_failing_bank(mdu, lifted, c);
+        size_t detected = 0;
+        for (const campaign::JobResult &out :
+             bench::run_suite_on_bank(bank, suite, 7))
+            if (out.detected)
                 ++detected;
-        }
         std::printf("Table-6 row:  FM=%s detected %zu / %zu failing "
                     "netlists\n",
-                    bench::failure_mode_name(fm), detected, count);
+                    bench::failure_mode_label(c), detected,
+                    bank.pair_index.size());
     }
 
     std::printf("\nTakeaway: nothing in the workflow is ALU/FPU-"

@@ -8,7 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/common.h"
-#include "cpu/netlist_backend.h"
+#include "cpu/batch_backend.h"
 #include "formal/bmc.h"
 #include "lift/failure_model.h"
 #include "sat/solver.h"
@@ -141,17 +141,23 @@ BM_IssMinver(benchmark::State &state)
 BENCHMARK(BM_IssMinver);
 
 void
-BM_NetlistBackendAluOp(benchmark::State &state)
+BM_BatchNetlistEngineAluRound(benchmark::State &state)
 {
-    cpu::NetlistBackend backend(ModuleKind::Alu32, alu().netlist);
-    uint32_t a = 1;
+    // One wave round with every lane issuing an ALU op: the real edge
+    // plus the speculative peek edge that reads the results.
+    constexpr int kLanes = cpu::BatchNetlistEngine::kLanes;
+    auto tape = std::make_shared<const EvalTape>(alu().netlist);
+    cpu::BatchNetlistEngine eng(ModuleKind::Alu32, tape);
     for (auto _ : state) {
-        auto r = backend.alu(0, a, 3);
-        benchmark::DoNotOptimize(r);
-        a = r.value;
+        for (int lane = 0; lane < kLanes; ++lane)
+            eng.post_op(lane, 0, eng.result(lane).value + uint32_t(lane), 3);
+        eng.commit_round();
+        benchmark::DoNotOptimize(eng.result(kLanes - 1));
     }
+    state.counters["lane_ops"] = benchmark::Counter(
+        double(state.iterations()) * kLanes, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_NetlistBackendAluOp);
+BENCHMARK(BM_BatchNetlistEngineAluRound);
 
 void
 BM_FailingNetlistBuildFpu(benchmark::State &state)

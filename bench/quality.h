@@ -1,95 +1,103 @@
 /**
  * @file
- * Shared machinery for the test-quality studies (Tables 6 and 7):
- * running a whole suite through the ISS against a failing gate-level
- * netlist, exactly as the paper's Verilator evaluation does.
+ * Shared machinery for the test-quality studies (Tables 6 and 7, and
+ * the extension's Table-6 rows): running a whole suite through the ISS
+ * against failing gate-level netlists, exactly as the paper's Verilator
+ * evaluation does. Every failing netlist of one (module, failure mode)
+ * is a lane of one fault bank, and the suite runs as campaign waves.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "bench/common.h"
+#include "campaign/wave.h"
 #include "common/rng.h"
 #include "cpu/alu_ops.h"
 #include "cpu/mdu_ops.h"
-#include "cpu/netlist_backend.h"
 #include "cpu/softfp.h"
 
 namespace vega::bench {
 
-/** Failure mode for a failing netlist: the value C (Table 6's "FM"). */
-enum class FailureMode { Zero, One, Random };
+/** The failure modes C of Table 6's "FM" column, in print order. */
+constexpr lift::FaultConstant kFailureModes[] = {
+    lift::FaultConstant::Zero, lift::FaultConstant::One,
+    lift::FaultConstant::RandomInput};
 
+/** Table 6's "FM" label for failure mode @p c. */
 inline const char *
-failure_mode_name(FailureMode fm)
+failure_mode_label(lift::FaultConstant c)
 {
-    switch (fm) {
-      case FailureMode::Zero:   return "0";
-      case FailureMode::One:    return "1";
-      case FailureMode::Random: return "R";
+    switch (c) {
+      case lift::FaultConstant::Zero:        return "0";
+      case lift::FaultConstant::One:         return "1";
+      case lift::FaultConstant::RandomInput: return "R";
     }
     return "?";
 }
 
-inline lift::FaultConstant
-to_constant(FailureMode fm)
+/**
+ * The failing netlists of one (module, failure mode): one per lifted
+ * pair with generated tests, each a lane of one fault bank.
+ */
+struct FailingBank
 {
-    switch (fm) {
-      case FailureMode::Zero: return lift::FaultConstant::Zero;
-      case FailureMode::One: return lift::FaultConstant::One;
-      default: return lift::FaultConstant::RandomInput;
-    }
-}
-
-/** Result of one suite run against one failing netlist. */
-struct SuiteOutcome
-{
-    bool detected = false;
-    size_t position = SIZE_MAX; ///< suite index of the detecting test
-    runtime::Detection kind = runtime::Detection::None;
+    campaign::WaveContext ctx;
+    /** Index into lifted.pairs of each bank position. */
+    std::vector<size_t> pair_index;
 };
 
-/**
- * Execute @p suite in order through the ISS with @p failing as the
- * module's gate-level implementation. Hardware state persists across
- * test blocks (the initial-value dynamics of §3.3.4 / Table 6's "L").
- * Stops at the first detection.
- */
-inline SuiteOutcome
-run_suite_against(const std::vector<runtime::TestCase> &suite,
-                  ModuleKind kind, const Netlist &failing,
-                  bool has_random_input, uint64_t seed)
+inline FailingBank
+make_failing_bank(const HwModule &module, const lift::LiftResult &lifted,
+                  lift::FaultConstant c)
 {
-    cpu::NetlistBackend backend(kind, failing, has_random_input, seed);
-    SuiteOutcome out;
-    uint64_t tags_seen = 0;
-    for (size_t i = 0; i < suite.size(); ++i) {
-        cpu::Iss iss(suite[i].program);
-        if (kind == ModuleKind::Alu32)
-            iss.set_alu_backend(&backend);
-        else if (kind == ModuleKind::Mdu32)
-            iss.set_mdu_backend(&backend);
-        else
-            iss.set_fpu_backend(&backend);
-        auto status = iss.run();
-        runtime::Detection det = runtime::Detection::None;
-        if (status == cpu::Iss::Status::Stalled ||
-            status == cpu::Iss::Status::Trap) {
-            det = runtime::Detection::Stall;
-        } else if (iss.reg(31) != 0) {
-            det = runtime::Detection::Mismatch;
-        } else if (backend.tag_mismatches() > tags_seen) {
-            det = runtime::Detection::TagAnomaly;
+    FailingBank out;
+    std::vector<lift::FailureModelSpec> specs;
+    for (size_t pi = 0; pi < lifted.pairs.size(); ++pi) {
+        if (lifted.pairs[pi].tests.empty())
+            continue; // only netlists tied to generated tests
+        out.pair_index.push_back(pi);
+        specs.push_back(campaign::fault_spec(lifted.pairs[pi].pair, c));
+    }
+    if (!specs.empty())
+        out.ctx = campaign::make_wave_context(module, specs);
+    return out;
+}
+
+/**
+ * Execute @p suite in order on every failing netlist of @p bank, the
+ * fm_rand stream of the netlist for lifted pair pi seeded with
+ * @p seed_base + pi. Hardware state persists across test blocks (the
+ * initial-value dynamics of §3.3.4 / Table 6's "L"), and each run stops
+ * at its first detection, at suite position slots_to_detect - 1.
+ * Results come back in bank order.
+ */
+inline std::vector<campaign::JobResult>
+run_suite_on_bank(const FailingBank &bank,
+                  const std::vector<runtime::TestCase> &suite,
+                  uint64_t seed_base)
+{
+    campaign::WaveContext ctx = bank.ctx;
+    ctx.suite = &suite;
+    const size_t n = bank.pair_index.size();
+    std::vector<campaign::JobResult> out;
+    for (size_t first = 0; first < n; first += campaign::kWaveLanes) {
+        std::vector<campaign::WaveJob> jobs;
+        for (size_t i = first; i < std::min(n, first + campaign::kWaveLanes);
+             ++i) {
+            campaign::WaveJob job;
+            job.bank_index = i;
+            job.spec.id = i;
+            job.spec.pair_index = bank.pair_index[i];
+            job.spec.policy = runtime::SchedulePolicy::Sequential;
+            job.spec.seed = seed_base + bank.pair_index[i];
+            job.spec.max_slots = suite.size();
+            jobs.push_back(job);
         }
-        tags_seen = backend.tag_mismatches();
-        if (det != runtime::Detection::None) {
-            out.detected = true;
-            out.position = i;
-            out.kind = det;
-            return out;
-        }
+        for (const campaign::JobResult &r : campaign::run_wave(ctx, jobs))
+            out.push_back(r);
     }
     return out;
 }

@@ -28,27 +28,12 @@ evaluate(const char *unit, const bench::AnalyzedModule &m,
         return;
     }
 
-    for (bench::FailureMode fm :
-         {bench::FailureMode::Zero, bench::FailureMode::One,
-          bench::FailureMode::Random}) {
-        size_t n = 0, detected = 0, before = 0, later = 0, stall = 0;
-        for (size_t pi = 0; pi < lifted.pairs.size(); ++pi) {
-            const lift::PairResult &pr = lifted.pairs[pi];
-            if (pr.tests.empty())
-                continue; // only netlists tied to generated tests
-            ++n;
-
-            lift::FailureModelSpec spec;
-            spec.launch = pr.pair.launch;
-            spec.capture = pr.pair.capture;
-            spec.is_setup = pr.pair.is_setup;
-            spec.constant = bench::to_constant(fm);
-            lift::FailingNetlist failing =
-                lift::build_failing_netlist(m.module.netlist, spec);
-
-            bench::SuiteOutcome out = bench::run_suite_against(
-                suite, m.module.kind, failing.netlist,
-                failing.has_random_input, 17 + pi);
+    for (lift::FaultConstant c : bench::kFailureModes) {
+        bench::FailingBank bank = bench::make_failing_bank(m.module, lifted, c);
+        size_t n = bank.pair_index.size();
+        size_t detected = 0, before = 0, later = 0, stall = 0;
+        for (const campaign::JobResult &out :
+             bench::run_suite_on_bank(bank, suite, 17)) {
             if (!out.detected)
                 continue;
             ++detected;
@@ -57,20 +42,21 @@ evaluate(const char *unit, const bench::AnalyzedModule &m,
             // Where do this pair's own tests sit in the suite?
             size_t own_first = SIZE_MAX, own_last = 0;
             for (size_t s = 0; s < suite.size(); ++s) {
-                if (suite[s].pair_index == int(pi)) {
+                if (suite[s].pair_index == int(out.pair_index)) {
                     own_first = std::min(own_first, s);
                     own_last = std::max(own_last, s);
                 }
             }
-            if (out.position < own_first)
+            size_t position = out.slots_to_detect - 1;
+            if (position < own_first)
                 ++before;
-            else if (out.position > own_last)
+            else if (position > own_last)
                 ++later;
         }
         double dn = double(n);
         std::printf("%-4s |  %s  | %5.1f | %5.1f | %5.1f | %5.1f |  "
                     "(%zu failing netlists)%s\n",
-                    unit, bench::failure_mode_name(fm),
+                    unit, bench::failure_mode_label(c),
                     100.0 * detected / dn, 100.0 * before / dn,
                     100.0 * later / dn, 100.0 * stall / dn, n,
                     mitigated ? "" : "");

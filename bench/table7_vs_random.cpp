@@ -15,30 +15,14 @@ namespace {
 using namespace vega;
 
 double
-detection_rate(const std::vector<runtime::TestCase> &suite,
-               const bench::AnalyzedModule &m,
-               const lift::LiftResult &lifted, bench::FailureMode fm,
-               uint64_t seed)
+detection_rate(const bench::FailingBank &bank,
+               const std::vector<runtime::TestCase> &suite, uint64_t seed)
 {
-    size_t n = 0, detected = 0;
-    for (size_t pi = 0; pi < lifted.pairs.size(); ++pi) {
-        const lift::PairResult &pr = lifted.pairs[pi];
-        if (pr.tests.empty())
-            continue;
-        ++n;
-        lift::FailureModelSpec spec;
-        spec.launch = pr.pair.launch;
-        spec.capture = pr.pair.capture;
-        spec.is_setup = pr.pair.is_setup;
-        spec.constant = bench::to_constant(fm);
-        lift::FailingNetlist failing =
-            lift::build_failing_netlist(m.module.netlist, spec);
-        bench::SuiteOutcome out = bench::run_suite_against(
-            suite, m.module.kind, failing.netlist,
-            failing.has_random_input, seed + pi);
+    size_t n = bank.pair_index.size(), detected = 0;
+    for (const campaign::JobResult &out :
+         bench::run_suite_on_bank(bank, suite, seed))
         if (out.detected)
             ++detected;
-    }
     return n == 0 ? 0.0 : 100.0 * double(detected) / double(n);
 }
 
@@ -60,11 +44,10 @@ main()
         auto vega_suite = lifted.suite();
         const char *unit = kind == ModuleKind::Alu32 ? "ALU" : "FPU";
 
-        for (bench::FailureMode fm :
-             {bench::FailureMode::Zero, bench::FailureMode::One,
-              bench::FailureMode::Random}) {
-            double vega_rate =
-                detection_rate(vega_suite, m, lifted, fm, 1000);
+        for (lift::FaultConstant c : bench::kFailureModes) {
+            bench::FailingBank bank =
+                bench::make_failing_bank(m.module, lifted, c);
+            double vega_rate = detection_rate(bank, vega_suite, 1000);
 
             double random_sum = 0.0;
             for (int e = 0; e < experiments; ++e) {
@@ -73,12 +56,12 @@ main()
                 for (size_t i = 0; i < vega_suite.size(); ++i)
                     random_suite.push_back(
                         bench::make_random_test(kind, rng, i));
-                random_sum += detection_rate(random_suite, m, lifted, fm,
-                                             2000 + 31 * e);
+                random_sum +=
+                    detection_rate(bank, random_suite, 2000 + 31 * e);
             }
             std::printf("%-4s |  %s | %6.1f%% | %6.1f%% |  (%d random "
                         "experiments)\n",
-                        unit, bench::failure_mode_name(fm), vega_rate,
+                        unit, bench::failure_mode_label(c), vega_rate,
                         random_sum / experiments, experiments);
         }
     }

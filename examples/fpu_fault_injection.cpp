@@ -5,48 +5,19 @@
  * Lifting) and watch the checksum silently corrupt — no trap, no log,
  * exactly the failure class the paper targets. Then show Vega's aging
  * library detecting the same fault and raising a catchable exception.
+ *
+ * Every gate-level run is a lane of a campaign wave over one fault bank
+ * (campaign/wave.h): one wave probes every candidate fault on minver,
+ * a second runs the suite against the chosen one.
  */
 #include <cstdio>
 
-#include "cpu/netlist_backend.h"
+#include "campaign/wave.h"
 #include "rtl/fpu32.h"
 #include "vega/workflow.h"
 #include "workloads/kernels.h"
 
 using namespace vega;
-
-namespace {
-
-/** Engine that executes test blocks on the (failing) gate-level FPU. */
-class FpuNetlistEngine : public runtime::Engine
-{
-  public:
-    explicit FpuNetlistEngine(const Netlist &netlist)
-        : backend_(ModuleKind::Fpu32, netlist)
-    {
-    }
-
-    runtime::Detection
-    run(const runtime::TestCase &tc) override
-    {
-        uint64_t tags = backend_.tag_mismatches();
-        cpu::Iss iss(tc.program);
-        iss.set_fpu_backend(&backend_);
-        auto status = iss.run();
-        if (status == cpu::Iss::Status::Stalled)
-            return runtime::Detection::Stall;
-        if (iss.reg(31) != 0)
-            return runtime::Detection::Mismatch;
-        if (backend_.tag_mismatches() > tags)
-            return runtime::Detection::TagAnomaly;
-        return runtime::Detection::None;
-    }
-
-  private:
-    cpu::NetlistBackend backend_;
-};
-
-} // namespace
 
 int
 main()
@@ -68,51 +39,40 @@ main()
     if (wf.suite.empty())
         return 0;
 
-    const workloads::Kernel &minver = workloads::embench_suite()[0];
+    const workloads::Kernel &minver =
+        campaign::representative_kernel(ModuleKind::Fpu32);
 
-    // Age one of those pairs into a real fault (C = 0 failing netlist),
-    // preferring one whose corruption actually reaches this workload's
-    // data — many do not, which is exactly why SDCs hide.
-    auto make_failing = [&](const sta::EndpointPair &pair,
-                            lift::FaultConstant c) {
-        lift::FailureModelSpec spec;
-        spec.launch = pair.launch;
-        spec.capture = pair.capture;
-        spec.is_setup = pair.is_setup;
-        spec.constant = c;
-        return lift::build_failing_netlist(fpu.netlist, spec);
-    };
-    lift::FailingNetlist failing = make_failing(
-        wf.lift.pairs.front().pair, lift::FaultConstant::Zero);
+    // Age each of those pairs into a real fault (C = 1, then C = 0) and
+    // run minver on every one, preferring a fault whose corruption
+    // actually reaches this workload's data — many do not, which is
+    // exactly why SDCs hide.
+    std::vector<lift::FailureModelSpec> candidates;
+    for (const auto &pr : wf.lift.pairs)
+        for (auto c : {lift::FaultConstant::One, lift::FaultConstant::Zero})
+            candidates.push_back(campaign::fault_spec(pr.pair, c));
+    campaign::WaveContext ctx = campaign::make_wave_context(fpu, candidates);
+    std::vector<campaign::Episode> probes;
+    for (size_t i = 0; i < candidates.size(); ++i)
+        probes.push_back(campaign::probe_episode(ModuleKind::Fpu32, i, 1));
+    std::vector<campaign::EpisodeResult> runs =
+        campaign::characterize_wave(ctx, probes);
+    size_t aged = 1; // the first pair's C = 0 fault
     bool corrupts_minver = false;
-    for (const auto &pr : wf.lift.pairs) {
-        for (auto c :
-             {lift::FaultConstant::One, lift::FaultConstant::Zero}) {
-            lift::FailingNetlist candidate = make_failing(pr.pair, c);
-            cpu::NetlistBackend backend(ModuleKind::Fpu32,
-                                        candidate.netlist);
-            cpu::Iss iss(minver.program);
-            iss.set_fpu_backend(&backend);
-            if (iss.run() == cpu::Iss::Status::Halted &&
-                iss.read_u32(workloads::kChecksumAddr) !=
-                    minver.expected_checksum) {
-                failing = std::move(candidate);
-                corrupts_minver = true;
-                break;
-            }
+    for (size_t i = 0; i < runs.size() && !corrupts_minver; ++i) {
+        if (runs[i].detection != runtime::Detection::Stall &&
+            runs[i].checksum != minver.expected_checksum) {
+            aged = i;
+            corrupts_minver = true;
         }
-        if (corrupts_minver)
-            break;
     }
     if (!corrupts_minver)
         std::printf("(none of the modeled faults perturbs this "
                     "workload's data — one reason SDCs hide)\n");
 
-    // Healthy run.
+    // Healthy run, on the golden FPU model: the healthy netlist computes
+    // the same checksum.
     {
-        cpu::NetlistBackend backend(ModuleKind::Fpu32, fpu.netlist);
         cpu::Iss iss(minver.program);
-        iss.set_fpu_backend(&backend);
         iss.run();
         std::printf("healthy FPU:  minver checksum %08x (expected "
                     "%08x) -- ok\n",
@@ -122,29 +82,33 @@ main()
 
     // Aged run: the corruption is silent.
     {
-        cpu::NetlistBackend backend(ModuleKind::Fpu32, failing.netlist);
-        cpu::Iss iss(minver.program);
-        iss.set_fpu_backend(&backend);
-        auto status = iss.run();
-        uint32_t checksum = iss.read_u32(workloads::kChecksumAddr);
+        const campaign::EpisodeResult &run = runs[aged];
         std::printf("aged FPU:     minver checksum %08x (expected %08x) "
                     "-- %s, program %s\n",
-                    checksum, minver.expected_checksum,
-                    checksum == minver.expected_checksum ? "ok"
-                                                         : "CORRUPTED",
-                    status == cpu::Iss::Status::Halted
+                    run.checksum, minver.expected_checksum,
+                    run.checksum == minver.expected_checksum ? "ok"
+                                                             : "CORRUPTED",
+                    run.detection != runtime::Detection::Stall
                         ? "finished normally (silent!)"
                         : "stalled");
     }
 
-    // Vega's library catches it and raises a handleable exception.
+    // Vega's library catches it and raises a handleable exception: the
+    // suite runs in order on the aged FPU, hardware state carried from
+    // test to test, and the library reports the first detection.
     runtime::AgingLibraryOptions opt;
     opt.throw_on_detect = true;
     runtime::AgingLibrary library(wf.suite, opt);
-    FpuNetlistEngine aged_engine(failing.netlist);
     std::printf("\nrunning the Vega aging library on the aged FPU...\n");
+    campaign::WaveJob job;
+    job.bank_index = aged;
+    job.spec.policy = runtime::SchedulePolicy::Sequential;
+    job.spec.max_slots = wf.suite.size();
+    ctx.suite = &wf.suite;
+    campaign::JobResult res = campaign::run_wave(ctx, {job}).front();
     try {
-        library.run_all(aged_engine);
+        if (res.detected)
+            library.record_result(res.slots_to_detect - 1, res.kind);
         std::printf("no detection (unexpected for this fault)\n");
     } catch (const runtime::HardwareFaultError &e) {
         std::printf("caught HardwareFaultError: %s\n", e.what());

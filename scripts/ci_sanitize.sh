@@ -38,13 +38,25 @@ ctest --test-dir "$build" --output-on-failure \
 # mem_substrate bench smoke (decoder aging -> march detection).
 ctest --test-dir "$build" --output-on-failure -L mem -j "$jobs"
 # The one tape interpreter: every gate-level consumer (SP profiling,
-# test replay, the ISS netlist backends, waves, fuzzing) runs on
-# BatchSimulator's plane arithmetic and save/restore buffers, so check
-# it, its lane-by-lane reference lockstep, and the SP profile built on
-# it before the full suite, where a failure would read less clearly.
+# test replay, waves, fuzzing) runs on BatchSimulator's plane
+# arithmetic and save/restore buffers, so check it, its lane-by-lane
+# reference lockstep, and the SP profile built on it before the full
+# suite, where a failure would read less clearly.
 ctest --test-dir "$build" --output-on-failure \
     -R 'EvalTape|BatchSimulator|SpProfiler|SpActivity|AgingAnalysis' \
     -j "$jobs"
+# The one gate-level FU protocol: BatchNetlistEngine lanes against the
+# golden models, the ISS decode that waves and the test reference share
+# (Iss::peek_fu_issue), the scalar reference protocol itself
+# (tests/reference_fu.h), and the wave checks built on the two. Every
+# Table 6/7 number and campaign verdict flows through this per-lane
+# plane arithmetic and save/restore, so run it focused before the full
+# suite, where a failure would read less clearly.
+fu_gate='Iss\.PeekFuIssueMatchesExecutedDecode|BatchNetlistEngine\.|ReferenceFu\.'
+fu_gate+='|WaveCampaign\.FaultBankDisabledLanesArePassThrough'
+fu_gate+='|WaveCampaign\.CharacterizeWaveMatchesScalarVerdicts'
+fu_gate+='|WaveCampaign\.AluJobsMatchReferenceAtAnyThreadCount'
+ctest --test-dir "$build" --output-on-failure -R "$fu_gate" -j "$jobs"
 # Bench smoke: runs bench/sim_throughput --smoke (lockstep-checks
 # BatchSimulator lane 0 against the pre-tape legacy replica under the
 # sanitizers),

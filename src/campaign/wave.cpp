@@ -78,14 +78,14 @@ namespace {
 enum class Pending : uint8_t { None, Idle, Op, Read, Clear };
 
 /**
- * Advance one lane's program until it posts exactly one backend
- * transaction (true) or stops without one (false). Mirrors the scalar
- * interleaving: every non-trapping instruction costs the module one
- * clock edge — FU instructions post their own transaction, everything
- * else posts an idle tick after executing architecturally (the tick
- * cannot feed back into ISS state, so executing first is safe).
- * Trapping instructions early-return in the ISS before touching the
- * backend, hence no post.
+ * Advance one lane's program until it posts exactly one engine
+ * transaction (true) or stops without one (false). Every non-trapping
+ * instruction costs the module one clock edge — FU instructions post
+ * their own transaction, everything else posts an idle tick after
+ * executing architecturally (the tick cannot feed back into ISS state,
+ * so executing first is safe). A trapping instruction stops the lane
+ * before its edge, hence no post. tests/reference_fu.h replays the
+ * same interleaving on a standalone netlist.
  */
 bool
 advance_program(cpu::Iss &iss, cpu::BatchNetlistEngine &eng, int lane,
@@ -136,7 +136,7 @@ inject(cpu::Iss &iss, cpu::BatchNetlistEngine &eng, int lane,
       case Pending::Clear: {
         // csrw fflags,x0 has no architectural result to consume; the
         // injected value only satisfies the split-transaction protocol.
-        cpu::FuBackend::FuResult r{};
+        cpu::FuResult r{};
         iss.step_one(&r);
         break;
       }

@@ -13,12 +13,17 @@
  * per-test screens); run_wave() runs campaign jobs, each lane's
  * hardware state carried across its tests.
  *
+ * Waves also run the Table 6/7 and extension evaluations (bench/quality.h)
+ * and the fpu_fault_injection example: there is no other way to run an
+ * ISS against a gate-level unit.
+ *
  * Semantics contract: per-lane results are bit-identical to one scalar
  * run on the standalone failing netlist, and independent of wave
  * composition — which episodes share a wave, in which lanes. That is
  * what keeps sharded, resumed, and mid-wave-killed campaigns
- * byte-identical to a straight run. The scalar path lives on as the
- * oracle in tests/reference_campaign.h.
+ * byte-identical to a straight run. The scalar protocol lives on only
+ * as the test oracle (tests/reference_fu.h, driven by
+ * tests/reference_campaign.h).
  */
 #pragma once
 

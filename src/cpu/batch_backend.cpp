@@ -46,7 +46,7 @@ BatchNetlistEngine::BatchNetlistEngine(ModuleKind kind,
         rand_net_ = nl.bus("fm_rand")[0];
     }
     // reset() already zeroed every primary input — including valid and
-    // clear, matching the scalar FPU backend's constructor.
+    // clear, so an FPU starts idle.
 }
 
 void
@@ -127,9 +127,9 @@ void
 BatchNetlistEngine::commit_round()
 {
     // 1. Pre-tick speculative edge: ReadFflags lanes sample the sticky
-    // flags register as of *now* (the scalar read_fflags() peeks before
-    // the instruction's idle tick). The edge commits every lane's DFFs,
-    // but the restore makes that invisible to non-reading lanes.
+    // flags register as of *now* (a read peeks before the instruction's
+    // idle tick). The edge commits every lane's DFFs, but the restore
+    // makes that invisible to non-reading lanes.
     if (read_mask_) {
         sim_.save_state_into(planes_save_);
         rngs_save_ = rngs_;
@@ -137,7 +137,7 @@ BatchNetlistEngine::commit_round()
         sim_.step();
         for (uint64_t m = read_mask_; m; m &= m - 1) {
             int lane = lowest_lane(m);
-            FuBackend::FuResult &res = results_[size_t(lane)];
+            FuResult &res = results_[size_t(lane)];
             res = {};
             for (size_t i = 0; i < flags_nets_.size(); ++i)
                 res.flags |= uint8_t(bit_of(sim_.value(flags_nets_[i]), lane)
@@ -149,8 +149,8 @@ BatchNetlistEngine::commit_round()
     }
 
     // 2. The real edge. Operand planes hold for idle lanes; valid/clear
-    // pulse only in the lanes whose transaction raises them, exactly as
-    // the scalar fpu()/clear_fflags()/idle() input discipline.
+    // pulse only in the lanes whose transaction raises them, matching
+    // the reference protocol's input discipline (tests/reference_fu.h).
     for (size_t i = 0; i < a_planes_.size(); ++i)
         sim_.set_input(a_nets_[i], a_planes_[i]);
     for (size_t i = 0; i < b_planes_.size(); ++i)
@@ -175,8 +175,8 @@ BatchNetlistEngine::commit_round()
         ++cycles_[size_t(lowest_lane(m))];
 
     // 3. Post-tick speculative edge: Op lanes read their results one
-    // edge ahead (the scalar peek_outputs()), without disturbing the
-    // committed timeline or any lane's fm_rand stream.
+    // edge ahead, without disturbing the committed timeline or any
+    // lane's fm_rand stream.
     if (op_mask_) {
         sim_.save_state_into(planes_save_);
         rngs_save_ = rngs_;
@@ -202,7 +202,7 @@ BatchNetlistEngine::commit_round()
             for (uint64_t m = op_mask_; m; m &= m - 1) {
                 int lane = lowest_lane(m);
                 uint64_t bit = uint64_t(1) << lane;
-                FuBackend::FuResult &res = results_[size_t(lane)];
+                FuResult &res = results_[size_t(lane)];
                 for (size_t i = 0; i < flags_nets_.size(); ++i)
                     res.flags |= uint8_t(bit_of(flag_planes[i], lane) << i);
                 res.stalled = !(bit_of(valid_plane, lane) &&

@@ -1,31 +1,42 @@
 /**
  * @file
- * 64-lane gate-level functional-unit engine for wave execution.
+ * 64-lane gate-level functional-unit engine: the library's only way to
+ * run an ISS against a gate-level ALU, MDU or FPU.
  *
- * The scalar NetlistBackend drives one module instance one ISS
- * instruction at a time. This engine drives 64 *independent* module
- * instances — one BatchSimulator lane each, typically over a fault-bank
- * netlist (lift::build_fault_bank) with a different fault enabled per
- * lane — through the same per-instruction protocol, one shared tape
- * pass per clock edge.
+ * The engine drives 64 *independent* module instances — one
+ * BatchSimulator lane each, typically over a fault-bank netlist
+ * (lift::build_fault_bank) with a different fault enabled per lane,
+ * or a plain module tape — one shared tape pass per clock edge. Each
+ * lane serves one ISS driven through Iss::peek_fu_issue/step_one, and
+ * every ISS instruction costs its lane one module clock edge, so
+ * consecutive instructions hit the module back-to-back exactly as the
+ * formal traces assume.
  *
  * Per round, each active lane posts exactly one transaction (an op, an
  * idle tick, an fflags read, or a flags-clear pulse) and commit_round()
  * advances every lane together:
  *
- *   1. a speculative pre-tick edge serving every ReadFflags lane (the
- *      scalar read_fflags() peeks *before* its idle tick);
+ *   1. a speculative pre-tick edge serving every ReadFflags lane (a
+ *      read samples the sticky flags register before its idle tick);
  *   2. the one real edge every participant consumes, with per-lane
  *      valid/clear pulses and per-lane fm_rand streams;
- *   3. a speculative post-tick edge serving every Op lane (the scalar
- *      alu()/fpu()/mdu() peek their results one edge ahead).
+ *   3. a speculative post-tick edge serving every Op lane (an op's
+ *      result is read one edge ahead, past the output registers).
  *
  * Speculative edges save/restore all planes and every lane RNG, so the
  * committed timeline — including each lane's fm_rand draw sequence and
- * cycle count — is bit-identical to 64 scalar NetlistBackends. Lanes
- * are independent by construction (bank fault muxes are exact
- * pass-throughs when disabled), so a lane's behaviour does not depend
- * on which other lanes share its wave.
+ * cycle count — is bit-identical to the scalar one-netlist protocol
+ * kept as the test oracle (tests/reference_fu.h). Lanes are independent
+ * by construction (bank fault muxes are exact pass-throughs when
+ * disabled), so a lane's behaviour does not depend on which other
+ * lanes share its wave.
+ *
+ * Observable fault behaviour, per lane:
+ *  - wrong results (architecturally visible, checked by test blocks);
+ *  - corrupted sticky flags (visible through csrr fflags);
+ *  - a parked valid/ack handshake => FuResult::stalled (Table 6's "S");
+ *  - transaction-tag (dbg_out) mismatches, counted as hardware-detected
+ *    anomalies (a real core would raise a bus-error interrupt).
  */
 #pragma once
 
@@ -56,7 +67,7 @@ class BatchNetlistEngine
     /**
      * Seed lane @p lane's fm_rand stream; @p random says whether this
      * lane's enabled fault reads "fm_rand" at all (non-random lanes
-     * never draw, exactly like a scalar backend without the input).
+     * never draw, exactly like a netlist without the input).
      */
     void configure_lane_random(int lane, bool random, uint64_t seed);
 
@@ -75,7 +86,7 @@ class BatchNetlistEngine
     void commit_round();
 
     /** Lane @p lane's result from the last committed Op / ReadFflags. */
-    const FuBackend::FuResult &result(int lane) const
+    const FuResult &result(int lane) const
     {
         return results_[size_t(lane)];
     }
@@ -105,8 +116,8 @@ class BatchNetlistEngine
     NetId valid_out_net_ = kInvalidId, ack_net_ = kInvalidId;
     NetId dbg_net_ = kInvalidId, rand_net_ = kInvalidId;
 
-    // Held input planes (idle lanes keep their previous operands, as
-    // scalar backends do) and the per-round pulse masks.
+    // Held input planes (idle lanes keep their previous operands) and
+    // the per-round pulse masks.
     std::vector<uint64_t> a_planes_, b_planes_, op_planes_;
     uint64_t rand_plane_ = 0;
     uint64_t participant_mask_ = 0;
@@ -119,7 +130,7 @@ class BatchNetlistEngine
     std::vector<Rng> rngs_save_;
     std::vector<uint64_t> planes_save_;
 
-    std::vector<FuBackend::FuResult> results_;
+    std::vector<FuResult> results_;
     std::vector<uint64_t> cycles_;
     std::vector<uint64_t> tag_mismatches_;
     uint64_t expected_tag_mask_ = 0; ///< bit L = lane L's predicted parity

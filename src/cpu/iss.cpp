@@ -175,7 +175,7 @@ fpu_op_for(Op op)
 void
 Iss::step()
 {
-    // A corrupted branch/jump target from a faulty backend can land
+    // A corrupted branch/jump target from a failing unit can land
     // anywhere; that's a trap, not an internal invariant violation.
     if (pc_ >= program_.size()) {
         trapped_ = true;
@@ -186,7 +186,6 @@ Iss::step()
     ++instret_;
     ++cycles_;
     uint32_t next_pc = pc_ + 1;
-    bool used_alu = false, used_fpu = false, used_mdu = false;
 
     auto take_branch = [&](bool taken) {
         if (taken) {
@@ -209,11 +208,8 @@ Iss::step()
         uint32_t b = has_imm ? uint32_t(i.imm) : x_[i.rs2];
         if (cfg_.record_fu_trace)
             fu_trace_.push_back({ModuleKind::Alu32, uint8_t(op), a, b});
-        if (alu_backend_ || injected_) {
-            used_alu = true;
-            FuBackend::FuResult r = injected_
-                                        ? take_injected()
-                                        : alu_backend_->alu(uint8_t(op), a, b);
+        if (injected_) {
+            FuResult r = take_injected();
             if (r.stalled)
                 stalled_ = true;
             set_reg(i.rd, r.value);
@@ -237,11 +233,8 @@ Iss::step()
         uint32_t a = x_[i.rs1], b = x_[i.rs2];
         if (cfg_.record_fu_trace)
             fu_trace_.push_back({ModuleKind::Mdu32, uint8_t(op), a, b});
-        if (mdu_backend_ || injected_) {
-            used_mdu = true;
-            FuBackend::FuResult r = injected_
-                                        ? take_injected()
-                                        : mdu_backend_->mdu(uint8_t(op), a, b);
+        if (injected_) {
+            FuResult r = take_injected();
             if (r.stalled)
                 stalled_ = true;
             set_reg(i.rd, r.value);
@@ -272,7 +265,7 @@ Iss::step()
         break;
 
       // --- Memory ----------------------------------------------------------
-      // A faulty backend can corrupt an address register, so accesses
+      // A failing unit can corrupt an address register, so accesses
       // trap on out-of-bounds instead of asserting.
       case Op::Lw: {
         uint32_t addr = x_[i.rs1] + uint32_t(i.imm);
@@ -356,11 +349,8 @@ Iss::step()
         if (cfg_.record_fu_trace)
             fu_trace_.push_back({ModuleKind::Fpu32, uint8_t(op), a, b});
         uint32_t bits;
-        if (fpu_backend_ || injected_) {
-            used_fpu = true;
-            FuBackend::FuResult r = injected_
-                                        ? take_injected()
-                                        : fpu_backend_->fpu(uint8_t(op), a, b);
+        if (injected_) {
+            FuResult r = take_injected();
             if (r.stalled)
                 stalled_ = true;
             bits = r.value;
@@ -401,23 +391,13 @@ Iss::step()
 
       // --- CSR / environment -------------------------------------------------
       case Op::CsrrFflags:
-        if (injected_)
-            set_reg(i.rd, take_injected().flags);
-        else
-            set_reg(i.rd,
-                    fpu_backend_ ? fpu_backend_->read_fflags() : fflags_);
+        set_reg(i.rd, injected_ ? take_injected().flags : fflags_);
         break;
       case Op::CsrwFflags:
         if (injected_) {
             VEGA_CHECK(i.rs1 == 0,
-                       "netlist FPU backend only supports clearing fflags");
-            used_fpu = true;
-            take_injected(); // the wave engine ticked the clear pulse
-        } else if (fpu_backend_) {
-            VEGA_CHECK(i.rs1 == 0,
-                       "netlist FPU backend only supports clearing fflags");
-            used_fpu = true;
-            fpu_backend_->clear_fflags();
+                       "the gate-level FPU only supports clearing fflags");
+            take_injected(); // the engine ticked the clear pulse
         } else {
             fflags_ = uint8_t(x_[i.rs1] & 0x1f);
         }
@@ -426,15 +406,6 @@ Iss::step()
         halted_ = true;
         break;
     }
-
-    // Unused gate-level units tick along with held inputs, matching the
-    // real pipeline where every module sees every clock edge.
-    if (alu_backend_ && !used_alu)
-        alu_backend_->idle();
-    if (fpu_backend_ && !used_fpu)
-        fpu_backend_->idle();
-    if (mdu_backend_ && !used_mdu)
-        mdu_backend_->idle();
 
     pc_ = next_pc;
 }
@@ -495,7 +466,7 @@ Iss::peek_fu_issue(ModuleKind mounted) const
 }
 
 void
-Iss::step_one(const FuBackend::FuResult *injected)
+Iss::step_one(const FuResult *injected)
 {
     injected_ = injected;
     step();

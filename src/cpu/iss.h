@@ -4,10 +4,12 @@
  *
  * In-order, single-issue, one instruction per cycle (+1 for taken
  * control flow), standing in for the Verilator-simulated CV32E40P of the
- * paper's evaluation. Arithmetic uses the golden models (alu_compute,
- * softfp); a gate-level functional unit (healthy or failing netlist)
- * plugs in through an FuBackend such as cpu::NetlistBackend
- * (cpu/netlist_backend.h), and lift::replay_on_module
+ * paper's evaluation. run() uses the golden models (alu_compute,
+ * softfp). A gate-level functional unit (healthy or failing netlist)
+ * is reached only through the split-transaction pair
+ * peek_fu_issue()/step_one(): cpu::BatchNetlistEngine
+ * (cpu/batch_backend.h) answers each lane's transaction and the wave
+ * driver (campaign/wave.h) injects the result. lift::replay_on_module
  * (lift/error_lifting.h) replays generated test blocks on the module
  * alone.
  *
@@ -54,43 +56,22 @@ struct IssConfig
     size_t memory_bytes = 1 << 20;
 };
 
-/**
- * Pluggable functional-unit backend: when attached, the ISS routes ALU
- * and/or FPU operations through it instead of the golden models. The
- * gate-level backend (cpu/netlist_backend.h) executes ops on a (possibly
- * failing) netlist, making hardware faults architecturally visible —
- * including stalls when a handshake signal is corrupted.
- */
-class FuBackend
+/** A gate-level unit's response to one FuIssue (see Iss::step_one). */
+struct FuResult
 {
-  public:
-    struct FuResult
-    {
-        uint32_t value = 0;
-        uint8_t flags = 0;   ///< flags raised by this op (FPU only)
-        bool stalled = false; ///< handshake never completed
-    };
-
-    virtual ~FuBackend() = default;
-    virtual FuResult alu(uint8_t op, uint32_t a, uint32_t b) = 0;
-    virtual FuResult fpu(uint8_t op, uint32_t a, uint32_t b) = 0;
-    virtual FuResult mdu(uint8_t op, uint32_t a, uint32_t b) = 0;
-    /** Read the hardware fflags register (FPU backends). */
-    virtual uint8_t read_fflags() = 0;
-    /** Pulse the flags-clear input (csrw fflags, x0). */
-    virtual void clear_fflags() = 0;
-    /** One cycle with no operation issued to this unit. */
-    virtual void idle() = 0;
+    uint32_t value = 0;
+    uint8_t flags = 0;   ///< sticky flags after the op or read (FPU only)
+    bool stalled = false; ///< handshake never completed
 };
 
 /**
  * Pluggable data-memory backend modeling an aged SRAM address decoder
- * (src/mem/mem_backend.h). Unlike FuBackend — which corrupts *values* —
- * a decoder fault redirects whole accesses, so the hook returns an
- * access *plan*: where the access actually lands, whether a second row
- * is also selected (multi-select), or whether no row is selected at
- * all. The ISS applies the plan to every load/store, including the
- * FP Flw/Fsw pair.
+ * (src/mem/mem_backend.h). Unlike a failing functional unit — which
+ * corrupts *values* — a decoder fault redirects whole accesses, so the
+ * hook returns an access *plan*: where the access actually lands,
+ * whether a second row is also selected (multi-select), or whether no
+ * row is selected at all. The ISS applies the plan to every load/store,
+ * including the FP Flw/Fsw pair.
  */
 class MemBackend
 {
@@ -136,7 +117,7 @@ class Iss
     /**
      * Why run() stopped. Trap means an access left the architectural
      * envelope (pc outside the program, load/store outside memory) —
-     * expected when a faulty gate-level backend corrupts an address or
+     * expected when a failing gate-level unit corrupts an address or
      * branch target, so it ends the run instead of aborting the
      * process.
      */
@@ -144,31 +125,21 @@ class Iss
 
     explicit Iss(std::vector<Instr> program, IssConfig cfg = {});
 
-    /** Attach a gate-level ALU; nullptr restores the golden model. */
-    void set_alu_backend(FuBackend *backend) { alu_backend_ = backend; }
-    /** Attach a gate-level FPU; flags reads also route to it. */
-    void set_fpu_backend(FuBackend *backend) { fpu_backend_ = backend; }
-    /** Attach a gate-level multiply unit (mul/mulh/mulhu). */
-    void set_mdu_backend(FuBackend *backend) { mdu_backend_ = backend; }
     /** Attach a faulty-memory model; nullptr restores ideal memory. */
     void set_mem_backend(MemBackend *backend) { mem_backend_ = backend; }
 
     /** Clear registers, memory, counters; pc back to 0. */
     void reset();
 
-    /** Run until Halt or the instruction budget expires. */
+    /** Run on the golden models until Halt or the budget expires. */
     Status run();
 
-    /// @name Split-transaction execution (batched wave driver)
+    /// @name Split-transaction execution (gate-level units)
     ///
-    /// A backend-mounted run() interleaves ISS steps with synchronous
-    /// backend calls. Wave execution instead runs the ISS with *no*
-    /// backend attached: the driver peeks the transaction the next
-    /// instruction would issue to the one mounted unit, ticks 64 such
-    /// units together on a BatchSimulator, and feeds each lane's
-    /// FuResult back through step_one(). The decode here mirrors
-    /// step()'s backend routing exactly, so wave and scalar executions
-    /// are architecturally lockstep.
+    /// The driver peeks the transaction the next instruction would
+    /// issue to the one mounted unit, ticks 64 such units together on
+    /// a BatchSimulator, and feeds each lane's FuResult back through
+    /// step_one(). Every unmounted unit stays on its golden model.
     /// @{
 
     /** True while run() would keep stepping (no stop condition holds). */
@@ -199,11 +170,10 @@ class Iss
      * Execute exactly one instruction. When @p injected is non-null it
      * supplies the mounted unit's response for the transaction
      * peek_fu_issue() reported — the instruction must consume it
-     * (checked). With @p injected null the instruction must not need a
-     * mounted unit; golden models serve any unmounted ones, exactly as
-     * in a scalar run with a single backend attached.
+     * (checked). With @p injected null the golden models serve the
+     * instruction.
      */
-    void step_one(const FuBackend::FuResult *injected = nullptr);
+    void step_one(const FuResult *injected = nullptr);
     /// @}
 
     /// @name Architectural state
@@ -242,9 +212,9 @@ class Iss
   private:
     void step();
     /** Claim the injected FU result for the executing instruction. */
-    FuBackend::FuResult take_injected()
+    FuResult take_injected()
     {
-        FuBackend::FuResult r = *injected_;
+        FuResult r = *injected_;
         injected_ = nullptr;
         return r;
     }
@@ -284,12 +254,9 @@ class Iss
     std::vector<FuTraceEntry> fu_trace_;
     std::vector<FuTraceEntry> mem_trace_;
     std::vector<uint64_t> exec_counts_;
-    FuBackend *alu_backend_ = nullptr;
-    FuBackend *fpu_backend_ = nullptr;
-    FuBackend *mdu_backend_ = nullptr;
     MemBackend *mem_backend_ = nullptr;
     /** Wave-injected FU result for the instruction being stepped. */
-    const FuBackend::FuResult *injected_ = nullptr;
+    const FuResult *injected_ = nullptr;
 };
 
 } // namespace vega::cpu

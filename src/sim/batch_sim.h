@@ -15,13 +15,14 @@
  * (tests/reference_sim.h) by tests/test_eval_tape.cpp.
  *
  * This is the only EvalTape interpreter. Single-stream consumers (SP
- * profiling, capture_waveform, test replay, cpu::NetlistBackend, the
- * memory decoder classifier) drive every lane alike (set_bus_all /
- * set_input_all) and read lane 0. lift::fuzz_cover runs 64 fuzzing
- * episodes per simulated cycle, and cpu::BatchNetlistEngine runs 64
- * ISS streams. The simulator counts tape passes (`sim.batch_cycles`,
- * `sim.batch_evals`); the multi-lane consumers count the lane-cycles
- * that carry an episode (`sim.lane_cycles`).
+ * profiling, capture_waveform, test replay, the memory decoder
+ * classifier) drive every lane alike (set_bus_all / set_input_all) and
+ * read lane 0. lift::fuzz_cover runs 64 fuzzing episodes per simulated
+ * cycle, and cpu::BatchNetlistEngine runs 64 ISS streams — the only
+ * way an ISS reaches a gate-level unit. The simulator counts tape
+ * passes (`sim.batch_cycles`, `sim.batch_evals`); the multi-lane
+ * consumers count the lane-cycles that carry an episode
+ * (`sim.lane_cycles`).
  */
 #pragma once
 

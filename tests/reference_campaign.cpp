@@ -10,24 +10,6 @@ namespace vega::campaign {
 
 namespace {
 
-void
-mount_backend(cpu::Iss &iss, ModuleKind kind, cpu::NetlistBackend *backend)
-{
-    switch (kind) {
-      case ModuleKind::Alu32:
-        iss.set_alu_backend(backend);
-        break;
-      case ModuleKind::Fpu32:
-        iss.set_fpu_backend(backend);
-        break;
-      case ModuleKind::Mdu32:
-        iss.set_mdu_backend(backend);
-        break;
-      default:
-        VEGA_CHECK(false, "not a CPU functional unit");
-    }
-}
-
 /** The FU slot loop on one failing netlist (the scalar run_job). */
 JobResult
 run_job(ModuleKind kind, const lift::FailingNetlist &failing,
@@ -91,7 +73,7 @@ reference_fault(const HwModule &module,
 
 NetlistEngine::NetlistEngine(ModuleKind kind, const Netlist &netlist,
                              bool has_random_input, uint64_t seed)
-    : kind_(kind), backend_(kind, netlist, has_random_input, seed)
+    : fu_(kind, netlist, has_random_input, seed)
 {
 }
 
@@ -101,8 +83,7 @@ NetlistEngine::run(const runtime::TestCase &tc)
     cpu::IssConfig cfg;
     cfg.max_instructions = kTestWatchdog;
     cpu::Iss iss(tc.program, cfg);
-    mount_backend(iss, kind_, &backend_);
-    auto status = iss.run();
+    auto status = run_reference(iss, fu_);
 
     // A test that never completes cleanly is a stall-class detection,
     // whether the handshake hung (Stalled), the fault sent execution
@@ -113,9 +94,9 @@ NetlistEngine::run(const runtime::TestCase &tc)
         det = runtime::Detection::Stall;
     else if (iss.reg(31) != 0)
         det = runtime::Detection::Mismatch;
-    else if (backend_.tag_mismatches() > tags_seen_)
+    else if (fu_.tag_mismatches() > tags_seen_)
         det = runtime::Detection::TagAnomaly;
-    tags_seen_ = backend_.tag_mismatches();
+    tags_seen_ = fu_.tag_mismatches();
     return det;
 }
 
@@ -123,14 +104,12 @@ bool
 workload_corrupts(ModuleKind kind, const Netlist &netlist,
                   bool has_random_input, uint64_t seed)
 {
-    cpu::NetlistBackend backend(kind, netlist, has_random_input, seed);
+    ReferenceFu fu(kind, netlist, has_random_input, seed);
     const workloads::Kernel &kernel = representative_kernel(kind);
     cpu::IssConfig cfg;
     cfg.max_instructions = kWorkloadWatchdog;
     cpu::Iss iss(kernel.program, cfg);
-    mount_backend(iss, kind, &backend);
-    auto status = iss.run();
-    if (status != cpu::Iss::Status::Halted)
+    if (run_reference(iss, fu) != cpu::Iss::Status::Halted)
         return true;
     return iss.read_u32(workloads::kChecksumAddr) !=
            kernel.expected_checksum;

@@ -4,14 +4,15 @@
  *
  * Scalar execution: each fault is spliced into its own standalone
  * failing netlist (lift::build_failing_netlist), mounted as the ISS's
- * unit through cpu::NetlistBackend (one instruction stream, with its
- * own FU protocol and ISS routing), and every run simulates that
- * netlist alone. No fault bank, no per-lane protocol, no shared passes
- * — so its verdicts are an independent oracle for
+ * unit through the scalar FU protocol and ISS routing of
+ * tests/reference_fu.h (one instruction stream), and every run
+ * simulates that netlist alone. No fault bank, no per-lane protocol,
+ * no shared passes — so its verdicts are an independent oracle for
  * campaign::characterize_wave, campaign::run_wave and everything built
- * on them (try_run_campaign, fleet::build_fault_matrix). The tape
- * interpreter both sides share, BatchSimulator, is checked separately
- * against the pre-tape ReferenceSim (tests/reference_sim.h).
+ * on them (try_run_campaign, fleet::build_fault_matrix, the Table 6/7
+ * evaluations). The tape interpreter both sides share, BatchSimulator,
+ * is checked separately against the pre-tape ReferenceSim
+ * (tests/reference_sim.h).
  */
 #pragma once
 
@@ -19,8 +20,8 @@
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "cpu/netlist_backend.h"
 #include "fleet/fault_matrix.h"
+#include "reference_fu.h"
 #include "runtime/aging_library.h"
 
 namespace vega::campaign {
@@ -41,11 +42,10 @@ class NetlistEngine : public runtime::Engine
     runtime::Detection run(const runtime::TestCase &tc) override;
 
     /** Gate-level cycles simulated so far. */
-    uint64_t cycles() const { return backend_.cycles(); }
+    uint64_t cycles() const { return fu_.cycles(); }
 
   private:
-    ModuleKind kind_;
-    cpu::NetlistBackend backend_;
+    ReferenceFu fu_;
     uint64_t tags_seen_ = 0;
 };
 

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "common/rng.h"
 #include "cpu/alu_ops.h"
 #include "cpu/assembler.h"
-#include "cpu/netlist_backend.h"
+#include "cpu/batch_backend.h"
+#include "cpu/mdu_ops.h"
 #include "cpu/softfp.h"
+#include "reference_fu.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
+#include "rtl/mdu32.h"
 
 namespace vega::cpu {
 namespace {
@@ -274,6 +280,223 @@ TEST(Iss, FuTraceRecordsAluAndFpuOps)
     EXPECT_EQ(iss.fu_trace()[2].unit, ModuleKind::Fpu32);
 }
 
+/**
+ * Every opcode but Halt three times, shuffled, then Halt. x1..x15 and
+ * f0..f7 start random; x20 is a data base no instruction writes, and
+ * every branch and jump goes forward, so the program always halts.
+ */
+std::vector<Instr>
+random_decode_program(Rng &rng)
+{
+    std::vector<Instr> prog;
+    for (Reg r = 1; r < 16; ++r) {
+        uint32_t v = uint32_t(rng.next());
+        prog.push_back({Op::Lui, r, 0, 0, int32_t(v & 0xfffff000u)});
+        prog.push_back({Op::Ori, r, r, 0, int32_t(v & 0x7ffu)});
+    }
+    prog.push_back({Op::Addi, 20, 0, 0, 0x100});
+    for (FReg f = 0; f < 8; ++f)
+        prog.push_back({Op::FmvWX, f, Reg(1 + f), 0, 0});
+
+    std::vector<Op> ops;
+    for (int copy = 0; copy < 3; ++copy)
+        for (int op = 0; op < int(Op::Halt); ++op)
+            ops.push_back(Op(op));
+    for (size_t i = ops.size(); i > 1; --i)
+        std::swap(ops[i - 1], ops[rng.below(i)]);
+
+    // Register fields index x- or f-registers alike: rd in 1..15,
+    // sources in 0..15.
+    const int32_t halt_at = int32_t(prog.size() + ops.size());
+    for (Op op : ops) {
+        int32_t here = int32_t(prog.size());
+        int32_t target = std::min(halt_at, here + 1 + int32_t(rng.below(4)));
+        Instr in{op, Reg(1 + rng.below(15)), Reg(rng.below(16)),
+                 Reg(rng.below(16)), int32_t(rng.below(4096)) - 2048};
+        switch (op) {
+          case Op::Slli: case Op::Srli: case Op::Srai:
+            in.imm = int32_t(rng.below(32));
+            break;
+          case Op::Lw: case Op::Sw: case Op::Flw: case Op::Fsw:
+            in.rs1 = 20;
+            in.imm = int32_t(4 * rng.below(64));
+            break;
+          case Op::Lb: case Op::Lbu: case Op::Sb:
+            in.rs1 = 20;
+            in.imm = int32_t(rng.below(256));
+            break;
+          case Op::Beq: case Op::Bne: case Op::Blt: case Op::Bge:
+          case Op::Bltu: case Op::Bgeu: case Op::Jal:
+            in.imm = target;
+            break;
+          case Op::Jalr:
+            in.rs1 = 0;
+            in.imm = 4 * target;
+            break;
+          default:
+            break;
+        }
+        prog.push_back(in);
+    }
+    prog.push_back({Op::Halt, 0, 0, 0, 0});
+    return prog;
+}
+
+/** The golden response to an Op issued to a mounted @p kind unit. */
+FuResult
+golden_response(ModuleKind kind, const FuIssue &issue)
+{
+    FuResult r;
+    if (kind == ModuleKind::Alu32) {
+        r.value = alu_compute(AluOp(issue.op), issue.a, issue.b);
+    } else if (kind == ModuleKind::Mdu32) {
+        r.value = mdu_compute(MduOp(issue.op), issue.a, issue.b);
+    } else {
+        fp::FpResult f = fp::fpu_compute(fp::FpuOp(issue.op), issue.a,
+                                         issue.b);
+        r.value = f.bits;
+        r.flags = f.flags;
+    }
+    return r;
+}
+
+TEST(Iss, PeekFuIssueMatchesExecutedDecode)
+{
+    // Waves and the test reference both trust peek_fu_issue() to name
+    // exactly the instructions step() routes to the mounted unit.
+    Rng rng(2024);
+    IssConfig cfg;
+    cfg.record_fu_trace = true;
+    for (int round = 0; round < 4; ++round) {
+        std::vector<Instr> prog = random_decode_program(rng);
+        for (ModuleKind kind :
+             {ModuleKind::Alu32, ModuleKind::Mdu32, ModuleKind::Fpu32}) {
+            Iss iss(prog, cfg);
+            size_t ops = 0;
+            while (iss.running()) {
+                FuIssue issue = iss.peek_fu_issue(kind);
+                std::vector<uint64_t> counts = iss.exec_counts();
+                size_t traced = iss.fu_trace().size();
+                if (issue.kind == FuIssue::Kind::Op) {
+                    FuResult r = golden_response(kind, issue);
+                    iss.step_one(&r);
+                } else {
+                    iss.step_one();
+                }
+                size_t pc = 0;
+                while (pc < counts.size() &&
+                       counts[pc] == iss.exec_counts()[pc])
+                    ++pc;
+                ASSERT_LT(pc, prog.size());
+                const Instr &in = prog[pc];
+                std::vector<FuTraceEntry> mine;
+                for (size_t t = traced; t < iss.fu_trace().size(); ++t)
+                    if (iss.fu_trace()[t].unit == kind)
+                        mine.push_back(iss.fu_trace()[t]);
+                std::string where = render_asm(in) + " @" +
+                                    std::to_string(pc) + " on " +
+                                    module_kind_name(kind);
+                if (issue.kind == FuIssue::Kind::Op) {
+                    ++ops;
+                    ASSERT_EQ(mine.size(), 1u) << where;
+                    EXPECT_EQ(mine[0].op, issue.op) << where;
+                    EXPECT_EQ(mine[0].a, issue.a) << where;
+                    EXPECT_EQ(mine[0].b, issue.b) << where;
+                } else {
+                    EXPECT_TRUE(mine.empty()) << where;
+                }
+                bool fpu = kind == ModuleKind::Fpu32;
+                EXPECT_EQ(issue.kind == FuIssue::Kind::ReadFflags,
+                          fpu && in.op == Op::CsrrFflags)
+                    << where;
+                EXPECT_EQ(issue.kind == FuIssue::Kind::ClearFflags,
+                          fpu && in.op == Op::CsrwFflags)
+                    << where;
+            }
+            EXPECT_EQ(iss.stop_status(), Iss::Status::Halted);
+            EXPECT_GT(ops, 0u);
+        }
+    }
+}
+
+TEST(BatchNetlistEngine, LanesMatchGoldenOnPlainModules)
+{
+    // Every lane posts its own random transaction each round on a
+    // healthy, bank-less module tape.
+    constexpr int kLanes = BatchNetlistEngine::kLanes;
+    enum class Tx { Idle, Op, Read, Clear };
+    Rng rng(77);
+    for (ModuleKind kind :
+         {ModuleKind::Alu32, ModuleKind::Mdu32, ModuleKind::Fpu32}) {
+        HwModule m = kind == ModuleKind::Alu32   ? rtl::make_alu32()
+                     : kind == ModuleKind::Mdu32 ? rtl::make_mdu32()
+                                                 : rtl::make_fpu32();
+        BatchNetlistEngine eng(kind,
+                               std::make_shared<const EvalTape>(m.netlist));
+        const bool fpu = kind == ModuleKind::Fpu32;
+        const uint64_t num_ops = kind == ModuleKind::Alu32   ? kNumAluOps
+                                 : kind == ModuleKind::Mdu32 ? kNumMduOps
+                                                             : 8;
+        std::vector<uint64_t> want_cycles(kLanes, 0);
+        std::vector<uint8_t> sticky(kLanes, 0); ///< golden flags since clear
+        size_t checked_ops = 0, checked_reads = 0;
+        for (int round = 0; round < 48; ++round) {
+            std::vector<Tx> tx(kLanes);
+            std::vector<FuResult> want(kLanes);
+            for (int lane = 0; lane < kLanes; ++lane) {
+                tx[lane] = Tx(rng.below(fpu ? 4 : 2));
+                ++want_cycles[lane];
+                switch (tx[lane]) {
+                  case Tx::Idle:
+                    eng.post_idle(lane);
+                    break;
+                  case Tx::Op: {
+                    FuIssue issue;
+                    issue.op = uint8_t(rng.below(num_ops));
+                    issue.a = uint32_t(rng.next());
+                    issue.b = uint32_t(rng.next());
+                    eng.post_op(lane, issue.op, issue.a, issue.b);
+                    want[lane] = golden_response(kind, issue);
+                    sticky[lane] |= want[lane].flags;
+                    ++want_cycles[lane];
+                    break;
+                  }
+                  case Tx::Read:
+                    eng.post_read_fflags(lane);
+                    want[lane].flags = sticky[lane];
+                    ++want_cycles[lane];
+                    break;
+                  case Tx::Clear:
+                    eng.post_clear_fflags(lane);
+                    sticky[lane] = 0;
+                    break;
+                }
+            }
+            eng.commit_round();
+            for (int lane = 0; lane < kLanes; ++lane) {
+                const FuResult &got = eng.result(lane);
+                std::string where = std::string(module_kind_name(kind)) +
+                                    " round " + std::to_string(round) +
+                                    " lane " + std::to_string(lane);
+                if (tx[lane] == Tx::Op) {
+                    ++checked_ops;
+                    EXPECT_EQ(got.value, want[lane].value) << where;
+                    EXPECT_FALSE(got.stalled) << where;
+                } else if (tx[lane] == Tx::Read) {
+                    ++checked_reads;
+                    EXPECT_EQ(got.flags, want[lane].flags) << where;
+                }
+            }
+        }
+        for (int lane = 0; lane < kLanes; ++lane) {
+            EXPECT_EQ(eng.tag_mismatches(lane), 0u) << lane;
+            EXPECT_EQ(eng.cycles(lane), want_cycles[lane]) << lane;
+        }
+        EXPECT_GT(checked_ops, 0u);
+        EXPECT_EQ(checked_reads > 0, fpu);
+    }
+}
+
 TEST(Iss, RenderAsmSmoke)
 {
     Asm a;
@@ -291,10 +514,10 @@ TEST(Iss, RenderAsmSmoke)
     EXPECT_NE(text.find("ebreak"), std::string::npos);
 }
 
-TEST(NetlistBackend, AluMatchesGolden)
+TEST(ReferenceFu, AluMatchesGolden)
 {
     static HwModule m = rtl::make_alu32();
-    NetlistBackend backend(ModuleKind::Alu32, m.netlist);
+    ReferenceFu fu(ModuleKind::Alu32, m.netlist);
 
     Asm a;
     a.li(5, 1234);
@@ -304,17 +527,16 @@ TEST(NetlistBackend, AluMatchesGolden)
     a.xor_(9, 5, 6);
     a.halt();
     Iss iss(a.finish());
-    iss.set_alu_backend(&backend);
-    EXPECT_EQ(iss.run(), Iss::Status::Halted);
+    EXPECT_EQ(run_reference(iss, fu), Iss::Status::Halted);
     EXPECT_EQ(iss.reg(7), 1234u + 5678u);
     EXPECT_EQ(iss.reg(8), uint32_t(1234 - 5678));
     EXPECT_EQ(iss.reg(9), 1234u ^ 5678u);
 }
 
-TEST(NetlistBackend, FpuMatchesGoldenIncludingFlags)
+TEST(ReferenceFu, FpuMatchesGoldenIncludingFlags)
 {
     static HwModule m = rtl::make_fpu32();
-    NetlistBackend backend(ModuleKind::Fpu32, m.netlist);
+    ReferenceFu fu(ModuleKind::Fpu32, m.netlist);
 
     Asm a;
     a.li(5, 0x3f800000);
@@ -331,17 +553,16 @@ TEST(NetlistBackend, FpuMatchesGoldenIncludingFlags)
     a.csrr_fflags(11);
     a.halt();
     Iss iss(a.finish());
-    iss.set_fpu_backend(&backend);
-    EXPECT_EQ(iss.run(), Iss::Status::Halted);
+    EXPECT_EQ(run_reference(iss, fu), Iss::Status::Halted);
     EXPECT_EQ(iss.reg(7), 0x3f800000u);
     EXPECT_EQ(iss.reg(8), uint32_t(fp::kNX));
     EXPECT_EQ(iss.reg(9), 0u);
     EXPECT_EQ(iss.reg(10), 0x3f800000u);
     EXPECT_EQ(iss.reg(11), 0u);
-    EXPECT_EQ(backend.tag_mismatches(), 0u);
+    EXPECT_EQ(fu.tag_mismatches(), 0u);
 }
 
-TEST(NetlistBackend, RandomProgramAgreesWithGolden)
+TEST(ReferenceFu, RandomProgramAgreesWithGolden)
 {
     static HwModule m = rtl::make_alu32();
     Rng rng(91);
@@ -372,9 +593,8 @@ TEST(NetlistBackend, RandomProgramAgreesWithGolden)
         Iss golden(prog);
         golden.run();
         Iss hw(prog);
-        NetlistBackend backend(ModuleKind::Alu32, m.netlist);
-        hw.set_alu_backend(&backend);
-        hw.run();
+        ReferenceFu fu(ModuleKind::Alu32, m.netlist);
+        run_reference(hw, fu);
         for (int r = 5; r < 17; ++r)
             EXPECT_EQ(hw.reg(Reg(r)), golden.reg(Reg(r))) << r;
     }

@@ -4,7 +4,7 @@
 
 #include "aging/timing_library.h"
 #include "cpu/alu_ops.h"
-#include "cpu/netlist_backend.h"
+#include "reference_fu.h"
 #include "rtl/alu32.h"
 #include "sim/sp_profiler.h"
 
@@ -109,10 +109,9 @@ TEST_F(AluLift, ValidatedTestDetectsViaFullSoftwareStack)
 
             FailingNetlist failing =
                 build_failing_netlist(module().netlist, co.spec);
-            cpu::NetlistBackend backend(ModuleKind::Alu32, failing.netlist);
+            ReferenceFu fu(ModuleKind::Alu32, failing.netlist);
             cpu::Iss iss(tc->program);
-            iss.set_alu_backend(&backend);
-            auto status = iss.run();
+            auto status = run_reference(iss, fu);
             // Either the block flags a mismatch or the CPU stalls.
             bool detected = (status == cpu::Iss::Status::Halted &&
                              iss.reg(31) != 0) ||
@@ -121,11 +120,10 @@ TEST_F(AluLift, ValidatedTestDetectsViaFullSoftwareStack)
             // block even though the reset replay sees it (that is the
             // paper's Table 6 "L" phenomenon), so only require that the
             // healthy netlist never flags anything.
-            cpu::NetlistBackend healthy_be(ModuleKind::Alu32,
-                                           module().netlist);
+            ReferenceFu healthy_fu(ModuleKind::Alu32, module().netlist);
             cpu::Iss healthy(tc->program);
-            healthy.set_alu_backend(&healthy_be);
-            ASSERT_EQ(healthy.run(), cpu::Iss::Status::Halted);
+            ASSERT_EQ(run_reference(healthy, healthy_fu),
+                      cpu::Iss::Status::Halted);
             EXPECT_EQ(healthy.reg(31), 0u);
             (void)detected;
             return; // one case is enough for this test

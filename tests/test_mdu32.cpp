@@ -5,7 +5,7 @@
 #include "common/rng.h"
 #include "cpu/assembler.h"
 #include "cpu/mdu_ops.h"
-#include "cpu/netlist_backend.h"
+#include "reference_fu.h"
 #include "sim/batch_sim.h"
 #include "vega/workflow.h"
 
@@ -69,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(AllOps, MduOpTest,
 TEST(Mdu32, IssBackendMatchesGolden)
 {
     static HwModule m = make_mdu32();
-    cpu::NetlistBackend backend(ModuleKind::Mdu32, m.netlist);
+    ReferenceFu fu(ModuleKind::Mdu32, m.netlist);
 
     cpu::Asm a;
     a.li(5, 0x12345678);
@@ -83,8 +83,7 @@ TEST(Mdu32, IssBackendMatchesGolden)
     cpu::Iss golden(prog);
     golden.run();
     cpu::Iss hw(prog);
-    hw.set_mdu_backend(&backend);
-    ASSERT_EQ(hw.run(), cpu::Iss::Status::Halted);
+    ASSERT_EQ(run_reference(hw, fu), cpu::Iss::Status::Halted);
     for (int r = 7; r <= 9; ++r)
         EXPECT_EQ(hw.reg(cpu::Reg(r)), golden.reg(cpu::Reg(r))) << r;
 }

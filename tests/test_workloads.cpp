@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/iss.h"
-#include "cpu/netlist_backend.h"
+#include "reference_fu.h"
 #include "rtl/fpu32.h"
 
 namespace vega::workloads {
@@ -75,13 +75,12 @@ TEST(Workloads, FpKernelsMatchOnGateLevelFpu)
             if (kernel.name == name)
                 k = &kernel;
         ASSERT_NE(k, nullptr);
-        cpu::NetlistBackend backend(ModuleKind::Fpu32, m.netlist);
+        ReferenceFu fu(ModuleKind::Fpu32, m.netlist);
         cpu::Iss iss(k->program);
-        iss.set_fpu_backend(&backend);
-        ASSERT_EQ(iss.run(), cpu::Iss::Status::Halted) << name;
+        ASSERT_EQ(run_reference(iss, fu), cpu::Iss::Status::Halted) << name;
         EXPECT_EQ(iss.read_u32(kChecksumAddr), k->expected_checksum)
             << name;
-        EXPECT_EQ(backend.tag_mismatches(), 0u) << name;
+        EXPECT_EQ(fu.tag_mismatches(), 0u) << name;
     }
 }
 
