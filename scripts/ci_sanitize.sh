@@ -72,17 +72,16 @@ ctest --test-dir "$build" --output-on-failure -R "$fu_gate" -j "$jobs"
 # pinned BENCH_*.json.
 ctest --test-dir "$build" --output-on-failure -L bench-smoke -j "$jobs"
 
-# Portfolio determinism gate: the CoverBatch and CheckCover corpus
+# Cover-solving determinism gate: the CoverBatch and CheckCover corpus
 # tests assert that batched cover solving and one-target check_cover
 # return byte-identical results (status, frames, induction depth,
-# witness waveforms) at 1, 2, and 8 portfolio threads and under
-# target-order permutation, against the fresh-instance reference in
-# tests/reference_bmc.cpp. Clause sharing and work partitioning must
-# never leak into verdicts; run the gate focused so a divergence fails
-# readably before the full suite.
+# witness waveforms) across seeded target-order permutations, against
+# the fresh-instance reference in tests/reference_bmc.cpp. Batch shape
+# and target order must never leak into verdicts; run the gate focused
+# so a divergence fails readably before the full suite.
 ctest --test-dir "$build" --output-on-failure \
     -R 'CoverBatch|CheckCover|SatSolver' -j "$jobs"
-echo "ci_sanitize: portfolio determinism gate clean"
+echo "ci_sanitize: cover-solving determinism gate clean"
 
 # Thread-scaling gate: the campaign engine must actually scale where
 # the hardware can scale. campaign_scaling --smoke adds an 8-thread
@@ -155,9 +154,10 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 # becomes silent corruption — the campaign engine's wave dispatch and
 # group-commit journaling, the fleet fault matrix's wave tasks (which
 # write into shared per-class slots), the work-stealing pool, the
-# sharded aggregator, the observability counters/rings, and the
-# CoverBatch clause-sharing portfolio (worker mailboxes, shared netlist
-# caches).
+# sharded aggregator, and the observability counters/rings. The
+# CoverBatch and CheckCover entries run the cover-solving corpus tests
+# (seeded target-order permutations against tests/reference_bmc.cpp);
+# cover solving spawns no threads of its own, so they run on one thread.
 tsan="$repo/build-tsan"
 cmake -S "$repo" -B "$tsan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -167,4 +167,4 @@ TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
     ctest --test-dir "$tsan" --output-on-failure \
     -R 'Campaign|WaveCampaign|FleetMatrix|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover' \
     -j "$jobs"
-echo "ci_sanitize: ThreadSanitizer campaign/pool/portfolio pass clean"
+echo "ci_sanitize: ThreadSanitizer campaign/pool/cover-batch pass clean"

@@ -16,9 +16,9 @@
  *
  * check_cover() answers ONE cover target; it is a one-target
  * formal::CoverBatch (cover_batch.h), the library's only cover-solving
- * engine. CoverBatch keeps one persistent instance per portfolio worker,
- * deepens it one frame per bound with activation-literal queries, and
- * resolves every still-open target of a suite at each bound.
+ * engine. CoverBatch keeps one persistent reset-state instance, deepens
+ * it one frame per bound with activation-literal queries, and resolves
+ * every still-open target of a suite at each bound.
  *
  * With BmcOptions::kinduction_frames > 0, a k-induction post-pass
  * upgrades bound-exhaustion verdicts to real Unreachable proofs: after
@@ -74,13 +74,6 @@ struct BmcOptions
      * "Unreachable" into a proof (BmcResult::kinduction_depth).
      */
     int kinduction_frames = 0;
-    /**
-     * Worker threads of the CoverBatch portfolio. Targets are
-     * partitioned round-robin across workers, which share learned
-     * clauses after every bound; per-target verdicts are deterministic
-     * regardless of this value (it only moves wall time).
-     */
-    int portfolio_threads = 1;
 };
 
 enum class BmcStatus { Covered, Unreachable, Timeout };

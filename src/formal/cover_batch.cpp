@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
-#include <thread>
 
 #include "common/logging.h"
 #include "formal/unroller.h"
@@ -14,7 +12,7 @@ namespace vega::formal {
 
 using sat::Lit;
 
-namespace detail {
+namespace {
 
 /**
  * One wall-clock deadline for a whole run: each SAT query is handed only
@@ -48,10 +46,6 @@ class LoopDeadline
     Clock::time_point end_;
 };
 
-} // namespace detail
-
-namespace {
-
 /** Record all port buses of @p nl for frames [0, frames) into a Waveform. */
 Waveform
 extract_trace(const Netlist &nl, const Unroller &unroll, int frames)
@@ -73,8 +67,8 @@ extract_trace(const Netlist &nl, const Unroller &unroll, int frames)
 /**
  * Fresh-instance bound-@p k cover query from reset: the witness of a
  * target covered at bound k. The persistent instance's own model depends
- * on the clauses it carries (batch shape, portfolio sharing), this one
- * does not, so witnesses are the same at any batch shape or thread count.
+ * on the clauses it carries (batch shape, target order), this one does
+ * not, so witnesses are the same at any batch shape or target order.
  */
 sat::Solver::Result
 solve_reset_bound(const Netlist &nl, NetId target,
@@ -175,66 +169,8 @@ struct CoverBatch::Target
     BmcResult result;
 };
 
-/** One portfolio worker: its target slice plus its two persistent
- *  instances (reset deepening, free-state/induction). */
-struct CoverBatch::Worker
-{
-    int id = 0;
-    std::vector<int> targets; ///< indices into targets_
-    std::unique_ptr<Unroller> reset_unroller;
-    std::unique_ptr<Unroller> free_unroller;
-    /** Bounded-target count the current reset cell mask was built for;
-     *  the mask is recomputed (shrunk) whenever this drops. */
-    int mask_targets = -1;
-    /** Mailbox read cursors (entries before these are already imported). */
-    size_t reset_cursor = 0;
-    size_t free_cursor = 0;
-};
-
-/**
- * Cross-worker clause exchange. Two channels because the instances are
- * not interchangeable: clauses learned on a reset instance may depend
- * on the DFF init units and are only valid on other reset instances;
- * free-instance clauses are only shared with other free instances.
- * Entries are append-only under the mutex; each worker keeps a cursor
- * per channel and skips clauses it published itself.
- */
-struct CoverBatch::Mailbox
-{
-    std::mutex mu;
-    std::vector<std::pair<int, Unroller::SharedClause>> reset_entries;
-    std::vector<std::pair<int, Unroller::SharedClause>> free_entries;
-
-    void publish(int worker, std::vector<Unroller::SharedClause> clauses,
-                 bool free_channel)
-    {
-        if (clauses.empty())
-            return;
-        std::lock_guard<std::mutex> lock(mu);
-        auto &chan = free_channel ? free_entries : reset_entries;
-        for (auto &c : clauses)
-            chan.emplace_back(worker, std::move(c));
-    }
-
-    void exchange(int worker, size_t &cursor, Unroller &unroll,
-                  bool free_channel)
-    {
-        std::vector<Unroller::SharedClause> fresh;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            const auto &chan = free_channel ? free_entries : reset_entries;
-            for (size_t i = cursor; i < chan.size(); ++i)
-                if (chan[i].first != worker)
-                    fresh.push_back(chan[i].second);
-            cursor = chan.size();
-        }
-        if (!fresh.empty())
-            unroll.import_shared_clauses(fresh);
-    }
-};
-
 CoverBatch::CoverBatch(const Netlist &nl, const BmcOptions &opts)
-    : nl_(nl), opts_(opts), mailbox_(std::make_unique<Mailbox>())
+    : nl_(nl), opts_(opts)
 {
 }
 
@@ -301,19 +237,6 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
     if (targets_.empty())
         return;
 
-    if (runs_ == 0) {
-        // Partition targets round-robin across the portfolio workers.
-        int w = std::max(1, opts_.portfolio_threads);
-        w = std::min(w, static_cast<int>(targets_.size()));
-        for (int i = 0; i < w; ++i) {
-            auto worker = std::make_unique<Worker>();
-            worker->id = i;
-            workers_.push_back(std::move(worker));
-        }
-        for (size_t i = 0; i < targets_.size(); ++i)
-            workers_[i % workers_.size()]->targets.push_back(
-                static_cast<int>(i));
-    }
     ++runs_;
 
     // Fresh per-run accounting: unsettled targets restart their spend
@@ -329,34 +252,8 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
         }
     }
 
-    // Prime the lazily-built topo/reader caches of every netlist the
-    // workers will read concurrently: Netlist::topo_order() mutates
-    // them on first use, which must happen-before the thread spawns.
-    if (workers_.size() > 1) {
-        nl_.topo_order();
-        for (const Target &t : targets_)
-            t.spec.witness_netlist->topo_order();
-    }
+    const LoopDeadline deadline(wall_budget_seconds);
 
-    detail::LoopDeadline deadline(wall_budget_seconds);
-    if (workers_.size() == 1) {
-        run_worker(*workers_[0], conflict_budget, deadline);
-        return;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(workers_.size());
-    for (auto &w : workers_)
-        threads.emplace_back([&, worker = w.get()] {
-            run_worker(*worker, conflict_budget, deadline);
-        });
-    for (auto &th : threads)
-        th.join();
-}
-
-void
-CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
-                       const detail::LoopDeadline &deadline)
-{
     static obs::Counter &retired =
         obs::counter("bmc.targets_retired_per_bound");
     static obs::Counter &kinduction_proofs =
@@ -364,7 +261,6 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
     static obs::Counter &witness_rederive =
         obs::counter("bmc.witness_rederive");
 
-    const bool sharing = workers_.size() > 1;
     // The whole-worklist conflict pool handed to one solve_batch call:
     // every due set shares per_query × count conflicts, so an easy
     // set's leftovers flow to a hard one instead of being forfeited.
@@ -387,20 +283,20 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
 
     // ---- Phase 1: bounded deepening on the shared reset instance ----
     //
-    // The worker's still-bounded targets march through the bounds in
-    // lockstep: frames are appended once per bound (under a cell mask
-    // covering exactly the live targets' cones) and one solve_batch
-    // call resolves every target due at that bound.
+    // The still-bounded targets march through the bounds in lockstep:
+    // frames are appended once per bound (under a cell mask covering
+    // exactly the live targets' cones) and one solve_batch call
+    // resolves every target due at that bound.
     auto bounded_count = [&] {
         int n = 0;
-        for (int ti : w.targets)
-            if (targets_[ti].phase == Target::Phase::Bounded)
+        for (const Target &t : targets_)
+            if (t.phase == Target::Phase::Bounded)
                 ++n;
         return n;
     };
     for (int k = 1; k <= opts_.max_frames; ++k) {
         std::vector<int> due;
-        for (int ti : w.targets) {
+        for (int ti = 0; ti < num_targets(); ++ti) {
             const Target &t = targets_[ti];
             if (t.phase == Target::Phase::Bounded && !t.parked &&
                 t.next_bound == k)
@@ -415,22 +311,20 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
         // included, since a later run resumes them on this instance —
         // plus the assume cones add_frame pins every frame.
         int live = bounded_count();
-        if (live != w.mask_targets) {
+        if (live != mask_targets_) {
             std::vector<NetId> seeds = opts_.assumes;
-            for (int ti : w.targets)
-                if (targets_[ti].phase == Target::Phase::Bounded)
-                    seeds.push_back(targets_[ti].spec.target);
-            w.mask_targets = live;
-            if (!w.reset_unroller) {
-                w.reset_unroller = std::make_unique<Unroller>(
+            for (const Target &t : targets_)
+                if (t.phase == Target::Phase::Bounded)
+                    seeds.push_back(t.spec.target);
+            mask_targets_ = live;
+            if (!reset_unroller_) {
+                reset_unroller_ = std::make_unique<Unroller>(
                     nl_, /*free_initial=*/false);
-                w.reset_unroller->set_assumes(opts_.assumes);
-                if (sharing)
-                    w.reset_unroller->enable_clause_sharing();
+                reset_unroller_->set_assumes(opts_.assumes);
             }
-            w.reset_unroller->set_cell_mask(support_closure(nl_, seeds));
+            reset_unroller_->set_cell_mask(support_closure(nl_, seeds));
         }
-        Unroller &unroll = *w.reset_unroller;
+        Unroller &unroll = *reset_unroller_;
         unroll.ensure_frames(k);
 
         std::vector<std::vector<Lit>> sets;
@@ -439,16 +333,10 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
             sets.push_back(
                 {unroll.cover_activation(k - 1, targets_[ti].spec.target)});
 
-        if (sharing)
-            mailbox_->exchange(w.id, w.reset_cursor, unroll,
-                               /*free_channel=*/false);
         sat::SolveLimits limits;
         limits.conflict_budget = pooled(due.size());
         limits.wall_seconds = deadline.remaining();
         auto outcomes = unroll.solver().solve_batch(sets, limits);
-        if (sharing)
-            mailbox_->publish(w.id, unroll.take_shared_clauses(),
-                              /*free_channel=*/false);
 
         for (size_t d = 0; d < due.size(); ++d) {
             Target &t = targets_[due[d]];
@@ -468,7 +356,7 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
                 // Re-derive the witness through a fresh-instance bound-k
                 // query on the target's witness netlist, never the batch
                 // instance's model: the waveform is then independent of
-                // batch shape and thread count.
+                // batch shape and target order.
                 const auto t0 = std::chrono::steady_clock::now();
                 sat::Solver::Result wres;
                 {
@@ -507,7 +395,7 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
     // activation literal, so the per-target query is the assumption
     // set {gate, clause}.
     std::vector<int> due_free;
-    for (int ti : w.targets)
+    for (int ti = 0; ti < num_targets(); ++ti)
         if (targets_[ti].phase == Target::Phase::Free &&
             !targets_[ti].parked)
             due_free.push_back(ti);
@@ -515,14 +403,12 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
         std::min(opts_.kinduction_frames, opts_.max_frames);
     if (!due_free.empty()) {
         VEGA_SPAN("bmc.unreachability");
-        if (!w.free_unroller) {
-            w.free_unroller =
+        if (!free_unroller_) {
+            free_unroller_ =
                 std::make_unique<Unroller>(nl_, /*free_initial=*/true);
-            w.free_unroller->set_assumes(opts_.assumes);
-            if (sharing)
-                w.free_unroller->enable_clause_sharing();
+            free_unroller_->set_assumes(opts_.assumes);
         }
-        Unroller &unroll = *w.free_unroller;
+        Unroller &unroll = *free_unroller_;
         unroll.ensure_frames(2);
 
         std::vector<std::vector<Lit>> sets;
@@ -539,16 +425,10 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
             sets.push_back({t.eq_act, t.clause_act});
         }
 
-        if (sharing)
-            mailbox_->exchange(w.id, w.free_cursor, unroll,
-                               /*free_channel=*/true);
         sat::SolveLimits limits;
         limits.conflict_budget = pooled(due_free.size());
         limits.wall_seconds = deadline.remaining();
         auto outcomes = unroll.solver().solve_batch(sets, limits);
-        if (sharing)
-            mailbox_->publish(w.id, unroll.take_shared_clauses(),
-                              /*free_channel=*/true);
 
         for (size_t d = 0; d < due_free.size(); ++d) {
             Target &t = targets_[due_free[d]];
@@ -591,14 +471,14 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
     // the phase-2 check. Unknown falls back to the bounded verdict.
     for (int k = 2; k <= max_depth; ++k) {
         std::vector<int> due;
-        for (int ti : w.targets)
+        for (int ti = 0; ti < num_targets(); ++ti)
             if (targets_[ti].phase == Target::Phase::Induction &&
                 targets_[ti].induction_next == k)
                 due.push_back(ti);
         if (due.empty())
             continue;
         VEGA_SPAN("bmc.kinduction");
-        Unroller &unroll = *w.free_unroller;
+        Unroller &unroll = *free_unroller_;
         unroll.ensure_frames(k + 1);
 
         std::vector<std::vector<Lit>> sets;
@@ -612,16 +492,10 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
             sets.push_back(std::move(set));
         }
 
-        if (sharing)
-            mailbox_->exchange(w.id, w.free_cursor, unroll,
-                               /*free_channel=*/true);
         sat::SolveLimits limits;
         limits.conflict_budget = pooled(due.size());
         limits.wall_seconds = deadline.remaining();
         auto outcomes = unroll.solver().solve_batch(sets, limits);
-        if (sharing)
-            mailbox_->publish(w.id, unroll.take_shared_clauses(),
-                              /*free_channel=*/true);
 
         for (size_t d = 0; d < due.size(); ++d) {
             Target &t = targets_[due[d]];
@@ -644,15 +518,14 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
             }
         }
     }
-    for (int ti : w.targets) {
-        Target &t = targets_[ti];
+    for (Target &t : targets_) {
         if (t.phase == Target::Phase::Induction &&
             t.induction_next > max_depth) {
             t.result.proven_by_induction = false;
             t.result.kinduction_depth = 0;
             t.result.frames = opts_.max_frames;
             settle(t, BmcStatus::Unreachable);
-            w.free_unroller->retire(t.eq_act);
+            free_unroller_->retire(t.eq_act);
         }
     }
 }

@@ -5,30 +5,24 @@
  *
  * A lifted pair-batch with N fault configurations asks the same module
  * the same bounded question N times. CoverBatch registers N activation-
- * literal targets against ONE persistent instance per portfolio worker,
- * deepens the shared frames once (one appended frame per bound), resolves
- * every still-open target at each bound, and retires covered/refuted
- * targets as it goes — the module logic every target shares is encoded
- * once per frame instead of once per (frame × target), and clauses
- * learned refuting one target prune its siblings. check_cover() is the
- * one-target case.
+ * literal targets against ONE persistent instance, deepens the shared
+ * frames once (one appended frame per bound), resolves every still-open
+ * target at each bound, and retires covered/refuted targets as it goes
+ * — the module logic every target shares is encoded once per frame
+ * instead of once per (frame × target), and clauses learned refuting
+ * one target prune its siblings. check_cover() is the one-target case.
  *
- * Each target runs three phases: bounded deepening from reset, the
- * 1-step free-state check, and (with BmcOptions::kinduction_frames) the
- * k-induction step queries; see bmc.h for the verdicts they produce.
+ * Each target runs three phases: bounded deepening from reset on the
+ * reset-state instance, then the 1-step free-state check and (with
+ * BmcOptions::kinduction_frames) the k-induction step queries on one
+ * free-state instance; see bmc.h for the verdicts they produce.
  * Statuses and frames are bound-exhaustion semantics independent of
  * batching. Covered witnesses are re-derived through a fresh bound-k
  * instance — optionally on a caller-supplied witness netlist, which is
  * how lift gets traces on its per-config shadow netlists while solving
- * against the multi-config shadow bank. `conflicts`/`wall_seconds` are
+ * against the multi-config shadow bank — so they do not depend on batch
+ * shape or target order either. `conflicts`/`wall_seconds` are
  * accounting, not semantics, and do vary with batch shape.
- *
- * A thread portfolio (BmcOptions::portfolio_threads) partitions the
- * targets round-robin across workers, each with its own instances;
- * workers exchange learned clauses after every bound in the canonical
- * (frame, net) form of Unroller::take_shared_clauses(). Sharing and
- * partitioning only move wall time: verdicts at any thread count are
- * identical.
  *
  * Budgets: run(conflict_budget, wall_budget_seconds) arms ONE wall
  * deadline for the whole run — every query gets only the remaining
@@ -48,9 +42,7 @@
 
 namespace vega::formal {
 
-namespace detail {
-class LoopDeadline;
-}
+class Unroller;
 
 /**
  * One cover target of a batch. `target` and `state_equalities` name
@@ -74,9 +66,9 @@ class CoverBatch
 {
   public:
     /**
-     * @p opts supplies the shared assume nets, frame bound, budgets,
-     * k-induction depth and portfolio width; opts.state_equalities is
-     * ignored (each target carries its own in its spec).
+     * @p opts supplies the shared assume nets, frame bound, budgets and
+     * k-induction depth; opts.state_equalities is ignored (each target
+     * carries its own in its spec).
      */
     CoverBatch(const Netlist &nl, const BmcOptions &opts);
     ~CoverBatch();
@@ -109,17 +101,17 @@ class CoverBatch
 
   private:
     struct Target;
-    struct Worker;
-    struct Mailbox;
-
-    void run_worker(Worker &w, int64_t conflict_budget,
-                    const detail::LoopDeadline &deadline);
 
     const Netlist &nl_;
     BmcOptions opts_;
     std::vector<Target> targets_;
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::unique_ptr<Mailbox> mailbox_;
+    /** Reset-state instance of phase 1 (bounded deepening). */
+    std::unique_ptr<Unroller> reset_unroller_;
+    /** Free-state instance of phases 2 and 3. */
+    std::unique_ptr<Unroller> free_unroller_;
+    /** Bounded-target count the reset cell mask was built for; the mask
+     *  is recomputed (shrunk) whenever this drops. */
+    int mask_targets_ = -1;
     int runs_ = 0;
 };
 

@@ -86,24 +86,7 @@ Unroller::add_frame()
     }
 
     frames_.push_back(std::move(frame));
-    record_frame_origins(f);
     return f;
-}
-
-void
-Unroller::record_frame_origins(int f)
-{
-    const int64_t num_nets = static_cast<int64_t>(nl_.num_nets());
-    const auto &vars = frames_[f].net_var;
-    if (static_cast<int>(var_canon_.size()) < solver_.num_vars())
-        var_canon_.resize(solver_.num_vars(), -1);
-    for (NetId n = 0; n < static_cast<NetId>(vars.size()); ++n) {
-        Var v = vars[n];
-        // First write wins: a DFF's Q at frame f aliases its D variable
-        // of frame f-1, whose canonical name is the earlier (frame, net).
-        if (v != -1 && var_canon_[v] == -1)
-            var_canon_[v] = int64_t(f) * num_nets + n;
-    }
 }
 
 sat::Lit
@@ -116,7 +99,6 @@ Unroller::cover_activation(int frame, NetId target)
     VEGA_CHECK(var(frame, target) != -1,
                "cover target outside the cell mask");
     Lit act(solver_.new_var(), false);
-    var_canon_.resize(solver_.num_vars(), -1);
     solver_.add_clause(~act, Lit(var(frame, target), false));
     cover_acts_.push_back({frame, target, act});
     return act;
@@ -130,7 +112,6 @@ Unroller::clause_activation(const std::vector<std::pair<int, NetId>> &terms)
         if (ca.terms == terms)
             return ca.act;
     Lit act(solver_.new_var(), false);
-    var_canon_.resize(solver_.num_vars(), -1);
     std::vector<Lit> clause{~act};
     for (const auto &[f, n] : terms) {
         VEGA_CHECK(f < num_frames(), "clause_activation beyond last frame");
@@ -149,7 +130,6 @@ Unroller::equality_activation(
     VEGA_CHECK(free_initial_ && num_frames() > 0,
                "equality_activation needs a free-initial frame 0");
     Lit g(solver_.new_var(), false);
-    var_canon_.resize(solver_.num_vars(), -1);
     for (const auto &[a, b] : pairs) {
         VEGA_CHECK(var(0, a) != -1 && var(0, b) != -1,
                    "equality net outside the cell mask");
@@ -158,66 +138,6 @@ Unroller::equality_activation(
         solver_.add_clause(~g, la, ~lb);
     }
     return g;
-}
-
-void
-Unroller::enable_clause_sharing(int max_size, uint32_t max_lbd)
-{
-    solver_.set_export_limits(max_size, max_lbd);
-}
-
-std::vector<Unroller::SharedClause>
-Unroller::take_shared_clauses()
-{
-    std::vector<SharedClause> out;
-    for (const auto &clause : solver_.take_exported()) {
-        SharedClause canon;
-        canon.reserve(clause.size());
-        bool ok = true;
-        for (Lit l : clause) {
-            Var v = l.var();
-            int64_t id = static_cast<size_t>(v) < var_canon_.size()
-                             ? var_canon_[v]
-                             : -1;
-            if (id < 0) {
-                ok = false; // clause touches a private variable
-                break;
-            }
-            canon.push_back(id * 2 + (l.sign() ? 1 : 0));
-        }
-        if (ok)
-            out.push_back(std::move(canon));
-    }
-    return out;
-}
-
-size_t
-Unroller::import_shared_clauses(const std::vector<SharedClause> &clauses)
-{
-    const int64_t num_nets = static_cast<int64_t>(nl_.num_nets());
-    size_t imported = 0;
-    std::vector<Lit> local;
-    for (const SharedClause &canon : clauses) {
-        local.clear();
-        bool ok = true;
-        for (int64_t cl : canon) {
-            int64_t id = cl >> 1;
-            int frame = static_cast<int>(id / num_nets);
-            NetId net = static_cast<NetId>(id % num_nets);
-            if (frame >= num_frames() ||
-                frames_[frame].net_var[net] == -1) {
-                ok = false; // frame/net not encoded here (yet)
-                break;
-            }
-            local.emplace_back(frames_[frame].net_var[net],
-                               (cl & 1) != 0);
-        }
-        if (!ok)
-            continue;
-        solver_.import_clause(local);
-        ++imported;
-    }
-    return imported;
 }
 
 } // namespace vega::formal

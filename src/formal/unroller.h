@@ -119,37 +119,6 @@ class Unroller
      */
     void retire(sat::Lit act) { solver_.add_clause(~act); }
 
-    // ---- portfolio clause sharing ------------------------------------
-    //
-    // Learned clauses travel between independent unrollers of the same
-    // netlist as *canonical* literals `2*(frame*num_nets + net) + sign`.
-    // Only clauses whose every variable is a net variable translate
-    // (activation and equality-group literals are private to one
-    // instance and are dropped at export); a clause mentioning a frame
-    // or net the importer has not encoded is skipped. Soundness: a
-    // net-variable clause learned by any worker is implied by the
-    // frame/assume clauses alone — activation variables only ever
-    // weaken them — so every importer's instance already entails it.
-
-    /** Canonical clause form for cross-unroller exchange. */
-    using SharedClause = std::vector<int64_t>;
-
-    /**
-     * Start exporting learned clauses with size <= @p max_size and
-     * LBD <= @p max_lbd for take_shared_clauses().
-     */
-    void enable_clause_sharing(int max_size = 8, uint32_t max_lbd = 4);
-
-    /** Drain exportable learned clauses in canonical form. */
-    std::vector<SharedClause> take_shared_clauses();
-
-    /**
-     * Import canonical clauses from a peer unroller of the same
-     * netlist; returns how many were accepted (mappable onto frames
-     * and nets this instance has encoded).
-     */
-    size_t import_shared_clauses(const std::vector<SharedClause> &clauses);
-
     sat::Solver &solver() { return solver_; }
 
     /** Variable of @p net at @p frame. */
@@ -187,11 +156,6 @@ class Unroller
         sat::Lit act;
     };
     std::vector<ClauseAct> clause_acts_;
-
-    /** Canonical id per solver var (frame*num_nets + net), or -1 for
-     *  private vars (activation literals, equality-group gates). */
-    std::vector<int64_t> var_canon_;
-    void record_frame_origins(int f);
 };
 
 } // namespace vega::formal

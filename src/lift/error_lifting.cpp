@@ -10,17 +10,6 @@
 namespace vega::lift {
 
 const char *
-trace_engine_name(TraceEngine engine)
-{
-    switch (engine) {
-      case TraceEngine::Formal:  return "formal";
-      case TraceEngine::Fuzzing: return "fuzzing";
-      case TraceEngine::Hybrid:  return "hybrid";
-    }
-    return "?";
-}
-
-const char *
 pair_status_name(PairStatus s)
 {
     switch (s) {
@@ -140,6 +129,17 @@ replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
 
 namespace {
 
+/** Episode budget of the fuzz fallback (the ladder's last rung). */
+constexpr size_t kFuzzEpisodes = 1500;
+
+/**
+ * Endpoint pairs per formal::CoverBatch suite: all fault configurations
+ * of this many pairs are solved as one batch against a multi-cone
+ * shadow bank, so the shared module logic is unrolled once per frame
+ * for the whole batch.
+ */
+constexpr size_t kBatchPairs = 8;
+
 std::vector<std::pair<std::string, FailureModelSpec>>
 make_configs(const sta::EndpointPair &pair, bool mitigation)
 {
@@ -246,45 +246,6 @@ finish_pair(PairResult &&pr, const PairFlags &flags, LiftResult &result)
     result.pairs.push_back(std::move(pr));
 }
 
-/**
- * §6.3 fuzz-first step. Returns true when the config's verdict is
- * decided without the formal engine (a fuzzer trace, or the Fuzzing
- * engine's structured giving-up outcome).
- */
-bool
-fuzz_first(const LiftConfig &config, const ShadowInstrumentation &shadow,
-           ModuleKind kind, size_t pi, formal::BmcResult &bmc,
-           ConfigOutcome &co)
-{
-    if (config.engine == TraceEngine::Formal)
-        return false;
-    FuzzConfig fcfg;
-    fcfg.max_episodes = config.fuzz_episodes;
-    fcfg.seed = 1234 + pi;
-    FuzzResult fz = fuzz_cover(shadow, kind, fcfg);
-    if (fz.found) {
-        bmc.status = formal::BmcStatus::Covered;
-        bmc.trace = std::move(fz.trace);
-        bmc.frames = int(bmc.trace.num_cycles());
-        co.fuzzed = true;
-        co.attempts = 0;
-        return true;
-    }
-    if (config.engine == TraceEngine::Fuzzing) {
-        // Fuzzing alone cannot distinguish "unreachable" from "not
-        // found": report the giving-up outcome.
-        bmc.status = formal::BmcStatus::Timeout;
-        co.attempts = 0;
-        co.exhausted = true;
-        co.error = make_error(ErrorCode::Exhausted,
-                              "fuzzing found no trace in " +
-                                  std::to_string(config.fuzz_episodes) +
-                                  " episodes");
-        return true;
-    }
-    return false;
-}
-
 /** The Timeout-triggered fuzz fallback + Exhausted bookkeeping (the
  *  last rungs of the degradation ladder). */
 void
@@ -298,14 +259,13 @@ apply_degradation(const LiftConfig &config,
         // Last rung of the ladder: trade proof power for a cheap
         // chance at a concrete trace.
         FuzzConfig fcfg;
-        fcfg.max_episodes = config.fuzz_episodes;
+        fcfg.max_episodes = kFuzzEpisodes;
         fcfg.seed = 1234 + pi;
         FuzzResult fz = fuzz_cover(shadow, kind, fcfg);
         if (fz.found) {
             bmc.status = formal::BmcStatus::Covered;
             bmc.trace = std::move(fz.trace);
             bmc.frames = int(bmc.trace.num_cycles());
-            co.fuzzed = true;
             co.degraded_to_fuzz = true;
         }
     }
@@ -339,12 +299,12 @@ run_error_lifting(const HwModule &module,
 {
     LiftResult result;
     size_t limit = std::min(pairs.size(), config.max_pairs);
-    size_t stride = std::max<size_t>(1, config.batch_pairs);
 
-    for (size_t chunk = 0; chunk < limit; chunk += stride) {
-        size_t chunk_end = std::min(limit, chunk + stride);
+    for (size_t chunk = 0; chunk < limit; chunk += kBatchPairs) {
+        size_t chunk_end = std::min(limit, chunk + kBatchPairs);
 
-        /** One fault configuration of the chunk. */
+        /** One fault configuration of the chunk; its index is its
+         *  CoverBatch target index. */
         struct Entry
         {
             size_t pi = 0;
@@ -353,8 +313,6 @@ run_error_lifting(const HwModule &module,
             ShadowInstrumentation shadow;
             ConfigOutcome co;
             formal::BmcResult bmc;
-            bool needs_formal = false;
-            int target = -1; ///< CoverBatch target index
         };
         struct PairWork
         {
@@ -389,39 +347,32 @@ run_error_lifting(const HwModule &module,
                 e.co.name = name;
                 e.shadow =
                     build_shadow_instrumentation(module.netlist, spec);
-                e.needs_formal = !fuzz_first(config, e.shadow, module.kind,
-                                             pi, e.bmc, e.co);
                 entries.push_back(std::move(e));
             }
             pw.n_entries = entries.size() - pw.first_entry;
             work.push_back(std::move(pw));
         }
 
-        std::vector<size_t> formal_idx;
-        for (size_t i = 0; i < entries.size(); ++i)
-            if (entries[i].needs_formal)
-                formal_idx.push_back(i);
-
-        if (!formal_idx.empty()) {
+        if (!entries.empty()) {
             std::vector<FailureModelSpec> specs;
-            specs.reserve(formal_idx.size());
-            for (size_t i : formal_idx)
-                specs.push_back(entries[i].spec);
+            specs.reserve(entries.size());
+            for (const Entry &e : entries)
+                specs.push_back(e.spec);
             ShadowBank bank = build_shadow_bank(module.netlist, specs);
 
             formal::BmcOptions opts = config.bmc;
             opts.assumes = build_assumes(bank.netlist, module.kind);
             formal::CoverBatch batch(bank.netlist, opts);
-            for (size_t j = 0; j < formal_idx.size(); ++j) {
-                Entry &e = entries[formal_idx[j]];
+            for (size_t i = 0; i < entries.size(); ++i) {
+                Entry &e = entries[i];
                 formal::CoverTargetSpec ts;
-                ts.target = bank.cones[j].mismatch;
-                ts.state_equalities = bank.cones[j].state_pairs;
+                ts.target = bank.cones[i].mismatch;
+                ts.state_equalities = bank.cones[i].state_pairs;
                 ts.witness_netlist = &e.shadow.netlist;
                 ts.witness_target = e.shadow.mismatch;
                 ts.witness_assumes =
                     build_assumes(e.shadow.netlist, module.kind);
-                e.target = batch.add_target(std::move(ts));
+                batch.add_target(std::move(ts));
             }
 
             // The per-batch escalation ladder: each rung resumes only
@@ -432,15 +383,14 @@ run_error_lifting(const HwModule &module,
             int max_attempts = std::max(1, config.formal_attempts);
             int64_t budget = opts.conflict_budget;
             double wall = opts.wall_budget_seconds;
-            std::vector<uint64_t> total_conflicts(formal_idx.size(), 0);
-            std::vector<int> attempts(formal_idx.size(), 0);
+            std::vector<uint64_t> total_conflicts(entries.size(), 0);
+            std::vector<int> attempts(entries.size(), 0);
             for (int attempt = 1;; ++attempt) {
                 batch.run(budget, wall);
-                for (size_t j = 0; j < formal_idx.size(); ++j) {
-                    const Entry &e = entries[formal_idx[j]];
-                    total_conflicts[j] += batch.result(e.target).conflicts;
-                    if (attempts[j] == 0 && batch.settled(e.target))
-                        attempts[j] = attempt;
+                for (int i = 0; i < batch.num_targets(); ++i) {
+                    total_conflicts[i] += batch.result(i).conflicts;
+                    if (attempts[i] == 0 && batch.settled(i))
+                        attempts[i] = attempt;
                 }
                 if (attempt >= max_attempts || batch.all_settled())
                     break;
@@ -450,14 +400,14 @@ run_error_lifting(const HwModule &module,
                 if (wall >= 0.0)
                     wall *= config.formal_budget_growth;
             }
-            for (size_t j = 0; j < formal_idx.size(); ++j) {
-                Entry &e = entries[formal_idx[j]];
-                e.bmc = batch.result(e.target);
-                e.bmc.conflicts = total_conflicts[j];
+            for (int i = 0; i < batch.num_targets(); ++i) {
+                Entry &e = entries[i];
+                e.bmc = batch.result(i);
+                e.bmc.conflicts = total_conflicts[i];
                 e.co.attempts =
-                    attempts[j] ? attempts[j] : max_attempts;
+                    attempts[i] ? attempts[i] : max_attempts;
                 apply_degradation(config, e.shadow, module.kind, e.pi,
-                                  e.co.attempts, total_conflicts[j],
+                                  e.co.attempts, total_conflicts[i],
                                   e.bmc, e.co);
             }
         }

@@ -29,15 +29,6 @@
 
 namespace vega::lift {
 
-/** Trace-generation engine selection (§6.3). */
-enum class TraceEngine {
-    Formal,  ///< BMC only (the paper's baseline)
-    Fuzzing, ///< random exploration only; cannot prove unreachability
-    Hybrid,  ///< fuzz first (cheap), fall back to BMC for the rest
-};
-
-const char *trace_engine_name(TraceEngine engine);
-
 struct LiftConfig
 {
     formal::BmcOptions bmc;
@@ -45,10 +36,6 @@ struct LiftConfig
     bool mitigation = false;
     /** Analyze only the first N pairs (benchmarks subset with this). */
     size_t max_pairs = SIZE_MAX;
-    /** How cover traces are produced. */
-    TraceEngine engine = TraceEngine::Formal;
-    /** Episode budget when the fuzzing engine participates. */
-    size_t fuzz_episodes = 1500;
 
     // Retry-with-degradation ladder for the formal engine. Defaults
     // reproduce the single-attempt baseline; the campaign CLI opts in.
@@ -63,14 +50,6 @@ struct LiftConfig
     /** After the last formal attempt still times out, fall back to the
      *  fuzzer before recording a structured Exhausted outcome. */
     bool degrade_to_fuzz = false;
-
-    /**
-     * Endpoint pairs per formal::CoverBatch suite: all fault
-     * configurations of this many pairs are solved as one batch against
-     * a multi-cone shadow bank, so the shared module logic is unrolled
-     * once per frame for the whole batch.
-     */
-    size_t batch_pairs = 8;
 };
 
 enum class PairStatus { Success, Unreachable, Timeout, ConversionFailed };
@@ -82,8 +61,6 @@ struct ConfigOutcome
 {
     FailureModelSpec spec;
     std::string name;
-    /** True when the fuzzing engine produced the trace. */
-    bool fuzzed = false;
     formal::BmcStatus bmc = formal::BmcStatus::Timeout;
     bool proven_by_induction = false;
     int frames = 0;
@@ -93,7 +70,7 @@ struct ConfigOutcome
     std::string failure_reason;
 
     // Retry-with-degradation bookkeeping.
-    /** Formal attempts spent (1 = no retry; 0 = formal never ran). */
+    /** Formal attempts spent (1 = no retry). */
     int attempts = 1;
     /** Trace came from the Timeout-triggered fuzz fallback. */
     bool degraded_to_fuzz = false;

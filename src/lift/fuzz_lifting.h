@@ -2,8 +2,9 @@
  * @file
  * Fuzzing-based trace generation — the paper's §6.3 future-work
  * direction ("fast exploration of useful test cases via random and
- * fuzzing-based methods") implemented as an alternative engine for
- * Error Lifting's trace-generation step.
+ * fuzzing-based methods"). Error Lifting runs it only as the last rung
+ * of its degradation ladder (LiftConfig::degrade_to_fuzz), once the
+ * formal engine has timed out on a configuration.
  *
  * Instead of model checking, the shadow-instrumented netlist is
  * simulated from reset under random (but microarchitecturally valid)

@@ -452,8 +452,6 @@ Solver::solve(const std::vector<Lit> &assumptions,
             backtrack_to(back_level);
             ++learned_total_;
             if (learnt.size() == 1) {
-                if (export_max_size_ >= 1)
-                    export_buffer_.push_back(learnt);
                 enqueue(learnt[0], kCrefUndef);
             } else {
                 Cref c = alloc_clause(learnt, true);
@@ -470,11 +468,6 @@ Solver::solve(const std::vector<Lit> &assumptions,
                     }
                 }
                 clause_lbd(c) = lbd;
-                if (export_max_size_ > 0 &&
-                    learnt.size() <=
-                        static_cast<size_t>(export_max_size_) &&
-                    lbd <= export_max_lbd_)
-                    export_buffer_.push_back(learnt);
                 learnts_.push_back(c);
                 attach(c);
                 enqueue(learnt[0], c);
@@ -626,70 +619,6 @@ Solver::solve_batch(const std::vector<std::vector<Lit>> &sets,
             conflicts_left -= out[i].conflicts;
     }
     return out;
-}
-
-void
-Solver::set_export_limits(int max_size, uint32_t max_lbd)
-{
-    export_max_size_ = max_size;
-    export_max_lbd_ = max_lbd;
-    if (max_size == 0)
-        export_buffer_.clear();
-}
-
-std::vector<std::vector<Lit>>
-Solver::take_exported()
-{
-    std::vector<std::vector<Lit>> out;
-    out.swap(export_buffer_);
-    return out;
-}
-
-bool
-Solver::import_clause(std::vector<Lit> lits)
-{
-    if (!ok_)
-        return false;
-    VEGA_CHECK(trail_lim_.empty(), "import_clause after search started");
-    static obs::Counter &shared = obs::counter("sat.clauses_shared");
-
-    // Same root-level normalization as add_clause: the watched-literal
-    // invariant needs the first two literals unassigned at the root.
-    std::sort(lits.begin(), lits.end(),
-              [](Lit a, Lit b) { return a.x < b.x; });
-    std::vector<Lit> out;
-    Lit prev;
-    for (Lit l : lits) {
-        if (value(l) == kTrue)
-            return true; // already satisfied: nothing to learn
-        if (value(l) == kFalse)
-            continue;
-        if (!out.empty() && l == prev)
-            continue;
-        if (!out.empty() && l == ~prev)
-            return true; // tautology
-        out.push_back(l);
-        prev = l;
-    }
-
-    shared.inc();
-    ++imported_total_;
-    if (out.empty()) {
-        ok_ = false; // the import proved the instance unsat
-        return false;
-    }
-    if (out.size() == 1) {
-        enqueue(out[0], kCrefUndef);
-        ok_ = propagate() == kCrefUndef;
-        return ok_;
-    }
-    Cref c = alloc_clause(out, true);
-    // Imported clauses carry no local LBD; size is the sound upper
-    // bound, keeping them eligible for reduce_db like any learnt.
-    clause_lbd(c) = static_cast<uint32_t>(out.size());
-    learnts_.push_back(c);
-    attach(c);
-    return true;
 }
 
 // ---- activity heap -------------------------------------------------------

@@ -152,33 +152,6 @@ class Solver
     solve_batch(const std::vector<std::vector<Lit>> &sets,
                 const SolveLimits &limits = {});
 
-    /**
-     * Enable learned-clause export: every clause learned from now on
-     * with size <= @p max_size and LBD <= @p max_lbd is copied into an
-     * export buffer for take_exported(). Pass max_size = 0 to disable
-     * (the default — exporting is free only when off).
-     */
-    void set_export_limits(int max_size, uint32_t max_lbd);
-
-    /**
-     * Drain the export buffer (learned clauses that passed the export
-     * filter since the last drain, oldest first).
-     */
-    std::vector<std::vector<Lit>> take_exported();
-
-    /**
-     * Import a clause learned by another solver over the *same*
-     * variable numbering. The caller asserts the clause is implied by
-     * this instance (true for portfolio workers solving translations
-     * of one formula); it joins the learned database, so reduce_db()
-     * may later drop it. Returns false only if the import made the
-     * instance root-level unsat.
-     */
-    bool import_clause(std::vector<Lit> lits);
-
-    /** Clauses accepted by import_clause() over the solver's lifetime. */
-    uint64_t num_imported_clauses() const { return imported_total_; }
-
     /** Model value of @p v after Result::Sat. */
     bool model_value(Var v) const;
 
@@ -267,13 +240,7 @@ class Solver
     /** Failed-assumption set of the last assumption-Unsat answer. */
     std::vector<Lit> conflict_;
 
-    /** Learned-clause export filter (0 = exporting disabled). */
-    int export_max_size_ = 0;
-    uint32_t export_max_lbd_ = 0;
-    std::vector<std::vector<Lit>> export_buffer_;
-
     bool ok_ = true;
-    uint64_t imported_total_ = 0;
     uint64_t conflicts_ = 0;
     uint64_t decisions_ = 0;
     uint64_t propagations_ = 0;

@@ -2,7 +2,7 @@
 
 #include "cpu/alu_ops.h"
 #include "cpu/softfp.h"
-#include "formal/equiv.h"
+#include "equiv.h"
 #include "lift/error_lifting.h"
 #include "lift/fuzz_lifting.h"
 #include "netlist/builder.h"

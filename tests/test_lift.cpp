@@ -159,43 +159,6 @@ TEST(ReplayOnModule, WrongExpectationIsCaught)
               runtime::Detection::Mismatch);
 }
 
-TEST_F(AluLift, HybridEngineMatchesFormalOutcomes)
-{
-    // The fuzz-first hybrid must lift the same pairs; fuzzed traces are
-    // marked and validated through the identical conversion path.
-    LiftConfig formal_cfg;
-    formal_cfg.bmc.max_frames = 4;
-    formal_cfg.max_pairs = 3;
-    LiftConfig hybrid_cfg = formal_cfg;
-    hybrid_cfg.engine = TraceEngine::Hybrid;
-
-    LiftResult f = run_error_lifting(module(), sta_result().pairs,
-                                     formal_cfg);
-    LiftResult h = run_error_lifting(module(), sta_result().pairs,
-                                     hybrid_cfg);
-    ASSERT_EQ(f.pairs.size(), h.pairs.size());
-    EXPECT_EQ(f.n_success, h.n_success);
-
-    size_t fuzzed = 0;
-    for (const auto &pr : h.pairs)
-        for (const auto &co : pr.configs)
-            fuzzed += co.fuzzed ? 1 : 0;
-    EXPECT_GT(fuzzed, 0u);
-}
-
-TEST_F(AluLift, PureFuzzingCannotProveButStillLifts)
-{
-    LiftConfig cfg;
-    cfg.engine = TraceEngine::Fuzzing;
-    cfg.fuzz_episodes = 2000;
-    cfg.max_pairs = 3;
-    LiftResult r = run_error_lifting(module(), sta_result().pairs, cfg);
-    // Observable ALU faults are easy prey for the fuzzer.
-    EXPECT_GT(r.n_success, 0u);
-    // And nothing can be proven unreachable without the formal engine.
-    EXPECT_EQ(r.n_unreachable, 0u);
-}
-
 TEST_F(AluLift, StarvedFormalEngineReportsExhausted)
 {
     // One conflict per attempt starves every BMC query; the escalation
@@ -240,16 +203,16 @@ TEST_F(AluLift, DegradedLadderFallsBackToFuzzing)
     cfg.formal_attempts = 2;
     cfg.formal_budget_growth = 2.0;
     cfg.degrade_to_fuzz = true;
-    cfg.fuzz_episodes = 2000;
 
     LiftResult r = run_error_lifting(module(), sta_result().pairs, cfg);
     ASSERT_GT(r.pairs.size(), 0u);
     bool saw_any = false;
+    size_t degraded = 0;
     for (const PairResult &pr : r.pairs)
         for (const ConfigOutcome &co : pr.configs) {
             saw_any = true;
             if (co.degraded_to_fuzz) {
-                EXPECT_TRUE(co.fuzzed);
+                ++degraded;
                 EXPECT_EQ(co.bmc, formal::BmcStatus::Covered);
                 EXPECT_FALSE(co.exhausted);
             } else if (co.exhausted) {
@@ -260,13 +223,9 @@ TEST_F(AluLift, DegradedLadderFallsBackToFuzzing)
             }
         }
     EXPECT_TRUE(saw_any);
-}
-
-TEST(TraceEngineNames, AreStable)
-{
-    EXPECT_STREQ(trace_engine_name(TraceEngine::Formal), "formal");
-    EXPECT_STREQ(trace_engine_name(TraceEngine::Fuzzing), "fuzzing");
-    EXPECT_STREQ(trace_engine_name(TraceEngine::Hybrid), "hybrid");
+    // The fallback's traces go through conversion and validation like
+    // formal ones; no other test reaches that path.
+    EXPECT_GT(degraded, 0u);
 }
 
 TEST(PairStatusNames, AreStable)

@@ -444,8 +444,9 @@ TEST(SatSolver, AssumptionsCrossCheckScratchUnits)
                                           l) != assumptions.end());
                     consistent = check.add_clause(l) && consistent;
                 }
-                if (consistent)
+                if (consistent) {
                     EXPECT_EQ(check.solve(), Solver::Result::Unsat);
+                }
             }
         }
     }
@@ -563,68 +564,6 @@ TEST(SatSolver, SolveBatchSharedBudgetSkipsRemainder)
         EXPECT_EQ(outcomes[q].conflicts, 0);
         EXPECT_EQ(outcomes[q].seconds, 0.0);
     }
-}
-
-/**
- * Clause export/import cross-check: clauses learned by one solver and
- * imported into a second solver over the same variable numbering must
- * not change any verdict — random assumption queries on the importing
- * solver still match an untouched reference solver.
- */
-TEST(SatSolver, ClauseExportImportPreservesVerdicts)
-{
-    Rng rng(4242);
-    for (int round = 0; round < 4; ++round) {
-        std::vector<std::vector<Lit>> clauses;
-        Solver exporter;
-        clauses = random_cnf(rng, exporter, 40, 170);
-        exporter.set_export_limits(/*max_size=*/8, /*max_lbd=*/8);
-
-        // Work the exporter so it learns (and exports) clauses.
-        std::vector<std::vector<Lit>> sets;
-        for (int q = 0; q < 12; ++q) {
-            std::vector<Lit> set;
-            for (int k = 0; k < 4; ++k)
-                set.push_back(Lit(Var(rng.below(40)), rng.chance(0.5)));
-            sets.push_back(set);
-        }
-        exporter.solve_batch(sets);
-        auto exported = exporter.take_exported();
-        // Drained: a second take returns nothing new.
-        EXPECT_TRUE(exporter.take_exported().empty());
-
-        Solver importer;
-        for (int i = 0; i < 40; ++i)
-            importer.new_var();
-        for (const auto &clause : clauses)
-            importer.add_clause(clause);
-        for (auto &clause : exported)
-            importer.import_clause(clause);
-        EXPECT_LE(importer.num_imported_clauses(), exported.size());
-
-        for (int q = 0; q < 8; ++q) {
-            std::vector<Lit> set;
-            for (int k = 0; k < 3; ++k)
-                set.push_back(Lit(Var(rng.below(40)), rng.chance(0.5)));
-
-            Solver ref;
-            for (int i = 0; i < 40; ++i)
-                ref.new_var();
-            for (const auto &clause : clauses)
-                ref.add_clause(clause);
-            EXPECT_EQ(importer.solve(set), ref.solve(set))
-                << "round " << round << " query " << q;
-        }
-    }
-}
-
-TEST(SatSolver, ImportDetectsRootUnsat)
-{
-    Solver s;
-    Var a = s.new_var();
-    s.add_clause(pos(a));
-    // Importing the negation contradicts the instance at root level.
-    EXPECT_FALSE(s.import_clause({neg(a)}));
 }
 
 TEST(SatSolver, AdderEquivalenceUnsat)

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "formal/equiv.h"
+#include "equiv.h"
 #include "lift/failure_model.h"
 #include "netlist/verilog_writer.h"
 #include "rtl/adder2.h"
