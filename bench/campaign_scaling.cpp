@@ -53,16 +53,17 @@ main(int argc, char **argv)
         std::printf("no tests lifted; cannot run the campaign bench\n");
         return 1;
     }
+    // 8 pairs x 2 constants of netlist variants, also under VEGA_FULL.
     std::vector<sta::EndpointPair> pairs;
     for (const auto &pr : lifted.pairs)
-        pairs.push_back(pr.pair);
+        if (pairs.size() < 8)
+            pairs.push_back(pr.pair);
     std::printf("working set: %zu pairs, %zu suite tests\n\n",
                 pairs.size(), suite.size());
 
     campaign::CampaignConfig cfg;
     cfg.seed = 7;
     cfg.num_jobs = smoke ? 64 : 512;
-    cfg.max_pairs = 8; // 8 pairs x 2 constants of netlist variants
 
     const unsigned hw = std::thread::hardware_concurrency();
     std::vector<size_t> threads_list = {1, 2, 4, 8};

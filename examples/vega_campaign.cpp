@@ -82,8 +82,6 @@ usage(const char *argv0)
         "(default 16)\n"
         "  --resume               reload the journal and skip "
         "recorded jobs\n"
-        "  --retries N            attempts per job before quarantine "
-        "(default 3)\n"
         "  --shards N             split the campaign across N worker "
         "processes\n"
         "  --shard-id K           which shard this process runs "
@@ -236,12 +234,6 @@ parse_args(int argc, char **argv, CliOptions &opt)
             opt.metrics_out = v;
         } else if (arg == "--metrics") {
             opt.metrics_summary = true;
-        } else if (arg == "--retries") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.campaign.max_job_attempts =
-                int(std::strtol(v, nullptr, 10));
         } else if (arg == "--aggregate-only") {
             opt.per_job_json = false;
         } else if (arg == "--quiet") {

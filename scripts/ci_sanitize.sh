@@ -3,7 +3,7 @@
 #
 # Mirrors the plain tier-1 job (`cmake -B build && ctest`) but with
 # VEGA_SANITIZE=ON, so memory and UB bugs in the fault-tolerance paths
-# (journal parsing, campaign retry, escalation ladder) fail CI instead
+# (journal parsing, campaign quarantine, escalation ladder) fail CI instead
 # of shipping. Usage:
 #
 #   scripts/ci_sanitize.sh [extra ctest args...]
@@ -62,8 +62,6 @@ ctest --test-dir "$build" --output-on-failure -R "$fu_gate" -j "$jobs"
 # sanitizers),
 # bench/bmc_throughput --smoke (cross-checks one-target check_cover
 # calls against one batched CoverBatch suite, target by target),
-# bench/fleet_throughput --smoke (thread-count byte-identity of the
-# fleet engine),
 # bench/campaign_scaling --smoke (thread-count byte-identity of the
 # campaign engine), bench/mem_substrate --smoke (decoder lifting and
 # march detection), and tools/vega_fleet --smoke (a tiny end-to-end

@@ -52,9 +52,9 @@ make_spec(const CampaignConfig &cfg, size_t npairs, uint64_t id)
     spec.pair_index = size_t(id % npairs);
     uint64_t stream = job_stream(cfg.seed, id);
     spec.constant_index =
-        size_t(splitmix64(stream) % cfg.constants.size());
-    spec.constant = cfg.constants[spec.constant_index];
-    spec.policy = cfg.policies[splitmix64(stream) % cfg.policies.size()];
+        size_t(splitmix64(stream) % kFaultConstants.size());
+    spec.constant = kFaultConstants[spec.constant_index];
+    spec.policy = kPolicies[splitmix64(stream) % kPolicies.size()];
     spec.probability = cfg.probability;
     spec.seed = splitmix64(stream);
     spec.max_slots = cfg.max_slots;
@@ -114,12 +114,6 @@ try_run_campaign(const HwModule &module,
     if (suite.empty())
         return make_error(ErrorCode::InvalidArgument,
                           "campaign needs a non-empty suite");
-    if (config.constants.empty())
-        return make_error(ErrorCode::InvalidArgument,
-                          "campaign needs constants");
-    if (config.policies.empty())
-        return make_error(ErrorCode::InvalidArgument,
-                          "campaign needs policies");
     if (config.num_jobs == 0)
         return make_error(ErrorCode::InvalidArgument,
                           "campaign needs jobs");
@@ -134,9 +128,8 @@ try_run_campaign(const HwModule &module,
     CampaignConfig cfg = config;
     if (cfg.max_slots == 0)
         cfg.max_slots = 2 * suite.size();
-    size_t npairs = std::min(cfg.max_pairs, pairs.size());
-    size_t nconst = cfg.constants.size();
-    int max_attempts = std::max(1, cfg.max_job_attempts);
+    size_t npairs = pairs.size();
+    size_t nconst = kFaultConstants.size();
 
     JournalHeader header;
     header.module = module_kind_name(module.kind);
@@ -144,7 +137,7 @@ try_run_campaign(const HwModule &module,
     header.num_jobs = cfg.num_jobs;
     header.num_pairs = npairs;
     header.num_constants = nconst;
-    header.num_policies = cfg.policies.size();
+    header.num_policies = kPolicies.size();
     header.max_slots = cfg.max_slots;
     header.suite_size = suite.size();
     header.probability = cfg.probability;
@@ -251,7 +244,7 @@ try_run_campaign(const HwModule &module,
         for (size_t idx : pending_faults) {
             bank_pos[idx] = bank_specs.size();
             bank_specs.push_back(fault_spec(pairs[idx / nconst],
-                                            cfg.constants[idx % nconst]));
+                                            kFaultConstants[idx % nconst]));
         }
         try {
             VEGA_SPAN("campaign.build_bank");
@@ -415,44 +408,24 @@ try_run_campaign(const HwModule &module,
         std::vector<JobSpec> specs;
         for (size_t i = base; i < std::min(base + width, todo.size()); ++i)
             specs.push_back(make_spec(cfg, npairs, todo[i]));
-        // The fault hook runs per (job, attempt) before the job gets a
-        // lane; a throw fails that attempt, and the next one draws
-        // fresh downstream randomness, still a pure function of
-        // (campaign seed, job id, attempt). A job that gets a lane
-        // keeps the attempt count it took (0 = none: quarantined).
+        // The fault hook runs per job before the job gets a lane; a
+        // throw quarantines the job (hook_error non-empty).
         std::vector<WaveJob> lanes;
-        std::vector<uint32_t> attempts(specs.size(), 0);
-        std::vector<VegaError> hook_error(specs.size());
+        std::vector<std::string> hook_error(specs.size());
         for (size_t i = 0; i < specs.size(); ++i) {
             size_t idx =
                 specs[i].pair_index * nconst + specs[i].constant_index;
             if (!char_error[idx].empty())
                 continue;
-            JobSpec attempt_spec = specs[i];
-            for (int attempt = 1; attempt <= max_attempts && !attempts[i];
-                 ++attempt) {
+            if (cfg.job_fault_hook) {
                 try {
-                    if (cfg.job_fault_hook)
-                        cfg.job_fault_hook(specs[i], attempt);
-                    attempts[i] = uint32_t(attempt);
+                    cfg.job_fault_hook(specs[i]);
                 } catch (...) {
-                    hook_error[i] = make_error(
-                        ErrorCode::JobFailed,
-                        "attempt " + std::to_string(attempt) + ": " +
-                            current_exception_text());
-                    static obs::Counter &retry_counter =
-                        obs::counter("campaign.retries");
-                    retry_counter.inc();
-                    uint64_t stream = job_stream(
-                        cfg.seed ^
-                            (0x9e3779b97f4a7c15ull * uint64_t(attempt)),
-                        specs[i].id);
-                    attempt_spec.seed = splitmix64(stream);
+                    hook_error[i] = current_exception_text();
+                    continue;
                 }
             }
-            if (attempts[i])
-                lanes.push_back(
-                    {attempt_spec, bank_pos[idx], corrupts[idx] != 0});
+            lanes.push_back({specs[i], bank_pos[idx], corrupts[idx] != 0});
         }
         // An executor that throws quarantines every job it held.
         std::vector<JobResult> results;
@@ -481,18 +454,17 @@ try_run_campaign(const HwModule &module,
                                          "characterization: " +
                                              char_error[idx]),
                               false);
-            else if (attempts[i] == 0)
-                settle_failed(s.id, s.pair_index, uint32_t(max_attempts),
-                              hook_error[i], true);
+            else if (!hook_error[i].empty())
+                settle_failed(s.id, s.pair_index, 1,
+                              make_error(ErrorCode::JobFailed,
+                                         hook_error[i]),
+                              true);
             else if (!exec_error.empty())
-                settle_failed(s.id, s.pair_index, attempts[i],
+                settle_failed(s.id, s.pair_index, 1,
                               make_error(ErrorCode::JobFailed, exec_error),
                               true);
-            else {
-                JobResult jr = results[ri++];
-                jr.attempts = attempts[i];
-                settle_result(jr);
-            }
+            else
+                settle_result(results[ri++]);
         }
     };
     // A task carries only its batch's first index, small enough for

@@ -45,20 +45,10 @@ struct CampaignConfig
     size_t num_jobs = 256;
     /** Worker threads (0 ⇒ hardware_concurrency). */
     size_t threads = 1;
-    /** Fault constants sampled per job (must be non-empty). */
-    std::vector<lift::FaultConstant> constants = {
-        lift::FaultConstant::Zero, lift::FaultConstant::One};
-    /** Schedule policies sampled per job (must be non-empty). */
-    std::vector<runtime::SchedulePolicy> policies = {
-        runtime::SchedulePolicy::Sequential,
-        runtime::SchedulePolicy::Random,
-        runtime::SchedulePolicy::Probabilistic};
     /** Dispatch probability for the probabilistic policy. */
     double probability = 0.5;
     /** Per-job scheduler slot budget (0 ⇒ 2 × suite size). */
     uint64_t max_slots = 0;
-    /** Cap on the endpoint-pair working set. */
-    size_t max_pairs = SIZE_MAX;
     /** Emit periodic progress lines to stderr. */
     bool progress = false;
     std::chrono::milliseconds progress_interval{2000};
@@ -83,8 +73,6 @@ struct CampaignConfig
     size_t journal_flush_every = 16;
     /** Reload an existing journal at journal_path and skip its jobs. */
     bool resume = false;
-    /** Attempts per job (fresh seed each retry) before quarantine. */
-    int max_job_attempts = 3;
     /**
      * Test hook simulating a mid-campaign kill: stop scheduling new
      * jobs once this many injection jobs have completed (0 = off).
@@ -92,11 +80,10 @@ struct CampaignConfig
      */
     size_t stop_after_jobs = 0;
     /**
-     * Test hook run for each job attempt (1-based) before the job gets
-     * a lane; a throw counts as that attempt failing, feeding the
-     * retry/quarantine path.
+     * Test hook run for each job before it gets a lane; a throw
+     * quarantines the job with attempts 1.
      */
-    std::function<void(const JobSpec &, int attempt)> job_fault_hook;
+    std::function<void(const JobSpec &)> job_fault_hook;
     /**
      * Self-kill hook for kill-and-resume testing: raise SIGKILL —
      * a real, uncatchable kill, no destructors, no journal sync —
@@ -120,9 +107,9 @@ CampaignReport run_campaign(const HwModule &module,
 /**
  * Non-aborting run_campaign: configuration problems come back as
  * InvalidArgument and journal problems as IoError / JournalCorrupt /
- * JournalMismatch instead of panicking. Jobs that throw are retried
- * with fresh seeds up to max_job_attempts times, then quarantined as
- * failed_jobs entries — a poisoned job never takes the campaign down.
+ * JournalMismatch instead of panicking. A job whose characterization
+ * or executor throws is not retried: it is quarantined as a
+ * failed_jobs entry — a poisoned job never takes the campaign down.
  */
 Expected<CampaignReport>
 try_run_campaign(const HwModule &module,

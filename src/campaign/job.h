@@ -14,6 +14,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/error.h"
@@ -34,6 +35,15 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
+/** The wrong values C (§3.3.1) a job's fault samples from. */
+inline constexpr std::array<lift::FaultConstant, 2> kFaultConstants = {
+    lift::FaultConstant::Zero, lift::FaultConstant::One};
+
+/** Schedule policies a job samples from. */
+inline constexpr std::array<runtime::SchedulePolicy, 3> kPolicies = {
+    runtime::SchedulePolicy::Sequential, runtime::SchedulePolicy::Random,
+    runtime::SchedulePolicy::Probabilistic};
+
 /** Root of job @p job_id's private splitmix64 stream. */
 inline uint64_t
 job_stream(uint64_t campaign_seed, uint64_t job_id)
@@ -49,9 +59,9 @@ struct JobSpec
     /** Index into the campaign's endpoint-pair working set. */
     size_t pair_index = 0;
     lift::FaultConstant constant = lift::FaultConstant::Zero;
-    /** Index of `constant` in the campaign's constants list — kept
-     *  alongside the value so fault-matrix slots resolve by arithmetic
-     *  instead of a linear search per job. */
+    /** Index of `constant` in kFaultConstants — kept alongside the
+     *  value so fault-matrix slots resolve by arithmetic instead of a
+     *  linear search per job. */
     size_t constant_index = 0;
     runtime::SchedulePolicy policy = runtime::SchedulePolicy::Sequential;
     /** Dispatch probability for the probabilistic policy. */
@@ -85,22 +95,25 @@ struct JobResult
     /** Corrupting and undetected: a silent-data-corruption escape. */
     bool escape = false;
 
-    /** Attempts this result took (1 = first try; >1 after retries). */
+    /** 1: a job runs once, with no retry. The journal and report
+     *  formats record it per job. */
     uint32_t attempts = 1;
 };
 
 /**
- * A job quarantined after exhausting its retry budget: every attempt
- * trapped or threw. The campaign records it instead of aborting — one
- * poisoned job must not sink the other few thousand.
+ * A quarantined job. A job is not retried: it quarantines when its
+ * fault's characterization failed, when its wave or march engine threw,
+ * or when the test-only job_fault_hook threw for it. The campaign
+ * records it instead of aborting — one poisoned job must not sink the
+ * other few thousand.
  */
 struct FailedJob
 {
     uint64_t id = 0;
     size_t pair_index = 0;
-    /** Attempts spent before quarantine (0 = characterization failed). */
+    /** 0 when characterization failed (the job never ran), else 1. */
     uint32_t attempts = 0;
-    /** Last attempt's error (code JobFailed unless more specific). */
+    /** The failure (code JobFailed unless more specific). */
     VegaError error;
 };
 

@@ -113,7 +113,7 @@ struct CampaignReport
     size_t num_pairs = 0;
 
     std::vector<JobResult> jobs;
-    /** Quarantined jobs (every retry failed), sorted by id. */
+    /** Quarantined jobs, sorted by id. */
     std::vector<FailedJob> failed_jobs;
     std::vector<PairStats> per_pair;
     std::vector<PolicyStats> per_policy;
@@ -124,7 +124,7 @@ struct CampaignReport
     uint64_t escapes = 0;
     /** Neither corrupting nor detected: the fault is benign here. */
     uint64_t benign = 0;
-    /** Jobs quarantined after exhausting their retry budget. */
+    /** Number of quarantined jobs, failed_jobs.size(). */
     uint64_t failed = 0;
     uint64_t tests_dispatched = 0;
     uint64_t total_sim_cycles = 0;

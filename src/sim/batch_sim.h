@@ -15,9 +15,8 @@
  * (tests/reference_sim.h) by tests/test_eval_tape.cpp.
  *
  * This is the only EvalTape interpreter. Single-stream consumers (SP
- * profiling, capture_waveform, test replay, the memory decoder
- * classifier) drive every lane alike (set_bus_all / set_input_all) and
- * read lane 0. lift::fuzz_cover runs 64 fuzzing episodes per simulated
+ * profiling, test replay, the memory decoder classifier) drive every
+ * lane alike (set_bus_all / set_input_all) and read lane 0. lift::fuzz_cover runs 64 fuzzing episodes per simulated
  * cycle, and cpu::BatchNetlistEngine runs 64 ISS streams — the only
  * way an ISS reaches a gate-level unit. The simulator counts tape
  * passes (`sim.batch_cycles`, `sim.batch_evals`); the multi-lane

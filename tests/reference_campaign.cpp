@@ -1,6 +1,5 @@
 #include "reference_campaign.h"
 
-#include <algorithm>
 #include <map>
 
 #include "campaign/wave.h"
@@ -61,7 +60,7 @@ reference_fault(const HwModule &module,
     ReferenceFault f;
     f.failing = lift::build_failing_netlist(
         module.netlist, fault_spec(pairs[spec.pair_index], spec.constant));
-    uint64_t idx = spec.pair_index * cfg.constants.size() +
+    uint64_t idx = spec.pair_index * kFaultConstants.size() +
                    spec.constant_index;
     f.corrupts = workload_corrupts(module.kind, f.failing.netlist,
                                    f.failing.has_random_input,
@@ -124,9 +123,9 @@ reference_spec(const CampaignConfig &cfg, size_t npairs, size_t suite_size,
     spec.pair_index = size_t(id % npairs);
     uint64_t stream = job_stream(cfg.seed, id);
     spec.constant_index =
-        size_t(splitmix64(stream) % cfg.constants.size());
-    spec.constant = cfg.constants[spec.constant_index];
-    spec.policy = cfg.policies[splitmix64(stream) % cfg.policies.size()];
+        size_t(splitmix64(stream) % kFaultConstants.size());
+    spec.constant = kFaultConstants[spec.constant_index];
+    spec.policy = kPolicies[splitmix64(stream) % kPolicies.size()];
     spec.probability = cfg.probability;
     spec.seed = splitmix64(stream);
     spec.max_slots = cfg.max_slots ? cfg.max_slots : 2 * suite_size;
@@ -150,7 +149,7 @@ reference_campaign(const HwModule &module,
                    const CampaignConfig &cfg)
 {
     // Characterize each fault once, as the campaign does.
-    size_t npairs = std::min(cfg.max_pairs, pairs.size());
+    size_t npairs = pairs.size();
     std::map<std::pair<size_t, size_t>, ReferenceFault> faults;
     std::vector<JobResult> out;
     for (uint64_t id = 0; id < cfg.num_jobs; ++id) {

@@ -9,61 +9,9 @@
 #include "rtl/adder2.h"
 #include "rtl/alu32.h"
 #include "runtime/suite_io.h"
-#include "sim/vcd_writer.h"
 
 namespace vega {
 namespace {
-
-// ---- VCD export -----------------------------------------------------------
-
-TEST(VcdWriter, EmitsWellFormedDump)
-{
-    Waveform w;
-    w.record("a", BitVec(2, 1));
-    w.record("hit", BitVec(1, 0));
-    w.record("a", BitVec(2, 3));
-    w.record("hit", BitVec(1, 1));
-
-    std::string vcd = to_vcd(w, "testmod");
-    EXPECT_NE(vcd.find("$timescale 1ns $end"), std::string::npos);
-    EXPECT_NE(vcd.find("$scope module testmod $end"), std::string::npos);
-    EXPECT_NE(vcd.find("$var wire 2 ! a [1:0] $end"), std::string::npos);
-    EXPECT_NE(vcd.find("$var wire 1 \" hit $end"), std::string::npos);
-    EXPECT_NE(vcd.find("b01 !"), std::string::npos); // a = 1 at t0
-    EXPECT_NE(vcd.find("b11 !"), std::string::npos); // a = 3 at t1
-    EXPECT_NE(vcd.find("$dumpvars"), std::string::npos);
-}
-
-TEST(VcdWriter, OnlyChangesAreDumpedAfterTimeZero)
-{
-    Waveform w;
-    for (int t = 0; t < 4; ++t) {
-        w.record("x", BitVec(4, 5)); // constant
-        w.record("y", BitVec(1, t % 2));
-    }
-    std::string vcd = to_vcd(w);
-    // x dumps once (t0); y changes every cycle.
-    size_t count_x = 0, pos = 0;
-    while ((pos = vcd.find("b0101", pos)) != std::string::npos) {
-        ++count_x;
-        pos += 4;
-    }
-    EXPECT_EQ(count_x, 1u);
-}
-
-TEST(VcdWriter, CaptureWaveformRecordsSimulation)
-{
-    HwModule m = rtl::make_adder2();
-    BatchSimulator sim(m.netlist);
-    Waveform w = capture_waveform(sim, 4, [](BatchSimulator &s, uint64_t t) {
-        s.set_bus_all("a", BitVec(2, t % 4));
-        s.set_bus_all("b", BitVec(2, 1));
-    });
-    EXPECT_EQ(w.num_cycles(), 4u);
-    // Pipeline: o at cycle 2 shows a=0,b=1 -> 1.
-    EXPECT_EQ(w.at("o", 2).to_u64(), 1u);
-    EXPECT_FALSE(to_vcd(w).empty());
-}
 
 // ---- Suite serialization ---------------------------------------------------
 

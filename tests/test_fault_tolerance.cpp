@@ -1,7 +1,7 @@
 /**
  * Fault-tolerance layer: Expected/VegaError plumbing, the atomic
  * write-temp-then-rename protocol, the crash-safe campaign journal,
- * retry/quarantine of throwing jobs, and kill-and-resume determinism.
+ * quarantine of throwing jobs, and kill-and-resume determinism.
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "common/fs.h"
 #include "cpu/alu_ops.h"
 #include "journal_corruptor.h"
-#include "reference_campaign.h"
 #include "rtl/alu32.h"
 
 namespace vega::campaign {
@@ -388,7 +387,7 @@ TEST(Journal, MissingFileIsIoError)
     EXPECT_EQ(st.error().code, ErrorCode::IoError);
 }
 
-// ---- campaign retry / quarantine / resume --------------------------------
+// ---- campaign quarantine / resume ----------------------------------------
 
 /** One analyzed ALU + a small synthetic screening suite, built once. */
 struct CampaignEnv
@@ -465,41 +464,11 @@ TEST(CampaignFaults, BadConfigIsInvalidArgumentNotAbort)
     EXPECT_EQ(r2.error().code, ErrorCode::InvalidArgument);
 }
 
-TEST(CampaignFaults, TransientJobFailureRetriesWithFreshSeed)
-{
-    const CampaignEnv &e = env();
-    CampaignConfig cfg = small_config(2);
-    cfg.max_job_attempts = 3;
-    cfg.job_fault_hook = [](const JobSpec &spec, int attempt) {
-        if (spec.id == 4 && attempt == 1)
-            throw std::runtime_error("transient trap");
-    };
-    Expected<CampaignReport> r =
-        try_run_campaign(e.module, e.pairs, e.suite, cfg);
-    ASSERT_TRUE(r.ok()) << r.error().to_string();
-    ASSERT_EQ(r->jobs.size(), 12u);
-    EXPECT_TRUE(r->failed_jobs.empty());
-    EXPECT_EQ(r->failed, 0u);
-    for (const JobResult &j : r->jobs)
-        EXPECT_EQ(j.attempts, j.id == 4 ? 2u : 1u) << "job " << j.id;
-
-    // Job 4 ran its second attempt with fresh downstream randomness:
-    // exactly the standalone reference run under the attempt-2 seed.
-    JobSpec spec = reference_spec(cfg, e.pairs.size(), e.suite.size(), 4);
-    uint64_t stream = job_stream(cfg.seed ^ 0x9e3779b97f4a7c15ull, 4);
-    spec.seed = splitmix64(stream);
-    JobResult expected =
-        reference_job(e.module, e.pairs, e.suite, cfg, spec);
-    expected.attempts = 2;
-    EXPECT_EQ(render_record(r->jobs[4]), render_record(expected));
-}
-
 TEST(CampaignFaults, AlwaysTrappingJobIsQuarantinedNotFatal)
 {
     const CampaignEnv &e = env();
     CampaignConfig cfg = small_config(2);
-    cfg.max_job_attempts = 3;
-    cfg.job_fault_hook = [](const JobSpec &spec, int) {
+    cfg.job_fault_hook = [](const JobSpec &spec) {
         if (spec.id == 7)
             throw std::runtime_error("poisoned job");
     };
@@ -508,14 +477,14 @@ TEST(CampaignFaults, AlwaysTrappingJobIsQuarantinedNotFatal)
     ASSERT_TRUE(r.ok()) << r.error().to_string();
 
     // The other 11 jobs completed; job 7 is a structured failed_jobs
-    // entry with its attempt count and error code — not an abort, and
+    // entry with its one attempt and error code — not an abort, and
     // not silently dropped.
     EXPECT_EQ(r->jobs.size(), 11u);
     EXPECT_EQ(r->failed, 1u);
     ASSERT_EQ(r->failed_jobs.size(), 1u);
     const FailedJob &f = r->failed_jobs[0];
     EXPECT_EQ(f.id, 7u);
-    EXPECT_EQ(f.attempts, 3u);
+    EXPECT_EQ(f.attempts, 1u);
     EXPECT_EQ(f.error.code, ErrorCode::JobFailed);
     EXPECT_NE(f.error.context.find("poisoned job"), std::string::npos);
     for (const JobResult &j : r->jobs)
@@ -680,8 +649,7 @@ TEST(CampaignFaults, QuarantineIsStickyAcrossResume)
 
     CampaignConfig first = small_config(1);
     first.journal_path = journal;
-    first.max_job_attempts = 2;
-    first.job_fault_hook = [](const JobSpec &spec, int) {
+    first.job_fault_hook = [](const JobSpec &spec) {
         if (spec.id == 2)
             throw std::runtime_error("always traps");
     };

@@ -539,29 +539,43 @@ TEST(MemWorkflow, DecoderLiftingReportsEscalation)
 // ---------------------------------------------------------------------
 // Campaign and fleet integration
 
-TEST(MemCampaign, RunsAndDetectsWrongAddress)
+/** The 3-pair memory workflow: its successfully lifted pairs and suite. */
+struct MemLifted
 {
     HwModule module = rtl::make_memdec16();
+    std::vector<sta::EndpointPair> pairs;
+    std::vector<runtime::TestCase> suite;
+};
+
+MemLifted
+lift_three_pairs()
+{
+    MemLifted out;
     WorkflowConfig cfg;
     cfg.aging.utilization = 0.99;
     cfg.aging.max_trace = 1500;
     cfg.lift.max_pairs = 3;
     WorkflowResult r =
-        run_workflow(module, lib(), mem_workload_trace(), cfg);
-    ASSERT_FALSE(r.suite.empty());
-
-    std::vector<sta::EndpointPair> pairs;
+        run_workflow(out.module, lib(), mem_workload_trace(), cfg);
     for (const auto &pr : r.lift.pairs)
         if (pr.status == lift::PairStatus::Success)
-            pairs.push_back(pr.pair);
-    ASSERT_FALSE(pairs.empty());
+            out.pairs.push_back(pr.pair);
+    out.suite = std::move(r.suite);
+    return out;
+}
+
+TEST(MemCampaign, RunsAndDetectsWrongAddress)
+{
+    MemLifted m = lift_three_pairs();
+    ASSERT_FALSE(m.suite.empty());
+    ASSERT_FALSE(m.pairs.empty());
 
     campaign::CampaignConfig cc;
     cc.seed = 7;
     cc.num_jobs = 24;
     cc.threads = 2;
     campaign::CampaignReport rep =
-        campaign::run_campaign(module, pairs, r.suite, cc);
+        campaign::run_campaign(m.module, m.pairs, m.suite, cc);
     EXPECT_EQ(rep.jobs.size(), 24u);
     EXPECT_GT(rep.detected, 0u);
     // Every detection on the memory path is a wrong-address flag.
@@ -569,27 +583,53 @@ TEST(MemCampaign, RunsAndDetectsWrongAddress)
     EXPECT_EQ(rep.detections.mismatch, 0u);
 }
 
+TEST(MemCampaign, UncharacterizableFaultQuarantinesOnlyItsJobs)
+{
+    MemLifted m = lift_three_pairs();
+    ASSERT_FALSE(m.suite.empty());
+    ASSERT_GE(m.pairs.size(), 2u);
+    // A worst path without cells has no decode gate, so characterizing
+    // pair 0's faults throws: its jobs quarantine before they run.
+    m.pairs[0].worst.cells.clear();
+
+    campaign::CampaignConfig cc;
+    cc.seed = 7;
+    cc.num_jobs = 24;
+    const size_t npairs = m.pairs.size();
+    const size_t pair0_jobs = (cc.num_jobs + npairs - 1) / npairs;
+    std::string first_json;
+    for (size_t threads : {1, 4}) {
+        cc.threads = threads;
+        campaign::CampaignReport rep =
+            campaign::run_campaign(m.module, m.pairs, m.suite, cc);
+        ASSERT_EQ(rep.failed_jobs.size(), pair0_jobs);
+        for (const campaign::FailedJob &f : rep.failed_jobs) {
+            EXPECT_EQ(f.pair_index, 0u);
+            EXPECT_EQ(f.attempts, 0u);
+            EXPECT_EQ(f.error.code, ErrorCode::JobFailed);
+            EXPECT_EQ(f.error.context.rfind("characterization: ", 0), 0u)
+                << f.error.context;
+        }
+        EXPECT_EQ(rep.jobs.size(), cc.num_jobs - pair0_jobs);
+        for (const campaign::JobResult &j : rep.jobs)
+            EXPECT_NE(j.pair_index, 0u);
+        std::string json = rep.to_json(false);
+        if (first_json.empty())
+            first_json = json;
+        EXPECT_EQ(json, first_json) << threads << " threads";
+    }
+}
+
 TEST(MemFleet, FaultMatrixScreensWithMarchSuite)
 {
-    HwModule module = rtl::make_memdec16();
-    WorkflowConfig cfg;
-    cfg.aging.utilization = 0.99;
-    cfg.aging.max_trace = 1500;
-    cfg.lift.max_pairs = 3;
-    WorkflowResult r =
-        run_workflow(module, lib(), mem_workload_trace(), cfg);
-    ASSERT_FALSE(r.suite.empty());
-
-    std::vector<sta::EndpointPair> pairs;
-    for (const auto &pr : r.lift.pairs)
-        if (pr.status == lift::PairStatus::Success)
-            pairs.push_back(pr.pair);
-    ASSERT_FALSE(pairs.empty());
+    MemLifted ml = lift_three_pairs();
+    ASSERT_FALSE(ml.suite.empty());
+    ASSERT_FALSE(ml.pairs.empty());
 
     auto m = fleet::build_fault_matrix(
-        module, pairs, r.suite, {lift::FaultConstant::Zero}, 2, 11);
+        ml.module, ml.pairs, ml.suite, {lift::FaultConstant::Zero}, 2, 11);
     ASSERT_TRUE(m.ok());
-    EXPECT_EQ(m->faults.size(), pairs.size());
+    EXPECT_EQ(m->faults.size(), ml.pairs.size());
     EXPECT_GT(m->detectable_classes(), 0u);
     for (const auto &f : m->faults)
         for (runtime::Detection d : f.per_test)

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "obs/json_lint.h"
+#include "json_lint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 

@@ -1,4 +1,4 @@
-#include "netlist/verilog_reader.h"
+#include "verilog_reader.h"
 
 #include <gtest/gtest.h>
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/fs.h"
-#include "obs/json_lint.h"
+#include "json_lint.h"
 
 int
 main(int argc, char **argv)
