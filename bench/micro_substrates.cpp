@@ -144,7 +144,7 @@ void
 BM_BatchNetlistEngineAluRound(benchmark::State &state)
 {
     // One wave round with every lane issuing an ALU op: the real edge
-    // plus the speculative peek edge that reads the results.
+    // plus the next-state peek that reads the results.
     constexpr int kLanes = cpu::BatchNetlistEngine::kLanes;
     auto tape = std::make_shared<const EvalTape>(alu().netlist);
     cpu::BatchNetlistEngine eng(ModuleKind::Alu32, tape);

@@ -15,12 +15,30 @@ lowest_lane(uint64_t mask)
     return __builtin_ctzll(mask);
 }
 
+/**
+ * The D nets of the registers whose Qs drive output bus @p bus: their
+ * settled planes are the bus value one clock edge ahead.
+ */
+std::vector<NetId>
+next_state_nets(const Netlist &nl, const std::string &bus)
+{
+    std::vector<NetId> out;
+    for (NetId q : nl.bus(bus)) {
+        CellId reg = nl.net(q).driver;
+        VEGA_CHECK(reg != kInvalidId && nl.cell(reg).type == CellType::Dff,
+                   "output ", nl.net(q).name, " of ", nl.name(),
+                   " is not a register Q");
+        out.push_back(nl.cell(reg).in[0]);
+    }
+    return out;
+}
+
 } // namespace
 
 BatchNetlistEngine::BatchNetlistEngine(ModuleKind kind,
                                        std::shared_ptr<const EvalTape> tape)
-    : kind_(kind), sim_(std::move(tape)), rngs_(kLanes), rngs_save_(kLanes),
-      results_(kLanes), cycles_(kLanes, 0), tag_mismatches_(kLanes, 0)
+    : kind_(kind), sim_(std::move(tape)), rngs_(kLanes), results_(kLanes),
+      cycles_(kLanes, 0), tag_mismatches_(kLanes, 0)
 {
     VEGA_CHECK(kind == ModuleKind::Alu32 || kind == ModuleKind::Fpu32 ||
                    kind == ModuleKind::Mdu32,
@@ -29,17 +47,17 @@ BatchNetlistEngine::BatchNetlistEngine(ModuleKind kind,
     a_nets_ = nl.bus("a");
     b_nets_ = nl.bus("b");
     op_nets_ = nl.bus("op");
-    r_nets_ = nl.bus("r");
+    r_next_ = next_state_nets(nl, "r");
     a_planes_.assign(a_nets_.size(), 0);
     b_planes_.assign(b_nets_.size(), 0);
     op_planes_.assign(op_nets_.size(), 0);
     if (kind_ == ModuleKind::Fpu32) {
-        flags_nets_ = nl.bus("flags");
+        flags_next_ = next_state_nets(nl, "flags");
         valid_net_ = nl.bus("valid")[0];
         clear_net_ = nl.bus("clear")[0];
-        valid_out_net_ = nl.bus("valid_out")[0];
-        ack_net_ = nl.bus("ack")[0];
-        dbg_net_ = nl.bus("dbg_out")[0];
+        valid_out_next_ = next_state_nets(nl, "valid_out")[0];
+        ack_next_ = next_state_nets(nl, "ack")[0];
+        dbg_next_ = next_state_nets(nl, "dbg_out")[0];
     }
     if (nl.has_bus("fm_rand")) {
         has_random_input_ = true;
@@ -110,15 +128,16 @@ BatchNetlistEngine::post_clear_fflags(int lane)
 }
 
 void
-BatchNetlistEngine::draw_rand(uint64_t lanes_mask)
+BatchNetlistEngine::draw_rand(uint64_t lanes_mask, bool peek)
 {
     if (rand_net_ == kInvalidId)
         return;
     for (uint64_t m = lanes_mask & random_mask_; m; m &= m - 1) {
         int lane = lowest_lane(m);
         uint64_t bit = uint64_t(1) << lane;
-        rand_plane_ = (rand_plane_ & ~bit) |
-                      (uint64_t(rngs_[size_t(lane)].next() & 1) << lane);
+        Rng ahead = rngs_[size_t(lane)];
+        uint64_t draw = (peek ? ahead : rngs_[size_t(lane)]).next() & 1;
+        rand_plane_ = (rand_plane_ & ~bit) | (draw << lane);
     }
     sim_.set_input(rand_net_, rand_plane_);
 }
@@ -126,31 +145,10 @@ BatchNetlistEngine::draw_rand(uint64_t lanes_mask)
 void
 BatchNetlistEngine::commit_round()
 {
-    // 1. Pre-tick speculative edge: ReadFflags lanes sample the sticky
-    // flags register as of *now* (a read peeks before the instruction's
-    // idle tick). The edge commits every lane's DFFs, but the restore
-    // makes that invisible to non-reading lanes.
-    if (read_mask_) {
-        sim_.save_state_into(planes_save_);
-        rngs_save_ = rngs_;
-        draw_rand(read_mask_);
-        sim_.step();
-        for (uint64_t m = read_mask_; m; m &= m - 1) {
-            int lane = lowest_lane(m);
-            FuResult &res = results_[size_t(lane)];
-            res = {};
-            for (size_t i = 0; i < flags_nets_.size(); ++i)
-                res.flags |= uint8_t(bit_of(sim_.value(flags_nets_[i]), lane)
-                                     << i);
-            ++cycles_[size_t(lane)];
-        }
-        sim_.restore_state(planes_save_);
-        rngs_ = rngs_save_;
-    }
-
-    // 2. The real edge. Operand planes hold for idle lanes; valid/clear
-    // pulse only in the lanes whose transaction raises them, matching
-    // the reference protocol's input discipline (tests/reference_fu.h).
+    // 1. Post the edge's inputs and fm_rand draws. Operand planes hold
+    // for idle lanes; valid/clear pulse only in the lanes whose
+    // transaction raises them, matching the reference protocol's input
+    // discipline (tests/reference_fu.h).
     for (size_t i = 0; i < a_planes_.size(); ++i)
         sim_.set_input(a_nets_[i], a_planes_[i]);
     for (size_t i = 0; i < b_planes_.size(); ++i)
@@ -161,10 +159,29 @@ BatchNetlistEngine::commit_round()
         sim_.set_input(valid_net_, op_mask_);
         sim_.set_input(clear_net_, clear_mask_);
     }
-    draw_rand(participant_mask_);
+    draw_rand(participant_mask_, false);
+
+    // ReadFflags lanes sample the sticky flags register one edge ahead
+    // of the instruction's idle tick. A read lane's inputs and draw are
+    // that tick's, so the flags registers' D planes are the value.
+    if (read_mask_) {
+        for (uint64_t m = read_mask_; m; m &= m - 1)
+            results_[size_t(lowest_lane(m))] = {};
+        for (size_t i = 0; i < flags_next_.size(); ++i) {
+            uint64_t plane = sim_.value(flags_next_[i]);
+            for (uint64_t m = read_mask_; m; m &= m - 1) {
+                int lane = lowest_lane(m);
+                results_[size_t(lane)].flags |=
+                    uint8_t(bit_of(plane, lane) << i);
+            }
+        }
+        for (uint64_t m = read_mask_; m; m &= m - 1)
+            ++cycles_[size_t(lowest_lane(m))];
+    }
+
+    // 2. The one real edge. Lane-cycles that carry an episode are its
+    // participants.
     sim_.step();
-    // Lane-cycles that carry an episode: the real edge's participants.
-    // The speculative edges around it add nothing.
     static obs::Counter &lane_cycles = obs::counter("sim.lane_cycles");
     lane_cycles.add(uint64_t(std::popcount(participant_mask_)));
     if (kind_ == ModuleKind::Fpu32) {
@@ -174,18 +191,16 @@ BatchNetlistEngine::commit_round()
     for (uint64_t m = participant_mask_; m; m &= m - 1)
         ++cycles_[size_t(lowest_lane(m))];
 
-    // 3. Post-tick speculative edge: Op lanes read their results one
-    // edge ahead, without disturbing the committed timeline or any
-    // lane's fm_rand stream.
+    // 3. Op lanes read their results one edge ahead: the output
+    // registers' D planes with the operands held, valid/clear low and
+    // each random lane's next fm_rand draw, taken from a copy of its
+    // RNG so the committed draw sequence does not move.
     if (op_mask_) {
-        sim_.save_state_into(planes_save_);
-        rngs_save_ = rngs_;
-        draw_rand(op_mask_);
-        sim_.step();
+        draw_rand(op_mask_, true);
         for (uint64_t m = op_mask_; m; m &= m - 1)
             results_[size_t(lowest_lane(m))] = {};
-        for (size_t i = 0; i < r_nets_.size(); ++i) {
-            uint64_t plane = sim_.value(r_nets_[i]);
+        for (size_t i = 0; i < r_next_.size(); ++i) {
+            uint64_t plane = sim_.value(r_next_[i]);
             for (uint64_t m = op_mask_; m; m &= m - 1) {
                 int lane = lowest_lane(m);
                 results_[size_t(lane)].value |=
@@ -193,17 +208,17 @@ BatchNetlistEngine::commit_round()
             }
         }
         if (kind_ == ModuleKind::Fpu32) {
-            std::vector<uint64_t> flag_planes(flags_nets_.size());
-            for (size_t i = 0; i < flags_nets_.size(); ++i)
-                flag_planes[i] = sim_.value(flags_nets_[i]);
-            uint64_t valid_plane = sim_.value(valid_out_net_);
-            uint64_t ack_plane = sim_.value(ack_net_);
-            uint64_t dbg_plane = sim_.value(dbg_net_);
+            std::vector<uint64_t> flag_planes(flags_next_.size());
+            for (size_t i = 0; i < flags_next_.size(); ++i)
+                flag_planes[i] = sim_.value(flags_next_[i]);
+            uint64_t valid_plane = sim_.value(valid_out_next_);
+            uint64_t ack_plane = sim_.value(ack_next_);
+            uint64_t dbg_plane = sim_.value(dbg_next_);
             for (uint64_t m = op_mask_; m; m &= m - 1) {
                 int lane = lowest_lane(m);
                 uint64_t bit = uint64_t(1) << lane;
                 FuResult &res = results_[size_t(lane)];
-                for (size_t i = 0; i < flags_nets_.size(); ++i)
+                for (size_t i = 0; i < flags_next_.size(); ++i)
                     res.flags |= uint8_t(bit_of(flag_planes[i], lane) << i);
                 res.stalled = !(bit_of(valid_plane, lane) &&
                                 bit_of(ack_plane, lane));
@@ -218,8 +233,6 @@ BatchNetlistEngine::commit_round()
         }
         for (uint64_t m = op_mask_; m; m &= m - 1)
             ++cycles_[size_t(lowest_lane(m))];
-        sim_.restore_state(planes_save_);
-        rngs_ = rngs_save_;
     }
 
     participant_mask_ = op_mask_ = read_mask_ = clear_mask_ = 0;

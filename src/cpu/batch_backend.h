@@ -14,22 +14,29 @@
  *
  * Per round, each active lane posts exactly one transaction (an op, an
  * idle tick, an fflags read, or a flags-clear pulse) and commit_round()
- * advances every lane together:
+ * advances every lane together in three steps:
  *
- *   1. a speculative pre-tick edge serving every ReadFflags lane (a
- *      read samples the sticky flags register before its idle tick);
- *   2. the one real edge every participant consumes, with per-lane
- *      valid/clear pulses and per-lane fm_rand streams;
- *   3. a speculative post-tick edge serving every Op lane (an op's
- *      result is read one edge ahead, past the output registers).
+ *   1. post every lane's inputs and this edge's fm_rand draws, and serve
+ *      each ReadFflags lane from the flags registers' D planes of that
+ *      settle (a read samples the sticky flags register one edge ahead
+ *      of its idle tick, under that tick's inputs);
+ *   2. commit the one real edge, with per-lane valid/clear pulses;
+ *   3. drop valid/clear, apply each random lane's next fm_rand draw
+ *      (from a copy of its RNG), and serve each Op lane from the D
+ *      planes of its output registers (`r`, `flags`, `valid_out`,
+ *      `ack`, `dbg_out`): an op's result is read one edge ahead, past
+ *      those registers.
  *
- * Speculative edges save/restore all planes and every lane RNG, so the
- * committed timeline — including each lane's fm_rand draw sequence and
- * cycle count — is bit-identical to the scalar one-netlist protocol
- * kept as the test oracle (tests/reference_fu.h). Lanes are independent
- * by construction (bank fault muxes are exact pass-throughs when
- * disabled), so a lane's behaviour does not depend on which other
- * lanes share its wave.
+ * Every ALU32/MDU32/FPU32 output is a register Q (checked at
+ * construction), so a D plane is exactly what the scalar protocol's
+ * speculative edge would show, and no plane or RNG is ever saved or
+ * restored. The committed timeline — each lane's fm_rand draw sequence
+ * and cycle count, each peek charged one module cycle like the
+ * reference's speculative edge — is bit-identical to the scalar
+ * one-netlist protocol kept as the test oracle (tests/reference_fu.h).
+ * Lanes are independent by construction (bank fault muxes are exact
+ * pass-throughs when disabled), so a lane's behaviour does not depend
+ * on which other lanes share its wave.
  *
  * Observable fault behaviour, per lane:
  *  - wrong results (architecturally visible, checked by test blocks);
@@ -90,7 +97,7 @@ class BatchNetlistEngine
     {
         return results_[size_t(lane)];
     }
-    /** Module clock cycles lane @p lane consumed (speculative included). */
+    /** Module clock cycles lane @p lane consumed (each peek counts one). */
     uint64_t cycles(int lane) const { return cycles_[size_t(lane)]; }
     /** Lane-local dbg_out tag mismatches (FPU transaction protocol). */
     uint64_t tag_mismatches(int lane) const
@@ -99,7 +106,11 @@ class BatchNetlistEngine
     }
 
   private:
-    void draw_rand(uint64_t lanes_mask);
+    /**
+     * Set each random lane's fm_rand bit in @p lanes_mask to its next
+     * draw; a @p peek draw leaves the lane's stream where it was.
+     */
+    void draw_rand(uint64_t lanes_mask, bool peek);
     uint64_t bit_of(uint64_t plane, int lane) const
     {
         return (plane >> lane) & 1;
@@ -111,10 +122,12 @@ class BatchNetlistEngine
 
     // Cached bus net ids (avoids per-round name lookups).
     std::vector<NetId> a_nets_, b_nets_, op_nets_;
-    std::vector<NetId> r_nets_, flags_nets_;
     NetId valid_net_ = kInvalidId, clear_net_ = kInvalidId;
-    NetId valid_out_net_ = kInvalidId, ack_net_ = kInvalidId;
-    NetId dbg_net_ = kInvalidId, rand_net_ = kInvalidId;
+    NetId rand_net_ = kInvalidId;
+    // D nets of the output registers: each output one edge ahead.
+    std::vector<NetId> r_next_, flags_next_;
+    NetId valid_out_next_ = kInvalidId, ack_next_ = kInvalidId;
+    NetId dbg_next_ = kInvalidId;
 
     // Held input planes (idle lanes keep their previous operands) and
     // the per-round pulse masks.
@@ -127,8 +140,6 @@ class BatchNetlistEngine
     uint64_t random_mask_ = 0;
 
     std::vector<Rng> rngs_;
-    std::vector<Rng> rngs_save_;
-    std::vector<uint64_t> planes_save_;
 
     std::vector<FuResult> results_;
     std::vector<uint64_t> cycles_;

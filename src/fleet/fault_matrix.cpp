@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/job.h"
@@ -40,7 +41,9 @@ namespace {
 /**
  * Screen one memory fault class: the aged decode gate lifts to a
  * wrong-address class, and each test runs through the faulty-memory
- * ISS instead of a netlist mount.
+ * ISS instead of a netlist mount. A worst path without a decode gate
+ * cannot be characterized; it throws, as in the campaign, so the class
+ * is poisoned (counted and logged) rather than silently inert.
  */
 void
 characterize_mem(const HwModule &module,
@@ -49,7 +52,7 @@ characterize_mem(const HwModule &module,
 {
     CellId gate = mem::pick_decoder_gate(module.netlist, pair.worst);
     if (gate == kInvalidId)
-        return; // pure datapath path: inert at fleet level
+        throw std::runtime_error("no decode gate on worst path");
     mem::MemFaultClass cls = mem::classify_slow_gate(module.netlist, gate);
     if (cls.kind == mem::MemFaultKind::None)
         return;

@@ -21,6 +21,13 @@ batch_evals_counter()
     return c;
 }
 
+obs::Counter &
+batch_input_evals_counter()
+{
+    static obs::Counter &c = obs::counter("sim.batch_input_evals");
+    return c;
+}
+
 } // namespace
 
 BatchSimulator::BatchSimulator(const Netlist &nl)
@@ -44,8 +51,7 @@ BatchSimulator::reset()
     for (const EvalTape::DffRule &r : tape_->dff_rules())
         planes_[r.q] = r.init ? ~uint64_t(0) : 0;
     cycle_ = 0;
-    dirty_ = true;
-    eval();
+    settle_all_ = true;
 }
 
 void
@@ -54,16 +60,25 @@ BatchSimulator::set_input(NetId net, uint64_t lanes)
     VEGA_CHECK(tape_->is_primary_input(net), "set_input on non-input net ",
                netlist().net(net).name);
     planes_[tape_->slot(net)] = lanes;
-    dirty_ = true;
+    settle_inputs_ = true;
+}
+
+const std::vector<SlotId> &
+BatchSimulator::input_bus_slots(const std::string &bus, size_t width) const
+{
+    const std::vector<SlotId> &slots = tape_->bus_slots(bus);
+    VEGA_CHECK(slots.size() == width, "bus width mismatch on ", bus);
+    for (SlotId s : slots)
+        VEGA_CHECK(s < tape_->num_inputs(), "bus ", bus,
+                   " is not a primary input bus of ", netlist().name());
+    return slots;
 }
 
 void
 BatchSimulator::set_bus_lane(const std::string &bus, int lane,
                              const BitVec &value)
 {
-    const std::vector<SlotId> &slots = tape_->bus_slots(bus);
-    VEGA_CHECK(slots.size() == value.width(), "bus width mismatch on ",
-               bus);
+    const std::vector<SlotId> &slots = input_bus_slots(bus, value.width());
     VEGA_CHECK(lane >= 0 && lane < kLanes, "lane out of range");
     uint64_t bit = uint64_t(1) << lane;
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -72,74 +87,90 @@ BatchSimulator::set_bus_lane(const std::string &bus, int lane,
         else
             planes_[slots[i]] &= ~bit;
     }
-    dirty_ = true;
+    settle_inputs_ = true;
 }
 
 void
 BatchSimulator::set_bus_all(const std::string &bus, const BitVec &value)
 {
-    const std::vector<SlotId> &slots = tape_->bus_slots(bus);
-    VEGA_CHECK(slots.size() == value.width(), "bus width mismatch on ",
-               bus);
+    const std::vector<SlotId> &slots = input_bus_slots(bus, value.width());
     for (size_t i = 0; i < slots.size(); ++i)
         planes_[slots[i]] = value.get(i) ? ~uint64_t(0) : 0;
-    dirty_ = true;
+    settle_inputs_ = true;
 }
 
 void
 BatchSimulator::eval()
 {
-    if (!dirty_)
-        return;
-    batch_evals_counter().inc();
-    uint64_t *v = planes_.data();
-    for (const EvalTape::ConstRule &r : tape_->const_rules())
-        v[r.slot] = r.value ? ~uint64_t(0) : 0;
+    if (settle_all_) {
+        batch_evals_counter().inc();
+        for (const EvalTape::ConstRule &r : tape_->const_rules())
+            planes_[r.slot] = r.value ? ~uint64_t(0) : 0;
+        settle(0);
+    } else if (settle_inputs_) {
+        batch_input_evals_counter().inc();
+        settle(tape_->first_input_run());
+    }
+    settle_all_ = settle_inputs_ = false;
+}
 
-    const size_t n = tape_->num_instrs();
-    const uint8_t *op = tape_->op().data();
+void
+BatchSimulator::settle(size_t first_run)
+{
+    uint64_t *v = planes_.data();
     const SlotId *i0 = tape_->in0().data();
     const SlotId *i1 = tape_->in1().data();
     const SlotId *i2 = tape_->in2().data();
     const SlotId *o = tape_->out().data();
-    for (size_t i = 0; i < n; ++i) {
-        switch (CellType(op[i])) {
+    const std::vector<EvalTape::Run> &runs = tape_->runs();
+    for (size_t r = first_run; r < runs.size(); ++r) {
+        const size_t end = runs[r].end;
+        size_t i = runs[r].begin;
+        switch (runs[r].op) {
           case CellType::Buf:
-            v[o[i]] = v[i0[i]];
+            for (; i < end; ++i)
+                v[o[i]] = v[i0[i]];
             break;
           case CellType::Not:
-            v[o[i]] = ~v[i0[i]];
+            for (; i < end; ++i)
+                v[o[i]] = ~v[i0[i]];
             break;
           case CellType::And2:
-            v[o[i]] = v[i0[i]] & v[i1[i]];
+            for (; i < end; ++i)
+                v[o[i]] = v[i0[i]] & v[i1[i]];
             break;
           case CellType::Or2:
-            v[o[i]] = v[i0[i]] | v[i1[i]];
+            for (; i < end; ++i)
+                v[o[i]] = v[i0[i]] | v[i1[i]];
             break;
           case CellType::Xor2:
-            v[o[i]] = v[i0[i]] ^ v[i1[i]];
+            for (; i < end; ++i)
+                v[o[i]] = v[i0[i]] ^ v[i1[i]];
             break;
           case CellType::Nand2:
-            v[o[i]] = ~(v[i0[i]] & v[i1[i]]);
+            for (; i < end; ++i)
+                v[o[i]] = ~(v[i0[i]] & v[i1[i]]);
             break;
           case CellType::Nor2:
-            v[o[i]] = ~(v[i0[i]] | v[i1[i]]);
+            for (; i < end; ++i)
+                v[o[i]] = ~(v[i0[i]] | v[i1[i]]);
             break;
           case CellType::Xnor2:
-            v[o[i]] = ~(v[i0[i]] ^ v[i1[i]]);
+            for (; i < end; ++i)
+                v[o[i]] = ~(v[i0[i]] ^ v[i1[i]]);
             break;
-          case CellType::Mux2: {
-            uint64_t s = v[i2[i]];
-            v[o[i]] = (v[i0[i]] & ~s) | (v[i1[i]] & s);
+          case CellType::Mux2:
+            for (; i < end; ++i) {
+                uint64_t s = v[i2[i]];
+                v[o[i]] = (v[i0[i]] & ~s) | (v[i1[i]] & s);
+            }
             break;
-          }
           case CellType::Const0:
           case CellType::Const1:
           case CellType::Dff:
             panic("non-combinational opcode in tape stream");
         }
     }
-    dirty_ = false;
 }
 
 void
@@ -153,8 +184,7 @@ BatchSimulator::step()
         planes_[dffs[i].q] = dff_next_[i];
     ++cycle_;
     batch_cycles_counter().inc();
-    dirty_ = true;
-    eval();
+    settle_all_ = true;
 }
 
 void
@@ -202,7 +232,7 @@ BatchSimulator::restore_state(const std::vector<uint64_t> &state)
                " does not match netlist ", netlist().name(), " (",
                tape_->num_slots(), " slots)");
     planes_ = state;
-    dirty_ = true;
+    settle_all_ = true;
 }
 
 } // namespace vega

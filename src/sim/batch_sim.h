@@ -9,19 +9,24 @@
  * simulations: an AND2 is a single `&` across all lanes, a clock edge
  * commits all DFF planes at once.
  *
- * Per lane, combinational cells settle in topological order, then
- * step() commits every DFF atomically and re-settles. Every lane is
- * checked in lockstep against the pre-tape reference interpreter
- * (tests/reference_sim.h) by tests/test_eval_tape.cpp.
+ * Settles are lazy and dispatch once per run of one opcode. step()
+ * settles whatever is pending, commits every DFF atomically and marks
+ * a full settle pending, but does not run it: the next reader (or the
+ * next edge) does. An input write alone marks only the tape's input
+ * part pending, so a reader after new inputs settles just their
+ * fanout. Every lane is checked in lockstep against the pre-tape
+ * reference interpreter (tests/reference_sim.h) by
+ * tests/test_eval_tape.cpp, with inputs re-driven between edges.
  *
  * This is the only EvalTape interpreter. Single-stream consumers (SP
  * profiling, test replay, the memory decoder classifier) drive every
- * lane alike (set_bus_all / set_input_all) and read lane 0. lift::fuzz_cover runs 64 fuzzing episodes per simulated
- * cycle, and cpu::BatchNetlistEngine runs 64 ISS streams — the only
- * way an ISS reaches a gate-level unit. The simulator counts tape
- * passes (`sim.batch_cycles`, `sim.batch_evals`); the multi-lane
- * consumers count the lane-cycles that carry an episode
- * (`sim.lane_cycles`).
+ * lane alike (set_bus_all / set_input_all) and read lane 0.
+ * lift::fuzz_cover runs 64 fuzzing episodes per simulated cycle, and
+ * cpu::BatchNetlistEngine runs 64 ISS streams — the only way an ISS
+ * reaches a gate-level unit. The simulator counts clock edges
+ * (`sim.batch_cycles`), full settles (`sim.batch_evals`) and input-part
+ * settles (`sim.batch_input_evals`); the multi-lane consumers count the
+ * lane-cycles that carry an episode (`sim.lane_cycles`).
  */
 #pragma once
 
@@ -50,7 +55,7 @@ class BatchSimulator
     const Netlist &netlist() const { return tape_->netlist(); }
     const EvalTape &tape() const { return *tape_; }
 
-    /** Load DFF init values, zero all primary inputs, settle. */
+    /** Load DFF init values and zero all primary inputs. */
     void reset();
 
     /** Drive a primary input with a per-lane plane (bit L = lane L). */
@@ -69,10 +74,10 @@ class BatchSimulator
     /** Drive an input bus to the same value in every lane. */
     void set_bus_all(const std::string &bus, const BitVec &value);
 
-    /** Settle combinational logic. Called implicitly by readers. */
+    /** Run the pending settle, if any. Called implicitly by readers. */
     void eval();
 
-    /** One clock edge in every lane: settle, commit DFFs, settle. */
+    /** One clock edge in every lane: settle, commit DFFs. */
     void step();
 
     /** Run @p n clock cycles. */
@@ -98,24 +103,21 @@ class BatchSimulator
     /** Snapshot of all planes (slot-ordered, opaque to callers). */
     std::vector<uint64_t> save_state() const { return planes_; }
 
-    /**
-     * Snapshot into a caller-owned buffer, reusing its capacity. Hot
-     * paths that save/restore every cycle (the wave driver's
-     * speculative output peeks) avoid a per-cycle allocation this way.
-     */
-    void save_state_into(std::vector<uint64_t> &out) const
-    {
-        out.assign(planes_.begin(), planes_.end());
-    }
-
     /** Restore a snapshot; panics unless it matches this netlist. */
     void restore_state(const std::vector<uint64_t> &state);
 
   private:
+    /** Input-bus slots of @p bus; panics on an output bus. */
+    const std::vector<SlotId> &input_bus_slots(const std::string &bus,
+                                               size_t width) const;
+    /** Interpret runs [first_run, end) of the tape. */
+    void settle(size_t first_run);
+
     std::shared_ptr<const EvalTape> tape_;
     std::vector<uint64_t> planes_;   ///< per-slot lane planes
     std::vector<uint64_t> dff_next_; ///< edge-commit scratch
-    bool dirty_ = true;
+    bool settle_all_ = true;     ///< DFF outputs moved: settle everything
+    bool settle_inputs_ = false; ///< only inputs moved: settle their fanout
     uint64_t cycle_ = 0;
 };
 

@@ -9,27 +9,35 @@
  * traversal exactly once per netlist and records its result as
  * structure-of-arrays vectors of primitive indices:
  *
- *  - a combinational instruction stream in topological order: one
- *    opcode byte plus dense input/output value-slot indices per cell;
+ *  - a combinational instruction stream of dense input/output
+ *    value-slot indices, in two parts: first the cells outside every
+ *    primary input's fanout (fed only by DFF outputs and constants),
+ *    then the input fanout. Within each part, cells are sorted by
+ *    (level, opcode), so the stream is a sequence of *runs* of one
+ *    opcode that an interpreter dispatches once per run;
  *  - a DFF commit list (D slot, Q slot, init bit) applied atomically
  *    at each clock edge;
- *  - a constant list (slot, value) applied when inputs change, so a
+ *  - a constant list (slot, value) applied on every full settle, so a
  *    restored state can never leave a constant driver corrupted;
- *  - slot maps for nets, cell outputs, and named port buses.
+ *  - slot maps for nets and named port buses.
+ *
+ * After new inputs only the input part can change, so an interpreter
+ * may settle just that part as long as DFF outputs have not moved.
  *
  * Value slots are a permutation of NetIds ordered by evaluation phase
  * (primary inputs, constants, DFF Qs, then combinational outputs in
- * topo order), so a simulator's value plane is written front-to-back
+ * stream order), so a simulator's value plane is written front-to-back
  * each settle. One interpreter, the 64-lane BatchSimulator, runs it for
- * every simulation consumer — SP profiling, test replay, fuzz lifting,
- * the ISS netlist backends and the campaign engine — so all of them
- * share a single lowering of eval_cell semantics.
+ * every simulation consumer — SP profiling, test replay, fuzz lifting
+ * and the gate-level FU waves — so all of them share a single lowering
+ * of eval_cell semantics.
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -55,20 +63,30 @@ class EvalTape
     /** One slot per net: the value plane length of any interpreter. */
     size_t num_slots() const { return slot_of_net_.size(); }
 
+    /** Primary inputs hold slots [0, num_inputs()). */
+    size_t num_inputs() const { return num_inputs_; }
+
     /** Value slot holding the current value of @p net. */
     SlotId slot(NetId net) const { return slot_of_net_[net]; }
 
-    /** Value slot holding the output of cell @p c (DFFs included). */
-    SlotId cell_out_slot(CellId c) const { return cell_out_slot_[c]; }
-
-    /// @name Combinational instruction stream (topological order)
+    /// @name Combinational instruction stream (see file docs)
     /// @{
-    size_t num_instrs() const { return op_.size(); }
-    const std::vector<uint8_t> &op() const { return op_; }
+    size_t num_instrs() const { return out_.size(); }
     const std::vector<SlotId> &in0() const { return in0_; }
     const std::vector<SlotId> &in1() const { return in1_; }
     const std::vector<SlotId> &in2() const { return in2_; }
     const std::vector<SlotId> &out() const { return out_; }
+
+    /** Instructions [begin, end) all carry opcode @p op. */
+    struct Run
+    {
+        uint32_t begin;
+        uint32_t end;
+        CellType op;
+    };
+    const std::vector<Run> &runs() const { return runs_; }
+    /** Runs [first_input_run(), runs().size()) are the input fanout. */
+    size_t first_input_run() const { return first_input_run_; }
     /// @}
 
     /** Clock-edge commit rule: Q slot takes the D slot's value. */
@@ -102,11 +120,12 @@ class EvalTape
   private:
     const Netlist &nl_;
 
-    std::vector<SlotId> slot_of_net_;   ///< NetId -> slot
-    std::vector<SlotId> cell_out_slot_; ///< CellId -> slot
+    std::vector<SlotId> slot_of_net_; ///< NetId -> slot
+    size_t num_inputs_ = 0;
 
-    std::vector<uint8_t> op_; ///< CellType as a byte
     std::vector<SlotId> in0_, in1_, in2_, out_;
+    std::vector<Run> runs_;
+    size_t first_input_run_ = 0;
 
     std::vector<DffRule> dff_rules_;
     std::vector<ConstRule> const_rules_;

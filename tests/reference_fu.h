@@ -8,9 +8,11 @@
  * reproduce, written independently of the engine: its own input
  * discipline, one-edge result peek, fm_rand draw order and dbg-tag
  * parity check (the WaveCampaign and FleetMatrix tests compare through
- * tests/reference_campaign.h). The tape interpreter both sides share,
- * BatchSimulator, is checked separately against ReferenceSim
- * (tests/reference_sim.h).
+ * tests/reference_campaign.h). The engine reads a peek from the output
+ * registers' next-state planes; this reference keeps the literal
+ * speculative edge (save, tick, read, restore) as the oracle for that
+ * shortcut. The tape interpreter both sides share, BatchSimulator, is
+ * checked separately against ReferenceSim (tests/reference_sim.h).
  *
  * run_reference() routes one ISS through it, instruction by
  * instruction, over Iss::peek_fu_issue/step_one:
@@ -171,7 +173,7 @@ class ReferenceFu
         // One speculative edge commits the in-flight op's outputs without
         // disturbing the real timeline (the inputs are don't-cares for
         // the already-captured stage-1 state).
-        sim_.save_state_into(saved_);
+        std::vector<uint64_t> saved = sim_.save_state();
         Rng saved_rng = rng_;
         tick();
         r = uint32_t(sim_.bus_value("r", 0).to_u64());
@@ -186,13 +188,12 @@ class ReferenceFu
             ack = true;
             dbg = false;
         }
-        sim_.restore_state(saved_);
+        sim_.restore_state(saved);
         rng_ = saved_rng;
     }
 
     ModuleKind kind_;
     BatchSimulator sim_;
-    std::vector<uint64_t> saved_; ///< peek_outputs() snapshot buffer
     bool has_random_input_;
     Rng rng_;
     bool expected_tag_ = false; ///< predicted dbg parity

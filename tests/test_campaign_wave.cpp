@@ -241,6 +241,31 @@ TEST(WaveCampaign, LaneCyclesCountOnlyOccupiedLanes)
     EXPECT_LE(lanes, 3 * edges);
 }
 
+TEST(WaveCampaign, ProbeWaveSettlesOncePerCommittedEdge)
+{
+    // Op and fflags results come from next-state planes, not from
+    // speculative edges, and posting a round's inputs settles only
+    // their fanout: a probe wave runs one full settle per clock edge,
+    // plus at most the one before its first edge.
+    const WaveEnv &e = alu_env();
+    auto specs = all_fault_specs(
+        e, {lift::FaultConstant::Zero, lift::FaultConstant::One});
+    WaveContext ctx = make_wave_context(e.module, specs);
+    std::vector<Episode> probes;
+    for (size_t i = 0; i < specs.size(); ++i)
+        probes.push_back(
+            probe_episode(e.module.kind, i, job_stream(~uint64_t(7), i)));
+
+    obs::Counter &edges = obs::counter("sim.batch_cycles");
+    obs::Counter &settles = obs::counter("sim.batch_evals");
+    uint64_t edges0 = edges.value(), settles0 = settles.value();
+    characterize_wave(ctx, probes);
+    uint64_t wave_edges = edges.value() - edges0;
+    uint64_t wave_settles = settles.value() - settles0;
+    EXPECT_GT(wave_edges, 0u);
+    EXPECT_LE(wave_settles, wave_edges + 1);
+}
+
 TEST(WaveCampaign, AluJobsMatchReferenceAtAnyThreadCount)
 {
     const WaveEnv &e = alu_env();

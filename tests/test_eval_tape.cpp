@@ -4,9 +4,11 @@
  * interpreter, must behave exactly like the pre-tape levelized
  * simulator (ReferenceSim, tests/reference_sim.h). Every lane is
  * checked against its own ReferenceSim in lockstep, on random
- * sequential netlists and on the real ALU32/FPU32 blocks, and lanes
- * driven alike must all match it (single-stream consumers read lane
- * 0). Save/restore round-trips are pinned here too.
+ * sequential netlists (full settles after each edge and input-only
+ * settles after re-driven inputs) and on the real ALU32/FPU32 blocks,
+ * and lanes driven alike must all match it (single-stream consumers
+ * read lane 0). Save/restore round-trips and the input-only bus
+ * writes are pinned here too.
  */
 #include "sim/eval_tape.h"
 
@@ -134,7 +136,9 @@ TEST(EvalTape, MatchesPreTapeReferenceOnRandomNetlists)
 TEST(BatchSimulator, LockstepWithScalarOnRandomNetlists)
 {
     // Each lane carries its own stimulus and is checked against its
-    // own scalar ReferenceSim.
+    // own scalar ReferenceSim. Every cycle reads all nets twice: after
+    // driving every input right after the edge (a full settle), then
+    // after re-driving a random subset of inputs (an input-only settle).
     for (uint64_t seed : {21u, 22u, 23u}) {
         Netlist nl = random_netlist(seed, 6, 250, 10);
         BatchSimulator batch(nl);
@@ -145,8 +149,10 @@ TEST(BatchSimulator, LockstepWithScalarOnRandomNetlists)
 
         Rng stim(seed * 1319);
         auto inputs = nl.primary_inputs();
-        for (int t = 0; t < 12; ++t) {
+        auto drive = [&](double share) {
             for (NetId in : inputs) {
+                if (!stim.chance(share))
+                    continue;
                 uint64_t plane = stim.next();
                 batch.set_input(in, plane);
                 for (int l = 0; l < BatchSimulator::kLanes; ++l)
@@ -154,13 +160,21 @@ TEST(BatchSimulator, LockstepWithScalarOnRandomNetlists)
             }
             for (ReferenceSim &lane : lanes)
                 lane.eval();
+        };
+        auto expect_lanes = [&](int t, const char *when) {
             for (NetId n = 0; n < nl.num_nets(); ++n) {
                 uint64_t plane = batch.value(n);
                 for (int l = 0; l < BatchSimulator::kLanes; ++l)
                     ASSERT_EQ((plane >> l) & 1, uint64_t(lanes[l].values[n]))
-                        << "seed " << seed << " cycle " << t << " lane "
-                        << l << " net " << nl.net(n).name;
+                        << "seed " << seed << " cycle " << t << " " << when
+                        << " lane " << l << " net " << nl.net(n).name;
             }
+        };
+        for (int t = 0; t < 12; ++t) {
+            drive(1.0);
+            expect_lanes(t, "after the edge");
+            drive(0.5);
+            expect_lanes(t, "after re-driven inputs");
             batch.step();
             for (ReferenceSim &lane : lanes)
                 lane.step();
@@ -253,6 +267,21 @@ TEST(BatchSimulator, SaveRestoreRoundTrip)
     sim.run(3);
     for (NetId n = 0; n < nl.num_nets(); ++n)
         EXPECT_EQ(sim.value(n), after[n]) << nl.net(n).name;
+}
+
+TEST(BatchSimulator, SetBusRejectsOutputBus)
+{
+    // An input-only settle never recomputes an output bus, so a write
+    // to one would silently stick: only primary-input buses are
+    // drivable.
+    Netlist nl = random_netlist(79, 4, 40, 2);
+    BatchSimulator sim(nl);
+    sim.set_bus_all("a", BitVec(4, 0x5));
+    sim.set_bus_lane("a", 3, BitVec(4, 0xa));
+    EXPECT_DEATH(sim.set_bus_all("r", BitVec(8, 0xff)),
+                 "not a primary input bus");
+    EXPECT_DEATH(sim.set_bus_lane("r", 0, BitVec(8, 1)),
+                 "not a primary input bus");
 }
 
 TEST(BatchSimulator, RestoreStateRejectsWrongSize)

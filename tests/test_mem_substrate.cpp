@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.h"
+#include "common/logging.h"
 #include "cpu/alu_ops.h"
 #include "fleet/fault_matrix.h"
 #include "mem/decoder_lift.h"
 #include "mem/mem_backend.h"
+#include "obs/metrics.h"
 #include "rtl/memdec.h"
 #include "runtime/suite_io.h"
 #include "sim/batch_sim.h"
@@ -635,6 +637,46 @@ TEST(MemFleet, FaultMatrixScreensWithMarchSuite)
         for (runtime::Detection d : f.per_test)
             EXPECT_TRUE(d == runtime::Detection::None ||
                         d == runtime::Detection::WrongAddress);
+}
+
+TEST(FleetMatrix, UncharacterizableMemPairIsPoisonedNotSilentlyInert)
+{
+    MemLifted ml = lift_three_pairs();
+    ASSERT_FALSE(ml.suite.empty());
+    ASSERT_GE(ml.pairs.size(), 2u);
+    auto intact = fleet::build_fault_matrix(
+        ml.module, ml.pairs, ml.suite, {lift::FaultConstant::Zero}, 2, 11);
+    ASSERT_TRUE(intact.ok());
+    // As in MemCampaign.UncharacterizableFaultQuarantinesOnlyItsJobs: a
+    // worst path without cells has no decode gate to characterize.
+    ml.pairs[0].worst.cells.clear();
+
+    obs::Counter &poisoned = obs::counter("fleet.classes_poisoned");
+    uint64_t before = poisoned.value();
+    LogLevel level = log_level();
+    set_log_level(LogLevel::Warn);
+    testing::internal::CaptureStderr();
+    auto m = fleet::build_fault_matrix(
+        ml.module, ml.pairs, ml.suite, {lift::FaultConstant::Zero}, 2, 11);
+    std::string log = testing::internal::GetCapturedStderr();
+    set_log_level(level);
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(poisoned.value() - before, 1u);
+    EXPECT_NE(log.find("fault class 0 recorded inert"), std::string::npos)
+        << log;
+    EXPECT_NE(log.find("no decode gate on worst path"), std::string::npos)
+        << log;
+
+    // Pair 0's class is recorded inert; every other class is untouched.
+    ASSERT_EQ(m->faults.size(), intact->faults.size());
+    EXPECT_FALSE(m->faults[0].corrupts);
+    EXPECT_EQ(m->faults[0].detecting_tests, 0u);
+    for (runtime::Detection d : m->faults[0].per_test)
+        EXPECT_EQ(d, runtime::Detection::None);
+    for (size_t i = 1; i < m->faults.size(); ++i) {
+        EXPECT_EQ(m->faults[i].corrupts, intact->faults[i].corrupts) << i;
+        EXPECT_EQ(m->faults[i].per_test, intact->faults[i].per_test) << i;
+    }
 }
 
 TEST(MemSuiteIo, MemDecRoundTripsThroughSuiteFiles)
