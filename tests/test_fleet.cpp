@@ -2,9 +2,11 @@
  * @file
  * Mission-mode fleet simulator tests: config validation through
  * vega::Expected (the negative paths a fleet service must reject
- * without crashing), deterministic population simulation on a
- * hand-built fault matrix, and gate-level passes on the real ALU and
- * FPU, checked against the scalar reference characterization.
+ * without crashing), deterministic population simulation on
+ * hand-built fault matrices, checked device by device and report by
+ * report against the per-slot reference (reference_fleet.h), and
+ * gate-level passes on the real ALU and FPU, checked against the
+ * scalar reference characterization.
  */
 #include "fleet/fleet_sim.h"
 
@@ -19,6 +21,7 @@
 #include "fleet/config.h"
 #include "fleet/fault_matrix.h"
 #include "reference_campaign.h"
+#include "reference_fleet.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
 #include "vega/workflow.h"
@@ -210,22 +213,156 @@ TEST(FleetSim, SameSeedIsByteIdenticalAtAnyThreadCount)
     EXPECT_NE(r1->to_json(false), other->to_json(false));
 }
 
-TEST(FleetSim, PerDeviceStreamsAreIndependentOfFleetSize)
+/**
+ * A matrix that pins the epoch window arithmetic: unequal test cycles,
+ * classes with several detecting tests, an undetectable class per
+ * half, and a class (0, on the attack's target pair) whose only
+ * detecting test is the last in the suite.
+ */
+FaultMatrix
+oracle_matrix()
 {
-    FaultMatrix m = toy_matrix();
-    FleetConfig cfg = small_config();
-    auto validated = validate_config(cfg);
-    ASSERT_TRUE(validated.ok());
-    // Device 17 behaves identically whether simulated alone or as part
-    // of the population — outcomes are keyed by id, not by order.
-    DeviceOutcome solo = simulate_device(*validated, m, 17);
-    DeviceOutcome in_fleet = simulate_device(*validated, m, 17);
-    EXPECT_EQ(solo.corner, in_fleet.corner);
-    EXPECT_EQ(solo.mix, in_fleet.mix);
-    EXPECT_EQ(solo.fault, in_fleet.fault);
-    EXPECT_EQ(solo.detected, in_fleet.detected);
-    EXPECT_EQ(solo.slots, in_fleet.slots);
-    EXPECT_EQ(solo.test_cycles, in_fleet.test_cycles);
+    using D = runtime::Detection;
+    const D N = D::None;
+    const std::vector<std::vector<D>> per_test = {
+        {N, N, N, N, N, D::Mismatch},
+        {N, D::Stall, N, D::Mismatch, N, N},
+        {D::TagAnomaly, N, D::Mismatch, N, N, D::Stall},
+        {N, N, N, N, N, N},
+        {N, N, N, D::WrongAddress, N, N},
+        {N, N, D::Mismatch, N, N, D::WrongAddress},
+        {D::Mismatch, D::Stall, D::Mismatch, D::Stall, D::Mismatch,
+         D::Stall},
+        {N, N, N, N, N, N},
+    };
+    FaultMatrix m;
+    m.module = ModuleKind::Alu32;
+    m.num_pairs = 4;
+    m.num_tests = 6;
+    m.test_cycles = {1200, 3100, 700, 5000, 2300, 900};
+    for (uint64_t c : m.test_cycles)
+        m.suite_cycles += c;
+    m.faults.resize(per_test.size());
+    for (size_t i = 0; i < m.faults.size(); ++i) {
+        FaultClass &f = m.faults[i];
+        f.pair_index = i / 2;
+        f.constant = (i & 1) ? lift::FaultConstant::One
+                             : lift::FaultConstant::Zero;
+        f.per_test = per_test[i];
+        f.detecting_tests = uint64_t(
+            std::count_if(f.per_test.begin(), f.per_test.end(),
+                          [](D d) { return d != D::None; }));
+        f.corrupts = i % 3 != 1;
+    }
+    return m;
+}
+
+/**
+ * A fleet where most devices fail early, under one gate regime: @p gate
+ * is 1 for the open gate, or the dispatch probability the §3.4.2
+ * budget throttle should land near (epoch_cycles is sized for it).
+ */
+FleetConfig
+oracle_config(const FaultMatrix &m, double gate, uint64_t slots,
+              double adversarial)
+{
+    FleetConfig cfg;
+    cfg.seed = 11;
+    cfg.epochs = 6;
+    cfg.slots_per_epoch = slots;
+    cfg.base_hazard = 0.5;
+    cfg.adversarial_fraction = adversarial;
+    cfg.adversarial_report_cap = 8;
+    cfg.epoch_cycles =
+        gate >= 1.0 ? uint64_t(1) << 40
+                    : uint64_t(double(slots) * m.mean_test_cycles() *
+                               gate / cfg.overhead_budget);
+    return cfg;
+}
+
+const double kGates[] = {1.0, 0.2, 0.02};
+
+TEST(FleetSim, DeviceOutcomesMatchReference)
+{
+    FaultMatrix m = oracle_matrix();
+    for (double gate : kGates) {
+        auto cfg = validate_config(oracle_config(m, gate, 13, 0.3));
+        ASSERT_TRUE(cfg.ok()) << cfg.error().to_string();
+        for (uint64_t id = 0; id < 1000; ++id) {
+            DeviceOutcome got = simulate_device(*cfg, m, id);
+            DeviceOutcome want = reference_device(*cfg, m, id);
+            SCOPED_TRACE(testing::Message()
+                         << "gate " << gate << " device " << id);
+            EXPECT_EQ(got.id, want.id);
+            EXPECT_EQ(got.corner, want.corner);
+            EXPECT_EQ(got.mix, want.mix);
+            EXPECT_EQ(got.adversarial, want.adversarial);
+            EXPECT_EQ(got.age_start, want.age_start);
+            EXPECT_EQ(got.age_end, want.age_end);
+            EXPECT_EQ(got.gate_probability, want.gate_probability);
+            EXPECT_EQ(got.epochs_run, want.epochs_run);
+            EXPECT_EQ(got.fault, want.fault);
+            EXPECT_EQ(got.onset_epoch, want.onset_epoch);
+            EXPECT_EQ(got.fault_index, want.fault_index);
+            EXPECT_EQ(got.fault_corrupts, want.fault_corrupts);
+            EXPECT_EQ(got.fault_detectable, want.fault_detectable);
+            EXPECT_EQ(got.detected, want.detected);
+            EXPECT_EQ(got.kind, want.kind);
+            EXPECT_EQ(got.detect_epoch, want.detect_epoch);
+            EXPECT_EQ(got.slots_to_detect, want.slots_to_detect);
+            EXPECT_EQ(got.slots, want.slots);
+            EXPECT_EQ(got.tests_dispatched, want.tests_dispatched);
+            EXPECT_EQ(got.test_cycles, want.test_cycles);
+            EXPECT_EQ(got.app_cycles, want.app_cycles);
+            EXPECT_EQ(got.corruptions, want.corruptions);
+            EXPECT_EQ(got.prevented_corruptions,
+                      want.prevented_corruptions);
+            EXPECT_EQ(got.first_corruption_epoch,
+                      want.first_corruption_epoch);
+            if (testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(FleetSim, ReportMatchesReference)
+{
+    // Sizes straddle the 2048-device chunk; the cap of 8 adversarial
+    // rows fills inside the first chunk, so rows pin the merge order.
+    const uint64_t kSizes[] = {1, 2047, 2048, 2049, 5000};
+    FaultMatrix m = oracle_matrix();
+    for (double gate : kGates) {
+        for (uint64_t slots : {1, 5, 6, 13, 100}) {
+            for (double adversarial : {0.3, 1.0}) {
+                FleetConfig cfg =
+                    oracle_config(m, gate, slots, adversarial);
+                auto valid = validate_config(cfg);
+                ASSERT_TRUE(valid.ok()) << valid.error().to_string();
+                std::vector<DeviceOutcome> all;
+                for (uint64_t id = 0; id < kSizes[4]; ++id)
+                    all.push_back(reference_device(*valid, m, id));
+                for (uint64_t n : kSizes) {
+                    valid->num_devices = n;
+                    std::string want =
+                        reference_aggregate(
+                            *valid, m,
+                            {all.begin(), all.begin() + ptrdiff_t(n)})
+                            .to_json(false);
+                    cfg.num_devices = n;
+                    for (size_t threads : {1, 4}) {
+                        cfg.threads = threads;
+                        auto got = run_fleet(cfg, m);
+                        ASSERT_TRUE(got.ok()) << got.error().to_string();
+                        EXPECT_EQ(got->to_json(false), want)
+                            << "gate " << gate << " slots " << slots
+                            << " adversarial " << adversarial
+                            << " devices " << n << " threads "
+                            << threads;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(FleetSim, AccountingAddsUp)
