@@ -155,8 +155,10 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 # share a process with ASan). Focused on the code where a missed lock
 # becomes silent corruption — the campaign engine's wave dispatch and
 # group-commit journaling, the fleet fault matrix's wave tasks (which
-# write into shared per-class slots), the work-stealing pool, the
-# sharded aggregator, and the observability counters/rings. The
+# write into shared per-class slots), the fleet device pass (whose
+# pool workers write per-chunk partial reports and per-device
+# overheads), the work-stealing pool, the sharded aggregator, and the
+# observability counters/rings. The
 # CoverBatch and CheckCover entries run the cover-solving corpus tests
 # (seeded target-order permutations against tests/reference_bmc.cpp);
 # cover solving spawns no threads of its own, so they run on one thread.
@@ -167,6 +169,6 @@ cmake -S "$repo" -B "$tsan" \
 cmake --build "$tsan" -j "$jobs" --target vega_tests
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
     ctest --test-dir "$tsan" --output-on-failure \
-    -R 'Campaign|WaveCampaign|FleetMatrix|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover' \
+    -R 'Campaign|WaveCampaign|FleetMatrix|FleetSim|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover' \
     -j "$jobs"
-echo "ci_sanitize: ThreadSanitizer campaign/pool/cover-batch pass clean"
+echo "ci_sanitize: ThreadSanitizer campaign/fleet/pool/cover-batch pass clean"

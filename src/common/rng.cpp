@@ -18,26 +18,6 @@ Rng::Rng(uint64_t seed)
         s = splitmix(seed);
 }
 
-static inline uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-uint64_t
-Rng::next()
-{
-    uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
 uint64_t
 Rng::below(uint64_t bound)
 {
@@ -50,12 +30,6 @@ Rng::below(uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-double
-Rng::uniform()
-{
-    return (next() >> 11) * 0x1.0p-53;
 }
 
 } // namespace vega

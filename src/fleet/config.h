@@ -4,9 +4,10 @@
  *
  * A fleet run instantiates a population of simulated device instances —
  * heterogeneous in aging age, operating corner, duty cycle, and
- * workload mix — each running the generated test library through
- * vega::runtime::Scheduler under a per-device overhead budget (the
- * §3.4.2 probabilistic gating). Configuration problems surface as
+ * workload mix — each running the generated test library round-robin
+ * under a per-device overhead budget (the §3.4.2 probabilistic gating:
+ * each slot dispatches the next suite test with a budget-derived
+ * probability). Configuration problems surface as
  * vega::Expected errors, never as throws: a fleet service must reject
  * a bad request, not crash on it.
  */
@@ -18,7 +19,6 @@
 
 #include "common/error.h"
 #include "rtl/module.h"
-#include "runtime/scheduler.h"
 
 namespace vega::fleet {
 
@@ -85,10 +85,6 @@ struct FleetConfig
     /** Cap on per-device adversarial outcomes embedded in the report
      *  (the rest are summarized; the report states the truncation). */
     size_t adversarial_report_cap = 1024;
-
-    /** Library schedule policy; Probabilistic enables budget gating. */
-    runtime::SchedulePolicy policy =
-        runtime::SchedulePolicy::Probabilistic;
 
     /** Operating corners (empty = corner_catalog() defaults). */
     std::vector<CornerSpec> corners;

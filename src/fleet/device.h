@@ -16,7 +16,11 @@
 
 namespace vega::fleet {
 
-/** Everything a device run records (compact: fleets hold millions). */
+/**
+ * Everything a device run records. The device pass folds each outcome
+ * into its chunk's partial report as soon as it is simulated; only the
+ * realized overhead outlives the chunk.
+ */
 struct DeviceOutcome
 {
     uint64_t id = 0;

@@ -19,10 +19,18 @@
  *     bit-for-bit). Onset picks a fault class from the characterized
  *     FaultMatrix: uniformly for organic wear, or concentrated on the
  *     attack's target pair for adversarial devices (arXiv 2508.16868);
- *  3. runs its scheduler slots through vega::runtime::Scheduler with
- *     the §3.4.2 budget-derived dispatch probability, charging each
- *     dispatched test's cycle cost against the overhead account and
- *     consulting the matrix for the detection outcome;
+ *  3. runs its scheduler slots round-robin over the suite, each slot
+ *     dispatching the next test with the §3.4.2 budget-derived
+ *     probability p, charging each dispatched test's cycle cost
+ *     against the overhead account and consulting the matrix for the
+ *     detection outcome. An epoch's dispatches are thus a window of the
+ *     suite starting at the device's cursor, so the epoch is computed
+ *     in closed form: with the gate open (p = 1) every slot dispatches
+ *     up to the first test that flags the fault, found by scanning the
+ *     class's per_test row from the cursor; with the gate throttled
+ *     (p < 1) the device draws one chance(p) per slot from its
+ *     scheduler stream and counts dispatches. Cycles come from prefix
+ *     sums over two suite passes;
  *  4. if the fault corrupts the representative workload, rolls the
  *     mix's corruption rate; a corruption event lands silently unless
  *     a detection fired earlier in the epoch (position ordering —
@@ -45,17 +53,23 @@
 namespace vega::fleet {
 
 /**
- * Simulate one device's whole mission. Everything the device does
- * derives from campaign-style stream roots of (cfg.seed, id).
+ * Simulate one device's whole mission under the validated config
+ * @p cfg. Everything the device does derives from campaign-style
+ * stream roots of (cfg.seed, id). Derives the run's constants (catalog
+ * weights, gate probability, cycle prefix sums) on every call;
+ * run_fleet derives them once per run.
  */
 DeviceOutcome simulate_device(const FleetConfig &cfg,
                               const FaultMatrix &matrix, uint64_t id);
 
 /**
- * Run the whole fleet over @p cfg.threads workers and aggregate. The
- * config must already be validated (run_fleet validates again and
- * propagates the error to be safe). Timing fields are filled from the
- * wall clock; everything else in the report is deterministic.
+ * Run the whole fleet over @p cfg.threads workers and aggregate: each
+ * 2048-device chunk folds into its own partial report, and the
+ * partials merge in id order. The config is validated here; so is the
+ * matrix, whose widths and cached suite_cycles / detecting_tests must
+ * agree with its tables (InvalidArgument otherwise). Timing fields are
+ * filled from the wall clock; everything else in the report is
+ * deterministic.
  */
 Expected<FleetReport> run_fleet(const FleetConfig &cfg,
                                 const FaultMatrix &matrix);

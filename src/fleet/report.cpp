@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "runtime/scheduler.h"
 
 namespace vega::fleet {
 
@@ -115,23 +116,6 @@ append_groups(std::string &out, const char *key,
         out += ',';
 }
 
-/** Freeze a live accumulation histogram into report form. */
-Distribution
-render(const obs::Histogram &h)
-{
-    Distribution d;
-    d.bounds = h.bounds();
-    d.buckets.resize(d.bounds.size() + 1);
-    for (size_t i = 0; i < d.buckets.size(); ++i)
-        d.buckets[i] = h.bucket_count(i);
-    d.count = h.count();
-    d.sum = h.sum();
-    d.p50 = h.p50();
-    d.p95 = h.p95();
-    d.p99 = h.p99();
-    return d;
-}
-
 std::vector<double>
 slot_bounds(uint64_t max_slots)
 {
@@ -171,6 +155,59 @@ age_band_name(size_t band)
                                    "age_q3", "age_q4_oldest"};
     return kNames[band < 4 ? band : 3];
 }
+
+/** Empty distribution over @p bounds (ascending by construction). */
+Distribution
+empty_distribution(std::vector<double> bounds)
+{
+    Distribution d;
+    d.bounds = std::move(bounds);
+    d.buckets.assign(d.bounds.size() + 1, 0);
+    return d;
+}
+
+/**
+ * Count @p v in the first bucket whose upper bound is >= v (the last is
+ * the overflow), as obs::Histogram does. The sum is left to the caller.
+ */
+void
+observe(Distribution &d, double v)
+{
+    size_t i = size_t(
+        std::lower_bound(d.bounds.begin(), d.bounds.end(), v) -
+        d.bounds.begin());
+    ++d.buckets[i];
+    ++d.count;
+}
+
+void
+merge_distribution(Distribution &d, const Distribution &next)
+{
+    for (size_t i = 0; i < d.buckets.size(); ++i)
+        d.buckets[i] += next.buckets[i];
+    d.count += next.count;
+    d.sum += next.sum;
+}
+
+void
+finish_distribution(Distribution &d)
+{
+    d.p50 = obs::histogram_quantile(d.bounds, d.buckets, d.count, 0.50);
+    d.p95 = obs::histogram_quantile(d.bounds, d.buckets, d.count, 0.95);
+    d.p99 = obs::histogram_quantile(d.bounds, d.buckets, d.count, 0.99);
+}
+
+void
+merge_group(GroupStats &g, const GroupStats &next)
+{
+    g.devices += next.devices;
+    g.faulty += next.faulty;
+    g.detected += next.detected;
+    g.missed += next.missed;
+    g.silent_corruptions += next.silent_corruptions;
+}
+
+constexpr size_t kAgeBands = 4;
 
 } // namespace
 
@@ -257,7 +294,9 @@ FleetReport::to_json(bool include_timing) const
         kv(out, "wall_seconds", timing.wall_seconds);
         kv(out, "device_epochs_per_sec", timing.device_epochs_per_sec);
         kv(out, "threads", uint64_t(timing.threads));
-        kv(out, "steals", timing.steals, false);
+        kv(out, "steals", timing.steals);
+        kv(out, "workflow_seconds", timing.workflow_seconds);
+        kv(out, "matrix_seconds", timing.matrix_seconds, false);
         out += '}';
     }
     out += '}';
@@ -265,8 +304,7 @@ FleetReport::to_json(bool include_timing) const
 }
 
 FleetReport
-aggregate_fleet(const FleetConfig &cfg, const FaultMatrix &matrix,
-                const std::vector<DeviceOutcome> &outcomes)
+empty_report(const FleetConfig &cfg, const FaultMatrix &matrix)
 {
     FleetReport r;
     r.module = module_kind_name(matrix.module);
@@ -275,7 +313,8 @@ aggregate_fleet(const FleetConfig &cfg, const FaultMatrix &matrix,
     r.epochs = cfg.epochs;
     r.slots_per_epoch = cfg.slots_per_epoch;
     r.overhead_budget = cfg.overhead_budget;
-    r.policy = runtime::schedule_policy_name(cfg.policy);
+    r.policy = runtime::schedule_policy_name(
+        runtime::SchedulePolicy::Probabilistic);
     r.suite_size = matrix.num_tests;
     r.num_pairs = matrix.num_pairs;
     r.fault_classes = matrix.faults.size();
@@ -284,9 +323,10 @@ aggregate_fleet(const FleetConfig &cfg, const FaultMatrix &matrix,
 
     uint64_t max_slots =
         std::max<uint64_t>(1, cfg.slots_per_epoch * cfg.epochs);
-    obs::Histogram lat_slots(slot_bounds(max_slots));
-    obs::Histogram lat_epochs(epoch_bounds(cfg.epochs));
-    obs::Histogram overhead(overhead_bounds(cfg.overhead_budget));
+    r.latency_slots = empty_distribution(slot_bounds(max_slots));
+    r.latency_epochs = empty_distribution(epoch_bounds(cfg.epochs));
+    r.overhead =
+        empty_distribution(overhead_bounds(cfg.overhead_budget));
 
     r.per_corner.resize(cfg.corners.size());
     for (size_t i = 0; i < cfg.corners.size(); ++i)
@@ -294,116 +334,172 @@ aggregate_fleet(const FleetConfig &cfg, const FaultMatrix &matrix,
     r.per_mix.resize(cfg.mixes.size());
     for (size_t i = 0; i < cfg.mixes.size(); ++i)
         r.per_mix[i].name = cfg.mixes[i].name;
-    // Initial age grouped into quartiles of the configured range.
-    constexpr size_t kAgeBands = 4;
-    double age_span =
-        std::max(1e-9, cfg.max_age_years - cfg.min_age_years);
     r.per_age.resize(kAgeBands);
     for (size_t i = 0; i < kAgeBands; ++i)
         r.per_age[i].name = age_band_name(i);
+    return r;
+}
 
-    for (const DeviceOutcome &d : outcomes) {
-        r.device_epochs += d.epochs_run;
-        r.slots += d.slots;
-        r.tests_dispatched += d.tests_dispatched;
-        r.test_cycles += d.test_cycles;
-        r.app_cycles += d.app_cycles;
-        overhead.observe(d.realized_overhead());
+void
+fold_device(FleetReport &r, const FleetConfig &cfg,
+            const FaultMatrix &matrix, const DeviceOutcome &d)
+{
+    r.device_epochs += d.epochs_run;
+    r.slots += d.slots;
+    r.tests_dispatched += d.tests_dispatched;
+    r.test_cycles += d.test_cycles;
+    r.app_cycles += d.app_cycles;
+    observe(r.overhead, d.realized_overhead());
 
-        size_t band = size_t((d.age_start - cfg.min_age_years) /
-                             age_span * double(kAgeBands));
-        band = std::min(band, kAgeBands - 1);
-        GroupStats *groups[3] = {nullptr, nullptr, &r.per_age[band]};
-        if (d.corner < r.per_corner.size())
-            groups[0] = &r.per_corner[d.corner];
-        if (d.mix < r.per_mix.size())
-            groups[1] = &r.per_mix[d.mix];
-        for (GroupStats *g : groups)
-            if (g)
-                ++g->devices;
+    // Initial age grouped into quartiles of the configured range.
+    double age_span =
+        std::max(1e-9, cfg.max_age_years - cfg.min_age_years);
+    size_t band = size_t((d.age_start - cfg.min_age_years) / age_span *
+                         double(kAgeBands));
+    band = std::min(band, kAgeBands - 1);
+    GroupStats *groups[3] = {nullptr, nullptr, &r.per_age[band]};
+    if (d.corner < r.per_corner.size())
+        groups[0] = &r.per_corner[d.corner];
+    if (d.mix < r.per_mix.size())
+        groups[1] = &r.per_mix[d.mix];
+    for (GroupStats *g : groups)
+        if (g)
+            ++g->devices;
 
-        if (d.adversarial)
-            ++r.adversarial_devices;
-        if (!d.fault)
-            continue;
+    if (d.adversarial)
+        ++r.adversarial_devices;
+    if (!d.fault)
+        return;
 
-        ++r.faulty_devices;
-        if (d.fault_detectable)
-            ++r.detectable_faulty_devices;
-        r.silent_corruptions += d.corruptions;
-        r.prevented_corruptions += d.prevented_corruptions;
-        if (d.corruptions)
-            ++r.missed_devices;
-        if (d.detected) {
-            ++r.detected_devices;
-            lat_slots.observe(double(d.slots_to_detect));
-            lat_epochs.observe(double(d.detect_epoch - d.onset_epoch));
-            if (d.corruptions == 0)
-                ++r.detected_before_any_corruption;
-            switch (d.kind) {
-              case runtime::Detection::Mismatch:
-                ++r.detections_mismatch;
-                break;
-              case runtime::Detection::Stall:
-                ++r.detections_stall;
-                break;
-              case runtime::Detection::TagAnomaly:
-                ++r.detections_tag_anomaly;
-                break;
-              case runtime::Detection::WrongAddress:
-                ++r.detections_wrong_address;
-                break;
-              case runtime::Detection::None:
-                break;
-            }
-        }
-        for (GroupStats *g : groups) {
-            if (!g)
-                continue;
-            ++g->faulty;
-            g->silent_corruptions += d.corruptions;
-            if (d.detected)
-                ++g->detected;
-            if (d.corruptions)
-                ++g->missed;
-        }
-
-        if (d.adversarial) {
-            ++r.adversarial_faulty;
-            ++r.adversarial_outcomes_total;
-            if (d.detected)
-                ++r.adversarial_detected;
-            if (d.detected_before_corruption())
-                ++r.adversarial_detected_before_corruption;
-            if (d.corruptions)
-                ++r.adversarial_silently_corrupted;
-            if (r.adversarial_outcomes.size() <
-                cfg.adversarial_report_cap) {
-                AdversarialOutcome a;
-                a.id = d.id;
-                a.onset_epoch = d.onset_epoch;
-                a.pair_index =
-                    matrix.faults.empty()
-                        ? 0
-                        : matrix.faults[d.fault_index].pair_index;
-                a.detected = d.detected;
-                a.kind = d.kind;
-                a.detect_epoch = d.detect_epoch;
-                a.slots_to_detect = d.slots_to_detect;
-                a.corruptions = d.corruptions;
-                a.prevented_corruptions = d.prevented_corruptions;
-                a.outcome = d.corruptions         ? "silently-corrupted"
-                            : d.detected          ? "detected-before-corruption"
-                                                  : "latent";
-                r.adversarial_outcomes.push_back(a);
-            }
+    ++r.faulty_devices;
+    if (d.fault_detectable)
+        ++r.detectable_faulty_devices;
+    r.silent_corruptions += d.corruptions;
+    r.prevented_corruptions += d.prevented_corruptions;
+    if (d.corruptions)
+        ++r.missed_devices;
+    if (d.detected) {
+        ++r.detected_devices;
+        // Latencies are whole numbers, so their double sums are exact
+        // and the chunk merge reproduces the id-order sum.
+        observe(r.latency_slots, double(d.slots_to_detect));
+        r.latency_slots.sum += double(d.slots_to_detect);
+        observe(r.latency_epochs, double(d.detect_epoch - d.onset_epoch));
+        r.latency_epochs.sum += double(d.detect_epoch - d.onset_epoch);
+        if (d.corruptions == 0)
+            ++r.detected_before_any_corruption;
+        switch (d.kind) {
+          case runtime::Detection::Mismatch:
+            ++r.detections_mismatch;
+            break;
+          case runtime::Detection::Stall:
+            ++r.detections_stall;
+            break;
+          case runtime::Detection::TagAnomaly:
+            ++r.detections_tag_anomaly;
+            break;
+          case runtime::Detection::WrongAddress:
+            ++r.detections_wrong_address;
+            break;
+          case runtime::Detection::None:
+            break;
         }
     }
+    for (GroupStats *g : groups) {
+        if (!g)
+            continue;
+        ++g->faulty;
+        g->silent_corruptions += d.corruptions;
+        if (d.detected)
+            ++g->detected;
+        if (d.corruptions)
+            ++g->missed;
+    }
 
-    r.latency_slots = render(lat_slots);
-    r.latency_epochs = render(lat_epochs);
-    r.overhead = render(overhead);
-    return r;
+    if (!d.adversarial)
+        return;
+    ++r.adversarial_faulty;
+    ++r.adversarial_outcomes_total;
+    if (d.detected)
+        ++r.adversarial_detected;
+    if (d.detected_before_corruption())
+        ++r.adversarial_detected_before_corruption;
+    if (d.corruptions)
+        ++r.adversarial_silently_corrupted;
+    if (r.adversarial_outcomes.size() < cfg.adversarial_report_cap) {
+        AdversarialOutcome a;
+        a.id = d.id;
+        a.onset_epoch = d.onset_epoch;
+        a.pair_index = matrix.faults[d.fault_index].pair_index;
+        a.detected = d.detected;
+        a.kind = d.kind;
+        a.detect_epoch = d.detect_epoch;
+        a.slots_to_detect = d.slots_to_detect;
+        a.corruptions = d.corruptions;
+        a.prevented_corruptions = d.prevented_corruptions;
+        a.outcome = d.corruptions ? "silently-corrupted"
+                    : d.detected  ? "detected-before-corruption"
+                                  : "latent";
+        r.adversarial_outcomes.push_back(a);
+    }
+}
+
+void
+merge_report(FleetReport &r, const FleetReport &next,
+             size_t adversarial_cap)
+{
+    r.device_epochs += next.device_epochs;
+    r.slots += next.slots;
+    r.tests_dispatched += next.tests_dispatched;
+    r.test_cycles += next.test_cycles;
+    r.app_cycles += next.app_cycles;
+    r.faulty_devices += next.faulty_devices;
+    r.detectable_faulty_devices += next.detectable_faulty_devices;
+    r.detected_devices += next.detected_devices;
+    r.missed_devices += next.missed_devices;
+    r.silent_corruptions += next.silent_corruptions;
+    r.prevented_corruptions += next.prevented_corruptions;
+    r.detected_before_any_corruption +=
+        next.detected_before_any_corruption;
+    r.detections_mismatch += next.detections_mismatch;
+    r.detections_stall += next.detections_stall;
+    r.detections_tag_anomaly += next.detections_tag_anomaly;
+    r.detections_wrong_address += next.detections_wrong_address;
+
+    merge_distribution(r.latency_slots, next.latency_slots);
+    merge_distribution(r.latency_epochs, next.latency_epochs);
+    merge_distribution(r.overhead, next.overhead);
+    for (size_t i = 0; i < r.per_corner.size(); ++i)
+        merge_group(r.per_corner[i], next.per_corner[i]);
+    for (size_t i = 0; i < r.per_mix.size(); ++i)
+        merge_group(r.per_mix[i], next.per_mix[i]);
+    for (size_t i = 0; i < r.per_age.size(); ++i)
+        merge_group(r.per_age[i], next.per_age[i]);
+
+    r.adversarial_devices += next.adversarial_devices;
+    r.adversarial_faulty += next.adversarial_faulty;
+    r.adversarial_detected += next.adversarial_detected;
+    r.adversarial_detected_before_corruption +=
+        next.adversarial_detected_before_corruption;
+    r.adversarial_silently_corrupted +=
+        next.adversarial_silently_corrupted;
+    r.adversarial_outcomes_total += next.adversarial_outcomes_total;
+    for (const AdversarialOutcome &a : next.adversarial_outcomes) {
+        if (r.adversarial_outcomes.size() >= adversarial_cap)
+            break;
+        r.adversarial_outcomes.push_back(a);
+    }
+}
+
+void
+finish_report(FleetReport &r, const std::vector<double> &overheads)
+{
+    r.overhead.sum = 0.0;
+    for (double v : overheads)
+        r.overhead.sum += v;
+    finish_distribution(r.latency_slots);
+    finish_distribution(r.latency_epochs);
+    finish_distribution(r.overhead);
 }
 
 } // namespace vega::fleet

@@ -4,7 +4,7 @@
  *
  * The report aggregates per-device outcomes into fleet-wide
  * distributions: detection-latency percentiles (slots and epochs,
- * via the obs::Histogram quantile helper), a realized-overhead
+ * via obs::histogram_quantile over fixed buckets), a realized-overhead
  * histogram checked against the configured budget, miss rates grouped
  * by corner / workload mix / initial-age band, and the adversarial
  * wearout-attack section with its per-device
@@ -12,8 +12,10 @@
  *
  * Everything except the `timing` object is a pure function of
  * (config, fault matrix), so to_json(false) is byte-identical across
- * runs and thread counts — BENCH_fleet.json is written exactly that
- * way and diffed in tests.
+ * runs and thread counts. vega_fleet writes it to BENCH_fleet.json;
+ * FleetSim.SameSeedIsByteIdenticalAtAnyThreadCount and
+ * FleetSim.ReportMatchesReference pin its bytes across thread counts
+ * and against the per-slot reference fleet.
  */
 #pragma once
 
@@ -78,10 +80,15 @@ struct Distribution
 /** Wall-clock measurements — excluded from deterministic JSON. */
 struct FleetTiming
 {
+    /** run_fleet alone: the device pass and the report fold. */
     double wall_seconds = 0.0;
     double device_epochs_per_sec = 0.0;
     size_t threads = 1;
     uint64_t steals = 0;
+    /** Stages before run_fleet, filled by a caller that times them
+     *  (vega_fleet); 0 otherwise. */
+    double workflow_seconds = 0.0;
+    double matrix_seconds = 0.0;
 };
 
 struct FleetReport
@@ -154,12 +161,40 @@ struct FleetReport
     std::string to_json(bool include_timing = true) const;
 };
 
-/**
- * Fold per-device outcomes (indexed by id) into a report. Serial and
- * order-stable: called once after the parallel device pass has joined.
+/*
+ * The device pass folds in chunks of consecutive ids. Each chunk starts
+ * from empty_report(), takes its devices through fold_device(), and the
+ * chunks then merge_report() into one in id order; finish_report()
+ * renders the merged buckets.
  */
-FleetReport aggregate_fleet(const FleetConfig &cfg,
-                            const FaultMatrix &matrix,
-                            const std::vector<DeviceOutcome> &outcomes);
+
+/**
+ * A report that echoes @p cfg and @p matrix with every count at zero:
+ * named group rows and empty distributions over the report's bucket
+ * bounds.
+ */
+FleetReport empty_report(const FleetConfig &cfg, const FaultMatrix &matrix);
+
+/**
+ * Fold device @p d into @p r: totals, group rows, distribution buckets
+ * (not the overhead sum), and its adversarial row while @p r holds
+ * fewer than the configured cap.
+ */
+void fold_device(FleetReport &r, const FleetConfig &cfg,
+                 const FaultMatrix &matrix, const DeviceOutcome &d);
+
+/**
+ * Add @p next, the fold of the devices that follow @p r's, into @p r.
+ * Adversarial rows append in order up to @p adversarial_cap.
+ */
+void merge_report(FleetReport &r, const FleetReport &next,
+                  size_t adversarial_cap);
+
+/**
+ * Fill the distributions' percentiles from their buckets, and the
+ * overhead sum from @p overheads, every device's realized overhead in
+ * id order (a double sum, so its order is part of the report's bytes).
+ */
+void finish_report(FleetReport &r, const std::vector<double> &overheads);
 
 } // namespace vega::fleet

@@ -122,10 +122,11 @@ double histogram_quantile(const std::vector<double> &bounds,
  * observation is a binary search plus one relaxed fetch_add.
  *
  * Besides the registry-owned metric use, Histogram is directly
- * constructible for local, report-building accumulation (the fleet
- * simulator's latency/overhead distributions): fills are exact integer
- * counts, so a serially-filled local histogram renders byte-identically
- * run to run.
+ * constructible for local accumulation (the tests' per-slot fleet
+ * reference folds its distributions through it): fills are exact
+ * integer counts, so a serially-filled local histogram renders
+ * byte-identically run to run. Reports that fold in parallel keep plain
+ * bucket counts and call histogram_quantile on the merged buckets.
  */
 class Histogram
 {

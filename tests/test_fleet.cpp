@@ -20,6 +20,7 @@
 #include "cpu/softfp.h"
 #include "fleet/config.h"
 #include "fleet/fault_matrix.h"
+#include "obs/trace.h"
 #include "reference_campaign.h"
 #include "reference_fleet.h"
 #include "rtl/alu32.h"
@@ -288,6 +289,8 @@ TEST(FleetSim, DeviceOutcomesMatchReference)
     for (double gate : kGates) {
         auto cfg = validate_config(oracle_config(m, gate, 13, 0.3));
         ASSERT_TRUE(cfg.ok()) << cfg.error().to_string();
+        ASSERT_NEAR(reference_device(*cfg, m, 0).gate_probability, gate,
+                    1e-3 * gate);
         for (uint64_t id = 0; id < 1000; ++id) {
             DeviceOutcome got = simulate_device(*cfg, m, id);
             DeviceOutcome want = reference_device(*cfg, m, id);
@@ -478,6 +481,45 @@ TEST(FleetSim, RejectsEmptyOrMalformedMatrix)
     auto r = run_fleet(cfg, bad);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
+
+    // Cached fields that disagree with the tables they summarize: a
+    // zero suite_cycles would zero the overhead estimate and hold the
+    // gate open, and a stale detecting_tests would drop detectable
+    // devices from detectable_faulty_devices.
+    bad = toy_matrix();
+    bad.suite_cycles = 0;
+    r = run_fleet(cfg, bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
+
+    bad = toy_matrix();
+    bad.faults[0].detecting_tests = 0;
+    r = run_fleet(cfg, bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
+}
+
+TEST(FleetSim, TracingDoesNotPerturbDeterministicReport)
+{
+    // Observability must be a pure observer: the deterministic JSON
+    // with spans recording is byte-identical to a flags-off run.
+    FaultMatrix m = oracle_matrix();
+    FleetConfig cfg = oracle_config(m, 0.2, 13, 0.3);
+    cfg.num_devices = 3000;
+    cfg.threads = 4;
+    auto off = run_fleet(cfg, m);
+    ASSERT_TRUE(off.ok());
+    obs::trace_enable();
+    auto on = run_fleet(cfg, m);
+    obs::trace_disable();
+    ASSERT_TRUE(on.ok());
+    EXPECT_EQ(off->to_json(false), on->to_json(false));
+    // And the run actually recorded its fleet.run span.
+    bool saw_run_span = false;
+    for (const obs::TraceEvent &ev : obs::trace_collect())
+        if (std::string(ev.name) == "fleet.run")
+            saw_run_span = true;
+    EXPECT_TRUE(saw_run_span);
 }
 
 TEST(FleetMatrix, RejectsEmptyInputs)

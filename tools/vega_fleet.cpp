@@ -10,7 +10,8 @@
  *              --seed 7 --out fleet_report.json
  *
  * Two JSON artifacts come out: the full report at --out (with wall
- * clock timing), and the timing-free BENCH_fleet.json, which is
+ * clock timing of the workflow, the fault matrix and the fleet run),
+ * and the timing-free BENCH_fleet.json, which is
  * byte-identical for a fixed seed at any thread count. `--smoke`
  * shrinks the population for CI and redirects the bench artifact to
  * BENCH_fleet.smoke.json so a smoke run can never clobber a pinned
@@ -283,6 +284,8 @@ main(int argc, char **argv)
         return 1;
     }
     fleet::FleetReport report = std::move(run).value();
+    report.timing.workflow_seconds = workflow_s;
+    report.timing.matrix_seconds = matrix_s;
 
     std::printf("\nfleet of %llu devices, %llu device-epochs:\n",
                 (unsigned long long)report.num_devices,
