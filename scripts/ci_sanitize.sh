@@ -28,9 +28,12 @@ cmake --build "$build" -j "$jobs"
 # integrity-critical code in the tree (sharded counters, trace rings,
 # the lock-light pool, the chunked device fan-out, checksummed
 # crash-safe journals); run their focused tests first so a data race
-# or torn-write bug there fails fast and readably.
+# or torn-write bug there fails fast and readably. The JSON writer's
+# golden-bytes and escaping tests ride along: every report, manifest
+# and metrics snapshot goes through its string and number code.
 ctest --test-dir "$build" --output-on-failure \
-    -R 'Obs|ThreadPool|Fleet|Shard|Crc32c|Journal' -j "$jobs"
+    -R 'Obs|ThreadPool|Fleet|Shard|Crc32c|Journal|JsonGolden|JsonEscape' \
+    -j "$jobs"
 # Memory-path substrate next: the decoder netlist, wrong-address fault
 # lifting, the faulty-memory ISS backend, and the march-test engine
 # lean hard on index arithmetic and bit manipulation — exactly what

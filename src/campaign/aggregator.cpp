@@ -1,79 +1,38 @@
 #include "campaign/aggregator.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "campaign/shard.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vega::campaign {
 
-namespace {
-
-void
-append_json_string(std::string &out, const std::string &v)
-{
-    out += '"';
-    for (char c : v) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default:
-            if (uint8_t(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-append_u64(std::string &out, const char *key, uint64_t v,
-           bool comma = true)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", (unsigned long long)v);
-    out += '"';
-    out += key;
-    out += "\":";
-    out += buf;
-    if (comma)
-        out += ',';
-}
-
-} // namespace
+using obs::kv;
 
 std::string
 IntegrityManifest::to_json() const
 {
     std::string out = "{\"integrity\":{";
-    append_u64(out, "num_shards", num_shards);
-    append_u64(out, "num_jobs", num_jobs);
-    append_u64(out, "total_completed", total_completed);
-    append_u64(out, "total_failed", total_failed);
-    append_u64(out, "ok", ok ? 1 : 0);
+    kv(out, "num_shards", num_shards);
+    kv(out, "num_jobs", num_jobs);
+    kv(out, "total_completed", total_completed);
+    kv(out, "total_failed", total_failed);
+    kv(out, "ok", uint64_t(ok));
     out += "\"shards\":[";
     for (size_t i = 0; i < shards.size(); ++i) {
         const ShardVerdict &s = shards[i];
         if (i)
             out += ',';
         out += '{';
-        append_u64(out, "shard", s.shard_id);
-        out += "\"path\":";
-        append_json_string(out, s.path);
-        out += ',';
-        append_u64(out, "completed", s.completed);
-        append_u64(out, "failed", s.failed);
-        out += "\"crc\":\"" + crc32c_hex(s.crc) + "\",";
-        append_u64(out, "verified", s.verified ? 1 : 0);
-        out += "\"verdict\":";
-        append_json_string(out, s.detail);
+        kv(out, "shard", s.shard_id);
+        kv(out, "path", s.path);
+        kv(out, "completed", s.completed);
+        kv(out, "failed", s.failed);
+        kv(out, "crc", crc32c_hex(s.crc));
+        kv(out, "verified", uint64_t(s.verified));
+        kv(out, "verdict", s.detail, false);
         out += '}';
     }
     out += "]}}";
@@ -225,20 +184,12 @@ aggregate_shards(const std::vector<std::string> &journal_paths)
               [](const JobResult &a, const JobResult &b) {
                   return a.id < b.id;
               });
-    CampaignReport report =
-        aggregate_report(results, size_t(first.num_pairs),
-                         std::move(failed));
-    report.module = first.module;
-    report.seed = first.seed;
-    report.max_slots = first.max_slots;
-    report.probability = first.probability;
-    report.suite_size = size_t(first.suite_size);
-    report.num_pairs = size_t(first.num_pairs);
-    out.report = std::move(report);
+    out.report =
+        aggregate_report(first, std::move(results), std::move(failed));
 
     manifest.num_shards = num_shards;
     manifest.num_jobs = num_jobs;
-    manifest.total_completed = results.size();
+    manifest.total_completed = out.report.jobs.size();
     manifest.total_failed = out.report.failed;
     manifest.ok = true;
     std::sort(manifest.shards.begin(), manifest.shards.end(),

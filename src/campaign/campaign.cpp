@@ -504,13 +504,8 @@ try_run_campaign(const HwModule &module,
         if (done[id])
             results.push_back(*done[id]);
 
-    CampaignReport report = aggregate_report(results, npairs, failed);
-    report.module = module_kind_name(module.kind);
-    report.seed = cfg.seed;
-    report.max_slots = cfg.max_slots;
-    report.probability = cfg.probability;
-    report.suite_size = suite.size();
-    report.num_pairs = npairs;
+    CampaignReport report =
+        aggregate_report(header, std::move(results), std::move(failed));
 
     double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -1,120 +1,23 @@
 #include "campaign/report.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "campaign/journal.h"
+#include "obs/json.h"
 
 namespace vega::campaign {
 
-namespace {
-
-/**
- * Shortest round-trip-stable rendering: integers print bare, other
- * values with enough digits to be stable and deterministic.
- */
-void
-append_double(std::string &out, double v)
-{
-    char buf[40];
-    if (v >= 0 && v < 1e15 && v == double(uint64_t(v)))
-        std::snprintf(buf, sizeof buf, "%llu",
-                      (unsigned long long)(uint64_t(v)));
-    else
-        std::snprintf(buf, sizeof buf, "%.9g", v);
-    out += buf;
-}
-
-void
-append_u64(std::string &out, uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", (unsigned long long)v);
-    out += buf;
-}
-
-void
-kv(std::string &out, const char *key, uint64_t v, bool comma = true)
-{
-    out += '"';
-    out += key;
-    out += "\":";
-    append_u64(out, v);
-    if (comma)
-        out += ',';
-}
-
-void
-kv(std::string &out, const char *key, double v, bool comma = true)
-{
-    out += '"';
-    out += key;
-    out += "\":";
-    append_double(out, v);
-    if (comma)
-        out += ',';
-}
-
-void
-kv(std::string &out, const char *key, const char *v, bool comma = true)
-{
-    out += '"';
-    out += key;
-    out += "\":\"";
-    out += v;
-    out += '"';
-    if (comma)
-        out += ',';
-}
-
-/** Error contexts are free text; escape them for JSON. */
-void
-kv_escaped(std::string &out, const char *key, const std::string &v,
-           bool comma = true)
-{
-    out += '"';
-    out += key;
-    out += "\":\"";
-    for (char c : v) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (uint8_t(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    if (comma)
-        out += ',';
-}
-
-void
-append_histogram(std::string &out, const DetectionHistogram &h)
-{
-    out += '{';
-    kv(out, "mismatch", h.mismatch);
-    kv(out, "stall", h.stall);
-    kv(out, "tag_anomaly", h.tag_anomaly);
-    kv(out, "wrong_address", h.wrong_address, false);
-    out += '}';
-}
-
-} // namespace
+using obs::kv;
 
 std::string
 CampaignReport::to_json(bool include_timing, bool include_jobs) const
 {
     std::string out;
-    out.reserve(4096 + (include_jobs ? jobs.size() * 192 : 0));
+    // A job row runs to ~200 bytes; reserve past that so a large
+    // campaign's report never reallocates (and copies) its buffer.
+    out.reserve(4096 + (include_jobs ? jobs.size() * 224 : 0));
     out += "{\"campaign\":{";
-    kv(out, "module", module.c_str());
+    kv(out, "module", module);
     kv(out, "seed", seed);
     kv(out, "num_jobs", uint64_t(jobs.size()));
     kv(out, "suite_size", uint64_t(suite_size));
@@ -132,8 +35,8 @@ CampaignReport::to_json(bool include_timing, bool include_jobs) const
     kv(out, "mean_latency_slots", mean_latency_slots());
     kv(out, "tests_dispatched", tests_dispatched);
     kv(out, "sim_cycles", total_sim_cycles);
-    out += "\"detections\":";
-    append_histogram(out, detections);
+    obs::json_key(out, "detections");
+    detections.append_json(out);
     out += "},\"per_pair\":[";
     for (size_t i = 0; i < per_pair.size(); ++i) {
         const PairStats &p = per_pair[i];
@@ -199,7 +102,7 @@ CampaignReport::to_json(bool include_timing, bool include_jobs) const
         kv(out, "pair", uint64_t(f.pair_index));
         kv(out, "attempts", uint64_t(f.attempts));
         kv(out, "code", error_code_name(f.error.code));
-        kv_escaped(out, "context", f.error.context, false);
+        kv(out, "context", f.error.context, false);
         out += '}';
     }
     out += ']';
@@ -223,38 +126,64 @@ CampaignReport::to_json(bool include_timing, bool include_jobs) const
     return out;
 }
 
-CampaignReport
-aggregate_report(const std::vector<JobResult> &jobs, size_t num_pairs)
+void
+DetectionHistogram::add(runtime::Detection kind)
 {
-    return aggregate_report(jobs, num_pairs, {});
+    switch (kind) {
+      case runtime::Detection::Mismatch: ++mismatch; break;
+      case runtime::Detection::Stall: ++stall; break;
+      case runtime::Detection::TagAnomaly: ++tag_anomaly; break;
+      case runtime::Detection::WrongAddress: ++wrong_address; break;
+      case runtime::Detection::None: break;
+    }
+}
+
+void
+DetectionHistogram::merge(const DetectionHistogram &o)
+{
+    mismatch += o.mismatch;
+    stall += o.stall;
+    tag_anomaly += o.tag_anomaly;
+    wrong_address += o.wrong_address;
+}
+
+void
+DetectionHistogram::append_json(std::string &out) const
+{
+    out += '{';
+    kv(out, "mismatch", mismatch);
+    kv(out, "stall", stall);
+    kv(out, "tag_anomaly", tag_anomaly);
+    kv(out, "wrong_address", wrong_address, false);
+    out += '}';
 }
 
 CampaignReport
-aggregate_report(const std::vector<JobResult> &jobs, size_t num_pairs,
+aggregate_report(const JournalHeader &config, std::vector<JobResult> jobs,
                  std::vector<FailedJob> failed_jobs)
 {
     CampaignReport r;
-    r.jobs = jobs;
+    r.module = config.module;
+    r.seed = config.seed;
+    r.max_slots = config.max_slots;
+    r.probability = config.probability;
+    r.suite_size = size_t(config.suite_size);
+    r.num_pairs = size_t(config.num_pairs);
+    r.jobs = std::move(jobs);
     std::sort(failed_jobs.begin(), failed_jobs.end(),
               [](const FailedJob &a, const FailedJob &b) {
                   return a.id < b.id;
               });
     r.failed_jobs = std::move(failed_jobs);
     r.failed = r.failed_jobs.size();
-    r.num_pairs = num_pairs;
-    r.per_pair.resize(num_pairs);
-    for (size_t i = 0; i < num_pairs; ++i)
+    r.per_pair.resize(r.num_pairs);
+    for (size_t i = 0; i < r.num_pairs; ++i)
         r.per_pair[i].pair_index = i;
-
-    using runtime::SchedulePolicy;
-    const SchedulePolicy kPolicies[] = {SchedulePolicy::Sequential,
-                                        SchedulePolicy::Random,
-                                        SchedulePolicy::Probabilistic};
-    r.per_policy.resize(3);
-    for (size_t i = 0; i < 3; ++i)
+    r.per_policy.resize(kPolicies.size());
+    for (size_t i = 0; i < kPolicies.size(); ++i)
         r.per_policy[i].policy = kPolicies[i];
 
-    for (const JobResult &j : jobs) {
+    for (const JobResult &j : r.jobs) {
         r.tests_dispatched += j.tests_dispatched;
         r.total_sim_cycles += j.sim_cycles;
         if (j.corrupts_workload)
@@ -264,27 +193,12 @@ aggregate_report(const std::vector<JobResult> &jobs, size_t num_pairs,
         if (j.detected) {
             ++r.detected;
             r.slots_sum += j.slots_to_detect;
-            switch (j.kind) {
-              case runtime::Detection::Mismatch:
-                ++r.detections.mismatch;
-                break;
-              case runtime::Detection::Stall:
-                ++r.detections.stall;
-                break;
-              case runtime::Detection::TagAnomaly:
-                ++r.detections.tag_anomaly;
-                break;
-              case runtime::Detection::WrongAddress:
-                ++r.detections.wrong_address;
-                break;
-              case runtime::Detection::None:
-                break;
-            }
+            r.detections.add(j.kind);
         } else if (!j.corrupts_workload) {
             ++r.benign;
         }
 
-        if (j.pair_index < num_pairs) {
+        if (j.pair_index < r.num_pairs) {
             PairStats &p = r.per_pair[j.pair_index];
             ++p.jobs;
             p.sim_cycles += j.sim_cycles;

@@ -23,13 +23,25 @@
 
 namespace vega::campaign {
 
-/** Detection outcomes by kind (detected jobs only). */
+struct JournalHeader;
+
+/**
+ * Detections by kind: of detected jobs in a campaign report, of
+ * detected devices in a fleet report. Both render it as the same
+ * "detections" object.
+ */
 struct DetectionHistogram
 {
     uint64_t mismatch = 0;
     uint64_t stall = 0;
     uint64_t tag_anomaly = 0;
     uint64_t wrong_address = 0;
+
+    /** Count one detection of @p kind (None counts nothing). */
+    void add(runtime::Detection kind);
+    void merge(const DetectionHistogram &o);
+    /** {"mismatch":..,"stall":..,"tag_anomaly":..,"wrong_address":..} */
+    void append_json(std::string &out) const;
 };
 
 /** Aggregates over all jobs that injected the same endpoint pair. */
@@ -87,9 +99,10 @@ struct CampaignTiming
     uint64_t steals = 0;
     /** High-water mark of tasks waiting in pool queues. */
     uint64_t peak_queue_depth = 0;
-    /** Atomic journal rewrites (0 when journaling is off). */
+    /** Journal write batches: the atomic write that opens the journal,
+     *  then one per appended group commit (0 when journaling is off). */
     uint64_t journal_flushes = 0;
-    /** Total bytes those rewrites wrote. */
+    /** Total bytes those batches wrote. */
     uint64_t journal_bytes = 0;
 
     // Per-stage wall breakdown: where the campaign actually spent its
@@ -158,16 +171,14 @@ struct CampaignReport
 };
 
 /**
- * Fold per-job results (keyed by job id, order-independent) into a
- * report. @p num_pairs sizes the per-pair table so uninjected pairs
- * still appear with zero counts.
+ * Fold per-job results (keyed by job id, order-independent) and
+ * quarantined jobs into a report that echoes @p config, the journal
+ * header of the campaign that ran them. The per-pair table has
+ * config.num_pairs rows, so uninjected pairs still appear with zero
+ * counts.
  */
-CampaignReport aggregate_report(const std::vector<JobResult> &jobs,
-                                size_t num_pairs);
-
-/** As above, folding quarantined jobs into failed_jobs / totals. */
-CampaignReport aggregate_report(const std::vector<JobResult> &jobs,
-                                size_t num_pairs,
+CampaignReport aggregate_report(const JournalHeader &config,
+                                std::vector<JobResult> jobs,
                                 std::vector<FailedJob> failed_jobs);
 
 } // namespace vega::campaign

@@ -1,68 +1,16 @@
 #include "fleet/report.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/scheduler.h"
 
 namespace vega::fleet {
 
+using obs::kv;
+
 namespace {
-
-void
-append_double(std::string &out, double v)
-{
-    char buf[40];
-    if (v >= 0 && v < 1e15 && v == double(uint64_t(v)))
-        std::snprintf(buf, sizeof buf, "%llu",
-                      (unsigned long long)(uint64_t(v)));
-    else
-        std::snprintf(buf, sizeof buf, "%.9g", v);
-    out += buf;
-}
-
-void
-append_u64(std::string &out, uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", (unsigned long long)v);
-    out += buf;
-}
-
-void
-kv(std::string &out, const char *key, uint64_t v, bool comma = true)
-{
-    out += '"';
-    out += key;
-    out += "\":";
-    append_u64(out, v);
-    if (comma)
-        out += ',';
-}
-
-void
-kv(std::string &out, const char *key, double v, bool comma = true)
-{
-    out += '"';
-    out += key;
-    out += "\":";
-    append_double(out, v);
-    if (comma)
-        out += ',';
-}
-
-void
-kv(std::string &out, const char *key, const char *v, bool comma = true)
-{
-    out += '"';
-    out += key;
-    out += "\":\"";
-    out += v;
-    out += '"';
-    if (comma)
-        out += ',';
-}
 
 void
 append_distribution(std::string &out, const Distribution &d)
@@ -78,30 +26,29 @@ append_distribution(std::string &out, const Distribution &d)
     for (size_t i = 0; i < d.bounds.size(); ++i) {
         if (i)
             out += ',';
-        append_double(out, d.bounds[i]);
+        obs::json_number(out, d.bounds[i]);
     }
     out += "],\"buckets\":[";
     for (size_t i = 0; i < d.buckets.size(); ++i) {
         if (i)
             out += ',';
-        append_u64(out, d.buckets[i]);
+        obs::json_number(out, d.buckets[i]);
     }
     out += "]}";
 }
 
 void
 append_groups(std::string &out, const char *key,
-              const std::vector<GroupStats> &groups, bool comma)
+              const std::vector<GroupStats> &groups)
 {
-    out += '"';
-    out += key;
-    out += "\":[";
+    obs::json_key(out, key);
+    out += '[';
     for (size_t i = 0; i < groups.size(); ++i) {
         const GroupStats &g = groups[i];
         if (i)
             out += ',';
         out += '{';
-        kv(out, "name", g.name.c_str());
+        kv(out, "name", g.name);
         kv(out, "devices", g.devices);
         kv(out, "faulty", g.faulty);
         kv(out, "detected", g.detected);
@@ -111,9 +58,7 @@ append_groups(std::string &out, const char *key,
         kv(out, "miss_rate", g.miss_rate(), false);
         out += '}';
     }
-    out += ']';
-    if (comma)
-        out += ',';
+    out += "],";
 }
 
 std::vector<double>
@@ -217,13 +162,13 @@ FleetReport::to_json(bool include_timing) const
     std::string out;
     out.reserve(8192 + adversarial_outcomes.size() * 160);
     out += "{\"fleet\":{";
-    kv(out, "module", module.c_str());
+    kv(out, "module", module);
     kv(out, "seed", seed);
     kv(out, "num_devices", num_devices);
     kv(out, "epochs", uint64_t(epochs));
     kv(out, "slots_per_epoch", slots_per_epoch);
     kv(out, "overhead_budget", overhead_budget);
-    kv(out, "policy", policy.c_str());
+    kv(out, "policy", policy);
     kv(out, "suite_size", uint64_t(suite_size));
     kv(out, "num_pairs", uint64_t(num_pairs));
     kv(out, "fault_classes", uint64_t(fault_classes));
@@ -245,21 +190,18 @@ FleetReport::to_json(bool include_timing) const
        detected_before_any_corruption);
     kv(out, "detection_rate", detection_rate());
     kv(out, "mean_overhead", mean_overhead());
-    out += "\"detections\":{";
-    kv(out, "mismatch", detections_mismatch);
-    kv(out, "stall", detections_stall);
-    kv(out, "tag_anomaly", detections_tag_anomaly);
-    kv(out, "wrong_address", detections_wrong_address, false);
-    out += "}},\"latency_slots\":";
+    obs::json_key(out, "detections");
+    detections.append_json(out);
+    out += "},\"latency_slots\":";
     append_distribution(out, latency_slots);
     out += ",\"latency_epochs\":";
     append_distribution(out, latency_epochs);
     out += ",\"overhead\":";
     append_distribution(out, overhead);
     out += ',';
-    append_groups(out, "per_corner", per_corner, true);
-    append_groups(out, "per_mix", per_mix, true);
-    append_groups(out, "per_age", per_age, true);
+    append_groups(out, "per_corner", per_corner);
+    append_groups(out, "per_mix", per_mix);
+    append_groups(out, "per_age", per_age);
     out += "\"adversarial\":{";
     kv(out, "devices", adversarial_devices);
     kv(out, "faulty", adversarial_faulty);
@@ -388,22 +330,7 @@ fold_device(FleetReport &r, const FleetConfig &cfg,
         r.latency_epochs.sum += double(d.detect_epoch - d.onset_epoch);
         if (d.corruptions == 0)
             ++r.detected_before_any_corruption;
-        switch (d.kind) {
-          case runtime::Detection::Mismatch:
-            ++r.detections_mismatch;
-            break;
-          case runtime::Detection::Stall:
-            ++r.detections_stall;
-            break;
-          case runtime::Detection::TagAnomaly:
-            ++r.detections_tag_anomaly;
-            break;
-          case runtime::Detection::WrongAddress:
-            ++r.detections_wrong_address;
-            break;
-          case runtime::Detection::None:
-            break;
-        }
+        r.detections.add(d.kind);
     }
     for (GroupStats *g : groups) {
         if (!g)
@@ -461,10 +388,7 @@ merge_report(FleetReport &r, const FleetReport &next,
     r.prevented_corruptions += next.prevented_corruptions;
     r.detected_before_any_corruption +=
         next.detected_before_any_corruption;
-    r.detections_mismatch += next.detections_mismatch;
-    r.detections_stall += next.detections_stall;
-    r.detections_tag_anomaly += next.detections_tag_anomaly;
-    r.detections_wrong_address += next.detections_wrong_address;
+    r.detections.merge(next.detections);
 
     merge_distribution(r.latency_slots, next.latency_slots);
     merge_distribution(r.latency_epochs, next.latency_epochs);

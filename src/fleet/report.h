@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/report.h"
 #include "fleet/config.h"
 #include "fleet/device.h"
 #include "fleet/fault_matrix.h"
@@ -120,10 +121,7 @@ struct FleetReport
     uint64_t silent_corruptions = 0;
     uint64_t prevented_corruptions = 0;
     uint64_t detected_before_any_corruption = 0;
-    uint64_t detections_mismatch = 0;
-    uint64_t detections_stall = 0;
-    uint64_t detections_tag_anomaly = 0;
-    uint64_t detections_wrong_address = 0;
+    campaign::DetectionHistogram detections; ///< detected devices
 
     // Distributions.
     Distribution latency_slots;  ///< detected devices, slots from onset

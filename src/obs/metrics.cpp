@@ -1,11 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
+
+#include "obs/json.h"
 
 namespace vega::obs {
 
@@ -104,38 +105,6 @@ class Registry
     std::map<std::string, std::unique_ptr<Histogram>>
         histograms_by_name_;
 };
-
-namespace {
-
-void
-append_u64(std::string &out, uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", (unsigned long long)v);
-    out += buf;
-}
-
-void
-append_i64(std::string &out, int64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%lld", (long long)v);
-    out += buf;
-}
-
-void
-append_double(std::string &out, double v)
-{
-    char buf[40];
-    if (v >= 0 && v < 1e15 && v == double(uint64_t(v)))
-        std::snprintf(buf, sizeof buf, "%llu",
-                      (unsigned long long)(uint64_t(v)));
-    else
-        std::snprintf(buf, sizeof buf, "%.9g", v);
-    out += buf;
-}
-
-} // namespace
 
 double
 histogram_quantile(const std::vector<double> &bounds,
@@ -285,48 +254,40 @@ MetricsSnapshot::to_json() const
     for (size_t i = 0; i < counters.size(); ++i) {
         if (i)
             out += ',';
-        out += '"';
-        out += counters[i].first;
-        out += "\":";
-        append_u64(out, counters[i].second);
+        json_string(out, counters[i].first);
+        out += ':';
+        json_number(out, counters[i].second);
     }
     out += "},\"gauges\":{";
     for (size_t i = 0; i < gauges.size(); ++i) {
         if (i)
             out += ',';
-        out += '"';
-        out += gauges[i].first;
-        out += "\":";
-        append_i64(out, gauges[i].second);
+        json_string(out, gauges[i].first);
+        out += ':';
+        json_number(out, gauges[i].second);
     }
     out += "},\"histograms\":{";
     for (size_t i = 0; i < histograms.size(); ++i) {
         const HistogramEntry &h = histograms[i];
         if (i)
             out += ',';
-        out += '"';
-        out += h.name;
-        out += "\":{\"count\":";
-        append_u64(out, h.count);
-        out += ",\"sum\":";
-        append_double(out, h.sum);
-        out += ",\"p50\":";
-        append_double(out, h.quantile(0.50));
-        out += ",\"p95\":";
-        append_double(out, h.quantile(0.95));
-        out += ",\"p99\":";
-        append_double(out, h.quantile(0.99));
-        out += ",\"buckets\":[";
+        json_string(out, h.name);
+        out += ":{";
+        kv(out, "count", h.count);
+        kv(out, "sum", h.sum);
+        kv(out, "p50", h.quantile(0.50));
+        kv(out, "p95", h.quantile(0.95));
+        kv(out, "p99", h.quantile(0.99));
+        out += "\"buckets\":[";
         for (size_t b = 0; b < h.buckets.size(); ++b) {
             if (b)
                 out += ',';
-            out += "{\"le\":";
+            out += '{';
             if (b < h.bounds.size())
-                append_double(out, h.bounds[b]);
+                kv(out, "le", h.bounds[b]);
             else
-                out += "\"inf\"";
-            out += ",\"count\":";
-            append_u64(out, h.buckets[b]);
+                kv(out, "le", "inf");
+            kv(out, "count", h.buckets[b], false);
             out += '}';
         }
         out += "]}";
@@ -342,24 +303,24 @@ MetricsSnapshot::summary() const
     for (const auto &[name, v] : counters) {
         out += name;
         out += ' ';
-        append_u64(out, v);
+        json_number(out, v);
         out += '\n';
     }
     for (const auto &[name, v] : gauges) {
         out += name;
         out += ' ';
-        append_i64(out, v);
+        json_number(out, v);
         out += '\n';
     }
     for (const HistogramEntry &h : histograms) {
         out += h.name;
         out += " count=";
-        append_u64(out, h.count);
+        json_number(out, h.count);
         out += " sum=";
-        append_double(out, h.sum);
+        json_number(out, h.sum);
         if (h.count) {
             out += " mean=";
-            append_double(out, h.sum / double(h.count));
+            json_number(out, h.sum / double(h.count));
         }
         out += '\n';
     }

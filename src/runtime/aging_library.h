@@ -119,7 +119,7 @@ class AgingLibrary
     /// @}
 
     uint64_t runs() const { return runs_; }
-    uint64_t detections() const { return detections_; }
+    uint64_t detections() const { return detected_; }
 
     /** Render the §3.4.1 C file: inline-asm tests + helpers. */
     std::string generate_c_source() const;
@@ -132,7 +132,7 @@ class AgingLibrary
     const std::vector<TestCase> *shared_ = nullptr;
     Scheduler scheduler_;
     uint64_t runs_ = 0;
-    uint64_t detections_ = 0;
+    uint64_t detected_ = 0;
 };
 
 } // namespace vega::runtime

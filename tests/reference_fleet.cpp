@@ -314,16 +314,16 @@ reference_aggregate(const FleetConfig &cfg, const FaultMatrix &matrix,
                 ++r.detected_before_any_corruption;
             switch (d.kind) {
               case runtime::Detection::Mismatch:
-                ++r.detections_mismatch;
+                ++r.detections.mismatch;
                 break;
               case runtime::Detection::Stall:
-                ++r.detections_stall;
+                ++r.detections.stall;
                 break;
               case runtime::Detection::TagAnomaly:
-                ++r.detections_tag_anomaly;
+                ++r.detections.tag_anomaly;
                 break;
               case runtime::Detection::WrongAddress:
-                ++r.detections_wrong_address;
+                ++r.detections.wrong_address;
                 break;
               case runtime::Detection::None:
                 break;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <set>
 
+#include "campaign/journal.h"
 #include "campaign/thread_pool.h"
 #include "cpu/alu_ops.h"
 #include "obs/trace.h"
@@ -116,7 +117,9 @@ TEST(Report, AggregatesTotalsPairsAndPolicies)
         fake_job(2, 0, false, false, SchedulePolicy::Probabilistic, 8),
         fake_job(3, 1, true, true, SchedulePolicy::Sequential, 4),
     };
-    CampaignReport r = aggregate_report(jobs, 2);
+    JournalHeader config;
+    config.num_pairs = 2;
+    CampaignReport r = aggregate_report(config, jobs, {});
     EXPECT_EQ(r.detected, 2u);
     EXPECT_EQ(r.corrupting, 3u);
     EXPECT_EQ(r.escapes, 1u);
@@ -138,9 +141,11 @@ TEST(Report, JsonSchemaAndTimingToggle)
     std::vector<JobResult> jobs = {
         fake_job(0, 0, true, true, runtime::SchedulePolicy::Sequential,
                  1)};
-    CampaignReport r = aggregate_report(jobs, 1);
-    r.module = "alu32";
-    r.seed = 5;
+    JournalHeader config;
+    config.module = "alu32";
+    config.seed = 5;
+    config.num_pairs = 1;
+    CampaignReport r = aggregate_report(config, jobs, {});
 
     std::string with_timing = r.to_json(true);
     for (const char *key :
