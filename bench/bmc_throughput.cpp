@@ -351,31 +351,29 @@ main(int argc, char **argv)
     std::printf("overall: per-query %.3fs vs batched %.3fs -> %.2fx\n",
                 per_query_total, batched_total, overall);
 
-    std::string json = "{\"bmc_throughput\":{\"smoke\":";
-    json += smoke ? "true" : "false";
-    char head[128];
-    std::snprintf(head, sizeof head, ",\"max_frames\":%d,\"modules\":[",
-                  max_frames);
-    json += head;
+    std::string json = "{\"bmc_throughput\":{";
+    bench::kv_bool(json, "smoke", smoke);
+    obs::kv(json, "max_frames", uint64_t(max_frames));
+    obs::json_key(json, "modules");
+    json += '[';
     for (size_t i = 0; i < results.size(); ++i) {
         const ModuleResult &r = results[i];
-        char buf[512];
-        std::snprintf(
-            buf, sizeof buf,
-            "%s{\"module\":\"%s\",\"targets\":%zu,\"covered\":%d,"
-            "\"unreachable\":%d,\"timeouts\":%d,\"per_query_sec\":%.4f,"
-            "\"batched_sec\":%.4f,\"frames_per_query\":%llu,"
-            "\"frames_batched\":%llu,\"speedup\":%.3f}",
-            i ? "," : "", r.name.c_str(), r.targets, r.covered,
-            r.unreachable, r.timeouts, r.per_query.sec, r.batched.sec,
-            (unsigned long long)r.per_query.frames_encoded,
-            (unsigned long long)r.batched.frames_encoded, r.speedup());
-        json += buf;
+        json += i ? ",{" : "{";
+        obs::kv(json, "module", r.name);
+        obs::kv(json, "targets", uint64_t(r.targets));
+        obs::kv(json, "covered", uint64_t(r.covered));
+        obs::kv(json, "unreachable", uint64_t(r.unreachable));
+        obs::kv(json, "timeouts", uint64_t(r.timeouts));
+        obs::kv(json, "per_query_sec", r.per_query.sec);
+        obs::kv(json, "batched_sec", r.batched.sec);
+        obs::kv(json, "frames_per_query", r.per_query.frames_encoded);
+        obs::kv(json, "frames_batched", r.batched.frames_encoded);
+        obs::kv(json, "speedup", r.speedup(), false);
+        json += '}';
     }
-    char tail[64];
-    std::snprintf(tail, sizeof tail, "],\"speedup_overall\":%.3f}}",
-                  overall);
-    json += tail;
+    json += "],";
+    obs::kv(json, "speedup_overall", overall, false);
+    json += "}}";
     bench::write_bench_json("bmc", smoke, json);
     return 0;
 }

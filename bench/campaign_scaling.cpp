@@ -110,37 +110,30 @@ main(int argc, char **argv)
                 (unsigned long long)reports.front().detected,
                 (unsigned long long)reports.front().escapes);
 
-    std::string json = "{\"campaign_scaling\":{\"smoke\":";
-    json += smoke ? "true" : "false";
-    json += ",\"num_jobs\":" + std::to_string(cfg.num_jobs);
-    json += ",\"hardware_concurrency\":" + std::to_string(hw);
-    json += ",\"deterministic\":";
-    json += identical ? "true" : "false";
-    json += ",\"runs\":[";
+    std::string json = "{\"campaign_scaling\":{";
+    bench::kv_bool(json, "smoke", smoke);
+    obs::kv(json, "num_jobs", uint64_t(cfg.num_jobs));
+    obs::kv(json, "hardware_concurrency", uint64_t(hw));
+    bench::kv_bool(json, "deterministic", identical);
+    obs::json_key(json, "runs");
+    json += '[';
     for (size_t i = 0; i < reports.size(); ++i) {
-        const auto &r = reports[i];
-        char buf[512];
-        std::snprintf(buf, sizeof buf,
-                      "%s{\"threads\":%zu,\"wall_seconds\":%.3f,"
-                      "\"jobs_per_sec\":%.2f,\"sims_per_sec\":%.0f,"
-                      "\"speedup\":%.3f,\"steals\":%llu,"
-                      "\"characterize_seconds\":%.3f,"
-                      "\"simulate_seconds\":%.3f,"
-                      "\"journal_seconds\":%.3f,"
-                      "\"aggregate_seconds\":%.3f,"
-                      "\"detected\":%llu,\"escapes\":%llu}",
-                      i ? "," : "", kThreads[i], r.timing.wall_seconds,
-                      r.timing.jobs_per_sec, r.timing.sims_per_sec,
-                      base_jps > 0 ? r.timing.jobs_per_sec / base_jps
-                                   : 0.0,
-                      (unsigned long long)r.timing.steals,
-                      r.timing.characterize_seconds,
-                      r.timing.simulate_seconds,
-                      r.timing.journal_seconds,
-                      r.timing.aggregate_seconds,
-                      (unsigned long long)r.detected,
-                      (unsigned long long)r.escapes);
-        json += buf;
+        const campaign::CampaignTiming &t = reports[i].timing;
+        json += i ? ",{" : "{";
+        obs::kv(json, "threads", uint64_t(kThreads[i]));
+        obs::kv(json, "wall_seconds", t.wall_seconds);
+        obs::kv(json, "jobs_per_sec", t.jobs_per_sec);
+        obs::kv(json, "sims_per_sec", t.sims_per_sec);
+        obs::kv(json, "speedup",
+                base_jps > 0 ? t.jobs_per_sec / base_jps : 0.0);
+        obs::kv(json, "steals", t.steals);
+        obs::kv(json, "characterize_seconds", t.characterize_seconds);
+        obs::kv(json, "simulate_seconds", t.simulate_seconds);
+        obs::kv(json, "journal_seconds", t.journal_seconds);
+        obs::kv(json, "aggregate_seconds", t.aggregate_seconds);
+        obs::kv(json, "detected", reports[i].detected);
+        obs::kv(json, "escapes", reports[i].escapes, false);
+        json += '}';
     }
     json += "]}}";
     bench::write_bench_json("campaign", smoke, json);

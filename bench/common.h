@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
 #include "vega/workflow.h"
@@ -119,6 +120,17 @@ write_bench_json(const std::string &stem, bool smoke,
         std::fclose(f);
         std::printf("\nwrote %s\n", path.c_str());
     }
+}
+
+/** `"key":true` or `"key":false`, then a ',' when @p comma. The bench
+ *  JSON renders every number and string through obs/json.h. */
+inline void
+kv_bool(std::string &out, const char *key, bool v, bool comma = true)
+{
+    obs::json_key(out, key);
+    out += v ? "true" : "false";
+    if (comma)
+        out += ',';
 }
 
 inline void

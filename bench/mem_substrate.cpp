@@ -151,34 +151,41 @@ main(int argc, char **argv)
                 (unsigned long long)rep.escapes,
                 (unsigned long long)rep.corrupting);
 
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"mem_substrate\":{\"smoke\":%s,\"liftable_pairs\":%zu,"
-        "\"lift\":{\"analyzed\":%zu,\"success\":%zu,\"unreachable\":%zu,"
-        "\"conversion_failed\":%zu},"
-        "\"classes\":{\"wrong_row_read\":%zu,\"wrong_row_write\":%zu,"
-        "\"multi_select\":%zu,\"no_select\":%zu},"
-        "\"escalation\":{\"random\":%zu,\"mats_plus\":%zu,"
-        "\"march_cminus\":%zu},"
-        "\"suite\":{\"tests\":%zu,\"cycles\":%llu,\"covered\":%zu,"
-        "\"mean_detection_latency_cycles\":%.0f},"
-        "\"random_baseline\":{\"tests\":%zu,\"cycles\":%llu,"
-        "\"covered\":%zu},"
-        "\"campaign\":{\"jobs\":%zu,\"detected\":%llu,"
-        "\"wrong_address\":%llu,\"escapes\":%llu,\"corrupting\":%llu}}}",
-        smoke ? "true" : "false", pairs.size(), lift.pairs.size(),
-        lift.n_success, lift.n_unreachable, lift.n_conversion_failed,
-        kind_count[1], kind_count[2], kind_count[3], kind_count[4],
-        esc_random, esc_mats, esc_cminus, lift.suite.size(),
-        (unsigned long long)suite_cycles, suite_covered, mean_latency,
-        random_rung.size(), (unsigned long long)random_cycles,
-        random_covered, ccfg.num_jobs,
-        (unsigned long long)rep.detected,
-        (unsigned long long)rep.detections.wrong_address,
-        (unsigned long long)rep.escapes,
-        (unsigned long long)rep.corrupting);
-    bench::write_bench_json("mem", smoke, std::string(buf));
+    std::string json = "{\"mem_substrate\":{";
+    bench::kv_bool(json, "smoke", smoke);
+    obs::kv(json, "liftable_pairs", uint64_t(pairs.size()));
+    json += "\"lift\":{";
+    obs::kv(json, "analyzed", uint64_t(lift.pairs.size()));
+    obs::kv(json, "success", uint64_t(lift.n_success));
+    obs::kv(json, "unreachable", uint64_t(lift.n_unreachable));
+    obs::kv(json, "conversion_failed", uint64_t(lift.n_conversion_failed),
+            false);
+    json += "},\"classes\":{";
+    obs::kv(json, "wrong_row_read", uint64_t(kind_count[1]));
+    obs::kv(json, "wrong_row_write", uint64_t(kind_count[2]));
+    obs::kv(json, "multi_select", uint64_t(kind_count[3]));
+    obs::kv(json, "no_select", uint64_t(kind_count[4]), false);
+    json += "},\"escalation\":{";
+    obs::kv(json, "random", uint64_t(esc_random));
+    obs::kv(json, "mats_plus", uint64_t(esc_mats));
+    obs::kv(json, "march_cminus", uint64_t(esc_cminus), false);
+    json += "},\"suite\":{";
+    obs::kv(json, "tests", uint64_t(lift.suite.size()));
+    obs::kv(json, "cycles", uint64_t(suite_cycles));
+    obs::kv(json, "covered", uint64_t(suite_covered));
+    obs::kv(json, "mean_detection_latency_cycles", mean_latency, false);
+    json += "},\"random_baseline\":{";
+    obs::kv(json, "tests", uint64_t(random_rung.size()));
+    obs::kv(json, "cycles", uint64_t(random_cycles));
+    obs::kv(json, "covered", uint64_t(random_covered), false);
+    json += "},\"campaign\":{";
+    obs::kv(json, "jobs", uint64_t(ccfg.num_jobs));
+    obs::kv(json, "detected", rep.detected);
+    obs::kv(json, "wrong_address", rep.detections.wrong_address);
+    obs::kv(json, "escapes", rep.escapes);
+    obs::kv(json, "corrupting", rep.corrupting, false);
+    json += "}}}";
+    bench::write_bench_json("mem", smoke, json);
 
     return lift.n_success > 0 && suite_covered == successes ? 0 : 1;
 }

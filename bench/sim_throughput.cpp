@@ -236,22 +236,24 @@ main(int argc, char **argv)
     results.push_back(bench_module("alu32", alu.netlist, budget));
     results.push_back(bench_module("fpu32", fpu.netlist, budget));
 
-    std::string json = "{\"sim_throughput\":{\"smoke\":";
-    json += smoke ? "true" : "false";
-    json += ",\"lanes\":64,\"modules\":[";
+    std::string json = "{\"sim_throughput\":{";
+    bench::kv_bool(json, "smoke", smoke);
+    obs::kv(json, "lanes", uint64_t(BatchSimulator::kLanes));
+    obs::json_key(json, "modules");
+    json += '[';
     for (size_t i = 0; i < results.size(); ++i) {
         const ModuleResult &r = results[i];
-        char buf[512];
-        std::snprintf(buf, sizeof buf,
-                      "%s{\"module\":\"%s\",\"cells\":%zu,\"nets\":%zu,"
-                      "\"tape_instrs\":%zu,\"legacy_cps\":%.0f,"
-                      "\"batch_steps_per_s\":%.0f,\"batch_lane_cps\":%.0f,"
-                      "\"step_speedup\":%.3f,\"batch_speedup\":%.3f}",
-                      i ? "," : "", r.name.c_str(), r.cells, r.nets,
-                      r.instrs, r.legacy_cps, r.batch_steps,
-                      r.batch_lane_cps(), r.step_speedup(),
-                      r.batch_speedup());
-        json += buf;
+        json += i ? ",{" : "{";
+        obs::kv(json, "module", r.name);
+        obs::kv(json, "cells", uint64_t(r.cells));
+        obs::kv(json, "nets", uint64_t(r.nets));
+        obs::kv(json, "tape_instrs", uint64_t(r.instrs));
+        obs::kv(json, "legacy_cps", r.legacy_cps);
+        obs::kv(json, "batch_steps_per_s", r.batch_steps);
+        obs::kv(json, "batch_lane_cps", r.batch_lane_cps());
+        obs::kv(json, "step_speedup", r.step_speedup());
+        obs::kv(json, "batch_speedup", r.batch_speedup(), false);
+        json += '}';
     }
     json += "]}}";
     bench::write_bench_json("sim", smoke, json);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <latch>
 #include <mutex>
 #include <optional>
 
@@ -68,8 +69,7 @@ make_spec(const CampaignConfig &cfg, size_t npairs, uint64_t id)
  */
 JobResult
 run_mem_job(const mem::MemFaultClass &cls,
-            const std::vector<runtime::TestCase> &suite, const JobSpec &spec,
-            bool corrupts)
+            const std::vector<runtime::TestCase> &suite, const JobSpec &spec)
 {
     JobResult res;
     res.id = spec.id;
@@ -95,10 +95,24 @@ run_mem_job(const mem::MemFaultClass &cls,
     }
     res.tests_dispatched = lib.runs();
     res.sim_cycles = engine.cycles();
-    res.corrupts_workload = corrupts;
-    res.escape = corrupts && !res.detected;
     return res;
 }
+
+/**
+ * One finished injection batch: the jobs todo[base, base + width),
+ * waiting to be settled in order.
+ */
+struct BatchRun
+{
+    size_t base = 0;
+    /** Bit k: job base + k got a lane (results holds it, in order). */
+    uint64_t laned = 0;
+    std::vector<JobResult> results;
+    /** Per job when the fault hook is set: what it threw, if anything. */
+    std::vector<std::string> hook_error;
+    /** What the executor threw; it quarantines every laned job. */
+    std::string exec_error;
+};
 
 } // namespace
 
@@ -206,6 +220,11 @@ try_run_campaign(const HwModule &module,
         needed_count += size_t(n);
 
     auto t0 = std::chrono::steady_clock::now();
+    auto since_start = [&t0] {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
     ThreadPool pool(cfg.threads);
     std::optional<ProgressMeter> meter;
     if (cfg.progress || cfg.progress_sink)
@@ -282,35 +301,10 @@ try_run_campaign(const HwModule &module,
         for (size_t i = 0; i < batch.size(); ++i)
             corrupts[batch[i]] = probe_corrupts(module.kind, got[i]);
     };
-    for (size_t base = 0; base < pending_faults.size(); base += width) {
-        size_t end = std::min(base + width, pending_faults.size());
-        pool.submit([&, base, end] {
-            VEGA_SPAN("campaign.characterize");
-            std::vector<size_t> batch(pending_faults.begin() + long(base),
-                                      pending_faults.begin() + long(end));
-            try {
-                characterize(batch);
-            } catch (...) {
-                std::string why = current_exception_text();
-                for (size_t idx : batch)
-                    char_error[idx] = why;
-            }
-            if (meter)
-                for (size_t i = 0; i < batch.size(); ++i)
-                    meter->job_done(0);
-        });
-    }
-    pool.wait_idle();
-    double characterize_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-
     // Injection pass: the Monte Carlo jobs proper. Results land in
     // slots keyed by job id, so completion order is irrelevant. Every
     // settled job is checkpointed to the journal before the campaign
     // moves on.
-    auto t_inject = std::chrono::steady_clock::now();
     std::mutex state_mu;
     std::mutex journal_mu;
     std::atomic<bool> stop{false};
@@ -319,6 +313,17 @@ try_run_campaign(const HwModule &module,
     size_t settled_this_run = 0;
     uint64_t cycles_this_run = 0;
     std::optional<VegaError> journal_error;
+
+    // A functional-unit injection wave does not need its fault's
+    // verdict to run: only a job's corrupts_workload and escape fields
+    // (and a characterization quarantine) do. So both passes run at
+    // once, and a batch that finishes while verdicts are outstanding
+    // parks; the last characterization batch settles what is parked.
+    const size_t char_batches = (pending_faults.size() + width - 1) / width;
+    std::mutex park_mu;
+    size_t verdicts_left = char_batches; // guarded by park_mu
+    std::vector<BatchRun> parked;        // guarded by park_mu
+    double characterize_wall = 0.0;
 
     // Journal writes run under their own mutex, off the hot state_mu:
     // a group-commit append (and its fsync) must not block workers
@@ -387,6 +392,99 @@ try_run_campaign(const HwModule &module,
             meter->job_done(0);
     };
 
+    // Settle a finished batch one job at a time in id order, once every
+    // verdict is in, so stop/kill semantics stay per-job: a stop flag
+    // raised mid-batch drops the batch's remaining (unsettled) jobs,
+    // which a resume simply re-runs.
+    auto batch_jobs = [&](size_t base) {
+        return std::min(width, todo.size() - base);
+    };
+    auto settle_batch = [&](const BatchRun &run) {
+        size_t ri = 0;
+        for (size_t k = 0; k < batch_jobs(run.base); ++k) {
+            if (stop.load(std::memory_order_relaxed))
+                return;
+            VEGA_SPAN("campaign.job");
+            static obs::Counter &jobs_counter =
+                obs::counter("campaign.jobs");
+            jobs_counter.inc();
+            worker_jobs_counter().inc();
+            JobSpec s = make_spec(cfg, npairs, todo[run.base + k]);
+            size_t idx = s.pair_index * nconst + s.constant_index;
+            const JobResult *ran = nullptr;
+            if ((run.laned >> k) & 1 && run.exec_error.empty())
+                ran = &run.results[ri++];
+            if (!char_error[idx].empty()) {
+                settle_failed(s.id, s.pair_index, 0,
+                              make_error(ErrorCode::JobFailed,
+                                         "characterization: " +
+                                             char_error[idx]),
+                              false);
+            } else if (!run.hook_error.empty() &&
+                       !run.hook_error[k].empty()) {
+                settle_failed(s.id, s.pair_index, 1,
+                              make_error(ErrorCode::JobFailed,
+                                         run.hook_error[k]),
+                              true);
+            } else if (!run.exec_error.empty()) {
+                settle_failed(s.id, s.pair_index, 1,
+                              make_error(ErrorCode::JobFailed,
+                                         run.exec_error),
+                              true);
+            } else {
+                JobResult jr = *ran;
+                jr.corrupts_workload = corrupts[idx] != 0;
+                jr.escape = jr.corrupts_workload && !jr.detected;
+                settle_result(jr);
+            }
+        }
+    };
+
+    // Injection batches are queued only once a worker has taken every
+    // characterization batch: the pool promises no order, so queued
+    // side by side a probe wave could run last.
+    std::latch char_taken{std::ptrdiff_t(char_batches)};
+    for (size_t base = 0; base < pending_faults.size(); base += width) {
+        size_t end = std::min(base + width, pending_faults.size());
+        pool.submit([&, base, end] {
+            char_taken.count_down();
+            {
+                VEGA_SPAN("campaign.characterize");
+                std::vector<size_t> batch(
+                    pending_faults.begin() + long(base),
+                    pending_faults.begin() + long(end));
+                try {
+                    characterize(batch);
+                } catch (...) {
+                    std::string why = current_exception_text();
+                    for (size_t idx : batch)
+                        char_error[idx] = why;
+                }
+                if (meter)
+                    for (size_t i = 0; i < batch.size(); ++i)
+                        meter->job_done(0);
+            }
+            std::vector<BatchRun> ready;
+            {
+                std::lock_guard<std::mutex> lk(park_mu);
+                if (--verdicts_left > 0)
+                    return;
+                characterize_wall = since_start();
+                ready.swap(parked);
+            }
+            for (const BatchRun &run : ready)
+                settle_batch(run);
+        });
+    }
+    // The march executor needs its classified fault, so memory
+    // campaigns characterize first.
+    if (mem_module)
+        pool.wait_idle();
+    else
+        char_taken.wait();
+    if (char_batches == 0)
+        characterize_wall = since_start();
+
     auto execute = [&](const std::vector<WaveJob> &lanes) {
         if (!mem_module) {
             VEGA_SPAN("campaign.wave");
@@ -395,77 +493,60 @@ try_run_campaign(const HwModule &module,
         const JobSpec &s = lanes[0].spec;
         return std::vector<JobResult>{
             run_mem_job(mem_faults[s.pair_index * nconst + s.constant_index],
-                        suite, s, lanes[0].corrupts)};
+                        suite, s)};
     };
 
-    // One batch of up to `width` jobs, settled one at a time in id
-    // order so stop/kill semantics stay per-job: a stop flag raised
-    // mid-batch drops the batch's remaining (unsettled) jobs, which a
-    // resume simply re-runs.
     auto run_batch = [&](size_t base) {
         if (stop.load(std::memory_order_relaxed))
             return;
-        std::vector<JobSpec> specs;
-        for (size_t i = base; i < std::min(base + width, todo.size()); ++i)
-            specs.push_back(make_spec(cfg, npairs, todo[i]));
-        // The fault hook runs per job before the job gets a lane; a
-        // throw quarantines the job (hook_error non-empty).
+        bool verdicts_in;
+        {
+            std::lock_guard<std::mutex> lk(park_mu);
+            verdicts_in = verdicts_left == 0;
+        }
+        BatchRun run;
+        run.base = base;
+        if (cfg.job_fault_hook)
+            run.hook_error.resize(batch_jobs(base));
+        // A job whose characterization is known to have failed gets no
+        // lane. The fault hook runs per job before the job gets a lane;
+        // a throw quarantines the job.
         std::vector<WaveJob> lanes;
-        std::vector<std::string> hook_error(specs.size());
-        for (size_t i = 0; i < specs.size(); ++i) {
-            size_t idx =
-                specs[i].pair_index * nconst + specs[i].constant_index;
-            if (!char_error[idx].empty())
+        for (size_t k = 0; k < batch_jobs(base); ++k) {
+            JobSpec spec = make_spec(cfg, npairs, todo[base + k]);
+            size_t idx = spec.pair_index * nconst + spec.constant_index;
+            if (verdicts_in && !char_error[idx].empty())
                 continue;
             if (cfg.job_fault_hook) {
                 try {
-                    cfg.job_fault_hook(specs[i]);
+                    cfg.job_fault_hook(spec);
                 } catch (...) {
-                    hook_error[i] = current_exception_text();
+                    run.hook_error[k] = current_exception_text();
                     continue;
                 }
             }
-            lanes.push_back({specs[i], bank_pos[idx], corrupts[idx] != 0});
+            run.laned |= uint64_t(1) << k;
+            lanes.push_back({spec, bank_pos[idx]});
         }
         // An executor that throws quarantines every job it held.
-        std::vector<JobResult> results;
-        std::string exec_error;
         if (!lanes.empty()) {
             try {
-                results = execute(lanes);
+                run.results = execute(lanes);
             } catch (...) {
-                exec_error = current_exception_text();
+                run.exec_error = current_exception_text();
             }
         }
-        size_t ri = 0;
-        for (size_t i = 0; i < specs.size(); ++i) {
-            if (stop.load(std::memory_order_relaxed))
+        {
+            std::lock_guard<std::mutex> lk(park_mu);
+            if (verdicts_left > 0) {
+                static obs::Counter &parked_counter =
+                    obs::counter("campaign.jobs_parked");
+                parked_counter.add(batch_jobs(base));
+                parked.push_back(std::move(run));
                 return;
-            VEGA_SPAN("campaign.job");
-            static obs::Counter &jobs_counter =
-                obs::counter("campaign.jobs");
-            jobs_counter.inc();
-            worker_jobs_counter().inc();
-            const JobSpec &s = specs[i];
-            size_t idx = s.pair_index * nconst + s.constant_index;
-            if (!char_error[idx].empty())
-                settle_failed(s.id, s.pair_index, 0,
-                              make_error(ErrorCode::JobFailed,
-                                         "characterization: " +
-                                             char_error[idx]),
-                              false);
-            else if (!hook_error[i].empty())
-                settle_failed(s.id, s.pair_index, 1,
-                              make_error(ErrorCode::JobFailed,
-                                         hook_error[i]),
-                              true);
-            else if (!exec_error.empty())
-                settle_failed(s.id, s.pair_index, 1,
-                              make_error(ErrorCode::JobFailed, exec_error),
-                              true);
-            else
-                settle_result(results[ri++]);
+            }
         }
+        settle_batch(run);
     };
     // A task carries only its batch's first index, small enough for
     // std::function's inline storage: a memory campaign queues one task
@@ -473,10 +554,7 @@ try_run_campaign(const HwModule &module,
     for (size_t base = 0; base < todo.size(); base += width)
         pool.submit([&run_batch, base] { run_batch(base); });
     pool.wait_idle();
-    double simulate_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t_inject)
-            .count();
+    double simulate_wall = since_start();
     if (journal.is_open() && !journal_error) {
         // Every owned job settled => the shard is complete: seal the
         // journal with its integrity trailer so the aggregator will
@@ -507,10 +585,7 @@ try_run_campaign(const HwModule &module,
     CampaignReport report =
         aggregate_report(header, std::move(results), std::move(failed));
 
-    double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    double wall = since_start();
     report.timing.wall_seconds = wall;
     // Rates count this run's work only: a resumed run's report also
     // holds jobs a prior run settled.

@@ -7,12 +7,13 @@
  * (failing netlist × stimulus seed × schedule policy) jobs on a
  * work-stealing thread pool. Every unique fault — the logical failure
  * model (§3.3.1) — is spliced into one fault-bank copy of the module,
- * and a characterization pass probes once per fault whether it
- * silently corrupts a representative workload. Each job then runs the
- * aging library against its fault as one lane of a 64-lane wave
- * (wave.h) and records detection latency; undetected corrupting faults
- * count as SDC escapes. Memory modules run their march engine instead,
- * one job per task.
+ * and characterization probes once per fault whether it silently
+ * corrupts a representative workload. Each job runs the aging library
+ * against its fault as one lane of a 64-lane wave (wave.h) and records
+ * detection latency; undetected corrupting faults count as SDC
+ * escapes. The job waves run while the probe waves do, and a job is
+ * settled once its fault's verdict is in. Memory modules characterize
+ * first, then run their march engine, one job per task.
  *
  * Determinism contract: the campaign seed fully determines every job
  * (pair/constant/policy sampling and all downstream randomness, via

@@ -106,10 +106,14 @@ struct CampaignTiming
     uint64_t journal_bytes = 0;
 
     // Per-stage wall breakdown: where the campaign actually spent its
-    // time. characterize/simulate are elapsed pass times; journal is
-    // the summed time inside journal record/seal calls (overlaps the
-    // simulate stage); aggregate covers report assembly.
+    // time. Both pass times run from the campaign start, and they
+    // overlap: a functional-unit campaign injects while it
+    // characterizes. journal is the summed time inside journal
+    // record/seal calls (inside the simulate stage); aggregate covers
+    // report assembly.
+    /** Campaign start to the last characterization verdict. */
     double characterize_seconds = 0.0;
+    /** Campaign start to the last settled job. */
     double simulate_seconds = 0.0;
     double journal_seconds = 0.0;
     double aggregate_seconds = 0.0;

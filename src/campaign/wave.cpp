@@ -291,8 +291,6 @@ finish_lane(Lane &ln, const cpu::BatchNetlistEngine &eng, int li)
 {
     ln.res.tests_dispatched = ln.lib->runs();
     ln.res.sim_cycles = eng.cycles(li);
-    ln.res.corrupts_workload = ln.job->corrupts;
-    ln.res.escape = ln.job->corrupts && !ln.res.detected;
     ln.done = true;
 }
 

@@ -124,21 +124,25 @@ Episode probe_episode(ModuleKind kind, size_t bank_index, uint64_t seed);
  */
 bool probe_corrupts(ModuleKind kind, const EpisodeResult &result);
 
-/** One lane's work order in an injection wave. */
+/**
+ * One lane's work order in an injection wave. It carries no
+ * characterization verdict: a wave runs without one, so a campaign can
+ * inject while its probe waves are still running.
+ */
 struct WaveJob
 {
     JobSpec spec;
     /** Enable bit of this job's fault in the bank. */
     size_t bank_index = 0;
-    /** Characterization verdict for this job's fault. */
-    bool corrupts = false;
 };
 
 /**
  * Run up to 64 injection jobs in lockstep; JobResults come back in
  * input order. A test that stops uncleanly (handshake hang, watchdog,
  * trap) detects as Stall, else x31 != 0 as Mismatch, else a new dbg
- * tag mismatch as TagAnomaly.
+ * tag mismatch as TagAnomaly. Each result's corrupts_workload and
+ * escape stay false: the caller sets them from its fault's
+ * characterization verdict.
  */
 std::vector<JobResult> run_wave(const WaveContext &ctx,
                                 const std::vector<WaveJob> &jobs);

@@ -47,6 +47,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -120,18 +121,18 @@ class BatchNetlistEngine
     BatchSimulator sim_;
     bool has_random_input_ = false;
 
-    // Cached bus net ids (avoids per-round name lookups).
-    std::vector<NetId> a_nets_, b_nets_, op_nets_;
-    NetId valid_net_ = kInvalidId, clear_net_ = kInvalidId;
-    NetId rand_net_ = kInvalidId;
-    // D nets of the output registers: each output one edge ahead.
-    std::vector<NetId> r_next_, flags_next_;
-    NetId valid_out_next_ = kInvalidId, ack_next_ = kInvalidId;
-    NetId dbg_next_ = kInvalidId;
+    // Value slots, resolved and checked at construction: the input
+    // buses, and the D slots of the output registers (each output one
+    // edge ahead).
+    std::vector<SlotId> a_slots_, b_slots_, op_slots_;
+    SlotId valid_slot_ = 0, clear_slot_ = 0, rand_slot_ = 0;
+    std::vector<SlotId> r_next_, flags_next_;
+    SlotId valid_out_next_ = 0, ack_next_ = 0, dbg_next_ = 0;
 
-    // Held input planes (idle lanes keep their previous operands) and
-    // the per-round pulse masks.
+    // Held input planes (idle lanes keep their previous operands), each
+    // lane's held operands, and the per-round pulse masks.
     std::vector<uint64_t> a_planes_, b_planes_, op_planes_;
+    std::array<uint32_t, kLanes> held_a_{}, held_b_{}, held_op_{};
     uint64_t rand_plane_ = 0;
     uint64_t participant_mask_ = 0;
     uint64_t op_mask_ = 0;

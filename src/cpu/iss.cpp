@@ -1,5 +1,6 @@
 #include "cpu/iss.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -22,7 +23,7 @@ Iss::reset()
     std::memset(f_, 0, sizeof(f_));
     fflags_ = 0;
     pc_ = 0;
-    std::fill(mem_.begin(), mem_.end(), 0);
+    mem_.clear();
     cycles_ = 0;
     instret_ = 0;
     halted_ = false;
@@ -36,17 +37,22 @@ Iss::reset()
 void
 Iss::load(uint32_t addr, void *out, size_t bytes) const
 {
-    if (mem_.empty())
-        std::memset(out, 0, bytes); // never written: still all zeros
-    else
-        std::memcpy(out, &mem_[addr], bytes);
+    // Bytes past the grown end were never written: they read zero.
+    size_t held = addr < mem_.size() ? std::min(bytes, mem_.size() - addr)
+                                     : 0;
+    if (held)
+        std::memcpy(out, &mem_[addr], held);
+    std::memset(static_cast<uint8_t *>(out) + held, 0, bytes - held);
 }
 
 void
 Iss::store(uint32_t addr, const void *in, size_t bytes)
 {
-    if (mem_.empty())
-        mem_.resize(cfg_.memory_bytes, 0);
+    size_t end = size_t(addr) + bytes;
+    if (end > mem_.size())
+        mem_.resize(std::min(cfg_.memory_bytes,
+                             (end + kMemPage - 1) / kMemPage * kMemPage),
+                    0);
     std::memcpy(&mem_[addr], in, bytes);
 }
 

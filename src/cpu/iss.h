@@ -243,8 +243,15 @@ class Iss
     uint32_t f_[32] = {};
     uint8_t fflags_ = 0;
     uint32_t pc_ = 0;
-    /** Data memory, allocated zero-filled on the first store: FU test
-     *  programs never touch it, and a wave holds 64 ISS instances. */
+    /** Growth step of mem_ in bytes. */
+    static constexpr size_t kMemPage = 4096;
+    /**
+     * Data memory, grown zero-filled up to the highest 4 KB page a
+     * store has reached; bytes past its end read zero, and the bound
+     * stays cfg_.memory_bytes. FU test programs never store, golden
+     * crc32 stores below 12 KB, and a march campaign builds one ISS per
+     * dispatched test, so nothing pays for the whole 1 MB.
+     */
     std::vector<uint8_t> mem_;
     uint64_t cycles_ = 0;
     uint64_t instret_ = 0;

@@ -59,8 +59,7 @@ BatchSimulator::set_input(NetId net, uint64_t lanes)
 {
     VEGA_CHECK(tape_->is_primary_input(net), "set_input on non-input net ",
                netlist().net(net).name);
-    planes_[tape_->slot(net)] = lanes;
-    settle_inputs_ = true;
+    set_input_slot(tape_->slot(net), lanes);
 }
 
 const std::vector<SlotId> &
@@ -100,7 +99,7 @@ BatchSimulator::set_bus_all(const std::string &bus, const BitVec &value)
 }
 
 void
-BatchSimulator::eval()
+BatchSimulator::settle_pending()
 {
     if (settle_all_) {
         batch_evals_counter().inc();
@@ -121,7 +120,7 @@ BatchSimulator::settle(size_t first_run)
     const SlotId *i0 = tape_->in0().data();
     const SlotId *i1 = tape_->in1().data();
     const SlotId *i2 = tape_->in2().data();
-    const SlotId *o = tape_->out().data();
+    uint64_t *o = v + tape_->first_out_slot();
     const std::vector<EvalTape::Run> &runs = tape_->runs();
     for (size_t r = first_run; r < runs.size(); ++r) {
         const size_t end = runs[r].end;
@@ -129,40 +128,40 @@ BatchSimulator::settle(size_t first_run)
         switch (runs[r].op) {
           case CellType::Buf:
             for (; i < end; ++i)
-                v[o[i]] = v[i0[i]];
+                o[i] = v[i0[i]];
             break;
           case CellType::Not:
             for (; i < end; ++i)
-                v[o[i]] = ~v[i0[i]];
+                o[i] = ~v[i0[i]];
             break;
           case CellType::And2:
             for (; i < end; ++i)
-                v[o[i]] = v[i0[i]] & v[i1[i]];
+                o[i] = v[i0[i]] & v[i1[i]];
             break;
           case CellType::Or2:
             for (; i < end; ++i)
-                v[o[i]] = v[i0[i]] | v[i1[i]];
+                o[i] = v[i0[i]] | v[i1[i]];
             break;
           case CellType::Xor2:
             for (; i < end; ++i)
-                v[o[i]] = v[i0[i]] ^ v[i1[i]];
+                o[i] = v[i0[i]] ^ v[i1[i]];
             break;
           case CellType::Nand2:
             for (; i < end; ++i)
-                v[o[i]] = ~(v[i0[i]] & v[i1[i]]);
+                o[i] = ~(v[i0[i]] & v[i1[i]]);
             break;
           case CellType::Nor2:
             for (; i < end; ++i)
-                v[o[i]] = ~(v[i0[i]] | v[i1[i]]);
+                o[i] = ~(v[i0[i]] | v[i1[i]]);
             break;
           case CellType::Xnor2:
             for (; i < end; ++i)
-                v[o[i]] = ~(v[i0[i]] ^ v[i1[i]]);
+                o[i] = ~(v[i0[i]] ^ v[i1[i]]);
             break;
           case CellType::Mux2:
             for (; i < end; ++i) {
                 uint64_t s = v[i2[i]];
-                v[o[i]] = (v[i0[i]] & ~s) | (v[i1[i]] & s);
+                o[i] = (v[i0[i]] & ~s) | (v[i1[i]] & s);
             }
             break;
           case CellType::Const0:
@@ -192,13 +191,6 @@ BatchSimulator::run(uint64_t n)
 {
     for (uint64_t i = 0; i < n; ++i)
         step();
-}
-
-uint64_t
-BatchSimulator::value(NetId net)
-{
-    eval();
-    return planes_[tape_->slot(net)];
 }
 
 BitVec

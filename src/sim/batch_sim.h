@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/bitvec.h"
+#include "common/logging.h"
 #include "sim/eval_tape.h"
 
 namespace vega {
@@ -61,6 +62,19 @@ class BatchSimulator
     /** Drive a primary input with a per-lane plane (bit L = lane L). */
     void set_input(NetId net, uint64_t lanes);
 
+    /**
+     * set_input by value slot (tape().slot(net)), for callers that
+     * resolve their inputs once; panics unless @p slot is a primary
+     * input's.
+     */
+    void set_input_slot(SlotId slot, uint64_t lanes)
+    {
+        VEGA_CHECK(slot < tape_->num_inputs(), "set_input_slot on slot ",
+                   slot, ", not a primary input of ", netlist().name());
+        planes_[slot] = lanes;
+        settle_inputs_ = true;
+    }
+
     /** Drive a primary input to the same value in every lane. */
     void set_input_all(NetId net, bool value)
     {
@@ -75,7 +89,11 @@ class BatchSimulator
     void set_bus_all(const std::string &bus, const BitVec &value);
 
     /** Run the pending settle, if any. Called implicitly by readers. */
-    void eval();
+    void eval()
+    {
+        if (settle_all_ || settle_inputs_)
+            settle_pending();
+    }
 
     /** One clock edge in every lane: settle, commit DFFs. */
     void step();
@@ -84,7 +102,14 @@ class BatchSimulator
     void run(uint64_t n);
 
     /** Per-lane plane of @p net (post-settle). */
-    uint64_t value(NetId net);
+    uint64_t value(NetId net) { return slot_value(tape_->slot(net)); }
+
+    /** Per-lane plane of value slot @p slot (post-settle). */
+    uint64_t slot_value(SlotId slot)
+    {
+        eval();
+        return planes_[slot];
+    }
 
     /** Value of @p net in lane @p lane. */
     bool value_lane(NetId net, int lane)
@@ -110,6 +135,8 @@ class BatchSimulator
     /** Input-bus slots of @p bus; panics on an output bus. */
     const std::vector<SlotId> &input_bus_slots(const std::string &bus,
                                                size_t width) const;
+    /** Run the settle that eval() found pending. */
+    void settle_pending();
     /** Interpret runs [first_run, end) of the tape. */
     void settle(size_t first_run);
 

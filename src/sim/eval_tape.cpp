@@ -92,6 +92,7 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
     for (CellId c = 0; c < nl.num_cells(); ++c)
         if (nl.cell(c).type == CellType::Dff)
             slot_of_net_[nl.cell(c).out] = next++;
+    first_out_slot_ = next;
     for (const Key &k : stream)
         slot_of_net_[nl.cell(k.cell).out] = next++;
     VEGA_CHECK(next == nl.num_nets(),
@@ -106,7 +107,6 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
     in0_.reserve(stream.size());
     in1_.reserve(stream.size());
     in2_.reserve(stream.size());
-    out_.reserve(stream.size());
     for (size_t i = 0; i < stream.size(); ++i) {
         const Cell &cell = nl.cell(stream[i].cell);
         if (i == n_static)
@@ -118,7 +118,6 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
         in0_.push_back(n_in > 0 ? slot_of_net_[cell.in[0]] : 0);
         in1_.push_back(n_in > 1 ? slot_of_net_[cell.in[1]] : 0);
         in2_.push_back(n_in > 2 ? slot_of_net_[cell.in[2]] : 0);
-        out_.push_back(slot_of_net_[cell.out]);
     }
     if (n_static == stream.size())
         first_input_run_ = runs_.size();
@@ -147,7 +146,7 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
     static obs::Counter &builds = obs::counter("sim.tape_builds");
     static obs::Counter &instrs = obs::counter("sim.tape_instrs");
     builds.inc();
-    instrs.add(out_.size());
+    instrs.add(in0_.size());
 }
 
 const std::vector<SlotId> &

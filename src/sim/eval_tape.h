@@ -9,8 +9,8 @@
  * traversal exactly once per netlist and records its result as
  * structure-of-arrays vectors of primitive indices:
  *
- *  - a combinational instruction stream of dense input/output
- *    value-slot indices, in two parts: first the cells outside every
+ *  - a combinational instruction stream of dense input value-slot
+ *    indices, in two parts: first the cells outside every
  *    primary input's fanout (fed only by DFF outputs and constants),
  *    then the input fanout. Within each part, cells are sorted by
  *    (level, opcode), so the stream is a sequence of *runs* of one
@@ -26,11 +26,12 @@
  *
  * Value slots are a permutation of NetIds ordered by evaluation phase
  * (primary inputs, constants, DFF Qs, then combinational outputs in
- * stream order), so a simulator's value plane is written front-to-back
- * each settle. One interpreter, the 64-lane BatchSimulator, runs it for
- * every simulation consumer — SP profiling, test replay, fuzz lifting
- * and the gate-level FU waves — so all of them share a single lowering
- * of eval_cell semantics.
+ * stream order): instruction i writes slot first_out_slot() + i, so a
+ * simulator's value plane is written front-to-back each settle and the
+ * stream stores no output slots at all. One interpreter, the 64-lane
+ * BatchSimulator, runs it for every simulation consumer — SP
+ * profiling, test replay, fuzz lifting and the gate-level FU waves — so
+ * all of them share a single lowering of eval_cell semantics.
  */
 #pragma once
 
@@ -71,11 +72,12 @@ class EvalTape
 
     /// @name Combinational instruction stream (see file docs)
     /// @{
-    size_t num_instrs() const { return out_.size(); }
+    size_t num_instrs() const { return in0_.size(); }
     const std::vector<SlotId> &in0() const { return in0_; }
     const std::vector<SlotId> &in1() const { return in1_; }
     const std::vector<SlotId> &in2() const { return in2_; }
-    const std::vector<SlotId> &out() const { return out_; }
+    /** Instruction i writes slot first_out_slot() + i. */
+    SlotId first_out_slot() const { return first_out_slot_; }
 
     /** Instructions [begin, end) all carry opcode @p op. */
     struct Run
@@ -123,7 +125,8 @@ class EvalTape
     std::vector<SlotId> slot_of_net_; ///< NetId -> slot
     size_t num_inputs_ = 0;
 
-    std::vector<SlotId> in0_, in1_, in2_, out_;
+    std::vector<SlotId> in0_, in1_, in2_;
+    SlotId first_out_slot_ = 0;
     std::vector<Run> runs_;
     size_t first_input_run_ = 0;
 

@@ -285,6 +285,30 @@ TEST(WaveCampaign, AluJobsMatchReferenceAtAnyThreadCount)
     }
 }
 
+TEST(WaveCampaign, OneWorkerCharacterizesBeforeInjecting)
+{
+    // Probe and injection waves share the pool, and injection batches
+    // are queued only once a worker has taken every probe wave. On one
+    // worker the probe therefore runs first and no batch waits for a
+    // verdict; queued any earlier, the pool's LIFO pop would run an
+    // injection batch first and park it. Either way the report is the
+    // same bytes as a 4-thread run's.
+    const WaveEnv &e = alu_env();
+    CampaignConfig cfg = base_config(99, 1);
+    cfg.num_jobs = 4 * kWaveLanes;
+    cfg.max_slots = 4;
+    ASSERT_LE(e.pairs.size() * kFaultConstants.size(), kWaveLanes)
+        << "needs a one-probe-wave campaign";
+    obs::Counter &parked = obs::counter("campaign.jobs_parked");
+    uint64_t parked0 = parked.value();
+    CampaignReport one = run_campaign(e.module, e.pairs, e.suite, cfg);
+    EXPECT_EQ(parked.value() - parked0, 0u);
+    EXPECT_EQ(one.jobs.size(), cfg.num_jobs);
+    cfg.threads = 4;
+    CampaignReport four = run_campaign(e.module, e.pairs, e.suite, cfg);
+    EXPECT_EQ(one.to_json(false), four.to_json(false));
+}
+
 TEST(WaveCampaign, MultiWaveCampaignMatchesReference)
 {
     // More jobs than one 64-lane wave holds: exercises wave bucketing

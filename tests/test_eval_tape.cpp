@@ -104,6 +104,12 @@ TEST(EvalTape, LowersEveryNetToExactlyOneSlot)
     EXPECT_EQ(tape.num_instrs(), n_comb);
     EXPECT_EQ(tape.const_rules().size(), n_const);
     EXPECT_EQ(tape.dff_rules().size(), n_dff);
+    // Instruction i writes slot first_out_slot() + i: the stream's
+    // outputs are the last n_comb slots, after inputs, constants and
+    // DFF Qs.
+    EXPECT_EQ(tape.first_out_slot(),
+              tape.num_inputs() + n_const + n_dff);
+    EXPECT_EQ(tape.first_out_slot() + tape.num_instrs(), tape.num_slots());
 }
 
 TEST(EvalTape, MatchesPreTapeReferenceOnRandomNetlists)
@@ -282,6 +288,9 @@ TEST(BatchSimulator, SetBusRejectsOutputBus)
                  "not a primary input bus");
     EXPECT_DEATH(sim.set_bus_lane("r", 0, BitVec(8, 1)),
                  "not a primary input bus");
+    sim.set_input_slot(sim.tape().bus_slots("a")[0], 1);
+    EXPECT_DEATH(sim.set_input_slot(sim.tape().bus_slots("r")[0], 1),
+                 "not a primary input");
 }
 
 TEST(BatchSimulator, RestoreStateRejectsWrongSize)

@@ -181,6 +181,22 @@ TEST(Iss, UntouchedMemoryReadsZero)
     EXPECT_EQ(iss.read_u32(4096), 0u);
     EXPECT_EQ(iss.run(), Iss::Status::Halted);
     EXPECT_EQ(iss.reg(6), 0u);
+
+    // Memory grows by 4 KB pages up to the highest store: a load that
+    // straddles the grown end reads the stored bytes, then zeros.
+    Asm grown;
+    grown.li(5, 0xaabbccdd);
+    grown.li(6, 8188);
+    grown.sw(5, 6, 0); // bytes 8188..8191: the last word of page 1
+    grown.lw(7, 6, 2); // bytes 8190..8193: two stored, two past the end
+    grown.lw(8, 6, 4); // wholly past the end
+    grown.halt();
+    Iss straddle(grown.finish());
+    EXPECT_EQ(straddle.run(), Iss::Status::Halted);
+    EXPECT_EQ(straddle.reg(7), 0x0000aabbu);
+    EXPECT_EQ(straddle.reg(8), 0u);
+    EXPECT_EQ(straddle.read_u32(8190), 0x0000aabbu);
+    EXPECT_EQ(straddle.read_u32(1u << 19), 0u);
 }
 
 TEST(Iss, MemoryBoundIsConfiguredSize)
@@ -205,6 +221,27 @@ TEST(Iss, MemoryBoundIsConfiguredSize)
     Iss trap(past.finish(), cfg);
     EXPECT_EQ(trap.run(), Iss::Status::Trap);
     EXPECT_DEATH(trap.read_u32(4096), "load out of bounds");
+
+    // Low stores grow memory only part way; a store at the last word of
+    // the configured size still fits, and one word past it still traps.
+    IssConfig big;
+    big.memory_bytes = 1 << 20;
+    Asm high;
+    high.li(5, 0x11);
+    high.li(6, 64);
+    high.sw(5, 6, 0);
+    high.li(5, 0x22);
+    high.li(6, (1 << 20) - 4);
+    high.sw(5, 6, 0);
+    high.lw(7, 6, 0);
+    high.halt();
+    Iss top(high.finish(), big);
+    EXPECT_EQ(top.run(), Iss::Status::Halted);
+    EXPECT_EQ(top.reg(7), 0x22u);
+    EXPECT_EQ(top.read_u32(64), 0x11u);
+    EXPECT_EQ(top.read_u32((1 << 20) - 4), 0x22u);
+    EXPECT_EQ(top.read_u32((1 << 20) - 8), 0u);
+    EXPECT_DEATH(top.write_u32(1 << 20, 1), "store out of bounds");
 }
 
 TEST(Iss, ResetRezeroesWrittenMemory)
@@ -219,6 +256,17 @@ TEST(Iss, ResetRezeroesWrittenMemory)
     EXPECT_EQ(iss.read_u32(256), 77u);
     iss.reset();
     EXPECT_EQ(iss.read_u32(256), 0u);
+
+    // After growth past the first page, a reset re-zeroes every page
+    // and a rerun grows memory again from nothing.
+    iss.write_u32(70000, 0xfeedu);
+    EXPECT_EQ(iss.read_u32(70000), 0xfeedu);
+    iss.reset();
+    EXPECT_EQ(iss.read_u32(70000), 0u);
+    EXPECT_EQ(iss.read_u32(256), 0u);
+    EXPECT_EQ(iss.run(), Iss::Status::Halted);
+    EXPECT_EQ(iss.read_u32(256), 77u);
+    EXPECT_EQ(iss.read_u32(70000), 0u);
 }
 
 TEST(Iss, WildJumpTraps)
