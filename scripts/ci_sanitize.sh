@@ -157,8 +157,10 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 
 # Concurrency pass under ThreadSanitizer (its own tree: TSan cannot
 # share a process with ASan). Focused on the code where a missed lock
-# becomes silent corruption — the campaign engine's wave dispatch and
-# group-commit journaling, the fleet fault matrix's wave tasks (which
+# becomes silent corruption — the campaign engine's wave and march
+# batch dispatch (MemCampaign lives in vega_mem_tests, so that binary is
+# built too), the journal's concurrent recorders and their
+# leader/follower group commit, the fleet fault matrix's wave tasks (which
 # write into shared per-class slots), the fleet device pass (whose
 # pool workers write per-chunk partial reports and per-device
 # overheads), the work-stealing pool, the sharded aggregator, and the
@@ -170,9 +172,9 @@ tsan="$repo/build-tsan"
 cmake -S "$repo" -B "$tsan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVEGA_TSAN=ON
-cmake --build "$tsan" -j "$jobs" --target vega_tests
+cmake --build "$tsan" -j "$jobs" --target vega_tests vega_mem_tests
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
     ctest --test-dir "$tsan" --output-on-failure \
-    -R 'Campaign|WaveCampaign|FleetMatrix|FleetSim|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover' \
+    -R 'Campaign|WaveCampaign|FleetMatrix|FleetSim|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover|Journal' \
     -j "$jobs"
-echo "ci_sanitize: ThreadSanitizer campaign/fleet/pool/cover-batch pass clean"
+echo "ci_sanitize: ThreadSanitizer campaign/journal/fleet/pool/cover-batch pass clean"

@@ -82,7 +82,7 @@ run_mem_job(const mem::MemFaultClass &cls,
     opt.policy = spec.policy;
     opt.probability = spec.probability;
     opt.seed = spec.seed;
-    runtime::AgingLibrary lib(suite, opt);
+    runtime::AgingLibrary lib(&suite, opt);
 
     for (uint64_t slot = 0; slot < spec.max_slots; ++slot) {
         runtime::Detection d = lib.run_next(engine);
@@ -99,7 +99,7 @@ run_mem_job(const mem::MemFaultClass &cls,
 }
 
 /**
- * One finished injection batch: the jobs todo[base, base + width),
+ * One finished injection batch: the jobs todo[base, base + kWaveLanes),
  * waiting to be settled in order.
  */
 struct BatchRun
@@ -234,24 +234,22 @@ try_run_campaign(const HwModule &module,
     // Executors. Functional-unit faults all live in ONE bank netlist
     // (disabled faults are exact pass-throughs) compiled to ONE shared
     // tape, and run as 64-lane waves over it; memory faults run on the
-    // march engine, one job per batch. Work is bucketed, in index/id
-    // order, into batches as wide as the executor — so memory
-    // characterizations and jobs keep one pool task each.
+    // march engine, a batch's jobs one after another. Either way jobs
+    // are bucketed, in id order, into batches of kWaveLanes, one pool
+    // task each.
     const bool mem_module = is_mem_module(module.kind);
-    const size_t width = mem_module ? 1 : kWaveLanes;
     std::vector<size_t> pending_faults;
     pending_faults.reserve(needed_count);
     for (size_t idx = 0; idx < npairs * nconst; ++idx)
         if (needed[idx])
             pending_faults.push_back(idx);
 
-    // Characterization pass: once per unique (pair, constant) fault —
-    // never per job — probe whether the fault corrupts the
-    // representative workload. Only faults some pending job of this
-    // shard actually injects are probed, so shards (and resumed runs)
-    // don't redo the whole matrix. A batch that throws poisons only the
-    // jobs that depend on its faults; they quarantine instead of
-    // crashing the run.
+    // Characterization pass: once per unique fault — never per job —
+    // probe whether the fault corrupts the representative workload.
+    // Only faults some pending job of this shard actually injects are
+    // probed, so shards (and resumed runs) don't redo the whole matrix.
+    // A batch that throws poisons only the jobs that depend on its
+    // faults; they quarantine instead of crashing the run.
     std::vector<mem::MemFaultClass> mem_faults(
         mem_module ? npairs * nconst : 0);
     std::vector<char> corrupts(npairs * nconst, 0);
@@ -277,18 +275,47 @@ try_run_campaign(const HwModule &module,
         }
     }
 
-    auto characterize = [&](const std::vector<size_t> &batch) {
-        if (mem_module) {
-            // Decoder lifting: the constant axis does not apply to
-            // slow-gate faults; every (pair, C) slot carries the pair's
-            // classified class.
-            size_t idx = batch[0];
+    // Characterization batches, one pool task each: functional-unit
+    // faults in kWaveLanes-wide chunks, one probe wave per chunk. A
+    // memory fault is its pair's slow decoder gate — the constant axis
+    // does not apply — so memory slots are grouped by gate, and each
+    // gate is classified once for all of its (pair, C) slots.
+    std::vector<std::vector<size_t>> char_batches;
+    std::vector<CellId> mem_gates; // per batch, memory modules only
+    if (mem_module) {
+        for (size_t idx : pending_faults) {
             CellId gate = mem::pick_decoder_gate(module.netlist,
                                                  pairs[idx / nconst].worst);
-            if (gate == kInvalidId)
+            size_t b = size_t(std::find(mem_gates.begin(), mem_gates.end(),
+                                        gate) -
+                              mem_gates.begin());
+            if (b == mem_gates.size()) {
+                mem_gates.push_back(gate);
+                char_batches.emplace_back();
+            }
+            char_batches[b].push_back(idx);
+        }
+    } else {
+        for (size_t base = 0; base < pending_faults.size();
+             base += kWaveLanes) {
+            size_t end = std::min(base + kWaveLanes, pending_faults.size());
+            char_batches.emplace_back(pending_faults.begin() + long(base),
+                                      pending_faults.begin() + long(end));
+        }
+    }
+
+    auto characterize = [&](size_t b) {
+        const std::vector<size_t> &batch = char_batches[b];
+        if (mem_module) {
+            if (mem_gates[b] == kInvalidId)
                 throw std::runtime_error("no decode gate on worst path");
-            mem_faults[idx] = mem::classify_slow_gate(module.netlist, gate);
-            corrupts[idx] = mem::mem_workload_corrupts(mem_faults[idx]);
+            mem::MemFaultClass cls =
+                mem::classify_slow_gate(module.netlist, mem_gates[b]);
+            bool corrupting = mem::mem_workload_corrupts(cls);
+            for (size_t idx : batch) {
+                mem_faults[idx] = cls;
+                corrupts[idx] = corrupting;
+            }
             return;
         }
         std::vector<Episode> probes;
@@ -306,41 +333,34 @@ try_run_campaign(const HwModule &module,
     // settled job is checkpointed to the journal before the campaign
     // moves on.
     std::mutex state_mu;
-    std::mutex journal_mu;
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> journal_nanos{0};
     size_t completed_this_run = 0;
     size_t settled_this_run = 0;
     uint64_t cycles_this_run = 0;
-    std::optional<VegaError> journal_error;
 
     // A functional-unit injection wave does not need its fault's
     // verdict to run: only a job's corrupts_workload and escape fields
     // (and a characterization quarantine) do. So both passes run at
     // once, and a batch that finishes while verdicts are outstanding
     // parks; the last characterization batch settles what is parked.
-    const size_t char_batches = (pending_faults.size() + width - 1) / width;
     std::mutex park_mu;
-    size_t verdicts_left = char_batches; // guarded by park_mu
-    std::vector<BatchRun> parked;        // guarded by park_mu
+    size_t verdicts_left = char_batches.size(); // guarded by park_mu
+    std::vector<BatchRun> parked;               // guarded by park_mu
     double characterize_wall = 0.0;
 
-    // Journal writes run under their own mutex, off the hot state_mu:
-    // a group-commit append (and its fsync) must not block workers
-    // that only need to settle counters. Record order across threads
-    // is arbitrary, which is fine — replay is keyed by job id.
+    // Journal records are rendered and checksummed by the worker that
+    // settles them, off the hot state_mu; the writer locks only to
+    // append, and only the record that closes a group waits for its
+    // write (journal.h). Record order across threads is arbitrary,
+    // which is fine — replay is keyed by job id. A failed write is
+    // sticky in the writer, and sealing the journal returns it.
+    const bool journaling = journal.is_open();
     auto journal_record = [&](const auto &record) {
-        if (!journal.is_open())
+        if (!journaling)
             return;
         auto jt0 = std::chrono::steady_clock::now();
-        {
-            std::lock_guard<std::mutex> lk(journal_mu);
-            if (!journal_error) {
-                Expected<void> w = journal.record(record);
-                if (!w)
-                    journal_error = w.error();
-            }
-        }
+        (void)journal.record(record);
         journal_nanos.fetch_add(
             uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                          std::chrono::steady_clock::now() - jt0)
@@ -397,7 +417,7 @@ try_run_campaign(const HwModule &module,
     // raised mid-batch drops the batch's remaining (unsettled) jobs,
     // which a resume simply re-runs.
     auto batch_jobs = [&](size_t base) {
-        return std::min(width, todo.size() - base);
+        return std::min(kWaveLanes, todo.size() - base);
     };
     auto settle_batch = [&](const BatchRun &run) {
         size_t ri = 0;
@@ -443,18 +463,15 @@ try_run_campaign(const HwModule &module,
     // Injection batches are queued only once a worker has taken every
     // characterization batch: the pool promises no order, so queued
     // side by side a probe wave could run last.
-    std::latch char_taken{std::ptrdiff_t(char_batches)};
-    for (size_t base = 0; base < pending_faults.size(); base += width) {
-        size_t end = std::min(base + width, pending_faults.size());
-        pool.submit([&, base, end] {
+    std::latch char_taken{std::ptrdiff_t(char_batches.size())};
+    for (size_t b = 0; b < char_batches.size(); ++b) {
+        pool.submit([&, b] {
             char_taken.count_down();
             {
                 VEGA_SPAN("campaign.characterize");
-                std::vector<size_t> batch(
-                    pending_faults.begin() + long(base),
-                    pending_faults.begin() + long(end));
+                const std::vector<size_t> &batch = char_batches[b];
                 try {
-                    characterize(batch);
+                    characterize(b);
                 } catch (...) {
                     std::string why = current_exception_text();
                     for (size_t idx : batch)
@@ -482,7 +499,7 @@ try_run_campaign(const HwModule &module,
         pool.wait_idle();
     else
         char_taken.wait();
-    if (char_batches == 0)
+    if (char_batches.empty())
         characterize_wall = since_start();
 
     auto execute = [&](const std::vector<WaveJob> &lanes) {
@@ -490,10 +507,15 @@ try_run_campaign(const HwModule &module,
             VEGA_SPAN("campaign.wave");
             return run_wave(wave_ctx, lanes);
         }
-        const JobSpec &s = lanes[0].spec;
-        return std::vector<JobResult>{
-            run_mem_job(mem_faults[s.pair_index * nconst + s.constant_index],
-                        suite, s)};
+        std::vector<JobResult> results;
+        results.reserve(lanes.size());
+        for (const WaveJob &job : lanes) {
+            const JobSpec &s = job.spec;
+            results.push_back(run_mem_job(
+                mem_faults[s.pair_index * nconst + s.constant_index], suite,
+                s));
+        }
+        return results;
     };
 
     auto run_batch = [&](size_t base) {
@@ -549,13 +571,12 @@ try_run_campaign(const HwModule &module,
         settle_batch(run);
     };
     // A task carries only its batch's first index, small enough for
-    // std::function's inline storage: a memory campaign queues one task
-    // per job.
-    for (size_t base = 0; base < todo.size(); base += width)
+    // std::function's inline storage.
+    for (size_t base = 0; base < todo.size(); base += kWaveLanes)
         pool.submit([&run_batch, base] { run_batch(base); });
     pool.wait_idle();
     double simulate_wall = since_start();
-    if (journal.is_open() && !journal_error) {
+    if (journaling) {
         // Every owned job settled => the shard is complete: seal the
         // journal with its integrity trailer so the aggregator will
         // accept it. An early stop leaves the journal trailerless —
@@ -564,16 +585,14 @@ try_run_campaign(const HwModule &module,
         bool complete = settled_this_run == todo.size();
         Expected<void> sealed =
             complete ? journal.finalize() : journal.sync();
-        if (!sealed)
-            journal_error = sealed.error();
         journal_nanos.fetch_add(
             uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                          std::chrono::steady_clock::now() - jt0)
                          .count()),
             std::memory_order_relaxed);
+        if (!sealed)
+            return sealed.error();
     }
-    if (journal_error)
-        return *journal_error;
 
     auto t_agg = std::chrono::steady_clock::now();
     std::vector<JobResult> results;

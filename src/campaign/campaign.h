@@ -13,7 +13,8 @@
  * detection latency; undetected corrupting faults count as SDC
  * escapes. The job waves run while the probe waves do, and a job is
  * settled once its fault's verdict is in. Memory modules characterize
- * first, then run their march engine, one job per task.
+ * first, once per decoder gate, then run their march engine over
+ * batches of 64 jobs, one job after another.
  *
  * Determinism contract: the campaign seed fully determines every job
  * (pair/constant/policy sampling and all downstream randomness, via

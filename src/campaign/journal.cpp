@@ -1,7 +1,10 @@
 #include "campaign/journal.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "common/fs.h"
@@ -217,6 +220,98 @@ encode_line(const std::string &body)
     return crc32c_hex(crc32c(body)) + " " + body + "\n";
 }
 
+// A framed record line is "<crc8> <body>\n". The rolling checksum
+// covers everything after the prefix: the body and its newline.
+constexpr size_t kCrcPrefix = 9;
+
+/** Room for the longest job line, about 170 bytes: five 20-digit
+ *  numbers, a 10-digit attempt count and names of at most 13 bytes. */
+constexpr size_t kJobLineMax = 256;
+
+/** Frame @p r's job line into @p line with std::to_chars; returns its
+ *  length. */
+size_t
+frame_job(const JobResult &r, char (&line)[kJobLineMax])
+{
+    char *p = line + kCrcPrefix;
+    char *const end = line + kJobLineMax - 1; // room for the newline
+    auto text = [&](const char *s) {
+        size_t n = std::strlen(s);
+        VEGA_CHECK(n <= size_t(end - p), "journal job line overflow");
+        p = std::copy_n(s, n, p);
+    };
+    auto num = [&](uint64_t v) {
+        std::to_chars_result got = std::to_chars(p, end, v);
+        VEGA_CHECK(got.ec == std::errc(), "journal job line overflow");
+        p = got.ptr;
+    };
+    text("job ");
+    num(r.id);
+    text(" ");
+    num(r.pair_index);
+    text(" ");
+    text(lift::fault_constant_name(r.constant));
+    text(" ");
+    text(runtime::schedule_policy_name(r.policy));
+    text(r.detected ? " 1 " : " 0 ");
+    text(runtime::detection_name(r.kind));
+    text(" ");
+    num(r.slots_to_detect);
+    text(" ");
+    num(r.tests_dispatched);
+    text(" ");
+    num(r.sim_cycles);
+    text(r.corrupts_workload ? " 1" : " 0");
+    text(r.escape ? " 1 " : " 0 ");
+    num(r.attempts);
+    *p++ = '\n';
+    size_t size = size_t(p - line);
+    std::string hex =
+        crc32c_hex(crc32c(line + kCrcPrefix, size - kCrcPrefix - 1));
+    std::memcpy(line, hex.data(), 8);
+    line[8] = ' ';
+    return size;
+}
+
+/** @p f's failed-record body. */
+std::string
+failed_body(const FailedJob &f)
+{
+    // The context rides to end-of-line; embedded newlines become
+    // spaces so one record stays one line.
+    std::string context = f.error.context;
+    std::replace_if(
+        context.begin(), context.end(),
+        [](char c) { return c == '\n' || c == '\r'; }, ' ');
+    return "failed " + std::to_string(f.id) + " " +
+           std::to_string(f.pair_index) + " " + std::to_string(f.attempts) +
+           " " + error_code_name(f.error.code) + " " + context;
+}
+
+/** Append @p bytes to @p file and make them durable. */
+bool
+write_durably(std::FILE *file, const std::string &bytes)
+{
+    VEGA_SPAN("campaign.journal_flush");
+    static obs::Counter &flush_counter =
+        obs::counter("campaign.journal_flushes");
+    static obs::Counter &byte_counter =
+        obs::counter("campaign.journal_bytes");
+    flush_counter.inc();
+    bool ok = file != nullptr &&
+              std::fwrite(bytes.data(), 1, bytes.size(), file) ==
+                  bytes.size();
+    ok = ok && std::fflush(file) == 0;
+#ifdef VEGA_HAVE_FSYNC
+    // Group commit is only a durability boundary if the appended
+    // records hit stable storage, matching write_file_atomic.
+    ok = ok && fsync(fileno(file)) == 0;
+#endif
+    if (ok)
+        byte_counter.add(bytes.size());
+    return ok;
+}
+
 } // namespace
 
 bool
@@ -389,30 +484,34 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
                     const JournalState *prior, size_t flush_every)
 {
     close();
+    std::lock_guard<std::mutex> lk(mu_);
     path_ = path;
     flush_every_ = flush_every < 1 ? 1 : flush_every;
-    unflushed_ = 0;
-    finalized_ = false;
-    records_ = 0;
-    rolling_.reset();
     buffer_.clear();
+    rolling_.reset();
+    records_ = 0;
+    unflushed_ = 0;
+    groups_closed_ = 0;
+    groups_durable_ = 0;
+    error_.reset();
+    finalized_ = false;
 
     // Header (and resumed records) go down via write-temp-then-rename:
     // the one structural rewrite; everything after is an append.
     std::string content = std::string(kMagicV2) + "\n";
-    auto add = [&](const std::string &body) {
-        content += encode_line(body);
-        rolling_.update(body);
-        rolling_.update("\n", 1);
+    auto add = [&](std::string_view line) {
+        content += line;
+        rolling_.update(line.data() + kCrcPrefix, line.size() - kCrcPrefix);
     };
-    add(header.to_string());
+    add(encode_line(header.to_string()));
     if (prior) {
+        char line[kJobLineMax];
         for (const JobResult &r : prior->completed) {
-            add(render_record(r));
+            add({line, frame_job(r, line)});
             ++records_;
         }
         for (const FailedJob &f : prior->failed) {
-            add(render_record(f));
+            add(encode_line(failed_body(f)));
             ++records_;
         }
     }
@@ -432,117 +531,107 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
 std::string
 render_record(const JobResult &r)
 {
-    std::ostringstream os;
-    os << "job " << r.id << " " << r.pair_index << " "
-       << lift::fault_constant_name(r.constant) << " "
-       << runtime::schedule_policy_name(r.policy) << " "
-       << (r.detected ? 1 : 0) << " " << runtime::detection_name(r.kind)
-       << " " << r.slots_to_detect << " " << r.tests_dispatched << " "
-       << r.sim_cycles << " " << (r.corrupts_workload ? 1 : 0) << " "
-       << (r.escape ? 1 : 0) << " " << r.attempts;
-    return os.str();
+    char line[kJobLineMax];
+    size_t size = frame_job(r, line);
+    return std::string(line + kCrcPrefix, size - kCrcPrefix - 1);
 }
 
 std::string
 render_record(const FailedJob &f)
 {
-    // The context rides to end-of-line; strip embedded newlines so one
-    // record stays one line.
-    std::string context = f.error.context;
-    for (char &c : context)
-        if (c == '\n' || c == '\r')
-            c = ' ';
-    std::ostringstream os;
-    os << "failed " << f.id << " " << f.pair_index << " " << f.attempts
-       << " " << error_code_name(f.error.code) << " " << context;
-    return os.str();
-}
-
-Expected<void>
-JournalWriter::append_line(const std::string &body)
-{
-    VEGA_CHECK(!finalized_, "journal ", path_,
-               ": record after finalize");
-    buffer_ += encode_line(body);
-    rolling_.update(body);
-    rolling_.update("\n", 1);
-    ++records_;
-    return after_record();
+    return failed_body(f);
 }
 
 Expected<void>
 JournalWriter::record(const JobResult &r)
 {
-    return append_line(render_record(r));
+    char line[kJobLineMax];
+    return append({line, frame_job(r, line)});
 }
 
 Expected<void>
 JournalWriter::record(const FailedJob &f)
 {
-    return append_line(render_record(f));
+    return append(encode_line(failed_body(f)));
 }
 
 Expected<void>
-JournalWriter::after_record()
+JournalWriter::append(std::string_view line)
 {
-    if (++unflushed_ >= flush_every_)
-        return flush();
-    return {};
+    std::unique_lock<std::mutex> lk(mu_);
+    VEGA_CHECK(!finalized_, "journal ", path_, ": record after finalize");
+    if (error_)
+        return *error_;
+    buffer_ += line;
+    rolling_.update(line.data() + kCrcPrefix, line.size() - kCrcPrefix);
+    ++records_;
+    if (++unflushed_ < flush_every_)
+        return {};
+    return commit(lk);
+}
+
+Expected<void>
+JournalWriter::commit(std::unique_lock<std::mutex> &lk)
+{
+    if (unflushed_ > 0) {
+        unflushed_ = 0;
+        ++groups_closed_;
+    }
+    const uint64_t target = groups_closed_;
+    while (groups_durable_ < target && !error_) {
+        if (writing_) {
+            write_done_.wait(lk, [this] { return !writing_; });
+            continue;
+        }
+        // Lead: every closed group not yet written is in the buffer.
+        writing_ = true;
+        std::string out;
+        out.swap(buffer_);
+        const uint64_t covers = groups_closed_;
+        lk.unlock();
+        bool ok = write_durably(file_, out);
+        lk.lock();
+        writing_ = false;
+        ++flushes_;
+        if (ok) {
+            bytes_written_ += out.size();
+            groups_durable_ = covers;
+        } else {
+            error_ = make_error(ErrorCode::IoError,
+                                "append failed on " + path_);
+        }
+        write_done_.notify_all();
+    }
+    if (groups_durable_ >= target)
+        return {};
+    return *error_;
 }
 
 Expected<void>
 JournalWriter::sync()
 {
-    if (unflushed_ == 0)
-        return {};
-    return flush();
+    std::unique_lock<std::mutex> lk(mu_);
+    if (error_)
+        return *error_;
+    return commit(lk);
 }
 
 Expected<void>
 JournalWriter::finalize()
 {
+    std::unique_lock<std::mutex> lk(mu_);
     VEGA_CHECK(file_, "finalize on a closed journal");
-    std::string trailer = std::string(kTrailerTag) +
-                          "records=" + std::to_string(records_) +
-                          " crc=" + crc32c_hex(rolling_.value()) + "\n";
-    buffer_ += trailer;
+    if (error_)
+        return *error_;
+    buffer_ += std::string(kTrailerTag) +
+               "records=" + std::to_string(records_) +
+               " crc=" + crc32c_hex(rolling_.value()) + "\n";
     ++unflushed_;
-    Expected<void> flushed = flush();
+    Expected<void> flushed = commit(lk);
     if (!flushed)
         return flushed;
     finalized_ = true;
     close();
-    return {};
-}
-
-Expected<void>
-JournalWriter::flush()
-{
-    VEGA_SPAN("campaign.journal_flush");
-    unflushed_ = 0;
-    ++flushes_;
-    static obs::Counter &flush_counter =
-        obs::counter("campaign.journal_flushes");
-    static obs::Counter &byte_counter =
-        obs::counter("campaign.journal_bytes");
-    flush_counter.inc();
-    if (buffer_.empty())
-        return {};
-    bool ok = file_ != nullptr &&
-              std::fwrite(buffer_.data(), 1, buffer_.size(), file_) ==
-                  buffer_.size();
-    ok = ok && std::fflush(file_) == 0;
-#ifdef VEGA_HAVE_FSYNC
-    // Group commit is only a durability boundary if the appended
-    // records hit stable storage, matching write_file_atomic.
-    ok = ok && fsync(fileno(file_)) == 0;
-#endif
-    if (!ok)
-        return make_error(ErrorCode::IoError,
-                          "append failed on " + path_);
-    bytes_written_ += buffer_.size();
-    byte_counter.add(buffer_.size());
-    buffer_.clear();
     return {};
 }
 

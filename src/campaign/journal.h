@@ -37,8 +37,13 @@
  * A crash can leave at most one torn final line plus the records
  * buffered since the last flush; resume drops the torn tail with a
  * warning and re-runs those jobs. Flush granularity is group-commit:
- * record() buffers, and the buffer is appended + fsynced every
- * @p flush_every records (default every record) plus once at sync().
+ * record() buffers, and every @p flush_every-th record (default every
+ * record) closes a group, which is appended and fsynced before that
+ * record() returns; sync() closes a partial group the same way.
+ *
+ * Concurrency: many threads may record() at once (see JournalWriter).
+ * Each renders and checksums its own line before taking the writer's
+ * lock, the producer-side checksum of the DAOS rule above.
  *
  * v1 files (no checksums) are refused with JournalCorrupt. The config
  * line fingerprints the campaign — including the shard split — and
@@ -47,9 +52,13 @@
  */
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/job.h"
@@ -134,8 +143,26 @@ Expected<JournalState> read_journal(const std::string &path,
                                     const JournalReadOptions &opts = {});
 
 /**
- * Appends checksummed job records with group-commit durability. Not
- * thread-safe; the campaign serializes appends behind a mutex.
+ * Appends checksummed job records with group-commit durability, from
+ * any number of threads at once.
+ *
+ * record() renders its line and the line's CRC32C on the calling
+ * thread, before taking any lock. The writer's mutex guards only the
+ * buffer append, the rolling checksum, the record count and the group
+ * bookkeeping. The group commit is leader/follower:
+ * - a record() that closes a group returns only once that group is on
+ *   disk, so `flush_every = 1` means "durable on return";
+ * - the caller whose record closes a group, finding no write running,
+ *   leads: it takes everything buffered so far, and writes and fsyncs
+ *   it outside the lock;
+ * - a caller that closes a group while that write runs waits, and its
+ *   record goes out with the next write;
+ * - callers that do not close a group never wait on I/O.
+ * One write runs at a time and takes the buffer whole, so file order
+ * is the rolling checksum's order. The first failed write is sticky:
+ * every later record(), sync() and finalize() returns it.
+ *
+ * open() and finalize() must not overlap other calls.
  */
 class JournalWriter
 {
@@ -170,30 +197,49 @@ class JournalWriter
     Expected<void> finalize();
 
     bool is_open() const { return file_ != nullptr; }
-    bool finalized() const { return finalized_; }
+    bool finalized() const { return locked(finalized_); }
     const std::string &path() const { return path_; }
 
     /** job + failed records written so far. */
-    uint64_t records() const { return records_; }
+    uint64_t records() const { return locked(records_); }
     /** Physical write batches (the initial rewrite plus appends). */
-    uint64_t flushes() const { return flushes_; }
+    uint64_t flushes() const { return locked(flushes_); }
     /** Total bytes written across those batches. */
-    uint64_t bytes_written() const { return bytes_written_; }
+    uint64_t bytes_written() const { return locked(bytes_written_); }
 
   private:
-    Expected<void> append_line(const std::string &body);
-    Expected<void> after_record();
-    Expected<void> flush();
+    /** Buffer one framed line; commit if it closes a group. */
+    Expected<void> append(std::string_view line);
+    /** Close the open group, if it holds anything, and return once
+     *  every closed group is on disk. */
+    Expected<void> commit(std::unique_lock<std::mutex> &lk);
     void close();
+    /** @p field, read under mu_. */
+    template <typename T>
+    T locked(const T &field) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return field;
+    }
 
     std::string path_;
     std::FILE *file_ = nullptr;
+    size_t flush_every_ = 1;
+
+    mutable std::mutex mu_;
+    /** Signalled, under mu_, when a write ends. */
+    std::condition_variable write_done_;
+    // Guarded by mu_.
     std::string buffer_;
     Crc32c rolling_;
-    size_t flush_every_ = 1;
-    size_t unflushed_ = 0;
-    bool finalized_ = false;
     uint64_t records_ = 0;
+    /** Records (and a trailer) in the open group. */
+    size_t unflushed_ = 0;
+    uint64_t groups_closed_ = 0;
+    uint64_t groups_durable_ = 0;
+    bool writing_ = false;
+    std::optional<VegaError> error_;
+    bool finalized_ = false;
     uint64_t flushes_ = 0;
     uint64_t bytes_written_ = 0;
 };

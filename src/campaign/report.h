@@ -109,8 +109,11 @@ struct CampaignTiming
     // time. Both pass times run from the campaign start, and they
     // overlap: a functional-unit campaign injects while it
     // characterizes. journal is the summed time inside journal
-    // record/seal calls (inside the simulate stage); aggregate covers
-    // report assembly.
+    // record/seal calls across workers (inside the simulate stage):
+    // rendering and checksumming each record, which the worker that
+    // settles it does, waiting for the writer's lock, and the
+    // group-commit writes a record that closes a group leads or waits
+    // for. aggregate covers report assembly.
     /** Campaign start to the last characterization verdict. */
     double characterize_seconds = 0.0;
     /** Campaign start to the last settled job. */

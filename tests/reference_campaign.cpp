@@ -4,16 +4,18 @@
 
 #include "campaign/wave.h"
 #include "common/logging.h"
+#include "mem/decoder_lift.h"
+#include "mem/mem_backend.h"
 
 namespace vega::campaign {
 
 namespace {
 
-/** The FU slot loop on one failing netlist (the scalar run_job). */
+/** The slot loop on one fault's engine (the scalar run_job). */
+template <typename FaultEngine>
 JobResult
-run_job(ModuleKind kind, const lift::FailingNetlist &failing,
-        const std::vector<runtime::TestCase> &suite, const JobSpec &spec,
-        bool corrupts)
+run_job(FaultEngine &engine, const std::vector<runtime::TestCase> &suite,
+        const JobSpec &spec, bool corrupts)
 {
     JobResult res;
     res.id = spec.id;
@@ -21,8 +23,6 @@ run_job(ModuleKind kind, const lift::FailingNetlist &failing,
     res.constant = spec.constant;
     res.policy = spec.policy;
 
-    NetlistEngine engine(kind, failing.netlist, failing.has_random_input,
-                         spec.seed);
     runtime::AgingLibraryOptions opt;
     opt.policy = spec.policy;
     opt.probability = spec.probability;
@@ -45,10 +45,14 @@ run_job(ModuleKind kind, const lift::FailingNetlist &failing,
     return res;
 }
 
-/** A fault's standalone netlist and its characterization verdict. */
+/**
+ * A fault's standalone netlist, or for a memory module its slow-gate
+ * class, and its characterization verdict.
+ */
 struct ReferenceFault
 {
     lift::FailingNetlist failing;
+    mem::MemFaultClass cls;
     bool corrupts = false;
 };
 
@@ -58,6 +62,14 @@ reference_fault(const HwModule &module,
                 const CampaignConfig &cfg, const JobSpec &spec)
 {
     ReferenceFault f;
+    if (is_mem_module(module.kind)) {
+        CellId gate = mem::pick_decoder_gate(
+            module.netlist, pairs[spec.pair_index].worst);
+        VEGA_CHECK(gate != kInvalidId, "no decode gate on worst path");
+        f.cls = mem::classify_slow_gate(module.netlist, gate);
+        f.corrupts = mem::mem_workload_corrupts(f.cls);
+        return f;
+    }
     f.failing = lift::build_failing_netlist(
         module.netlist, fault_spec(pairs[spec.pair_index], spec.constant));
     uint64_t idx = spec.pair_index * kFaultConstants.size() +
@@ -66,6 +78,19 @@ reference_fault(const HwModule &module,
                                    f.failing.has_random_input,
                                    job_stream(~cfg.seed, idx));
     return f;
+}
+
+JobResult
+run_fault(ModuleKind kind, const ReferenceFault &f,
+          const std::vector<runtime::TestCase> &suite, const JobSpec &spec)
+{
+    if (is_mem_module(kind)) {
+        mem::MarchEngine engine(f.cls);
+        return run_job(engine, suite, spec, f.corrupts);
+    }
+    NetlistEngine engine(kind, f.failing.netlist, f.failing.has_random_input,
+                         spec.seed);
+    return run_job(engine, suite, spec, f.corrupts);
 }
 
 } // namespace
@@ -138,8 +163,8 @@ reference_job(const HwModule &module,
               const std::vector<runtime::TestCase> &suite,
               const CampaignConfig &cfg, const JobSpec &spec)
 {
-    ReferenceFault f = reference_fault(module, pairs, cfg, spec);
-    return run_job(module.kind, f.failing, suite, spec, f.corrupts);
+    return run_fault(module.kind, reference_fault(module, pairs, cfg, spec),
+                     suite, spec);
 }
 
 std::vector<JobResult>
@@ -161,8 +186,7 @@ reference_campaign(const HwModule &module,
                      .emplace(key,
                               reference_fault(module, pairs, cfg, spec))
                      .first;
-        out.push_back(run_job(module.kind, it->second.failing, suite, spec,
-                              it->second.corrupts));
+        out.push_back(run_fault(module.kind, it->second, suite, spec));
     }
     return out;
 }

@@ -64,7 +64,9 @@ JobSpec reference_spec(const CampaignConfig &cfg, size_t npairs,
 /**
  * Job @p spec of campaign @p cfg run standalone: its fault's failing
  * netlist, its characterization probe, then the slot loop on a fresh
- * NetlistEngine. attempts is 1.
+ * NetlistEngine. A memory module's job classifies its pair's slow
+ * decoder gate on its own and runs the slot loop on a fresh
+ * mem::MarchEngine. attempts is 1.
  */
 JobResult reference_job(const HwModule &module,
                         const std::vector<sta::EndpointPair> &pairs,

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.h"
+#include "campaign/journal.h"
 #include "common/logging.h"
 #include "cpu/alu_ops.h"
 #include "fleet/fault_matrix.h"
 #include "mem/decoder_lift.h"
 #include "mem/mem_backend.h"
 #include "obs/metrics.h"
+#include "reference_campaign.h"
 #include "rtl/memdec.h"
 #include "runtime/suite_io.h"
 #include "sim/batch_sim.h"
@@ -620,6 +622,127 @@ TEST(MemCampaign, UncharacterizableFaultQuarantinesOnlyItsJobs)
             first_json = json;
         EXPECT_EQ(json, first_json) << threads << " threads";
     }
+}
+
+TEST(MemCampaign, JobsMatchPerSlotReference)
+{
+    MemLifted m = lift_three_pairs();
+    ASSERT_FALSE(m.suite.empty());
+    ASSERT_FALSE(m.pairs.empty());
+
+    // The reference classifies every (pair, C) slot on its own and runs
+    // each job alone on a fresh march engine; the campaign classifies
+    // once per decoder gate and runs 64-job batches.
+    campaign::CampaignConfig cc;
+    cc.seed = 5;
+    cc.num_jobs = 150;
+    std::vector<campaign::JobResult> want =
+        campaign::reference_campaign(m.module, m.pairs, m.suite, cc);
+    for (size_t threads : {1, 4}) {
+        cc.threads = threads;
+        campaign::CampaignReport rep =
+            campaign::run_campaign(m.module, m.pairs, m.suite, cc);
+        ASSERT_EQ(rep.jobs.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(campaign::render_record(rep.jobs[i]),
+                      campaign::render_record(want[i]))
+                << threads << " threads";
+    }
+}
+
+TEST(MemCampaign, HookThrowQuarantinesOnlyThatJob)
+{
+    MemLifted m = lift_three_pairs();
+    ASSERT_FALSE(m.suite.empty());
+    ASSERT_FALSE(m.pairs.empty());
+
+    // 150 jobs: two full 64-job march batches and a partial one, each
+    // holding poisoned and healthy jobs.
+    campaign::CampaignConfig cc;
+    cc.seed = 7;
+    cc.num_jobs = 150;
+    cc.job_fault_hook = [](const campaign::JobSpec &spec) {
+        if (spec.id % 5 == 0)
+            throw std::runtime_error("hook poisoned job " +
+                                     std::to_string(spec.id));
+    };
+    std::string first_json;
+    for (size_t threads : {1, 4}) {
+        cc.threads = threads;
+        campaign::CampaignReport rep =
+            campaign::run_campaign(m.module, m.pairs, m.suite, cc);
+        ASSERT_EQ(rep.failed_jobs.size(), 30u);
+        for (size_t i = 0; i < rep.failed_jobs.size(); ++i) {
+            const campaign::FailedJob &f = rep.failed_jobs[i];
+            EXPECT_EQ(f.id, 5 * i);
+            EXPECT_EQ(f.attempts, 1u);
+            EXPECT_EQ(f.error.code, ErrorCode::JobFailed);
+            EXPECT_EQ(f.error.context,
+                      "hook poisoned job " + std::to_string(f.id));
+        }
+        // Every other job of those batches ran to completion.
+        ASSERT_EQ(rep.jobs.size(), 120u);
+        for (const campaign::JobResult &j : rep.jobs) {
+            EXPECT_NE(j.id % 5, 0u) << j.id;
+            EXPECT_EQ(j.attempts, 1u);
+        }
+        std::string json = rep.to_json(false);
+        if (first_json.empty())
+            first_json = json;
+        EXPECT_EQ(json, first_json) << threads << " threads";
+    }
+}
+
+TEST(MemCampaign, JournaledStopAndResumeIsByteIdentical)
+{
+    MemLifted m = lift_three_pairs();
+    ASSERT_FALSE(m.suite.empty());
+    ASSERT_FALSE(m.pairs.empty());
+    std::string journal = testing::TempDir() + "vega_mem_resume.journal";
+    std::remove(journal.c_str());
+
+    // 200 jobs: three 64-job march batches and a partial fourth of 8.
+    campaign::CampaignConfig cc;
+    cc.seed = 11;
+    cc.num_jobs = 200;
+    cc.threads = 4;
+    campaign::CampaignReport ref =
+        campaign::run_campaign(m.module, m.pairs, m.suite, cc);
+    ASSERT_EQ(ref.jobs.size(), 200u);
+
+    // Stop after 100 jobs, in the middle of the second batch.
+    campaign::CampaignConfig stopped = cc;
+    stopped.journal_path = journal;
+    stopped.journal_flush_every = 7;
+    stopped.stop_after_jobs = 100;
+    Expected<campaign::CampaignReport> partial =
+        campaign::try_run_campaign(m.module, m.pairs, m.suite, stopped);
+    ASSERT_TRUE(partial.ok()) << partial.error().to_string();
+    EXPECT_GE(partial->jobs.size(), 100u);
+    EXPECT_LT(partial->jobs.size(), 200u);
+    campaign::JournalReadOptions strict;
+    strict.require_trailer = true;
+    Expected<campaign::JournalState> open_state =
+        campaign::read_journal(journal, strict);
+    ASSERT_FALSE(open_state.ok());
+    EXPECT_EQ(open_state.error().code, ErrorCode::ShardIncomplete);
+
+    campaign::CampaignConfig resumed = stopped;
+    resumed.stop_after_jobs = 0;
+    resumed.resume = true;
+    Expected<campaign::CampaignReport> full =
+        campaign::try_run_campaign(m.module, m.pairs, m.suite, resumed);
+    ASSERT_TRUE(full.ok()) << full.error().to_string();
+    EXPECT_EQ(full->to_json(false), ref.to_json(false));
+
+    // The resumed run sealed the journal, and its trailer verifies.
+    Expected<campaign::JournalState> sealed =
+        campaign::read_journal(journal, strict);
+    ASSERT_TRUE(sealed.ok()) << sealed.error().to_string();
+    EXPECT_TRUE(sealed->has_trailer);
+    EXPECT_EQ(sealed->records, 200u);
+    EXPECT_EQ(sealed->completed.size(), 200u);
+    std::remove(journal.c_str());
 }
 
 TEST(MemFleet, FaultMatrixScreensWithMarchSuite)
