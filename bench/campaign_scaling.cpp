@@ -126,7 +126,6 @@ main(int argc, char **argv)
         obs::kv(json, "sims_per_sec", t.sims_per_sec);
         obs::kv(json, "speedup",
                 base_jps > 0 ? t.jobs_per_sec / base_jps : 0.0);
-        obs::kv(json, "steals", t.steals);
         obs::kv(json, "characterize_seconds", t.characterize_seconds);
         obs::kv(json, "simulate_seconds", t.simulate_seconds);
         obs::kv(json, "journal_seconds", t.journal_seconds);

@@ -2,7 +2,7 @@
  * @file
  * CLI driver for the fault-injection campaign engine: runs the Vega
  * workflow on a chosen functional unit, then fans a Monte Carlo
- * injection campaign out over a work-stealing thread pool and writes
+ * injection campaign out over a thread pool and writes
  * the structured CampaignReport as JSON.
  *
  *   vega_campaign --module alu --jobs 512 --threads 8 \
@@ -417,10 +417,9 @@ main(int argc, char **argv)
     std::printf("  mean detection latency %.2f scheduler slots\n",
                 report.mean_latency_slots());
     std::printf("  %.2fs wall, %.1f jobs/s, %.0f sims/s, %zu "
-                "threads, %llu steals, peak queue %llu\n",
+                "threads, peak queue %llu\n",
                 report.timing.wall_seconds, report.timing.jobs_per_sec,
                 report.timing.sims_per_sec, report.timing.threads,
-                (unsigned long long)report.timing.steals,
                 (unsigned long long)report.timing.peak_queue_depth);
     if (report.timing.journal_flushes)
         std::printf("  journal: %llu flushes, %llu bytes\n",

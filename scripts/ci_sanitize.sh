@@ -26,7 +26,7 @@ cmake --build "$build" -j "$jobs"
 # The observability layer, the fleet simulator, and the sharded
 # journal/aggregator stack are the most concurrency- and
 # integrity-critical code in the tree (sharded counters, trace rings,
-# the lock-light pool, the chunked device fan-out, checksummed
+# the FIFO thread pool, the chunked device fan-out, checksummed
 # crash-safe journals); run their focused tests first so a data race
 # or torn-write bug there fails fast and readably. The JSON writer's
 # golden-bytes and escaping tests ride along: every report, manifest
@@ -158,13 +158,13 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 # Concurrency pass under ThreadSanitizer (its own tree: TSan cannot
 # share a process with ASan). Focused on the code where a missed lock
 # becomes silent corruption — the campaign engine's wave and march
-# batch dispatch (MemCampaign lives in vega_mem_tests, so that binary is
-# built too), the journal's concurrent recorders and their
-# leader/follower group commit, the fleet fault matrix's wave tasks (which
-# write into shared per-class slots), the fleet device pass (whose
-# pool workers write per-chunk partial reports and per-device
-# overheads), the work-stealing pool, the sharded aggregator, and the
-# observability counters/rings. The
+# batch dispatch, the journal's concurrent recorders and their
+# leader/follower group commit, the fleet fault matrix's wave and
+# march tasks (which write into shared per-class slots; MemCampaign
+# and MemFleet live in vega_mem_tests, so that binary is built too),
+# the fleet device pass (whose pool workers write per-chunk partial
+# reports and per-device overheads), the thread pool's one queue, the
+# sharded aggregator, and the observability counters/rings. The
 # CoverBatch and CheckCover entries run the cover-solving corpus tests
 # (seeded target-order permutations against tests/reference_bmc.cpp);
 # cover solving spawns no threads of its own, so they run on one thread.
@@ -175,6 +175,6 @@ cmake -S "$repo" -B "$tsan" \
 cmake --build "$tsan" -j "$jobs" --target vega_tests vega_mem_tests
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}" \
     ctest --test-dir "$tsan" --output-on-failure \
-    -R 'Campaign|WaveCampaign|FleetMatrix|FleetSim|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover|Journal' \
+    -R 'Campaign|WaveCampaign|FleetMatrix|FleetSim|MemFleet|ThreadPool|ShardFleet|Obs|CoverBatch|CheckCover|Journal' \
     -j "$jobs"
 echo "ci_sanitize: ThreadSanitizer campaign/journal/fleet/pool/cover-batch pass clean"

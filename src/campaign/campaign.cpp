@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
-#include <latch>
 #include <mutex>
 #include <optional>
 
@@ -395,8 +394,7 @@ try_run_campaign(const HwModule &module,
     };
 
     auto settle_failed = [&](uint64_t id, size_t pair_index,
-                             uint32_t attempts, VegaError error,
-                             bool meter_tick) {
+                             uint32_t attempts, VegaError error) {
         FailedJob f;
         f.id = id;
         f.pair_index = pair_index;
@@ -408,7 +406,7 @@ try_run_campaign(const HwModule &module,
             ++settled_this_run;
         }
         journal_record(f);
-        if (meter_tick && meter)
+        if (meter)
             meter->job_done(0);
     };
 
@@ -438,19 +436,16 @@ try_run_campaign(const HwModule &module,
                 settle_failed(s.id, s.pair_index, 0,
                               make_error(ErrorCode::JobFailed,
                                          "characterization: " +
-                                             char_error[idx]),
-                              false);
+                                             char_error[idx]));
             } else if (!run.hook_error.empty() &&
                        !run.hook_error[k].empty()) {
                 settle_failed(s.id, s.pair_index, 1,
                               make_error(ErrorCode::JobFailed,
-                                         run.hook_error[k]),
-                              true);
+                                         run.hook_error[k]));
             } else if (!run.exec_error.empty()) {
                 settle_failed(s.id, s.pair_index, 1,
                               make_error(ErrorCode::JobFailed,
-                                         run.exec_error),
-                              true);
+                                         run.exec_error));
             } else {
                 JobResult jr = *ran;
                 jr.corrupts_workload = corrupts[idx] != 0;
@@ -460,13 +455,11 @@ try_run_campaign(const HwModule &module,
         }
     };
 
-    // Injection batches are queued only once a worker has taken every
-    // characterization batch: the pool promises no order, so queued
-    // side by side a probe wave could run last.
-    std::latch char_taken{std::ptrdiff_t(char_batches.size())};
+    // Characterization batches are queued first, and the pool starts
+    // tasks in submit order, so every probe wave starts before any
+    // injection batch.
     for (size_t b = 0; b < char_batches.size(); ++b) {
         pool.submit([&, b] {
-            char_taken.count_down();
             {
                 VEGA_SPAN("campaign.characterize");
                 const std::vector<size_t> &batch = char_batches[b];
@@ -497,8 +490,6 @@ try_run_campaign(const HwModule &module,
     // campaigns characterize first.
     if (mem_module)
         pool.wait_idle();
-    else
-        char_taken.wait();
     if (char_batches.empty())
         characterize_wall = since_start();
 
@@ -613,7 +604,6 @@ try_run_campaign(const HwModule &module,
     report.timing.sims_per_sec =
         wall > 0 ? double(cycles_this_run) / wall : 0.0;
     report.timing.threads = pool.size();
-    report.timing.steals = pool.steals();
     report.timing.peak_queue_depth = pool.peak_queued();
     report.timing.journal_flushes = journal.flushes();
     report.timing.journal_bytes = journal.bytes_written();

@@ -5,7 +5,7 @@
  * A campaign takes the artifacts of a Vega workflow run — the lifted
  * endpoint pairs and the generated runtime suite — and fans out over
  * (failing netlist × stimulus seed × schedule policy) jobs on a
- * work-stealing thread pool. Every unique fault — the logical failure
+ * FIFO thread pool. Every unique fault — the logical failure
  * model (§3.3.1) — is spliced into one fault-bank copy of the module,
  * and characterization probes once per fault whether it silently
  * corrupts a representative workload. Each job runs the aging library

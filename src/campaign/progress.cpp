@@ -101,43 +101,4 @@ ProgressMeter::render_line() const
     return buf;
 }
 
-uint64_t
-ProgressMeter::jobs_done() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return done_;
-}
-
-uint64_t
-ProgressMeter::sim_cycles() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return cycles_;
-}
-
-double
-ProgressMeter::elapsed_seconds() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return std::chrono::duration<double>(Clock::now() - start_).count();
-}
-
-double
-ProgressMeter::jobs_per_sec() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    double secs = std::chrono::duration<double>(Clock::now() - start_)
-                      .count();
-    return secs > 0 ? double(done_) / secs : 0.0;
-}
-
-double
-ProgressMeter::sims_per_sec() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    double secs = std::chrono::duration<double>(Clock::now() - start_)
-                      .count();
-    return secs > 0 ? double(cycles_) / secs : 0.0;
-}
-
 } // namespace vega::campaign

@@ -41,20 +41,12 @@ class ProgressMeter
     /** Emit the final summary line unconditionally. */
     void finish();
 
-    uint64_t jobs_done() const;
-    uint64_t sim_cycles() const;
-    double elapsed_seconds() const;
-    /** Completed jobs per wall second so far. */
-    double jobs_per_sec() const;
-    /** Simulated gate-level cycles per wall second so far. */
-    double sims_per_sec() const;
-
   private:
     std::string render_line() const; ///< callers hold mu_
 
     using Clock = std::chrono::steady_clock;
 
-    mutable std::mutex mu_;
+    std::mutex mu_;
     uint64_t total_;
     std::chrono::milliseconds interval_;
     Sink sink_;

@@ -112,7 +112,6 @@ CampaignReport::to_json(bool include_timing, bool include_jobs) const
         kv(out, "jobs_per_sec", timing.jobs_per_sec);
         kv(out, "sims_per_sec", timing.sims_per_sec);
         kv(out, "threads", uint64_t(timing.threads));
-        kv(out, "steals", timing.steals);
         kv(out, "peak_queue_depth", timing.peak_queue_depth);
         kv(out, "journal_flushes", timing.journal_flushes);
         kv(out, "journal_bytes", timing.journal_bytes);

@@ -96,8 +96,10 @@ struct CampaignTiming
     double jobs_per_sec = 0.0;
     double sims_per_sec = 0.0;
     size_t threads = 1;
+    /** Always 0: the pool has one FIFO queue and nothing to steal.
+     *  Kept only for perfbench's `campaign.steals` metric. */
     uint64_t steals = 0;
-    /** High-water mark of tasks waiting in pool queues. */
+    /** High-water mark of tasks waiting in the pool's queue. */
     uint64_t peak_queue_depth = 0;
     /** Journal write batches: the atomic write that opens the journal,
      *  then one per appended group commit (0 when journaling is off). */

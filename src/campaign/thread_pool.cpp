@@ -1,21 +1,15 @@
 #include "campaign/thread_pool.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace vega::campaign {
 
 namespace {
 
-/** Which pool (and worker slot) the current thread belongs to. */
-thread_local const ThreadPool *tl_pool = nullptr;
-thread_local size_t tl_worker = 0;
-
-obs::Gauge &
-queue_depth_gauge()
-{
-    static obs::Gauge &g = obs::gauge("campaign.queue_depth");
-    return g;
-}
+/** Worker slot of the current thread; -1 off the pool. */
+thread_local int tl_worker = -1;
 
 } // namespace
 
@@ -26,12 +20,9 @@ ThreadPool::ThreadPool(size_t num_threads)
         if (num_threads == 0)
             num_threads = 1;
     }
-    queues_.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this, i] { worker_loop(i); });
+        workers_.emplace_back([this, i] { worker_loop(int(i)); });
 }
 
 ThreadPool::~ThreadPool()
@@ -48,93 +39,42 @@ ThreadPool::~ThreadPool()
 int
 ThreadPool::current_worker()
 {
-    return tl_pool ? int(tl_worker) : -1;
+    return tl_worker;
 }
 
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    size_t wid = tl_pool == this ? tl_worker
-                                 : rr_.fetch_add(1) % queues_.size();
-    // Count before pushing so a worker can never decrement queued_
-    // below the number of visible tasks.
-    pending_.fetch_add(1);
-    uint64_t q = queued_.fetch_add(1) + 1;
-    uint64_t peak = peak_queued_.load(std::memory_order_relaxed);
-    while (q > peak && !peak_queued_.compare_exchange_weak(peak, q))
-        ;
-    queue_depth_gauge().record_max(int64_t(q));
-    {
-        std::lock_guard<std::mutex> lk(queues_[wid]->mu);
-        queues_[wid]->tasks.push_back(std::move(task));
-    }
-    // Empty critical section: orders the queued_ increment against a
-    // worker that checked the wait predicate and is about to sleep, so
-    // the notify below can never be lost.
+    size_t depth = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
+        queue_.push_back(std::move(task));
+        depth = queue_.size();
+        peak_queued_ = std::max<uint64_t>(peak_queued_, depth);
     }
+    static obs::Gauge &depth_gauge = obs::gauge("campaign.queue_depth");
+    depth_gauge.record_max(int64_t(depth));
     work_cv_.notify_one();
 }
 
-bool
-ThreadPool::take_task(size_t wid, std::function<void()> &out)
-{
-    {
-        WorkerQueue &own = *queues_[wid];
-        std::lock_guard<std::mutex> lk(own.mu);
-        if (!own.tasks.empty()) {
-            out = std::move(own.tasks.back());
-            own.tasks.pop_back();
-            queued_.fetch_sub(1);
-            return true;
-        }
-    }
-    for (size_t i = 1; i < queues_.size(); ++i) {
-        WorkerQueue &victim = *queues_[(wid + i) % queues_.size()];
-        std::lock_guard<std::mutex> lk(victim.mu);
-        if (!victim.tasks.empty()) {
-            out = std::move(victim.tasks.front());
-            victim.tasks.pop_front();
-            queued_.fetch_sub(1);
-            steals_.fetch_add(1);
-            static obs::Counter &steal_counter =
-                obs::counter("campaign.steals");
-            steal_counter.inc();
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::worker_loop(size_t wid)
+ThreadPool::worker_loop(int wid)
 {
-    tl_pool = this;
     tl_worker = wid;
+    std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
-        std::function<void()> task;
-        if (take_task(wid, task)) {
-            task();
-            executed_.fetch_add(1);
-            // Publish completion; wake wait_idle() only on the last
-            // task, and a sleeping sibling only when a finished task
-            // spawned new work.
-            if (pending_.fetch_sub(1) == 1) {
-                std::lock_guard<std::mutex> lk(mu_);
-                idle_cv_.notify_all();
-            }
-            if (queued_.load() > 0)
-                work_cv_.notify_one();
-        } else {
-            std::unique_lock<std::mutex> lk(mu_);
-            if (stop_)
-                return;
-            work_cv_.wait(
-                lk, [&] { return stop_ || queued_.load() > 0; });
-            if (stop_)
-                return;
-        }
+        work_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+        if (queue_.empty())
+            return; // stopping, and nothing left to run
+        std::function<void()> task = std::move(queue_.front());
+        queue_.pop_front();
+        ++running_;
+        lk.unlock();
+        task();
+        task = nullptr; // release its captures outside the lock
+        lk.lock();
+        if (--running_ == 0 && queue_.empty())
+            idle_cv_.notify_all();
     }
 }
 
@@ -142,7 +82,14 @@ void
 ThreadPool::wait_idle()
 {
     std::unique_lock<std::mutex> lk(mu_);
-    idle_cv_.wait(lk, [&] { return pending_.load() == 0; });
+    idle_cv_.wait(lk, [&] { return queue_.empty() && running_ == 0; });
+}
+
+uint64_t
+ThreadPool::peak_queued() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return peak_queued_;
 }
 
 } // namespace vega::campaign

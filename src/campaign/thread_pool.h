@@ -1,30 +1,24 @@
 /**
  * @file
- * Work-stealing thread pool for campaign fan-out.
+ * FIFO thread pool for campaign fan-out.
  *
- * Each worker owns a deque: it pushes and pops work at the back (LIFO,
- * cache-friendly for nested submits) and victims are robbed from the
- * front (FIFO, steals the oldest — largest — subtrees). Tasks submitted
- * from outside the pool are sprayed round-robin across the queues;
- * tasks submitted from inside a worker land on that worker's own deque.
+ * One queue under one mutex: tasks start in submit order, whichever
+ * thread submits them (a task a worker submits queues behind every
+ * task already waiting). A run queues at most a few thousand coarse
+ * tasks — 64-lane waves, 64-job march batches, 2048-device fleet
+ * chunks, each 0.1 ms of work or more — so the lock is held for a push
+ * or a pop a few thousand times per run, never long enough to matter.
  *
- * The fast path is lock-light: submit touches only the target queue's
- * mutex (plus an empty critical section on the global mutex to
- * publish the wakeup), and a worker that finds work never takes the
- * global mutex at all — it is acquired only to go to sleep or to
- * signal the pending count hitting zero.
- *
- * The pool makes no ordering promises, so campaign determinism never
- * relies on it: jobs write results into slots keyed by job id.
+ * Start order is the only promise; completion order is arbitrary, so
+ * campaign determinism never relies on it: jobs write results into
+ * slots keyed by job id.
  */
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,6 +30,7 @@ class ThreadPool
   public:
     /** Spawns @p num_threads workers (0 ⇒ hardware_concurrency). */
     explicit ThreadPool(size_t num_threads);
+    /** Runs every queued task, then joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -43,18 +38,18 @@ class ThreadPool
 
     size_t size() const { return workers_.size(); }
 
-    /** Enqueue @p task; it may start before submit returns. */
+    /**
+     * Enqueue @p task behind every task submitted before it; it may
+     * start before submit returns. A task must not throw: an exception
+     * that escapes it ends the program.
+     */
     void submit(std::function<void()> task);
 
     /** Block until every submitted task has finished. */
     void wait_idle();
 
-    /** Tasks completed over the pool's lifetime. */
-    uint64_t executed() const { return executed_.load(); }
-    /** Tasks a worker took from another worker's deque. */
-    uint64_t steals() const { return steals_.load(); }
-    /** High-water mark of tasks waiting in queues. */
-    uint64_t peak_queued() const { return peak_queued_.load(); }
+    /** High-water mark of tasks waiting in the queue. */
+    uint64_t peak_queued() const;
 
     /**
      * Worker slot of the calling thread in the pool it belongs to, or
@@ -64,30 +59,18 @@ class ThreadPool
     static int current_worker();
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mu;
-        std::deque<std::function<void()>> tasks;
-    };
+    void worker_loop(int wid);
 
-    void worker_loop(size_t wid);
-    /** Pop from own back, else steal from another front. */
-    bool take_task(size_t wid, std::function<void()> &out);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-
-    std::mutex mu_; ///< guards sleeping workers and stop_
-    std::condition_variable work_cv_;
-    std::condition_variable idle_cv_;
+    mutable std::mutex mu_; ///< guards the members up to workers_
+    std::condition_variable work_cv_; ///< queue_ non-empty, or stop_
+    std::condition_variable idle_cv_; ///< queue_ empty, running_ 0
+    std::deque<std::function<void()>> queue_;
+    size_t running_ = 0; ///< tasks taken, not yet finished
+    uint64_t peak_queued_ = 0;
     bool stop_ = false;
 
-    std::atomic<uint64_t> pending_{0}; ///< submitted, not yet finished
-    std::atomic<uint64_t> queued_{0};  ///< submitted, not yet taken
-    std::atomic<uint64_t> executed_{0};
-    std::atomic<uint64_t> steals_{0};
-    std::atomic<uint64_t> peak_queued_{0};
-    std::atomic<size_t> rr_{0};
+    /** Last: the workers use every member above. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace vega::campaign

@@ -119,7 +119,8 @@ build_fault_matrix(const HwModule &module,
     // splitmix64 stream seeds the probe with its first draw and test t
     // with draw t + 2. Probes and tests run in separate waves, because
     // a pass costs the same however many lanes it fills and a probe
-    // runs ~100x longer than a test.
+    // runs ~100x longer than a test. The probe waves are queued first,
+    // so the pool starts them before any screen wave.
     campaign::ThreadPool pool(threads);
     campaign::WaveContext ctx;
     std::vector<campaign::Episode> probes, screens; // screens class-major

@@ -304,7 +304,7 @@ run_fleet(const FleetConfig &raw, const FaultMatrix &matrix)
 
     const RunConstants k = run_constants(cfg, matrix);
     // Chunked fan-out: per-device work is well under a microsecond, so
-    // batching keeps the submit/steal machinery off the critical path.
+    // batching keeps the pool's queue off the critical path.
     // Each chunk folds its devices into its own partial; only the
     // realized overheads, summed in id order below, outlive a chunk.
     constexpr uint64_t kChunk = 2048;
@@ -335,7 +335,6 @@ run_fleet(const FleetConfig &raw, const FaultMatrix &matrix)
     report.timing.wall_seconds =
         std::chrono::duration<double>(t1 - t0).count();
     report.timing.threads = pool.size();
-    report.timing.steals = pool.steals();
     if (report.timing.wall_seconds > 0)
         report.timing.device_epochs_per_sec =
             double(report.device_epochs) / report.timing.wall_seconds;

@@ -236,7 +236,6 @@ FleetReport::to_json(bool include_timing) const
         kv(out, "wall_seconds", timing.wall_seconds);
         kv(out, "device_epochs_per_sec", timing.device_epochs_per_sec);
         kv(out, "threads", uint64_t(timing.threads));
-        kv(out, "steals", timing.steals);
         kv(out, "workflow_seconds", timing.workflow_seconds);
         kv(out, "matrix_seconds", timing.matrix_seconds, false);
         out += '}';

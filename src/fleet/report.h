@@ -85,7 +85,6 @@ struct FleetTiming
     double wall_seconds = 0.0;
     double device_epochs_per_sec = 0.0;
     size_t threads = 1;
-    uint64_t steals = 0;
     /** Stages before run_fleet, filled by a caller that times them
      *  (vega_fleet); 0 otherwise. */
     double workflow_seconds = 0.0;

@@ -1,7 +1,6 @@
 #include "lift/error_lifting.h"
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "formal/cover_batch.h"
 #include "lift/fuzz_lifting.h"
 #include "obs/metrics.h"
@@ -42,11 +41,9 @@ LiftResult::suite_cycles() const
 }
 
 runtime::Detection
-replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
-                 bool has_random_input, uint64_t seed)
+replay_on_module(const runtime::TestCase &tc, const Netlist &netlist)
 {
     BatchSimulator sim(netlist);
-    Rng rng(seed);
     bool is_fpu = tc.module == ModuleKind::Fpu32;
 
     size_t n = tc.stimulus.size();
@@ -72,8 +69,6 @@ replay_on_module(const runtime::TestCase &tc, const Netlist &netlist,
             sim.set_bus_all("valid", BitVec(1, 0));
             sim.set_bus_all("clear", BitVec(1, 0));
         }
-        if (has_random_input)
-            sim.set_bus_all("fm_rand", BitVec(1, rng.next() & 1));
         if (t >= 2) {
             size_t k = t - 2;
             r_out[k] = uint32_t(sim.bus_value("r", 0).to_u64());

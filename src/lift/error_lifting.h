@@ -111,12 +111,12 @@ LiftResult run_error_lifting(const HwModule &module,
 /**
  * Replay a test's module-level stimulus on a (failing) netlist from
  * reset and report whether any software-observable output deviates from
- * the golden expectations. Used both for FC validation during lifting
- * and for the Table 6/7 quality evaluation.
+ * the golden expectations. Inputs the stimulus does not name (a random
+ * failure model's fm_rand) stay 0. Lifting uses it for FC validation;
+ * the Table 6/7 quality evaluation runs its suites as waves instead
+ * (bench/quality.h).
  */
 runtime::Detection replay_on_module(const runtime::TestCase &tc,
-                                    const Netlist &netlist,
-                                    bool has_random_input = false,
-                                    uint64_t seed = 1);
+                                    const Netlist &netlist);
 
 } // namespace vega::lift

@@ -287,12 +287,10 @@ TEST(WaveCampaign, AluJobsMatchReferenceAtAnyThreadCount)
 
 TEST(WaveCampaign, OneWorkerCharacterizesBeforeInjecting)
 {
-    // Probe and injection waves share the pool, and injection batches
-    // are queued only once a worker has taken every probe wave. On one
-    // worker the probe therefore runs first and no batch waits for a
-    // verdict; queued any earlier, the pool's LIFO pop would run an
-    // injection batch first and park it. Either way the report is the
-    // same bytes as a 4-thread run's.
+    // Probe and injection waves share the pool, which starts tasks in
+    // submit order, and the probe waves are queued first. On one worker
+    // the probe therefore runs first and no batch waits for a verdict.
+    // Either way the report is the same bytes as a 4-thread run's.
     const WaveEnv &e = alu_env();
     CampaignConfig cfg = base_config(99, 1);
     cfg.num_jobs = 4 * kWaveLanes;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
 #include "common/logging.h"
@@ -599,13 +601,31 @@ TEST(MemCampaign, UncharacterizableFaultQuarantinesOnlyItsJobs)
     campaign::CampaignConfig cc;
     cc.seed = 7;
     cc.num_jobs = 24;
+    // Workers call the sink, so the lines are kept under a mutex.
+    std::mutex lines_mu;
+    std::vector<std::string> lines;
+    cc.progress_interval = std::chrono::milliseconds(0);
+    cc.progress_sink = [&](const std::string &line) {
+        std::lock_guard<std::mutex> lk(lines_mu);
+        lines.push_back(line);
+    };
     const size_t npairs = m.pairs.size();
     const size_t pair0_jobs = (cc.num_jobs + npairs - 1) / npairs;
     std::string first_json;
     for (size_t threads : {1, 4}) {
         cc.threads = threads;
+        lines.clear();
         campaign::CampaignReport rep =
             campaign::run_campaign(m.module, m.pairs, m.suite, cc);
+        // The meter counts 6 fault verdicts (3 pairs x 2 constants)
+        // and 24 jobs; a quarantined job ticks it like any other.
+        bool reached_end = false;
+        for (const std::string &line : lines)
+            reached_end = reached_end ||
+                          line.find("30/30 jobs (100.0%)") !=
+                              std::string::npos;
+        EXPECT_TRUE(reached_end) << threads << " threads, last line: "
+                                 << (lines.empty() ? "" : lines.back());
         ASSERT_EQ(rep.failed_jobs.size(), pair0_jobs);
         for (const campaign::FailedJob &f : rep.failed_jobs) {
             EXPECT_EQ(f.pair_index, 0u);

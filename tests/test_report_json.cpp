@@ -101,7 +101,6 @@ TEST(JsonGolden, CampaignReportBytes)
     r.timing.jobs_per_sec = 1e15;
     r.timing.sims_per_sec = 123456789.125;
     r.timing.threads = 4;
-    r.timing.steals = 7;
     r.timing.peak_queue_depth = 9;
     r.timing.journal_flushes = 2;
     r.timing.journal_bytes = 4096;
@@ -143,7 +142,7 @@ TEST(JsonGolden, CampaignReportBytes)
               R"("code":"job-failed","context":"say \"hi\" \\ then\nnext\rcr\)"
               R"(ttab\u0001end"}],"timing":{"wall_seconds":1.5,)"
               R"("jobs_per_sec":1e+15,"sims_per_sec":123456789,"threads":4,)"
-              R"("steals":7,"peak_queue_depth":9,"journal_flushes":2,)"
+              R"("peak_queue_depth":9,"journal_flushes":2,)"
               R"("journal_bytes":4096,"characterize_seconds":2,)"
               R"("simulate_seconds":2.5e-07,"journal_seconds":0,)"
               R"("aggregate_seconds":123456789012345}})");
@@ -251,7 +250,6 @@ TEST(JsonGolden, FleetReportBytes)
     r.timing.wall_seconds = 0.125;
     r.timing.device_epochs_per_sec = 12345.678;
     r.timing.threads = 2;
-    r.timing.steals = 1;
     r.timing.workflow_seconds = 1.0 / 3.0;
     r.timing.matrix_seconds = 2.0;
 
@@ -307,7 +305,7 @@ TEST(JsonGolden, FleetReportBytes)
               R"("corruptions":0,"prevented_corruptions":1,)"
               R"("outcome":"detected-before-corruption"}]},)"
               R"("timing":{"wall_seconds":0.125,)"
-              R"("device_epochs_per_sec":12345.678,"threads":2,"steals":1,)"
+              R"("device_epochs_per_sec":12345.678,"threads":2,)"
               R"("workflow_seconds":0.333333333,"matrix_seconds":2}})");
     EXPECT_EQ(r.to_json(false),
               R"({"fleet":{"module":"alu32","seed":3,"num_devices":6,)"
