@@ -8,8 +8,11 @@
 #
 #   scripts/ci_sanitize.sh [extra ctest args...]
 #
-# Uses the `sanitize` preset from CMakePresets.json when the local
-# CMake is new enough, and falls back to explicit flags otherwise.
+# Configures with explicit -D flags rather than CMake presets, so any
+# CMake the project builds with can run it. The flags match the
+# `sanitize` and `tsan` presets in CMakePresets.json, and the TSan pass
+# at the end uses the same test filter as the `tsan` test preset; keep
+# the two filters equal.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

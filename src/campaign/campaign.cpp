@@ -632,15 +632,4 @@ run_campaign(const HwModule &module,
     return std::move(report).value();
 }
 
-CampaignReport
-run_campaign(const HwModule &module, const vega::WorkflowResult &wf,
-             const CampaignConfig &config)
-{
-    std::vector<sta::EndpointPair> pairs;
-    pairs.reserve(wf.lift.pairs.size());
-    for (const auto &pr : wf.lift.pairs)
-        pairs.push_back(pr.pair);
-    return run_campaign(module, pairs, wf.suite, config);
-}
-
 } // namespace vega::campaign

@@ -35,8 +35,8 @@
 #include "campaign/report.h"
 #include "common/error.h"
 #include "rtl/module.h"
+#include "runtime/test_case.h"
 #include "sta/sta.h"
-#include "vega/workflow.h"
 
 namespace vega::campaign {
 
@@ -118,10 +118,5 @@ try_run_campaign(const HwModule &module,
                  const std::vector<sta::EndpointPair> &pairs,
                  const std::vector<runtime::TestCase> &suite,
                  const CampaignConfig &config = {});
-
-/** Convenience: campaign over a finished workflow's artifacts. */
-CampaignReport run_campaign(const HwModule &module,
-                            const vega::WorkflowResult &wf,
-                            const CampaignConfig &config = {});
 
 } // namespace vega::campaign

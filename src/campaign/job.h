@@ -18,22 +18,12 @@
 #include <cstdint>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "lift/failure_model.h"
 #include "runtime/scheduler.h"
 #include "runtime/test_case.h"
 
 namespace vega::campaign {
-
-/** splitmix64 step: advances @p x and returns the next stream value. */
-inline uint64_t
-splitmix64(uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /** The wrong values C (§3.3.1) a job's fault samples from. */
 inline constexpr std::array<lift::FaultConstant, 2> kFaultConstants = {

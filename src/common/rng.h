@@ -13,6 +13,20 @@
 
 namespace vega {
 
+/**
+ * splitmix64 step: advances @p x and returns the next stream value. It
+ * seeds Rng and roots every per-job and per-device stream.
+ */
+inline uint64_t
+splitmix64(uint64_t &x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 /** xoshiro256** — small, fast, high-quality PRNG (public-domain algorithm). */
 class Rng
 {
@@ -48,7 +62,6 @@ class Rng
     {
         return (x << k) | (x >> (64 - k));
     }
-    static uint64_t splitmix(uint64_t &x);
     uint64_t s_[4];
 };
 

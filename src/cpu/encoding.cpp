@@ -4,34 +4,6 @@
 
 namespace vega::cpu {
 
-bool
-is_alu_module_op(Op op)
-{
-    switch (op) {
-      case Op::Add: case Op::Sub: case Op::Sll: case Op::Slt:
-      case Op::Sltu: case Op::Xor: case Op::Srl: case Op::Sra:
-      case Op::Or: case Op::And:
-      case Op::Addi: case Op::Slti: case Op::Sltiu: case Op::Xori:
-      case Op::Ori: case Op::Andi: case Op::Slli: case Op::Srli:
-      case Op::Srai:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-is_fpu_module_op(Op op)
-{
-    switch (op) {
-      case Op::FaddS: case Op::FsubS: case Op::FmulS: case Op::FeqS:
-      case Op::FltS: case Op::FleS: case Op::FminS: case Op::FmaxS:
-        return true;
-      default:
-        return false;
-    }
-}
-
 namespace {
 
 std::string

@@ -53,11 +53,6 @@ struct Instr
     int32_t imm = 0; ///< immediate or branch/jump target (instr index)
 };
 
-/** True if @p op executes on the ALU functional unit. */
-bool is_alu_module_op(Op op);
-/** True if @p op executes on the FPU functional unit. */
-bool is_fpu_module_op(Op op);
-
 /** RISC-V style disassembly of one instruction. */
 std::string render_asm(const Instr &instr);
 

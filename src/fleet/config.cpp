@@ -8,10 +8,10 @@ const std::vector<CornerSpec> &
 corner_catalog()
 {
     static const std::vector<CornerSpec> corners = {
-        {"typ", 25.0, 1.0, 6.0},
-        {"hot", 85.0, 2.2, 2.5},
-        {"cold", -10.0, 0.6, 1.0},
-        {"burnin", 125.0, 4.0, 0.5},
+        {"typ", 1.0, 6.0},
+        {"hot", 2.2, 2.5},
+        {"cold", 0.6, 1.0},
+        {"burnin", 4.0, 0.5},
     };
     return corners;
 }
@@ -114,9 +114,6 @@ validate_config(FleetConfig cfg)
     if (cfg.epoch_cycles == 0)
         return make_error(ErrorCode::InvalidArgument,
                           "epoch_cycles must be positive");
-    if (bad_positive(cfg.years_per_epoch))
-        return make_error(ErrorCode::InvalidArgument,
-                          "years_per_epoch must be positive");
     if (std::isnan(cfg.min_age_years) || cfg.min_age_years < 0.0)
         return make_error(ErrorCode::InvalidArgument,
                           "min_age_years must be >= 0");

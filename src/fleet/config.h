@@ -22,12 +22,13 @@
 
 namespace vega::fleet {
 
+/** Mission time one epoch represents, in years. */
+constexpr double kYearsPerEpoch = 0.5;
+
 /** An operating corner a slice of the fleet runs at. */
 struct CornerSpec
 {
     std::string name;
-    /** Junction temperature, informational (report grouping key). */
-    double temp_c = 25.0;
     /** Aging-acceleration multiplier relative to the typical corner. */
     double stress = 1.0;
     /** Population sampling weight (relative, not normalized). */
@@ -66,8 +67,6 @@ struct FleetConfig
     /** Worker threads (0 = hardware concurrency). */
     size_t threads = 1;
 
-    /** Mission time one epoch represents. */
-    double years_per_epoch = 0.5;
     /** Initial device age is uniform in [min_age_years, max_age_years]. */
     double min_age_years = 0.0;
     double max_age_years = 8.0;

@@ -178,9 +178,9 @@ build_fault_matrix(const HwModule &module,
         for (size_t idx = 0; ctx.tape && idx < m.faults.size(); ++idx) {
             uint64_t stream = campaign::job_stream(seed, uint64_t(idx));
             probes.push_back(campaign::probe_episode(
-                module.kind, idx, campaign::splitmix64(stream)));
+                module.kind, idx, splitmix64(stream)));
             for (const runtime::TestCase &tc : suite)
-                screens.push_back({idx, campaign::splitmix64(stream),
+                screens.push_back({idx, splitmix64(stream),
                                    &tc.program, campaign::kTestWatchdog});
         }
         submit_waves(&probes, true);

@@ -123,8 +123,8 @@ device_mission(const FleetConfig &cfg, const FaultMatrix &matrix,
     out.id = id;
 
     uint64_t stream = campaign::job_stream(cfg.seed, id);
-    Rng rng(campaign::splitmix64(stream));
-    Rng sched(campaign::splitmix64(stream));
+    Rng rng(splitmix64(stream));
+    Rng sched(splitmix64(stream));
 
     out.corner = uint32_t(
         weighted_pick(rng, k.corner_weights, k.corner_total));
@@ -156,7 +156,7 @@ device_mission(const FleetConfig &cfg, const FaultMatrix &matrix,
         double duty = std::clamp(
             mix.duty * (0.75 + 0.5 * rng.uniform()), 0.01, 1.0);
         double stress = corner.stress * mix.stress * duty;
-        out.age_end += cfg.years_per_epoch * stress;
+        out.age_end += kYearsPerEpoch * stress;
 
         if (!out.fault &&
             rng.chance(onset_hazard(cfg.base_hazard, stress,

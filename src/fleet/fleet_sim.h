@@ -12,7 +12,7 @@
  *
  * Per epoch, a device:
  *  1. draws its duty cycle around the mix mean and accrues aging at
- *     `years_per_epoch × corner.stress × mix.stress × duty`;
+ *     `kYearsPerEpoch × corner.stress × mix.stress × duty`;
  *  2. rolls fault onset against the aging hazard
  *     `base_hazard × stress × (1 + age²/25)` (a polynomial wearout
  *     curve — pure arithmetic, no libm, so every platform agrees

@@ -43,18 +43,12 @@ struct BmcOptions
 {
     /** Max frames to unroll; should exceed the module pipeline depth. */
     int max_frames = 6;
-    /** SAT conflict budget per query; exceeded => Timeout ("FF"). */
-    int64_t conflict_budget = 3000000;
     /**
-     * Wall-clock budget in seconds for a *whole* check_cover call or
-     * CoverBatch run;
-     * exceeded => Timeout. One loop-wide deadline is armed at entry and
-     * every SAT query receives only the remaining time, so the call
-     * cannot take max_frames × the configured budget. Negative disables
-     * the deadline (the default): the conflict budget alone bounds each
-     * query.
+     * SAT conflict budget per query; exceeded => Timeout ("FF").
+     * Negative means no limit. It is the only budget: a verdict never
+     * depends on wall time or host load.
      */
-    double wall_budget_seconds = -1.0;
+    int64_t conflict_budget = 3000000;
     /**
      * Nets that must be 1 in every frame — the paper's `assume property`
      * input restrictions (e.g. "op is a valid operation").
@@ -98,13 +92,6 @@ struct BmcResult
      * free-state check already proved unreachability).
      */
     int kinduction_depth = 0;
-    /**
-     * Wall-clock seconds of SAT solving attributed to this target by
-     * this call. A CoverBatch run's wall budget is shared by all its
-     * targets and this field carries each target's slice, so summing it
-     * over a batch never double-counts the budget.
-     */
-    double wall_seconds = 0.0;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "formal/cover_batch.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.h"
 #include "formal/unroller.h"
@@ -13,38 +12,6 @@ namespace vega::formal {
 using sat::Lit;
 
 namespace {
-
-/**
- * One wall-clock deadline for a whole run: each SAT query is handed only
- * the time remaining, so the run — not each query — honours
- * wall_budget_seconds.
- */
-class LoopDeadline
-{
-  public:
-    explicit LoopDeadline(double seconds) : armed_(seconds >= 0.0)
-    {
-        if (armed_)
-            end_ = Clock::now() +
-                   std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(seconds));
-    }
-
-    /** Seconds left for the next query; -1 when no deadline is armed. */
-    double remaining() const
-    {
-        if (!armed_)
-            return -1.0;
-        double left = std::chrono::duration<double>(end_ - Clock::now())
-                          .count();
-        return left > 0.0 ? left : 0.0;
-    }
-
-  private:
-    using Clock = std::chrono::steady_clock;
-    bool armed_;
-    Clock::time_point end_;
-};
 
 /** Record all port buses of @p nl for frames [0, frames) into a Waveform. */
 Waveform
@@ -73,8 +40,8 @@ extract_trace(const Netlist &nl, const Unroller &unroll, int frames)
 sat::Solver::Result
 solve_reset_bound(const Netlist &nl, NetId target,
                   const std::vector<NetId> &assumes, int k,
-                  int64_t conflict_budget, double wall_remaining,
-                  uint64_t &conflicts, Waveform &trace_out)
+                  int64_t conflict_budget, uint64_t &conflicts,
+                  Waveform &trace_out)
 {
     Unroller unroll(nl, /*free_initial=*/false);
     unroll.set_assumes(assumes);
@@ -82,10 +49,7 @@ solve_reset_bound(const Netlist &nl, NetId target,
     auto &solver = unroll.solver();
     solver.add_clause(Lit(unroll.var(k - 1, target), false));
 
-    sat::SolveLimits limits;
-    limits.conflict_budget = conflict_budget;
-    limits.wall_seconds = wall_remaining;
-    auto res = solver.solve(limits);
+    auto res = solver.solve(conflict_budget);
     conflicts += solver.num_conflicts();
     if (res == sat::Solver::Result::Sat)
         trace_out = extract_trace(nl, unroll, k);
@@ -227,11 +191,11 @@ CoverBatch::result(int idx) const
 void
 CoverBatch::run()
 {
-    run(opts_.conflict_budget, opts_.wall_budget_seconds);
+    run(opts_.conflict_budget);
 }
 
 void
-CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
+CoverBatch::run(int64_t conflict_budget)
 {
     VEGA_SPAN("bmc.batch_run");
     if (targets_.empty())
@@ -245,14 +209,11 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
     for (Target &t : targets_) {
         if (t.phase == Target::Phase::Settled) {
             t.result.conflicts = 0;
-            t.result.wall_seconds = 0.0;
         } else {
             t.result = BmcResult{};
             t.parked = false;
         }
     }
-
-    const LoopDeadline deadline(wall_budget_seconds);
 
     static obs::Counter &retired =
         obs::counter("bmc.targets_retired_per_bound");
@@ -333,15 +294,12 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
             sets.push_back(
                 {unroll.cover_activation(k - 1, targets_[ti].spec.target)});
 
-        sat::SolveLimits limits;
-        limits.conflict_budget = pooled(due.size());
-        limits.wall_seconds = deadline.remaining();
-        auto outcomes = unroll.solver().solve_batch(sets, limits);
+        auto outcomes =
+            unroll.solver().solve_batch(sets, pooled(due.size()));
 
         for (size_t d = 0; d < due.size(); ++d) {
             Target &t = targets_[due[d]];
             t.result.conflicts += outcomes[d].conflicts;
-            t.result.wall_seconds += outcomes[d].seconds;
             switch (outcomes[d].result) {
               case sat::Solver::Result::Unsat:
                 unroll.retire(sets[d][0]);
@@ -357,7 +315,6 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
                 // query on the target's witness netlist, never the batch
                 // instance's model: the waveform is then independent of
                 // batch shape and target order.
-                const auto t0 = std::chrono::steady_clock::now();
                 sat::Solver::Result wres;
                 {
                     VEGA_SPAN("bmc.witness_rederive");
@@ -365,13 +322,8 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
                     wres = solve_reset_bound(
                         *t.spec.witness_netlist, t.spec.witness_target,
                         t.spec.witness_assumes, k, conflict_budget,
-                        deadline.remaining(), t.result.conflicts,
-                        t.result.trace);
+                        t.result.conflicts, t.result.trace);
                 }
-                t.result.wall_seconds +=
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
                 if (wres == sat::Solver::Result::Unknown) {
                     park(t, k); // resumable: retry bound k next run
                     break;
@@ -425,15 +377,12 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
             sets.push_back({t.eq_act, t.clause_act});
         }
 
-        sat::SolveLimits limits;
-        limits.conflict_budget = pooled(due_free.size());
-        limits.wall_seconds = deadline.remaining();
-        auto outcomes = unroll.solver().solve_batch(sets, limits);
+        auto outcomes =
+            unroll.solver().solve_batch(sets, pooled(due_free.size()));
 
         for (size_t d = 0; d < due_free.size(); ++d) {
             Target &t = targets_[due_free[d]];
             t.result.conflicts += outcomes[d].conflicts;
-            t.result.wall_seconds += outcomes[d].seconds;
             switch (outcomes[d].result) {
               case sat::Solver::Result::Unsat:
                 t.result.proven_by_induction = true;
@@ -492,15 +441,12 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
             sets.push_back(std::move(set));
         }
 
-        sat::SolveLimits limits;
-        limits.conflict_budget = pooled(due.size());
-        limits.wall_seconds = deadline.remaining();
-        auto outcomes = unroll.solver().solve_batch(sets, limits);
+        auto outcomes =
+            unroll.solver().solve_batch(sets, pooled(due.size()));
 
         for (size_t d = 0; d < due.size(); ++d) {
             Target &t = targets_[due[d]];
             t.result.conflicts += outcomes[d].conflicts;
-            t.result.wall_seconds += outcomes[d].seconds;
             switch (outcomes[d].result) {
               case sat::Solver::Result::Unsat:
                 kinduction_proofs.inc();

@@ -21,17 +21,16 @@
  * instance — optionally on a caller-supplied witness netlist, which is
  * how lift gets traces on its per-config shadow netlists while solving
  * against the multi-config shadow bank — so they do not depend on batch
- * shape or target order either. `conflicts`/`wall_seconds` are
- * accounting, not semantics, and do vary with batch shape.
+ * shape or target order either. `conflicts` is accounting, not
+ * semantics, and does vary with batch shape.
  *
- * Budgets: run(conflict_budget, wall_budget_seconds) arms ONE wall
- * deadline for the whole run — every query gets only the remaining
- * time, so a batch of N targets honours the budget once rather than N
- * times. The conflict budget is a shared per-bound pool (see
- * sat::Solver::solve_batch). Targets starved by either budget park
- * with a Timeout result and resume exactly where they stopped on the
- * next run() — the escalation ladder re-runs the batch with grown
- * budgets without discarding frames or learned clauses.
+ * Budget: run(conflict_budget) bounds every query by conflicts alone,
+ * so a verdict never depends on host load. The N targets due in one
+ * solve_batch round (a bound, the free-state check, an induction
+ * depth) share a pool of N × conflict_budget. Targets starved by it
+ * park with a Timeout result and resume exactly where they stopped on
+ * the next run() — the escalation ladder re-runs the batch with a
+ * grown budget without discarding frames or learned clauses.
  */
 #pragma once
 
@@ -66,9 +65,9 @@ class CoverBatch
 {
   public:
     /**
-     * @p opts supplies the shared assume nets, frame bound, budgets and
-     * k-induction depth; opts.state_equalities is ignored (each target
-     * carries its own in its spec).
+     * @p opts supplies the shared assume nets, frame bound, conflict
+     * budget and k-induction depth; opts.state_equalities is ignored
+     * (each target carries its own in its spec).
      */
     CoverBatch(const Netlist &nl, const BmcOptions &opts);
     ~CoverBatch();
@@ -81,11 +80,14 @@ class CoverBatch
 
     int num_targets() const;
 
-    /** Run or resume every unsettled target with the opts budgets. */
+    /** Run or resume every unsettled target with opts.conflict_budget. */
     void run();
 
-    /** Run or resume under explicit budgets (an escalation rung). */
-    void run(int64_t conflict_budget, double wall_budget_seconds);
+    /**
+     * Run or resume under an explicit per-query conflict budget (an
+     * escalation rung); negative means no limit.
+     */
+    void run(int64_t conflict_budget);
 
     /** True once target @p idx has a Covered/Unreachable answer. */
     bool settled(int idx) const;

@@ -73,9 +73,11 @@ integrate_tests(const std::vector<Instr> &prog, const Profile &profile,
     VEGA_CHECK(!suite.empty(), "no tests to integrate");
 
     // ---- Site selection: coolest block that still runs routinely. ----
+    // Blocks executed fewer times than this are not "routine".
+    constexpr uint64_t kMinBlockCount = 2;
     const BasicBlock *site = nullptr;
     for (const BasicBlock &b : profile.blocks) {
-        if (b.count < config.min_block_count)
+        if (b.count < kMinBlockCount)
             continue;
         if (!site || b.count < site->count)
             site = &b;

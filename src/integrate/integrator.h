@@ -31,8 +31,6 @@ struct IntegrationConfig
 {
     /** Maximum tolerated overhead estimate (fraction, e.g. 0.01 = 1%). */
     double overhead_threshold = 0.01;
-    /** Blocks executed fewer times than this are not "routine". */
-    uint64_t min_block_count = 2;
 };
 
 struct IntegrationResult

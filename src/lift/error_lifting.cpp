@@ -371,17 +371,16 @@ run_error_lifting(const HwModule &module,
             }
 
             // The per-batch escalation ladder: each rung resumes only
-            // the still-starved targets with the budgets grown, frames
+            // the still-starved targets with the budget grown, frames
             // and learned clauses intact.
             static obs::Counter &escalations =
                 obs::counter("bmc.escalations");
             int max_attempts = std::max(1, config.formal_attempts);
             int64_t budget = opts.conflict_budget;
-            double wall = opts.wall_budget_seconds;
             std::vector<uint64_t> total_conflicts(entries.size(), 0);
             std::vector<int> attempts(entries.size(), 0);
             for (int attempt = 1;; ++attempt) {
-                batch.run(budget, wall);
+                batch.run(budget);
                 for (int i = 0; i < batch.num_targets(); ++i) {
                     total_conflicts[i] += batch.result(i).conflicts;
                     if (attempts[i] == 0 && batch.settled(i))
@@ -392,8 +391,6 @@ run_error_lifting(const HwModule &module,
                 escalations.inc();
                 budget = int64_t(double(budget) *
                                  config.formal_budget_growth);
-                if (wall >= 0.0)
-                    wall *= config.formal_budget_growth;
             }
             for (int i = 0; i < batch.num_targets(); ++i) {
                 Entry &e = entries[i];

@@ -43,7 +43,7 @@ struct LiftConfig
     // target at its bound on the same solver with a bigger budget
     // instead of re-unrolling from scratch.
     /** Formal attempts per configuration; Timeouts retry with the
-     *  conflict/wall budget multiplied by formal_budget_growth. */
+     *  conflict budget multiplied by formal_budget_growth. */
     int formal_attempts = 1;
     /** Budget multiplier between formal attempts. */
     double formal_budget_growth = 4.0;

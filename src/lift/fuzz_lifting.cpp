@@ -10,10 +10,15 @@ namespace vega::lift {
 
 namespace {
 
+/** Cycles per episode (kept short so traces stay convertible). */
+constexpr int kEpisodeLen = 5;
+/** Bias toward special operand values (0, ±inf, NaN, all-ones). */
+constexpr double kSpecialBias = 0.3;
+
 uint32_t
-random_operand(Rng &rng, double special_bias)
+random_operand(Rng &rng)
 {
-    if (rng.chance(special_bias)) {
+    if (rng.chance(kSpecialBias)) {
         static const uint32_t kSpecials[] = {
             0x00000000, 0x80000000, 0x3f800000, 0xbf800000, 0x7f800000,
             0xff800000, 0x7fc00000, 0x7f800001, 0xffffffff, 0x00000001,
@@ -53,10 +58,10 @@ fuzz_cover(const ShadowInstrumentation &shadow, ModuleKind kind,
         // Per-cycle, per-bus lane planes, kept so the covering lane's
         // waveform can be extracted once the mismatch plane fires.
         std::vector<std::vector<std::vector<uint64_t>>> recorded;
-        for (int t = 0; t < config.episode_len; ++t) {
+        for (int t = 0; t < kEpisodeLen; ++t) {
             for (int lane = 0; lane < kLanes; ++lane) {
-                uint32_t a = random_operand(rng, config.special_bias);
-                uint32_t b = random_operand(rng, config.special_bias);
+                uint32_t a = random_operand(rng);
+                uint32_t b = random_operand(rng);
                 uint32_t op = is_fpu ? uint32_t(rng.below(8))
                                      : uint32_t(rng.below(10));
                 sim.set_bus_lane("a", lane, BitVec(32, a));

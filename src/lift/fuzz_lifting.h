@@ -34,11 +34,7 @@ struct FuzzConfig
 {
     /** Give up after this many simulated episodes. */
     size_t max_episodes = 4000;
-    /** Cycles per episode (kept short so traces stay convertible). */
-    int episode_len = 5;
     uint64_t seed = 1;
-    /** Bias toward special operand values (0, ±inf, NaN, all-ones). */
-    double special_bias = 0.3;
 };
 
 struct FuzzResult

@@ -181,6 +181,10 @@ classify_slow_gate(const Netlist &healthy, CellId gate)
 
 namespace {
 
+/** Random-rung shape: tests in the rung and ops per test. */
+constexpr size_t kRandomTests = 4;
+constexpr size_t kRandomOps = 24;
+
 /** The escalation-ladder candidate pool, rung order. Returns the index
  *  where each rung starts (random, mats+, march_c-). */
 std::vector<runtime::TestCase>
@@ -188,9 +192,9 @@ build_candidates(const MemLiftConfig &cfg, size_t rung_start[3])
 {
     std::vector<runtime::TestCase> pool;
     rung_start[0] = 0;
-    for (size_t i = 0; i < cfg.random_tests; ++i)
+    for (size_t i = 0; i < kRandomTests; ++i)
         pool.push_back(workloads::make_random_march_test(
-            runtime::kMemTestRows, cfg.random_ops, cfg.seed + i));
+            runtime::kMemTestRows, kRandomOps, cfg.seed + i));
     rung_start[1] = pool.size();
     pool.push_back(workloads::make_march_test(workloads::mats_plus(),
                                               runtime::kMemTestRows));
@@ -218,10 +222,7 @@ run_decoder_lifting(const HwModule &module,
     for (size_t pi = 0; pi < limit; ++pi) {
         MemPairResult pr;
         pr.pair = pairs[pi];
-        pr.gate = config.force_gate != kInvalidId
-                      ? config.force_gate
-                      : pick_decoder_gate(module.netlist,
-                                          pairs[pi].worst);
+        pr.gate = pick_decoder_gate(module.netlist, pairs[pi].worst);
         if (pr.gate == kInvalidId) {
             // Pure datapath path: a slow gate there corrupts values,
             // not addresses — out of scope for this pass.

@@ -74,11 +74,6 @@ struct MemLiftConfig
 {
     /** Analyze only the first N pairs (benches subset with this). */
     size_t max_pairs = SIZE_MAX;
-    /** Override gate selection (tests target a specific stage). */
-    CellId force_gate = kInvalidId;
-    /** Random-rung shape: tests in the rung and ops per test. */
-    size_t random_tests = 4;
-    size_t random_ops = 24;
     uint64_t seed = 1;
 };
 

@@ -323,10 +323,4 @@ Netlist::check_valid() const
     return {};
 }
 
-void
-Netlist::invalidate_caches() const
-{
-    topo_dirty_ = true;
-}
-
 } // namespace vega

@@ -180,8 +180,6 @@ class Netlist
     void set_clock_period_ps(double p) { clock_period_ps_ = p; }
 
   private:
-    void invalidate_caches() const;
-
     std::string name_;
     std::vector<Net> nets_;
     std::vector<Cell> cells_;

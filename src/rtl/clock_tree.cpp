@@ -30,39 +30,6 @@ ClockTree::add_buffer(uint32_t parent, const std::string &name,
     return static_cast<uint32_t>(buffers_.size() - 1);
 }
 
-double
-ClockTree::fresh_arrival_max(uint32_t id) const
-{
-    double t = 0.0;
-    for (uint32_t b : path_to(id))
-        t += buffers_[b].delay_max;
-    return t;
-}
-
-double
-ClockTree::fresh_arrival_min(uint32_t id) const
-{
-    double t = 0.0;
-    for (uint32_t b : path_to(id))
-        t += buffers_[b].delay_min;
-    return t;
-}
-
-std::vector<uint32_t>
-ClockTree::path_to(uint32_t id) const
-{
-    VEGA_CHECK(id < buffers_.size(), "clock buffer id");
-    std::vector<uint32_t> rev;
-    uint32_t cur = id;
-    while (true) {
-        rev.push_back(cur);
-        if (buffers_[cur].parent == cur)
-            break;
-        cur = buffers_[cur].parent;
-    }
-    return {rev.rbegin(), rev.rend()};
-}
-
 std::vector<uint32_t>
 ClockTree::grow_balanced(int levels, double stage_delay_max,
                          double stage_delay_min)

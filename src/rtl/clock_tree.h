@@ -51,13 +51,6 @@ class ClockTree
     const ClockBuffer &buffer(uint32_t id) const { return buffers_[id]; }
     ClockBuffer &buffer_mut(uint32_t id) { return buffers_[id]; }
 
-    /** Root-to-node accumulated fresh insertion delay (max/min), ps. */
-    double fresh_arrival_max(uint32_t id) const;
-    double fresh_arrival_min(uint32_t id) const;
-
-    /** Chain of buffer ids from root to @p id inclusive. */
-    std::vector<uint32_t> path_to(uint32_t id) const;
-
     /**
      * Build a balanced binary tree of @p levels levels under the root with
      * per-stage delay @p stage_delay_max/min. Returns the leaf ids

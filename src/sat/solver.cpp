@@ -387,20 +387,11 @@ Solver::reduce_db()
 Solver::Result
 Solver::solve(int64_t conflict_budget)
 {
-    SolveLimits limits;
-    limits.conflict_budget = conflict_budget;
-    return solve(limits);
+    return solve(std::vector<Lit>{}, conflict_budget);
 }
 
 Solver::Result
-Solver::solve(const SolveLimits &limits)
-{
-    return solve(std::vector<Lit>{}, limits);
-}
-
-Solver::Result
-Solver::solve(const std::vector<Lit> &assumptions,
-              const SolveLimits &limits)
+Solver::solve(const std::vector<Lit> &assumptions, int64_t conflict_budget)
 {
     VEGA_SPAN("sat.solve");
     SolveMetricsScope metrics(*this);
@@ -423,18 +414,6 @@ Solver::solve(const std::vector<Lit> &assumptions,
     int64_t restart_limit = 100 * luby(restart_num);
     int64_t conflicts_this_restart = 0;
     std::vector<Lit> learnt;
-
-    // Wall-clock deadline, checked every kDeadlineCheckInterval conflicts
-    // so the hot loop stays clock-free between checks.
-    using Clock = std::chrono::steady_clock;
-    constexpr uint64_t kDeadlineCheckInterval = 256;
-    const bool has_deadline = limits.wall_seconds >= 0.0;
-    const Clock::time_point deadline =
-        has_deadline
-            ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(
-                                     limits.wall_seconds))
-            : Clock::time_point::max();
 
     Result result = Result::Unknown;
     for (;;) {
@@ -474,12 +453,9 @@ Solver::solve(const std::vector<Lit> &assumptions,
             }
             decay_activity();
 
-            const uint64_t spent = conflicts_ - conflicts0;
-            if (limits.conflict_budget >= 0 &&
-                spent >= static_cast<uint64_t>(limits.conflict_budget))
-                break; // Unknown
-            if (has_deadline && spent % kDeadlineCheckInterval == 0 &&
-                Clock::now() >= deadline)
+            if (conflict_budget >= 0 &&
+                conflicts_ - conflicts0 >=
+                    static_cast<uint64_t>(conflict_budget))
                 break; // Unknown
             if (conflicts_ >= next_reduce_) {
                 reduce_db();
@@ -582,37 +558,19 @@ Solver::model_value(Var v) const
 
 std::vector<Solver::BatchOutcome>
 Solver::solve_batch(const std::vector<std::vector<Lit>> &sets,
-                    const SolveLimits &limits)
+                    int64_t conflict_budget)
 {
     VEGA_SPAN("sat.solve_batch");
     std::vector<BatchOutcome> out(sets.size());
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point t0 = Clock::now();
-    const bool has_deadline = limits.wall_seconds >= 0.0;
-    const bool has_conflicts = limits.conflict_budget >= 0;
-    int64_t conflicts_left = limits.conflict_budget;
+    const bool has_conflicts = conflict_budget >= 0;
+    int64_t conflicts_left = conflict_budget;
 
     for (size_t i = 0; i < sets.size(); ++i) {
-        SolveLimits per;
-        if (has_conflicts) {
-            if (conflicts_left <= 0)
-                continue; // budget spent: Unknown, zero attribution
-            per.conflict_budget = conflicts_left;
-        }
-        if (has_deadline) {
-            double remaining =
-                limits.wall_seconds -
-                std::chrono::duration<double>(Clock::now() - t0).count();
-            if (remaining <= 0.0)
-                continue;
-            per.wall_seconds = remaining;
-        }
+        if (has_conflicts && conflicts_left <= 0)
+            continue; // budget spent: Unknown, zero attribution
         const uint64_t c0 = conflicts_;
-        const Clock::time_point s0 = Clock::now();
-        out[i].result = solve(sets[i], per);
+        out[i].result = solve(sets[i], conflicts_left);
         out[i].conflicts = static_cast<int64_t>(conflicts_ - c0);
-        out[i].seconds =
-            std::chrono::duration<double>(Clock::now() - s0).count();
         if (out[i].result == Result::Unsat)
             out[i].failed = conflict_;
         if (has_conflicts)

@@ -55,20 +55,6 @@ struct Lit
 
 inline Lit mk_lit(Var v) { return Lit(v, false); }
 
-/**
- * Resource limits for one solve() call. Either limit may be disabled
- * by leaving it negative. The wall-clock deadline is checked every 256
- * conflicts, so an over-budget solve stops within one check interval
- * rather than running an unbounded proof to completion.
- */
-struct SolveLimits
-{
-    /** Conflicts before giving up with Result::Unknown (-1 = no limit). */
-    int64_t conflict_budget = -1;
-    /** Wall-clock seconds before Result::Unknown (-1 = no limit). */
-    double wall_seconds = -1.0;
-};
-
 class Solver
 {
   public:
@@ -94,12 +80,11 @@ class Solver
 
     /**
      * Solve. Stops with Result::Unknown once @p conflict_budget conflicts
-     * have been spent (pass a negative budget for "no limit").
+     * have been spent (pass a negative budget for "no limit"). The
+     * budget counts conflicts spent in this solve, not lifetime
+     * conflicts.
      */
     Result solve(int64_t conflict_budget = -1);
-
-    /** Solve under both a conflict budget and a wall-clock deadline. */
-    Result solve(const SolveLimits &limits);
 
     /**
      * Solve under @p assumptions: each literal is decided (in order)
@@ -107,11 +92,10 @@ class Solver
      * every assumption holds, and Result::Unsat means the clauses are
      * contradictory *under the assumptions* — the instance itself stays
      * usable, and failed_assumptions() reports which assumptions were
-     * involved. Limits are interpreted per call: the conflict budget
-     * bounds conflicts spent in this solve, not lifetime conflicts.
+     * involved. @p conflict_budget is as for solve(int64_t).
      */
     Result solve(const std::vector<Lit> &assumptions,
-                 const SolveLimits &limits = {});
+                 int64_t conflict_budget = -1);
 
     /**
      * After an Unsat answer from solve(assumptions): a subset of the
@@ -121,9 +105,9 @@ class Solver
     const std::vector<Lit> &failed_assumptions() const { return conflict_; }
 
     /**
-     * Per-set outcome of a solve_batch() call. `conflicts` and
-     * `seconds` attribute the batch's spend to this set; a set skipped
-     * because the batch budget ran out reports Unknown with zero spend.
+     * Per-set outcome of a solve_batch() call. `conflicts` attributes
+     * the batch's spend to this set; a set skipped because the batch
+     * budget ran out reports Unknown with zero spend.
      */
     struct BatchOutcome
     {
@@ -131,7 +115,6 @@ class Solver
         /** failed_assumptions() of this set's solve (Unsat only). */
         std::vector<Lit> failed;
         int64_t conflicts = 0;
-        double seconds = 0.0;
     };
 
     /**
@@ -142,15 +125,15 @@ class Solver
      * suite-level analogue of one incremental solve() loop, minus the
      * per-call entry/exit overhead in callers.
      *
-     * @p limits is a whole-batch budget: the conflict budget and wall
-     * deadline are shared by the worklist, each set solving under
-     * whatever remains. Once the budget is exhausted the remaining
-     * sets come back Unknown with zero attributed spend. The model of
-     * the most recent Sat set stays readable via model_value().
+     * @p conflict_budget is a whole-batch pool (negative: no limit),
+     * each set solving under whatever remains. Once it is exhausted
+     * the remaining sets come back Unknown with zero attributed spend.
+     * The model of the most recent Sat set stays readable via
+     * model_value().
      */
     std::vector<BatchOutcome>
     solve_batch(const std::vector<std::vector<Lit>> &sets,
-                const SolveLimits &limits = {});
+                int64_t conflict_budget = -1);
 
     /** Model value of @p v after Result::Sat. */
     bool model_value(Var v) const;

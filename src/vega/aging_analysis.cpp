@@ -130,10 +130,11 @@ run_aging_analysis(HwModule &module, const aging::AgingTimingLibrary &lib,
         sta::compute_aged_timing(module, result.profile, lib, 0.0);
     result.aged = sta::compute_aged_timing(module, result.profile, lib,
                                            config.years);
+    // Path-enumeration cap per endpoint for both STA runs.
+    constexpr size_t kMaxPathsPerEndpoint = 20000;
     result.fresh_sta =
-        sta::run_sta(module, result.fresh, config.max_paths_per_endpoint);
-    result.sta =
-        sta::run_sta(module, result.aged, config.max_paths_per_endpoint);
+        sta::run_sta(module, result.fresh, kMaxPathsPerEndpoint);
+    result.sta = sta::run_sta(module, result.aged, kMaxPathsPerEndpoint);
     return result;
 }
 

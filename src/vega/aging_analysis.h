@@ -28,8 +28,6 @@ struct AgingAnalysisConfig
     double utilization = 0.985;
     /** Cap on replayed trace entries (0 = whole trace). */
     size_t max_trace = 0;
-    /** Path-enumeration cap forwarded to the STA. */
-    size_t max_paths_per_endpoint = 20000;
 };
 
 struct AgingAnalysisResult

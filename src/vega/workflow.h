@@ -19,7 +19,6 @@ struct WorkflowConfig
 {
     AgingAnalysisConfig aging;
     lift::LiftConfig lift;
-    runtime::AgingLibraryOptions library;
 };
 
 struct WorkflowResult

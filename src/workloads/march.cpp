@@ -1,6 +1,7 @@
 #include "workloads/march.h"
 
 #include "common/logging.h"
+#include "common/rng.h"
 
 namespace vega::workloads {
 
@@ -66,25 +67,16 @@ make_random_march_test(uint32_t rows, size_t num_ops, uint64_t seed)
     tc.module = ModuleKind::MemDec16;
     tc.config = "random";
 
-    // splitmix64: the repo-wide deterministic stream.
-    auto next = [&seed]() {
-        seed += 0x9e3779b97f4a7c15ull;
-        uint64_t z = seed;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    };
-
     // Initialize every row so reads have a known expectation, then mix
     // random writes and self-checking reads against the tracked model.
     std::vector<uint8_t> model(rows, 0);
     for (uint32_t r = 0; r < rows; ++r)
         tc.stimulus.push_back({r, 0, uint32_t(MarchOp::W0), true, false});
     for (size_t i = 0; i < num_ops; ++i) {
-        uint32_t row = uint32_t(next() % rows);
-        uint64_t kind = next() % 2;
+        uint32_t row = uint32_t(splitmix64(seed) % rows);
+        uint64_t kind = splitmix64(seed) % 2;
         if (kind == 0) {
-            uint8_t bg = uint8_t(next() % 2);
+            uint8_t bg = uint8_t(splitmix64(seed) % 2);
             model[row] = bg;
             tc.stimulus.push_back(
                 {row, 0,

@@ -30,9 +30,7 @@ extract_trace(const Netlist &nl, const Unroller &unroll, int frames)
 Result
 solve(Unroller &unroll, const BmcOptions &opts)
 {
-    sat::SolveLimits limits;
-    limits.conflict_budget = opts.conflict_budget;
-    return unroll.solver().solve(limits);
+    return unroll.solver().solve(opts.conflict_budget);
 }
 
 } // namespace

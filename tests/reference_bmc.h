@@ -17,9 +17,8 @@ namespace vega::formal {
 
 /**
  * check_cover's verdict for @p target, recomputed query by query. Each
- * query gets opts.conflict_budget conflicts; the wall budget is
- * ignored. Fills status, frames, trace, proven_by_induction and
- * kinduction_depth.
+ * query gets opts.conflict_budget conflicts. Fills status, frames,
+ * trace, proven_by_induction and kinduction_depth.
  */
 BmcResult reference_check_cover(const Netlist &nl, NetId target,
                                 const BmcOptions &opts);

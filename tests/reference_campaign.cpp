@@ -209,13 +209,13 @@ reference_fault_class(const HwModule &module,
     uint64_t stream = stream_root;
     out.corrupts = campaign::workload_corrupts(
         module.kind, failing.netlist, failing.has_random_input,
-        campaign::splitmix64(stream));
+        splitmix64(stream));
     for (size_t t = 0; t < suite.size(); ++t) {
         // Fresh engine per test: the matrix models each dispatch as an
         // independent screen.
         campaign::NetlistEngine engine(module.kind, failing.netlist,
                                        failing.has_random_input,
-                                       campaign::splitmix64(stream));
+                                       splitmix64(stream));
         runtime::Detection d = engine.run(suite[t]);
         out.per_test[t] = d;
         if (d != runtime::Detection::None)

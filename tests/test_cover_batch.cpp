@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <numeric>
 
 #include "aging/timing_library.h"
@@ -78,7 +77,7 @@ corpus(ModuleKind kind)
 }
 
 /** Byte-identity: semantic fields and the full waveform. `conflicts`
- *  and `wall_seconds` are accounting and excluded by contract. */
+ *  is accounting and excluded by contract. */
 void
 expect_identical(const BmcResult &got, const BmcResult &want,
                  const std::string &label)
@@ -405,7 +404,7 @@ TEST(CoverBatch, MidBatchTimeoutResumesWhereItStopped)
     int ctr_idx = batch.add_target(std::move(ts1));
     int mul_idx = batch.add_target(std::move(ts2));
 
-    batch.run(/*conflict_budget=*/40, /*wall_budget_seconds=*/-1.0);
+    batch.run(/*conflict_budget=*/40);
     EXPECT_TRUE(batch.settled(ctr_idx));
     EXPECT_FALSE(batch.settled(mul_idx));
     EXPECT_FALSE(batch.all_settled());
@@ -456,7 +455,7 @@ TEST(CoverBatch, StarvedTargetResumesToOneShotResult)
     CoverTargetSpec ts;
     ts.target = target;
     int idx = batch.add_target(std::move(ts));
-    batch.run(/*conflict_budget=*/1, /*wall_budget_seconds=*/-1.0);
+    batch.run(/*conflict_budget=*/1);
     EXPECT_FALSE(batch.settled(idx));
     EXPECT_EQ(batch.result(idx).status, BmcStatus::Timeout);
 
@@ -484,50 +483,6 @@ TEST(CoverBatch, SettledTargetRerunChargesNoConflicts)
     batch.run(); // replays the settled answer, no solving
     expect_identical(batch.result(idx), first, "settled re-run");
     EXPECT_EQ(batch.result(idx).conflicts, 0u);
-}
-
-TEST(CoverBatch, WallBudgetIsLoopWideWithPerTargetAttribution)
-{
-    // An exhausted loop-wide deadline parks every target immediately —
-    // the run cannot take num_targets × budget — and the final run's
-    // per-target wall attribution sums to no more than its elapsed
-    // wall time.
-    Netlist nl("wall");
-    std::vector<NetId> targets;
-    for (int i = 0; i < 4; ++i)
-        targets.push_back(add_counter(nl, 5, "_w" + std::to_string(i)));
-    nl.add_output_bus("hit", targets);
-    nl.validate();
-
-    BmcOptions opts;
-    opts.max_frames = 6;
-    CoverBatch batch(nl, opts);
-    for (NetId t : targets) {
-        CoverTargetSpec ts;
-        ts.target = t;
-        batch.add_target(std::move(ts));
-    }
-
-    batch.run(/*conflict_budget=*/-1, /*wall_budget_seconds=*/0.0);
-    for (size_t i = 0; i < targets.size(); ++i)
-        EXPECT_EQ(batch.result(static_cast<int>(i)).status,
-                  BmcStatus::Timeout);
-
-    auto t0 = std::chrono::steady_clock::now();
-    batch.run();
-    double elapsed = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    EXPECT_TRUE(batch.all_settled());
-    double attributed = 0;
-    for (size_t i = 0; i < targets.size(); ++i) {
-        const BmcResult &r = batch.result(static_cast<int>(i));
-        EXPECT_GE(r.wall_seconds, 0.0);
-        attributed += r.wall_seconds;
-        expect_identical(r, reference_check_cover(nl, targets[i], opts),
-                         "wall target " + std::to_string(i));
-    }
-    EXPECT_LE(attributed, elapsed + 0.05);
 }
 
 } // namespace

@@ -93,7 +93,7 @@ TEST(JsonEscape, FleetCornerAndMixNamesRoundTrip)
     cfg.epochs = 2;
     cfg.base_hazard = 0.5;
     cfg.adversarial_fraction = 0.0;
-    cfg.corners = {{"lab \"B\"", 25.0, 1.0, 1.0}};
+    cfg.corners = {{"lab \"B\"", 1.0, 1.0}};
     fleet::WorkloadMix mix;
     mix.name = "mix\\1";
     cfg.mixes = {mix};

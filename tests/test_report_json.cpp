@@ -183,7 +183,7 @@ TEST(JsonGolden, FleetReportBytes)
     cfg.min_age_years = 0.0;
     cfg.max_age_years = 8.0;
     cfg.adversarial_report_cap = 1;
-    cfg.corners = {{"typ", 25.0, 1.0, 1.0}, {"hot", 85.0, 2.0, 1.0}};
+    cfg.corners = {{"typ", 1.0, 1.0}, {"hot", 2.0, 1.0}};
     fleet::WorkloadMix plain;
     plain.name = "balanced";
     fleet::WorkloadMix attack;

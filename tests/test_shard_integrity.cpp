@@ -26,6 +26,7 @@
 #include "cpu/alu_ops.h"
 #include "journal_corruptor.h"
 #include "rtl/alu32.h"
+#include "vega/workflow.h"
 
 namespace vega::campaign {
 namespace {
