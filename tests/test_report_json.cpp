@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,41 @@ TEST(JsonGolden, CampaignReportBytes)
     b.sim_cycles = 900;
     b.corrupts_workload = true;
     b.escape = true;
-    r.jobs = {a, b};
+    // Rows d, e and c reach the rest of every constant, policy and
+    // detection kind, and c holds the largest value of every number.
+    campaign::JobResult d;
+    d.id = 3;
+    d.constant = lift::FaultConstant::Zero;
+    d.policy = runtime::SchedulePolicy::Random;
+    d.detected = true;
+    d.kind = runtime::Detection::TagAnomaly;
+    d.slots_to_detect = 1;
+    d.tests_dispatched = 1;
+    d.sim_cycles = 40;
+    campaign::JobResult e;
+    e.id = 4;
+    e.pair_index = 1;
+    e.constant = lift::FaultConstant::One;
+    e.policy = runtime::SchedulePolicy::Probabilistic;
+    e.detected = true;
+    e.kind = runtime::Detection::WrongAddress;
+    e.slots_to_detect = 2;
+    e.tests_dispatched = 5;
+    e.sim_cycles = 64;
+    e.corrupts_workload = true;
+    campaign::JobResult c;
+    c.id = UINT64_MAX;
+    c.pair_index = SIZE_MAX;
+    c.constant = lift::FaultConstant::RandomInput;
+    c.policy = runtime::SchedulePolicy::Probabilistic;
+    c.detected = true;
+    c.kind = runtime::Detection::Stall;
+    c.slots_to_detect = UINT64_MAX;
+    c.tests_dispatched = UINT64_MAX;
+    c.sim_cycles = UINT64_MAX;
+    c.corrupts_workload = true;
+    c.attempts = UINT32_MAX;
+    r.jobs = {a, b, d, e, c};
 
     campaign::FailedJob f;
     f.id = 1;
@@ -111,9 +146,9 @@ TEST(JsonGolden, CampaignReportBytes)
 
     EXPECT_EQ(r.to_json(true, true),
               R"({"campaign":{"module":"alu32","seed":18446744073709551615,)"
-              R"("num_jobs":2,"suite_size":6,"num_pairs":2,"max_slots":12,)"
+              R"("num_jobs":5,"suite_size":6,"num_pairs":2,"max_slots":12,)"
               R"("probability":0.25},"totals":{"detected":1,"corrupting":2,)"
-              R"("escapes":1,"benign":0,"failed":1,"detection_rate":0.5,)"
+              R"("escapes":1,"benign":0,"failed":1,"detection_rate":0.2,)"
               R"("escape_rate":0.5,"mean_latency_slots":3,)"
               R"("tests_dispatched":11,"sim_cycles":1020,)"
               R"("detections":{"mismatch":1,"stall":2,"tag_anomaly":3,)"
@@ -137,7 +172,20 @@ TEST(JsonGolden, CampaignReportBytes)
               R"("attempts":1},{"id":2,"pair":1,"constant":"C=1",)"
               R"("policy":"random","detected":0,"kind":"none",)"
               R"("slots_to_detect":0,"tests_dispatched":8,"sim_cycles":900,)"
-              R"("corrupts_workload":1,"escape":1,"attempts":1}],)"
+              R"("corrupts_workload":1,"escape":1,"attempts":1},{"id":3,)"
+              R"("pair":0,"constant":"C=0","policy":"random","detected":1,)"
+              R"("kind":"tag-anomaly","slots_to_detect":1,)"
+              R"("tests_dispatched":1,"sim_cycles":40,"corrupts_workload":0,)"
+              R"("escape":0,"attempts":1},{"id":4,"pair":1,"constant":"C=1",)"
+              R"("policy":"probabilistic","detected":1,"kind":"wrong-address",)"
+              R"("slots_to_detect":2,"tests_dispatched":5,"sim_cycles":64,)"
+              R"("corrupts_workload":1,"escape":0,"attempts":1},)"
+              R"({"id":18446744073709551615,"pair":18446744073709551615,)"
+              R"("constant":"C=rand","policy":"probabilistic","detected":1,)"
+              R"("kind":"stall","slots_to_detect":18446744073709551615,)"
+              R"("tests_dispatched":18446744073709551615,)"
+              R"("sim_cycles":18446744073709551615,"corrupts_workload":1,)"
+              R"("escape":0,"attempts":4294967295}],)"
               R"("failed_jobs":[{"id":1,"pair":1,"attempts":1,)"
               R"("code":"job-failed","context":"say \"hi\" \\ then\nnext\rcr\)"
               R"(ttab\u0001end"}],"timing":{"wall_seconds":1.5,)"
@@ -148,9 +196,9 @@ TEST(JsonGolden, CampaignReportBytes)
               R"("aggregate_seconds":123456789012345}})");
     EXPECT_EQ(r.to_json(false, false),
               R"({"campaign":{"module":"alu32","seed":18446744073709551615,)"
-              R"("num_jobs":2,"suite_size":6,"num_pairs":2,"max_slots":12,)"
+              R"("num_jobs":5,"suite_size":6,"num_pairs":2,"max_slots":12,)"
               R"("probability":0.25},"totals":{"detected":1,"corrupting":2,)"
-              R"("escapes":1,"benign":0,"failed":1,"detection_rate":0.5,)"
+              R"("escapes":1,"benign":0,"failed":1,"detection_rate":0.2,)"
               R"("escape_rate":0.5,"mean_latency_slots":3,)"
               R"("tests_dispatched":11,"sim_cycles":1020,)"
               R"("detections":{"mismatch":1,"stall":2,"tag_anomaly":3,)"
