@@ -121,40 +121,50 @@ fi
 # the worker) and then resumed. The aggregated report must be
 # byte-identical to the single-process one, and the aggregator must
 # refuse the fleet while the killed shard's journal lacks its trailer.
-fleet_dir="$build/ci-fleet"
-rm -rf "$fleet_dir"
-mkdir -p "$fleet_dir"
+# It runs twice: on the ALU, where shard 1's 6 jobs share one wave, and
+# on the memory decoder, where shard 1 owns 150 of 600 jobs in 64-job
+# march batches, so its kill after 100 jobs lands mid-batch, after a
+# full batch.
 campaign="$build/examples/vega_campaign"
-common_args=(--module alu --jobs 24 --seed 7 --max-pairs 2 --quiet
-             --no-timing)
-"$campaign" "${common_args[@]}" --out "$fleet_dir/single.json"
-for k in 0 2 3; do
-    "$campaign" "${common_args[@]}" --shards 4 --shard-id "$k" \
-        --journal-dir "$fleet_dir/shards" --out "$fleet_dir/shard$k.json"
-done
-# Shard 1: flush every record, SIGKILL after 3 completed jobs.
-"$campaign" "${common_args[@]}" --shards 4 --shard-id 1 \
-    --journal-dir "$fleet_dir/shards" --journal-flush-every 1 \
-    --kill-after 3 --out "$fleet_dir/shard1.json" && {
-    echo "ci_sanitize: shard 1 survived its SIGKILL" >&2
-    exit 1
+sharded_kill_resume() { # <name> <kill-after> <campaign args...>
+    local name="$1" kill_after="$2"
+    shift 2
+    local common_args=("$@" --quiet --no-timing)
+    local fleet_dir="$build/ci-fleet-$name"
+    rm -rf "$fleet_dir"
+    mkdir -p "$fleet_dir"
+    "$campaign" "${common_args[@]}" --out "$fleet_dir/single.json"
+    for k in 0 2 3; do
+        "$campaign" "${common_args[@]}" --shards 4 --shard-id "$k" \
+            --journal-dir "$fleet_dir/shards" --out "$fleet_dir/shard$k.json"
+    done
+    # Shard 1: flush every record, SIGKILL after kill_after completed jobs.
+    "$campaign" "${common_args[@]}" --shards 4 --shard-id 1 \
+        --journal-dir "$fleet_dir/shards" --journal-flush-every 1 \
+        --kill-after "$kill_after" --out "$fleet_dir/shard1.json" && {
+        echo "ci_sanitize: $name shard 1 survived its SIGKILL" >&2
+        exit 1
+    }
+    # The aggregator must refuse the incomplete fleet...
+    if "$campaign" --aggregate "$fleet_dir/shards" \
+        --out "$fleet_dir/premature.json"; then
+        echo "ci_sanitize: aggregator merged an incomplete $name shard" >&2
+        exit 1
+    fi
+    # ...until the killed shard is resumed.
+    "$campaign" "${common_args[@]}" --shards 4 --shard-id 1 \
+        --journal-dir "$fleet_dir/shards" --resume \
+        --out "$fleet_dir/shard1.json"
+    "$campaign" --aggregate "$fleet_dir/shards" \
+        --out "$fleet_dir/aggregated.json"
+    diff "$fleet_dir/single.json" "$fleet_dir/aggregated.json"
+    "$build/tools/vega_json_check" \
+        "$fleet_dir/aggregated.json.manifest.json" \
+        --require integrity --require shards
+    echo "ci_sanitize: $name sharded kill-and-resume aggregate is byte-identical"
 }
-# The aggregator must refuse the incomplete fleet...
-if "$campaign" --aggregate "$fleet_dir/shards" \
-    --out "$fleet_dir/premature.json"; then
-    echo "ci_sanitize: aggregator merged an incomplete shard" >&2
-    exit 1
-fi
-# ...until the killed shard is resumed.
-"$campaign" "${common_args[@]}" --shards 4 --shard-id 1 \
-    --journal-dir "$fleet_dir/shards" --resume \
-    --out "$fleet_dir/shard1.json"
-"$campaign" --aggregate "$fleet_dir/shards" \
-    --out "$fleet_dir/aggregated.json"
-diff "$fleet_dir/single.json" "$fleet_dir/aggregated.json"
-"$build/tools/vega_json_check" "$fleet_dir/aggregated.json.manifest.json" \
-    --require integrity --require shards
-echo "ci_sanitize: sharded kill-and-resume aggregate is byte-identical"
+sharded_kill_resume alu 3 --module alu --jobs 24 --seed 7 --max-pairs 2
+sharded_kill_resume mem 100 --module mem --jobs 600 --seed 7 --max-pairs 2
 
 ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <mutex>
 #include <optional>
+#include <variant>
 
 #include "campaign/journal.h"
 #include "campaign/shard.h"
@@ -329,8 +330,8 @@ try_run_campaign(const HwModule &module,
     };
     // Injection pass: the Monte Carlo jobs proper. Results land in
     // slots keyed by job id, so completion order is irrelevant. Every
-    // settled job is checkpointed to the journal before the campaign
-    // moves on.
+    // settled job is checkpointed to the journal before its batch's
+    // task moves on.
     std::mutex state_mu;
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> journal_nanos{0};
@@ -348,111 +349,112 @@ try_run_campaign(const HwModule &module,
     std::vector<BatchRun> parked;               // guarded by park_mu
     double characterize_wall = 0.0;
 
-    // Journal records are rendered and checksummed by the worker that
-    // settles them, off the hot state_mu; the writer locks only to
-    // append, and only the record that closes a group waits for its
-    // write (journal.h). Record order across threads is arbitrary,
-    // which is fine — replay is keyed by job id. A failed write is
-    // sticky in the writer, and sealing the journal returns it.
+    // Settle a finished batch once every verdict is in. Each job's
+    // outcome, a result or a quarantine, is resolved outside any lock;
+    // one state_mu section then stores the outcomes in id order. Stop
+    // and kill stay per job: the section ends at the job that reaches
+    // stop_after_jobs or kill_after_jobs, and a stop raised earlier
+    // drops the batch's remaining jobs, which a resume re-runs. The
+    // settled jobs' records are then framed outside every lock and
+    // appended in one call (journal.h). Record order across threads is
+    // arbitrary, which is fine: replay is keyed by job id. A failed
+    // write is sticky in the writer, and sealing the journal returns
+    // it.
     const bool journaling = journal.is_open();
-    auto journal_record = [&](const auto &record) {
-        if (!journaling)
-            return;
-        auto jt0 = std::chrono::steady_clock::now();
-        (void)journal.record(record);
-        journal_nanos.fetch_add(
-            uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - jt0)
-                         .count()),
-            std::memory_order_relaxed);
-    };
-
-    auto settle_result = [&](const JobResult &jr) {
-        bool do_kill = false;
-        {
-            std::lock_guard<std::mutex> lk(state_mu);
-            done[jr.id] = jr;
-            ++settled_this_run;
-            ++completed_this_run;
-            cycles_this_run += jr.sim_cycles;
-            if (cfg.stop_after_jobs &&
-                completed_this_run >= cfg.stop_after_jobs)
-                stop.store(true, std::memory_order_relaxed);
-            if (cfg.kill_after_jobs &&
-                completed_this_run >= cfg.kill_after_jobs)
-                do_kill = true;
-        }
-        journal_record(jr);
-        // The real thing, not a simulation: SIGKILL is uncatchable, so
-        // buffered journal records die with the process exactly as in
-        // a production OOM kill. The trigger lands mid-wave, with
-        // sibling episodes' records still unflushed.
-        if (do_kill)
-            std::raise(SIGKILL);
-        if (meter)
-            meter->job_done(jr.sim_cycles);
-    };
-
-    auto settle_failed = [&](uint64_t id, size_t pair_index,
-                             uint32_t attempts, VegaError error) {
-        FailedJob f;
-        f.id = id;
-        f.pair_index = pair_index;
-        f.attempts = attempts;
-        f.error = std::move(error);
-        {
-            std::lock_guard<std::mutex> lk(state_mu);
-            failed.push_back(f);
-            ++settled_this_run;
-        }
-        journal_record(f);
-        if (meter)
-            meter->job_done(0);
-    };
-
-    // Settle a finished batch one job at a time in id order, once every
-    // verdict is in, so stop/kill semantics stay per-job: a stop flag
-    // raised mid-batch drops the batch's remaining (unsettled) jobs,
-    // which a resume simply re-runs.
     auto batch_jobs = [&](size_t base) {
         return std::min(kWaveLanes, todo.size() - base);
     };
     auto settle_batch = [&](const BatchRun &run) {
+        // One span per settled batch of jobs, not one per job.
+        VEGA_SPAN("campaign.job");
+        const size_t n = batch_jobs(run.base);
+        // Each job's outcome, in id order.
+        std::vector<std::variant<JobResult, FailedJob>> outcomes;
+        outcomes.reserve(n);
         size_t ri = 0;
-        for (size_t k = 0; k < batch_jobs(run.base); ++k) {
-            if (stop.load(std::memory_order_relaxed))
-                return;
-            VEGA_SPAN("campaign.job");
-            static obs::Counter &jobs_counter =
-                obs::counter("campaign.jobs");
-            jobs_counter.inc();
-            worker_jobs_counter().inc();
+        for (size_t k = 0; k < n; ++k) {
             JobSpec s = make_spec(cfg, npairs, todo[run.base + k]);
             size_t idx = s.pair_index * nconst + s.constant_index;
             const JobResult *ran = nullptr;
             if ((run.laned >> k) & 1 && run.exec_error.empty())
                 ran = &run.results[ri++];
-            if (!char_error[idx].empty()) {
-                settle_failed(s.id, s.pair_index, 0,
-                              make_error(ErrorCode::JobFailed,
-                                         "characterization: " +
-                                             char_error[idx]));
-            } else if (!run.hook_error.empty() &&
-                       !run.hook_error[k].empty()) {
-                settle_failed(s.id, s.pair_index, 1,
-                              make_error(ErrorCode::JobFailed,
-                                         run.hook_error[k]));
-            } else if (!run.exec_error.empty()) {
-                settle_failed(s.id, s.pair_index, 1,
-                              make_error(ErrorCode::JobFailed,
-                                         run.exec_error));
-            } else {
-                JobResult jr = *ran;
+            std::string why;
+            if (!char_error[idx].empty())
+                why = "characterization: " + char_error[idx];
+            else if (!run.hook_error.empty() && !run.hook_error[k].empty())
+                why = run.hook_error[k];
+            else if (!run.exec_error.empty())
+                why = run.exec_error;
+            if (why.empty()) {
+                JobResult &jr =
+                    std::get<JobResult>(outcomes.emplace_back(*ran));
                 jr.corrupts_workload = corrupts[idx] != 0;
                 jr.escape = jr.corrupts_workload && !jr.detected;
-                settle_result(jr);
+                continue;
             }
+            FailedJob f;
+            f.id = s.id;
+            f.pair_index = s.pair_index;
+            // A job whose characterization failed never ran.
+            f.attempts = char_error[idx].empty() ? 1 : 0;
+            f.error = make_error(ErrorCode::JobFailed, std::move(why));
+            outcomes.emplace_back(std::move(f));
         }
+
+        size_t settled = 0;
+        uint64_t cycles = 0;
+        bool kill = false;
+        {
+            std::lock_guard<std::mutex> lk(state_mu);
+            for (; settled < n && !kill &&
+                   !stop.load(std::memory_order_relaxed);
+                 ++settled) {
+                const auto &o = outcomes[settled];
+                if (const auto *f = std::get_if<FailedJob>(&o)) {
+                    failed.push_back(*f);
+                    continue;
+                }
+                const JobResult &jr = std::get<JobResult>(o);
+                done[jr.id] = jr;
+                cycles += jr.sim_cycles;
+                ++completed_this_run;
+                if (cfg.stop_after_jobs &&
+                    completed_this_run >= cfg.stop_after_jobs)
+                    stop.store(true, std::memory_order_relaxed);
+                kill = cfg.kill_after_jobs &&
+                       completed_this_run >= cfg.kill_after_jobs;
+            }
+            settled_this_run += settled;
+            cycles_this_run += cycles;
+        }
+        static obs::Counter &jobs_counter = obs::counter("campaign.jobs");
+        jobs_counter.add(settled);
+        worker_jobs_counter().add(settled);
+
+        if (journaling && settled > 0) {
+            auto jt0 = std::chrono::steady_clock::now();
+            JournalBatch lines;
+            for (size_t k = 0; k < settled; ++k)
+                std::visit([&lines](const auto &o) { lines.add(o); },
+                           outcomes[k]);
+            (void)journal.append(lines);
+            journal_nanos.fetch_add(
+                uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - jt0)
+                             .count()),
+                std::memory_order_relaxed);
+        }
+        // The real thing, not a simulation: SIGKILL is uncatchable, so
+        // buffered journal records die with the process exactly as in
+        // a production OOM kill. The trigger lands mid-batch: the
+        // batch's later jobs ran but never settle.
+        if (kill)
+            std::raise(SIGKILL);
+        if (meter)
+            for (size_t k = 0; k < settled; ++k) {
+                const auto *jr = std::get_if<JobResult>(&outcomes[k]);
+                meter->job_done(jr ? jr->sim_cycles : 0);
+            }
     };
 
     // Characterization batches are queued first, and the pool starts

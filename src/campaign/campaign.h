@@ -68,9 +68,10 @@ struct CampaignConfig
     std::string journal_path;
     /**
      * Journal group-commit size: buffered records are appended and
-     * fsynced once per this many settled jobs (and once at the end).
-     * 1 = every record, the most crash-safe and the slowest; larger
-     * values amortize the fsync at the cost of a wider crash window.
+     * fsynced once a settled batch brings the open group to this many
+     * records or more (and once at the end). 1 = every settled batch,
+     * the most crash-safe and the slowest; larger values amortize the
+     * fsync at the cost of a wider crash window.
      */
     size_t journal_flush_every = 16;
     /** Reload an existing journal at journal_path and skip its jobs. */
@@ -89,8 +90,10 @@ struct CampaignConfig
     /**
      * Self-kill hook for kill-and-resume testing: raise SIGKILL —
      * a real, uncatchable kill, no destructors, no journal sync —
-     * once this many jobs have completed this run (0 = off). The
-     * journal is left exactly as a crash would leave it.
+     * once this many jobs have completed this run (0 = off), right
+     * after the settled records of the batch that holds the last of
+     * them are appended. The journal is left exactly as a crash would
+     * leave it.
      */
     size_t kill_after_jobs = 0;
 };

@@ -498,22 +498,16 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
 
     // Header (and resumed records) go down via write-temp-then-rename:
     // the one structural rewrite; everything after is an append.
-    std::string content = std::string(kMagicV2) + "\n";
-    auto add = [&](std::string_view line) {
-        content += line;
-        rolling_.update(line.data() + kCrcPrefix, line.size() - kCrcPrefix);
-    };
-    add(encode_line(header.to_string()));
+    std::string config = encode_line(header.to_string());
+    std::string content = std::string(kMagicV2) + "\n" + config;
+    rolling_.update(config.data() + kCrcPrefix, config.size() - kCrcPrefix);
     if (prior) {
-        char line[kJobLineMax];
-        for (const JobResult &r : prior->completed) {
-            add({line, frame_job(r, line)});
-            ++records_;
-        }
-        for (const FailedJob &f : prior->failed) {
-            add(encode_line(failed_body(f)));
-            ++records_;
-        }
+        JournalBatch resumed;
+        for (const JobResult &r : prior->completed)
+            resumed.add(r);
+        for (const FailedJob &f : prior->failed)
+            resumed.add(f);
+        take(resumed, content);
     }
     Expected<void> wrote = write_file_atomic(path_, content);
     if (!wrote)
@@ -542,30 +536,60 @@ render_record(const FailedJob &f)
     return failed_body(f);
 }
 
+void
+JournalBatch::add(const JobResult &r)
+{
+    char line[kJobLineMax];
+    text_.append(line, frame_job(r, line));
+    ends_.push_back(text_.size());
+}
+
+void
+JournalBatch::add(const FailedJob &f)
+{
+    text_ += encode_line(failed_body(f));
+    ends_.push_back(text_.size());
+}
+
+void
+JournalWriter::take(const JournalBatch &batch, std::string &out)
+{
+    out += batch.text_;
+    size_t start = 0;
+    for (size_t end : batch.ends_) {
+        rolling_.update(batch.text_.data() + start + kCrcPrefix,
+                        end - start - kCrcPrefix);
+        start = end;
+    }
+    records_ += batch.records();
+}
+
 Expected<void>
 JournalWriter::record(const JobResult &r)
 {
-    char line[kJobLineMax];
-    return append({line, frame_job(r, line)});
+    JournalBatch one;
+    one.add(r);
+    return append(one);
 }
 
 Expected<void>
 JournalWriter::record(const FailedJob &f)
 {
-    return append(encode_line(failed_body(f)));
+    JournalBatch one;
+    one.add(f);
+    return append(one);
 }
 
 Expected<void>
-JournalWriter::append(std::string_view line)
+JournalWriter::append(const JournalBatch &batch)
 {
     std::unique_lock<std::mutex> lk(mu_);
     VEGA_CHECK(!finalized_, "journal ", path_, ": record after finalize");
     if (error_)
         return *error_;
-    buffer_ += line;
-    rolling_.update(line.data() + kCrcPrefix, line.size() - kCrcPrefix);
-    ++records_;
-    if (++unflushed_ < flush_every_)
+    take(batch, buffer_);
+    unflushed_ += batch.records();
+    if (unflushed_ < flush_every_)
         return {};
     return commit(lk);
 }

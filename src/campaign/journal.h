@@ -37,13 +37,16 @@
  * A crash can leave at most one torn final line plus the records
  * buffered since the last flush; resume drops the torn tail with a
  * warning and re-runs those jobs. Flush granularity is group-commit:
- * record() buffers, and every @p flush_every-th record (default every
- * record) closes a group, which is appended and fsynced before that
- * record() returns; sync() closes a partial group the same way.
+ * append() buffers a batch of records, and a batch that brings the
+ * open group to @p flush_every records or more (default: any batch)
+ * closes the group, which is appended and fsynced before that append()
+ * returns; record() is a one-record batch, and sync() closes a partial
+ * group the same way.
  *
- * Concurrency: many threads may record() at once (see JournalWriter).
- * Each renders and checksums its own line before taking the writer's
- * lock, the producer-side checksum of the DAOS rule above.
+ * Concurrency: many threads may append at once (see JournalWriter).
+ * Each frames and checksums its own lines in a JournalBatch before
+ * taking the writer's lock, the producer-side checksum of the DAOS
+ * rule above.
  *
  * v1 files (no checksums) are refused with JournalCorrupt. The config
  * line fingerprints the campaign — including the shard split — and
@@ -58,7 +61,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "campaign/job.h"
@@ -143,24 +145,47 @@ Expected<JournalState> read_journal(const std::string &path,
                                     const JournalReadOptions &opts = {});
 
 /**
+ * Framed journal lines (checksum prefix, body, newline), built by one
+ * thread outside every lock and handed to JournalWriter::append() in
+ * one call.
+ */
+class JournalBatch
+{
+  public:
+    void add(const JobResult &result);
+    void add(const FailedJob &failure);
+
+    size_t records() const { return ends_.size(); }
+
+  private:
+    friend class JournalWriter;
+    std::string text_;
+    /** Where each line ends in text_. */
+    std::vector<size_t> ends_;
+};
+
+/**
  * Appends checksummed job records with group-commit durability, from
  * any number of threads at once.
  *
- * record() renders its line and the line's CRC32C on the calling
- * thread, before taking any lock. The writer's mutex guards only the
- * buffer append, the rolling checksum, the record count and the group
- * bookkeeping. The group commit is leader/follower:
- * - a record() that closes a group returns only once that group is on
- *   disk, so `flush_every = 1` means "durable on return";
- * - the caller whose record closes a group, finding no write running,
+ * A caller frames its records and their CRC32Cs in a JournalBatch, on
+ * its own thread, before taking any lock; append() then locks once for
+ * the whole batch. The writer's mutex guards only the buffer append,
+ * the rolling checksum, the record count and the group bookkeeping.
+ * A batch that brings the open group to flush_every records or more
+ * closes it, so a group may hold more than flush_every records. The
+ * group commit is leader/follower:
+ * - an append() that closes a group returns only once that group is
+ *   on disk, so `flush_every = 1` means "durable on return";
+ * - the caller whose batch closes a group, finding no write running,
  *   leads: it takes everything buffered so far, and writes and fsyncs
  *   it outside the lock;
  * - a caller that closes a group while that write runs waits, and its
- *   record goes out with the next write;
+ *   records go out with the next write;
  * - callers that do not close a group never wait on I/O.
  * One write runs at a time and takes the buffer whole, so file order
  * is the rolling checksum's order. The first failed write is sticky:
- * every later record(), sync() and finalize() returns it.
+ * every later append(), record(), sync() and finalize() returns it.
  *
  * open() and finalize() must not overlap other calls.
  */
@@ -183,6 +208,10 @@ class JournalWriter
                         const JournalState *prior = nullptr,
                         size_t flush_every = 1);
 
+    /** Buffer @p batch's lines in order, under one lock; commit if
+     *  they close a group. */
+    Expected<void> append(const JournalBatch &batch);
+    /** append() of a one-record batch. */
     Expected<void> record(const JobResult &result);
     Expected<void> record(const FailedJob &failure);
 
@@ -192,7 +221,8 @@ class JournalWriter
     /**
      * Flush, append the integrity trailer, and close. Only call once
      * every job this journal owns has settled: a trailer marks the
-     * shard complete and mergeable. Further record() calls are a bug.
+     * shard complete and mergeable. Further append() or record() calls
+     * are a bug.
      */
     Expected<void> finalize();
 
@@ -208,8 +238,9 @@ class JournalWriter
     uint64_t bytes_written() const { return locked(bytes_written_); }
 
   private:
-    /** Buffer one framed line; commit if it closes a group. */
-    Expected<void> append(std::string_view line);
+    /** Add @p batch's lines to @p out, the rolling checksum and the
+     *  record count; callers hold mu_. */
+    void take(const JournalBatch &batch, std::string &out);
     /** Close the open group, if it holds anything, and return once
      *  every closed group is on disk. */
     Expected<void> commit(std::unique_lock<std::mutex> &lk);

@@ -1,6 +1,7 @@
 #include "campaign/report.h"
 
 #include <algorithm>
+#include <array>
 
 #include "campaign/journal.h"
 #include "obs/json.h"
@@ -8,6 +9,22 @@
 namespace vega::campaign {
 
 using obs::kv;
+
+namespace {
+
+/** The names of an enum's @p N values, each quoted as a JSON string:
+ *  rendered once per report, then copied into every row. */
+template <typename E, size_t N>
+std::array<std::string, N>
+quoted_names(const char *(*name)(E))
+{
+    std::array<std::string, N> quoted;
+    for (size_t i = 0; i < N; ++i)
+        obs::json_string(quoted[i], name(E(i)));
+    return quoted;
+}
+
+} // namespace
 
 std::string
 CampaignReport::to_json(bool include_timing, bool include_jobs) const
@@ -70,25 +87,29 @@ CampaignReport::to_json(bool include_timing, bool include_jobs) const
     }
     out += ']';
     if (include_jobs) {
+        const auto constants = quoted_names<lift::FaultConstant, 3>(
+            lift::fault_constant_name);
+        const auto policies = quoted_names<runtime::SchedulePolicy, 3>(
+            runtime::schedule_policy_name);
+        const auto kinds =
+            quoted_names<runtime::Detection, 5>(runtime::detection_name);
         out += ",\"jobs\":[";
         for (size_t i = 0; i < jobs.size(); ++i) {
             const JobResult &j = jobs[i];
-            if (i)
-                out += ',';
-            out += '{';
-            kv(out, "id", j.id);
-            kv(out, "pair", uint64_t(j.pair_index));
-            kv(out, "constant", lift::fault_constant_name(j.constant));
-            kv(out, "policy", runtime::schedule_policy_name(j.policy));
-            kv(out, "detected", uint64_t(j.detected));
-            kv(out, "kind", runtime::detection_name(j.kind));
-            kv(out, "slots_to_detect", j.slots_to_detect);
-            kv(out, "tests_dispatched", j.tests_dispatched);
-            kv(out, "sim_cycles", j.sim_cycles);
-            kv(out, "corrupts_workload", uint64_t(j.corrupts_workload));
-            kv(out, "escape", uint64_t(j.escape));
-            kv(out, "attempts", uint64_t(j.attempts), false);
-            out += '}';
+            obs::JsonRow row(out, i > 0);
+            row.kv("id", j.id);
+            row.kv("pair", uint64_t(j.pair_index));
+            row.kv_json("constant", constants.at(size_t(j.constant)));
+            row.kv_json("policy", policies.at(size_t(j.policy)));
+            row.kv("detected", uint64_t(j.detected));
+            row.kv_json("kind", kinds.at(size_t(j.kind)));
+            row.kv("slots_to_detect", j.slots_to_detect);
+            row.kv("tests_dispatched", j.tests_dispatched);
+            row.kv("sim_cycles", j.sim_cycles);
+            row.kv("corrupts_workload", uint64_t(j.corrupts_workload));
+            row.kv("escape", uint64_t(j.escape));
+            row.kv("attempts", uint64_t(j.attempts));
+            row.close();
         }
         out += ']';
     }

@@ -101,21 +101,25 @@ struct CampaignTiming
     uint64_t steals = 0;
     /** High-water mark of tasks waiting in the pool's queue. */
     uint64_t peak_queue_depth = 0;
-    /** Journal write batches: the atomic write that opens the journal,
-     *  then one per appended group commit (0 when journaling is off). */
+    /** Journal writes: the atomic write that opens the journal, then
+     *  one per group-commit write, which carries every group closed
+     *  since the last one (0 when journaling is off). A group closes
+     *  on the settled batch that brings it to journal_flush_every
+     *  records or more. */
     uint64_t journal_flushes = 0;
-    /** Total bytes those batches wrote. */
+    /** Total bytes of those writes. */
     uint64_t journal_bytes = 0;
 
     // Per-stage wall breakdown: where the campaign actually spent its
     // time. Both pass times run from the campaign start, and they
     // overlap: a functional-unit campaign injects while it
-    // characterizes. journal is the summed time inside journal
-    // record/seal calls across workers (inside the simulate stage):
-    // rendering and checksumming each record, which the worker that
-    // settles it does, waiting for the writer's lock, and the
-    // group-commit writes a record that closes a group leads or waits
-    // for. aggregate covers report assembly.
+    // characterizes. journal is the summed time, across workers, of
+    // journaling settled batches and sealing the journal (inside the
+    // simulate stage): framing and checksumming a batch's records,
+    // which the worker that settles it does outside every lock, plus
+    // its one append, which waits for the writer's lock and, when the
+    // batch closes a group, for the group-commit write it leads or
+    // waits for. aggregate covers report assembly.
     /** Campaign start to the last characterization verdict. */
     double characterize_seconds = 0.0;
     /** Campaign start to the last settled job. */

@@ -1,7 +1,6 @@
 #include "common/checksum.h"
 
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
 namespace vega {
@@ -92,9 +91,11 @@ crc32c(const void *data, size_t size)
 std::string
 crc32c_hex(uint32_t crc)
 {
-    char buf[12];
-    std::snprintf(buf, sizeof buf, "%08x", crc);
-    return buf;
+    static const char kHex[] = "0123456789abcdef";
+    std::string hex(8, '0');
+    for (size_t i = 8; i-- > 0; crc >>= 4)
+        hex[i] = kHex[crc & 15];
+    return hex;
 }
 
 bool

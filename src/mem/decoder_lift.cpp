@@ -181,20 +181,22 @@ classify_slow_gate(const Netlist &healthy, CellId gate)
 
 namespace {
 
-/** Random-rung shape: tests in the rung and ops per test. */
+/** Random-rung shape: tests in the rung, ops per test, and the seed
+ *  of the first test (test i draws from kRandomSeed + i). */
 constexpr size_t kRandomTests = 4;
 constexpr size_t kRandomOps = 24;
+constexpr uint64_t kRandomSeed = 1;
 
 /** The escalation-ladder candidate pool, rung order. Returns the index
  *  where each rung starts (random, mats+, march_c-). */
 std::vector<runtime::TestCase>
-build_candidates(const MemLiftConfig &cfg, size_t rung_start[3])
+build_candidates(size_t rung_start[3])
 {
     std::vector<runtime::TestCase> pool;
     rung_start[0] = 0;
     for (size_t i = 0; i < kRandomTests; ++i)
         pool.push_back(workloads::make_random_march_test(
-            runtime::kMemTestRows, kRandomOps, cfg.seed + i));
+            runtime::kMemTestRows, kRandomOps, kRandomSeed + i));
     rung_start[1] = pool.size();
     pool.push_back(workloads::make_march_test(workloads::mats_plus(),
                                               runtime::kMemTestRows));
@@ -216,7 +218,7 @@ run_decoder_lifting(const HwModule &module,
                module_kind_name(module.kind));
     MemLiftResult result;
     size_t rung_start[3] = {0, 0, 0};
-    result.candidates = build_candidates(config, rung_start);
+    result.candidates = build_candidates(rung_start);
 
     size_t limit = std::min(config.max_pairs, pairs.size());
     for (size_t pi = 0; pi < limit; ++pi) {

@@ -74,7 +74,6 @@ struct MemLiftConfig
 {
     /** Analyze only the first N pairs (benches subset with this). */
     size_t max_pairs = SIZE_MAX;
-    uint64_t seed = 1;
 };
 
 /** Per-pair outcome of decoder lifting. */

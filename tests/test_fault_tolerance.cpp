@@ -393,9 +393,11 @@ TEST(Journal, MissingFileIsIoError)
     EXPECT_EQ(st.error().code, ErrorCode::IoError);
 }
 
-/** Thread @p t's @p i-th record: a job, or every fifth a failure. */
+/** Thread @p t's @p i-th record, a job or every fifth a failure,
+ *  handed to @p sink; returns its body. */
+template <typename Sink>
 std::string
-record_nth(JournalWriter &w, uint64_t t, uint64_t i)
+emit_nth(uint64_t t, uint64_t i, Sink &&sink)
 {
     uint64_t id = t * 100000 + i;
     if (i % 5 == 4) {
@@ -405,20 +407,33 @@ record_nth(JournalWriter &w, uint64_t t, uint64_t i)
         f.attempts = 1;
         f.error = make_error(ErrorCode::JobFailed, "thread " +
                                                        std::to_string(t));
-        EXPECT_TRUE(w.record(f).ok());
+        sink(f);
         return render_record(f);
     }
     JobResult r;
     r.id = id;
     r.pair_index = t;
     r.sim_cycles = i;
-    EXPECT_TRUE(w.record(r).ok());
+    sink(r);
     return render_record(r);
+}
+
+/** Record thread @p t's @p i-th record on @p w; returns its body. */
+std::string
+record_nth(JournalWriter &w, uint64_t t, uint64_t i)
+{
+    return emit_nth(t, i, [&w](const auto &rec) {
+        EXPECT_TRUE(w.record(rec).ok());
+    });
 }
 
 TEST(Journal, ConcurrentRecordersKeepTrailerVerifiable)
 {
-    const uint64_t threads = 4, per_thread = 2000;
+    // Threads 0-3 record one record at a time; threads 4 and 5 append
+    // 64-record batches.
+    const uint64_t recorders = 4, batchers = 2,
+                   threads = recorders + batchers, per_thread = 2048,
+                   batch = 64;
     for (size_t flush_every : {1, 7, 1024}) {
         std::string path = tmp_path("journal_concurrent.log");
         std::remove(path.c_str());
@@ -427,10 +442,21 @@ TEST(Journal, ConcurrentRecordersKeepTrailerVerifiable)
                         .ok());
         std::vector<std::vector<std::string>> recorded(threads);
         std::vector<std::thread> pool;
-        for (uint64_t t = 0; t < threads; ++t)
+        for (uint64_t t = 0; t < recorders; ++t)
             pool.emplace_back([&, t] {
                 for (uint64_t i = 0; i < per_thread; ++i)
                     recorded[t].push_back(record_nth(w, t, i));
+            });
+        for (uint64_t t = recorders; t < threads; ++t)
+            pool.emplace_back([&, t] {
+                for (uint64_t i = 0; i < per_thread; i += batch) {
+                    JournalBatch lines;
+                    for (uint64_t k = i; k < i + batch; ++k)
+                        recorded[t].push_back(emit_nth(
+                            t, k, [&](const auto &rec) { lines.add(rec); }));
+                    EXPECT_EQ(lines.records(), batch);
+                    EXPECT_TRUE(w.append(lines).ok());
+                }
             });
         for (std::thread &th : pool)
             th.join();
@@ -657,16 +683,30 @@ TEST(JournalGolden, FinalizedFileBytes)
     ASSERT_TRUE(w.record(f).ok());
     ASSERT_TRUE(w.finalize().ok());
 
+    const std::string want =
+        "# vega campaign journal v2\n"
+        "df61996f config module=alu32 seed=7 jobs=10 pairs=2 "
+        "constants=2 policies=3 max_slots=6 suite=4 "
+        "probability=0.5 shards=1 shard=0\n"
+        "2be70586 job 4 1 C=1 random 1 mismatch 2 2 77 0 0 1\n"
+        "16e73ba1 failed 5 0 1 job-failed hook threw\n"
+        "trailer records=2 crc=4c490350\n";
     Expected<std::string> text = read_file(path);
     ASSERT_TRUE(text.ok());
-    EXPECT_EQ(*text,
-              "# vega campaign journal v2\n"
-              "df61996f config module=alu32 seed=7 jobs=10 pairs=2 "
-              "constants=2 policies=3 max_slots=6 suite=4 "
-              "probability=0.5 shards=1 shard=0\n"
-              "2be70586 job 4 1 C=1 random 1 mismatch 2 2 77 0 0 1\n"
-              "16e73ba1 failed 5 0 1 job-failed hook threw\n"
-              "trailer records=2 crc=4c490350\n");
+    EXPECT_EQ(*text, want);
+
+    // The same two records through one batch append: the same bytes.
+    std::remove(path.c_str());
+    JournalWriter batched;
+    ASSERT_TRUE(batched.open(path, header_fixture(), nullptr, 2).ok());
+    JournalBatch lines;
+    lines.add(r);
+    lines.add(f);
+    ASSERT_TRUE(batched.append(lines).ok());
+    ASSERT_TRUE(batched.finalize().ok());
+    Expected<std::string> batched_text = read_file(path);
+    ASSERT_TRUE(batched_text.ok());
+    EXPECT_EQ(*batched_text, want);
     std::remove(path.c_str());
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "campaign/aggregator.h"
@@ -137,6 +138,43 @@ TEST(JsonEscape, ManifestPathControlBytesUseShortEscapes)
               std::string::npos)
         << json;
     EXPECT_EQ(string_value(json, "verdict"), s.detail);
+}
+
+TEST(JsonRow, MatchesKvBytesAtAnyRowLength)
+{
+    // Rows from empty to several times the row buffer, whether a long
+    // string value or many numbers make them long: the bytes equal
+    // what kv() writes field by field.
+    for (size_t len : {0, 1, 400, 511, 512, 513, 2000}) {
+        std::string name(len, 'x');
+        name += "\"\n";
+        std::string quoted;
+        obs::json_string(quoted, name);
+        std::string want = "[", got = "[";
+        for (size_t row = 0; row < 3; ++row) {
+            if (row)
+                want += ',';
+            want += '{';
+            obs::kv(want, "id", uint64_t(row));
+            obs::kv(want, "name", name);
+            for (size_t i = 0; i < len / 32; ++i)
+                obs::kv(want, "max", uint64_t(UINT64_MAX));
+            obs::kv(want, "last", uint64_t(0), false);
+            want += '}';
+
+            obs::JsonRow r(got, row > 0);
+            r.kv("id", row);
+            r.kv_json("name", quoted);
+            for (size_t i = 0; i < len / 32; ++i)
+                r.kv("max", UINT64_MAX);
+            r.kv("last", 0);
+            r.close();
+        }
+        EXPECT_EQ(got, want) << "name length " << len;
+    }
+    std::string empty;
+    obs::JsonRow(empty, true).close();
+    EXPECT_EQ(empty, ",{}");
 }
 
 } // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <mutex>
 
 #include "campaign/campaign.h"
@@ -762,6 +766,73 @@ TEST(MemCampaign, JournaledStopAndResumeIsByteIdentical)
     EXPECT_TRUE(sealed->has_trailer);
     EXPECT_EQ(sealed->records, 200u);
     EXPECT_EQ(sealed->completed.size(), 200u);
+    std::remove(journal.c_str());
+}
+
+TEST(MemCampaign, SigkillMidBatchThenResumeIsByteIdentical)
+{
+    MemLifted m = lift_three_pairs();
+    ASSERT_FALSE(m.suite.empty());
+    ASSERT_FALSE(m.pairs.empty());
+    std::string journal = testing::TempDir() + "vega_mem_sigkill_" +
+                          std::to_string(uint64_t(::getpid())) +
+                          ".journal";
+    std::remove(journal.c_str());
+
+    // 200 jobs on one thread: 64-job march batches settle in id order.
+    campaign::CampaignConfig cc;
+    cc.seed = 13;
+    cc.num_jobs = 200;
+    cc.threads = 1;
+    campaign::CampaignReport ref =
+        campaign::run_campaign(m.module, m.pairs, m.suite, cc);
+    ASSERT_EQ(ref.jobs.size(), 200u);
+
+    // Job 99, the 100th to settle, is the 36th of the second batch:
+    // that batch's settle ends at it, appends its 36 records (durable
+    // on return at flush_every 1), and raises SIGKILL. The batch's
+    // other 28 jobs ran but never settle. A real, uncatchable SIGKILL
+    // needs a sacrificial process.
+    campaign::CampaignConfig killed = cc;
+    killed.journal_path = journal;
+    killed.journal_flush_every = 1;
+    killed.kill_after_jobs = 100;
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        (void)campaign::try_run_campaign(m.module, m.pairs, m.suite, killed);
+        _exit(0); // kill hook failed to fire
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+    Expected<campaign::JournalState> crashed =
+        campaign::read_journal(journal);
+    ASSERT_TRUE(crashed.ok()) << crashed.error().to_string();
+    EXPECT_FALSE(crashed->has_trailer);
+    EXPECT_FALSE(crashed->torn_tail);
+    EXPECT_EQ(crashed->records, 100u);
+    ASSERT_EQ(crashed->completed.size(), 100u);
+    EXPECT_TRUE(crashed->failed.empty());
+    for (size_t i = 0; i < crashed->completed.size(); ++i)
+        EXPECT_EQ(crashed->completed[i].id, i);
+
+    campaign::CampaignConfig resumed = killed;
+    resumed.kill_after_jobs = 0;
+    resumed.resume = true;
+    Expected<campaign::CampaignReport> full =
+        campaign::try_run_campaign(m.module, m.pairs, m.suite, resumed);
+    ASSERT_TRUE(full.ok()) << full.error().to_string();
+    EXPECT_EQ(full->to_json(false), ref.to_json(false));
+
+    campaign::JournalReadOptions strict;
+    strict.require_trailer = true;
+    Expected<campaign::JournalState> sealed =
+        campaign::read_journal(journal, strict);
+    ASSERT_TRUE(sealed.ok()) << sealed.error().to_string();
+    EXPECT_EQ(sealed->records, 200u);
     std::remove(journal.c_str());
 }
 

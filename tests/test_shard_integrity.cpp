@@ -345,13 +345,14 @@ TEST(ShardFleet, KilledShardIsIncompleteUntilResumed)
 
 TEST(ShardFleet, SigkillMidWaveThenResumeIsByteIdentical)
 {
-    // The wave path settles (and journals) episodes one by one while
-    // sibling lanes' results are still in memory, so a SIGKILL after
-    // the second record of a 3-job shard lands *mid-wave*: the third
-    // episode has been simulated but never reaches the journal. The
-    // resume must re-run exactly the missing jobs and the fleet
-    // aggregate must still match the single-process report byte for
-    // byte — the wave-composition-independence contract under the
+    // A finished wave settles in id order under one lock and stops at
+    // the job that reaches kill_after_jobs, so a SIGKILL after the
+    // second record of a 3-job shard lands *mid-wave*: the two settled
+    // records are appended in one call and then the process dies, and
+    // the third episode has been simulated but never reaches the
+    // journal. The resume must re-run exactly the missing jobs and the
+    // fleet aggregate must still match the single-process report byte
+    // for byte — the wave-composition-independence contract under the
     // harshest crash there is.
     const FleetEnv &e = env();
     std::string dir = fresh_dir("sigkillwave");
@@ -364,8 +365,9 @@ TEST(ShardFleet, SigkillMidWaveThenResumeIsByteIdentical)
         cfg.journal_flush_every = 1;
         if (k == 1) {
             // All 3 of shard 1's jobs share one 64-lane wave; the kill
-            // triggers inside its settle loop. A real, uncatchable
-            // SIGKILL needs a sacrificial process.
+            // triggers once its settle has appended the wave's first two
+            // records. A real, uncatchable SIGKILL needs a sacrificial
+            // process.
             cfg.kill_after_jobs = 2;
             pid_t pid = fork();
             ASSERT_GE(pid, 0);
