@@ -112,16 +112,14 @@ make_random_test(ModuleKind kind, Rng &rng, size_t index)
     runtime::ModuleStep step;
     step.a = uint32_t(rng.next());
     step.b = uint32_t(rng.next());
+    step.op = uint32_t(rng.below(runtime::fu_num_ops(kind)));
     runtime::ResultCheck check;
     check.step = 0;
     if (kind == ModuleKind::Alu32) {
-        step.op = uint32_t(rng.below(kNumAluOps));
         check.expected = alu_compute(AluOp(step.op), step.a, step.b);
     } else if (kind == ModuleKind::Mdu32) {
-        step.op = uint32_t(rng.below(kNumMduOps));
         check.expected = mdu_compute(MduOp(step.op), step.a, step.b);
     } else {
-        step.op = uint32_t(rng.below(8));
         auto op = fp::FpuOp(step.op);
         fp::FpResult golden = fp::fpu_compute(op, step.a, step.b);
         check.expected = golden.bits;

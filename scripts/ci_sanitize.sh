@@ -166,6 +166,20 @@ sharded_kill_resume() { # <name> <kill-after> <campaign args...>
 sharded_kill_resume alu 3 --module alu --jobs 24 --seed 7 --max-pairs 2
 sharded_kill_resume mem 100 --module mem --jobs 600 --seed 7 --max-pairs 2
 
+# Output pins: the bytes a refactor must hold still. OutputPin.* takes
+# CRC32Cs of every failure-model product as exported Verilog (failing
+# netlist, shadow instrumentation, fault bank, shadow bank; ALU pairs
+# and adder2 same-flop paths) and of the lifted ALU, MDU and FPU suites
+# with their compiled blocks and lifting outcomes. output_pin_* compares
+# vega_campaign reports (alu, mem, mdu at 1 and 4 threads), vega_fleet
+# --smoke's bench record and the full mem_substrate run, which must
+# regenerate the committed BENCH_mem.json, against pinned bytes. Run
+# them focused so an output that moves under the sanitizers fails
+# readably before the full suite.
+ctest --test-dir "$build" --output-on-failure -R 'OutputPin|output_pin' \
+    -j "$jobs"
+echo "ci_sanitize: output pins hold"
+
 ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 
 # Concurrency pass under ThreadSanitizer (its own tree: TSan cannot

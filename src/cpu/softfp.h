@@ -61,6 +61,8 @@ enum class FpuOp : uint8_t {
     Max = 7,
 };
 
+constexpr int kNumFpuOps = 8;
+
 /** Dispatch by FpuOp. */
 FpResult fpu_compute(FpuOp op, uint32_t a, uint32_t b);
 

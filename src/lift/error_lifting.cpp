@@ -44,7 +44,8 @@ runtime::Detection
 replay_on_module(const runtime::TestCase &tc, const Netlist &netlist)
 {
     BatchSimulator sim(netlist);
-    bool is_fpu = tc.module == ModuleKind::Fpu32;
+    const bool is_fpu = tc.module == ModuleKind::Fpu32;
+    const size_t op_width = netlist.bus("op").size();
 
     size_t n = tc.stimulus.size();
     std::vector<uint32_t> r_out(n, 0);
@@ -56,11 +57,7 @@ replay_on_module(const runtime::TestCase &tc, const Netlist &netlist)
             const runtime::ModuleStep &s = tc.stimulus[t];
             sim.set_bus_all("a", BitVec(32, s.a));
             sim.set_bus_all("b", BitVec(32, s.b));
-            sim.set_bus_all("op",
-                            BitVec(tc.module == ModuleKind::Mdu32 ? 2
-                                   : is_fpu                       ? 3
-                                                                  : 4,
-                                   s.op));
+            sim.set_bus_all("op", BitVec(op_width, s.op));
             if (is_fpu) {
                 sim.set_bus_all("valid", BitVec(1, s.valid ? 1 : 0));
                 sim.set_bus_all("clear", BitVec(1, s.clear ? 1 : 0));

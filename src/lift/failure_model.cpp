@@ -1,7 +1,6 @@
 #include "lift/failure_model.h"
 
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "netlist/builder.h"
@@ -32,84 +31,78 @@ mitigation_name(Mitigation m)
 
 namespace {
 
-/** The fault-model nets shared by both instrumentation modes. */
-struct FaultNets
+/** Eq. 2 / Eq. 3's wrong value C; @p rand is the "fm_rand" input bit. */
+NetId
+build_c_source(Builder &b, FaultConstant c, NetId rand)
 {
-    NetId faulty_d;    ///< replacement for Y's D pin
-    NetId active;      ///< 1 when the violation corrupts this cycle
-};
+    switch (c) {
+      case FaultConstant::Zero:        return b.const0();
+      case FaultConstant::One:         return b.const1();
+      case FaultConstant::RandomInput: return rand;
+    }
+    panic("bad fault constant");
+}
 
 /**
- * Build the Eq. 2 / Eq. 3 structure into @p nl (a fresh copy of the
- * module): history flop, activation comparator, C source, and the MUX
- * producing Y's corrupted next-state.
+ * Eq. 2 / Eq. 3 activation: 1 on cycles where @p spec's violation
+ * corrupts Y. @p x is the launch flop, copied because the history flop
+ * reallocates the cell vector; @p x_next is X's original next-state
+ * net. A same-flop path leaves Y metastable, so it always samples C
+ * (§3.3.1).
  */
-FaultNets
-build_fault_logic(Netlist &nl, const FailureModelSpec &spec)
+NetId
+build_activation(Builder &b, const Cell x, NetId x_next,
+                 const FailureModelSpec &spec)
 {
-    Builder b(nl, "vegafm");
-    // Copy by value: adding cells below reallocates the cell vector.
-    const Cell x = nl.cell(spec.launch);
-    const Cell y = nl.cell(spec.capture);
-    VEGA_CHECK(x.type == CellType::Dff && y.type == CellType::Dff,
-               "failure model endpoints must be DFFs");
-
-    NetId y_orig_d = y.in[0];
-
-    // C source.
-    NetId c_net = kInvalidId;
-    switch (spec.constant) {
-      case FaultConstant::Zero:
-        c_net = b.const0();
-        break;
-      case FaultConstant::One:
-        c_net = b.const1();
-        break;
-      case FaultConstant::RandomInput:
-        c_net = nl.add_input_bus("fm_rand", 1)[0];
-        break;
-    }
-
-    // Activation condition.
+    if (spec.launch == spec.capture)
+        return b.const1();
     NetId x_now = x.out;
-    NetId x_other; // X(t-1) for setup, X(t+1) for hold
-    if (spec.launch == spec.capture) {
-        // Same-flop path: Y is metastable and always samples C (§3.3.1).
-        NetId one = b.const1();
-        NetId active = one;
-        NetId faulty = b.mux(y_orig_d, c_net, active);
-        nl.cell_mut(spec.capture).in[0] = faulty;
-        return {faulty, active};
-    }
-    if (spec.is_setup) {
-        // History flop retains X(t-1); cell $12 in Figure 5.
-        x_other = b.dff(x_now, x.init, x.clock_leaf);
-    } else {
-        // X's own D pin is X(t+1); Figure 6.
-        x_other = x.in[0];
-    }
-
-    NetId active;
+    // X(t-1) for setup: the history flop, cell $12 in Figure 5. X(t+1)
+    // for hold: X's own D pin (Figure 6).
+    NetId x_other =
+        spec.is_setup ? b.dff(x_now, x.init, x.clock_leaf) : x_next;
     switch (spec.mitigation) {
       case Mitigation::None:
-        active = b.xor_(x_now, x_other);
-        break;
+        return b.xor_(x_now, x_other);
       case Mitigation::RisingEdge:
         // Setup: rising edge means X(t-1)=0, X(t)=1. Hold: X(t)=0 and
         // X(t+1)=1. Either way: "now" side low for hold, high for setup.
-        active = spec.is_setup ? b.and_(x_now, b.not_(x_other))
-                               : b.and_(b.not_(x_now), x_other);
-        break;
+        return spec.is_setup ? b.and_(x_now, b.not_(x_other))
+                             : b.and_(b.not_(x_now), x_other);
       case Mitigation::FallingEdge:
-        active = spec.is_setup ? b.and_(b.not_(x_now), x_other)
-                               : b.and_(x_now, b.not_(x_other));
-        break;
-      default:
-        panic("bad mitigation");
+        return spec.is_setup ? b.and_(b.not_(x_now), x_other)
+                             : b.and_(x_now, b.not_(x_other));
     }
+    panic("bad mitigation");
+}
 
-    NetId faulty = b.mux(y_orig_d, c_net, active);
-    return {faulty, active};
+/** Both endpoints of a modeled path are flops. */
+void
+check_endpoints(const Netlist &nl, const FailureModelSpec &spec)
+{
+    VEGA_CHECK(nl.cell(spec.launch).type == CellType::Dff &&
+                   nl.cell(spec.capture).type == CellType::Dff,
+               "failure model endpoints must be DFFs");
+}
+
+/**
+ * Build the Eq. 2 / Eq. 3 structure into @p nl (a fresh copy of the
+ * module): C source, history flop, activation comparator, and the MUX
+ * producing Y's corrupted next-state, which is returned. Y itself is
+ * left wired to its original D.
+ */
+NetId
+build_fault_logic(Netlist &nl, const FailureModelSpec &spec)
+{
+    check_endpoints(nl, spec);
+    Builder b(nl, "vegafm");
+    NetId rand = spec.constant == FaultConstant::RandomInput
+                     ? nl.add_input_bus("fm_rand", 1)[0]
+                     : kInvalidId;
+    NetId c_net = build_c_source(b, spec.constant, rand);
+    NetId x_next = nl.cell(spec.launch).in[0];
+    NetId active = build_activation(b, nl.cell(spec.launch), x_next, spec);
+    return b.mux(nl.cell(spec.capture).in[0], c_net, active);
 }
 
 } // namespace
@@ -120,9 +113,8 @@ build_failing_netlist(const Netlist &nl, const FailureModelSpec &spec)
     FailingNetlist out;
     out.netlist = nl; // deep copy
     out.netlist.set_name(nl.name() + "_failing");
-    FaultNets fm = build_fault_logic(out.netlist, spec);
-    if (spec.launch != spec.capture)
-        out.netlist.cell_mut(spec.capture).in[0] = fm.faulty_d;
+    NetId faulty_d = build_fault_logic(out.netlist, spec);
+    out.netlist.cell_mut(spec.capture).in[0] = faulty_d;
     out.has_random_input = spec.constant == FaultConstant::RandomInput;
     out.netlist.validate();
     return out;
@@ -147,14 +139,10 @@ build_fault_bank(const Netlist &nl,
     // exact pass-through, so the original net carries the same value —
     // reading it keeps every fault's activation cone identical to its
     // standalone build_failing_netlist() form.
-    std::unordered_map<CellId, NetId> orig_d;
+    std::vector<NetId> launch_d;
     for (const FailureModelSpec &spec : specs) {
-        const Cell &x = bnl.cell(spec.launch);
-        const Cell &y = bnl.cell(spec.capture);
-        VEGA_CHECK(x.type == CellType::Dff && y.type == CellType::Dff,
-                   "failure model endpoints must be DFFs");
-        orig_d.emplace(spec.launch, x.in[0]);
-        orig_d.emplace(spec.capture, y.in[0]);
+        check_endpoints(bnl, spec);
+        launch_d.push_back(bnl.cell(spec.launch).in[0]);
     }
 
     Builder b(bnl, "vegafm");
@@ -170,51 +158,16 @@ build_fault_bank(const Netlist &nl,
 
     for (size_t i = 0; i < specs.size(); ++i) {
         const FailureModelSpec &spec = specs[i];
-        // Copy by value: adding cells below reallocates the cell vector.
-        const Cell x = bnl.cell(spec.launch);
-
-        NetId c_net = kInvalidId;
-        switch (spec.constant) {
-          case FaultConstant::Zero:
-            c_net = b.const0();
-            break;
-          case FaultConstant::One:
-            c_net = b.const1();
-            break;
-          case FaultConstant::RandomInput:
-            c_net = rand_net;
-            out.fault_random[i] = 1;
-            break;
-        }
-
-        NetId gated;
-        if (spec.launch == spec.capture) {
-            // Same-flop path: standalone activation is constant 1, so
-            // the gated form is the enable itself.
-            gated = enables[i];
-        } else {
-            NetId x_now = x.out;
-            NetId x_other = spec.is_setup
-                                ? b.dff(x_now, x.init, x.clock_leaf)
-                                : orig_d.at(spec.launch);
-            NetId active;
-            switch (spec.mitigation) {
-              case Mitigation::None:
-                active = b.xor_(x_now, x_other);
-                break;
-              case Mitigation::RisingEdge:
-                active = spec.is_setup ? b.and_(x_now, b.not_(x_other))
-                                       : b.and_(b.not_(x_now), x_other);
-                break;
-              case Mitigation::FallingEdge:
-                active = spec.is_setup ? b.and_(b.not_(x_now), x_other)
-                                       : b.and_(x_now, b.not_(x_other));
-                break;
-              default:
-                panic("bad mitigation");
-            }
-            gated = b.and_(active, enables[i]);
-        }
+        NetId c_net = build_c_source(b, spec.constant, rand_net);
+        out.fault_random[i] = spec.constant == FaultConstant::RandomInput;
+        // A same-flop path's standalone activation is constant 1, so
+        // its gated form is the enable itself.
+        NetId gated =
+            spec.launch == spec.capture
+                ? enables[i]
+                : b.and_(build_activation(b, bnl.cell(spec.launch),
+                                          launch_d[i], spec),
+                         enables[i]);
 
         // Chain onto whatever currently drives Y's D — the original
         // next-state net, or an earlier fault's (pass-through when
@@ -239,9 +192,10 @@ struct ShadowCone
 };
 
 /**
- * Core of both shadow builders: splice spec's fault model into @p snl
+ * Core of both shadow builders: build spec's fault logic into @p snl
  * (already a copy of @p nl, possibly carrying earlier cones), duplicate
- * Y's fanout cone under @p suffix, and build the observability-gated
+ * Y's fanout cone under @p suffix with the shadow Y sampling the
+ * corrupted next-state, and build the observability-gated
  * mismatch bit. @p add_shadow_buses registers the "<bus><suffix>"
  * output buses (the single-spec instrumentation publishes them per
  * Table 2; the bank keeps only the mismatch bits as outputs).
@@ -255,11 +209,10 @@ build_shadow_cone(Netlist &snl, const Netlist &nl,
                "formal trace generation uses constant C only");
 
     ShadowCone out;
-    FaultNets fm = build_fault_logic(snl, spec);
+    NetId faulty_d = build_fault_logic(snl, spec);
 
     // Cells influenced by Y, including Y itself (§3.3.2).
     std::vector<CellId> cone = nl.fanout_cone(spec.capture);
-    std::unordered_set<CellId> in_cone(cone.begin(), cone.end());
 
     // Shadow output net per cone cell, created up front so shadow cells
     // can be wired in any order.
@@ -277,37 +230,20 @@ build_shadow_cone(Netlist &snl, const Netlist &nl,
             auto it = shadow_net.find(in);
             ins.push_back(it == shadow_net.end() ? in : it->second);
         }
-        if (c == spec.capture && spec.launch != spec.capture) {
-            // The shadow Y samples the corrupted D (Figure 7's $10S).
-            ins[0] = fm.faulty_d;
+        if (c == spec.capture) {
+            // The shadow Y samples the corrupted D (Figure 7's $10S);
+            // Y itself keeps its original D.
+            ins[0] = faulty_d;
         }
         if (orig.type == CellType::Dff) {
-            CellId s = snl.add_dff(orig.name + suffix, ins[0],
-                                   shadow_net.at(orig.out), orig.init,
-                                   orig.clock_leaf);
-            (void)s;
+            snl.add_dff(orig.name + suffix, ins[0], shadow_net.at(orig.out),
+                        orig.init, orig.clock_leaf);
             out.state_pairs.emplace_back(orig.out,
                                          shadow_net.at(orig.out));
         } else {
             snl.add_cell(orig.type, orig.name + suffix, ins,
                          shadow_net.at(orig.out));
         }
-    }
-
-    // In the failing-netlist mode the fault replaces Y's D directly; in
-    // shadow mode Y keeps its original D, and only the replica sees the
-    // corruption — revert any splice done for the same-flop case.
-    if (spec.launch == spec.capture) {
-        // build_fault_logic spliced Y; restore the original D and hand
-        // the corrupted input to the shadow copy only.
-        // (For distinct endpoints build_fault_logic does not splice.)
-        // The shadow copy above read orig.in after the splice, so it is
-        // already corrupted; restore the original wiring for Y itself.
-        // Find Y's original D: the MUX we inserted has it as input A.
-        const Cell &y = snl.cell(spec.capture);
-        const Cell &mux = snl.cell(snl.net(y.in[0]).driver);
-        VEGA_CHECK(mux.type == CellType::Mux2, "fault mux expected");
-        snl.cell_mut(spec.capture).in[0] = mux.in[0];
     }
 
     // Cover target: OR over shadowed primary-output bits of
@@ -387,9 +323,9 @@ build_shadow_bank(const Netlist &nl,
     bnl.set_name(nl.name() + "_shadowbank");
 
     // Cones are built strictly one after another; build_shadow_cone
-    // restores every original net it touches (the same-flop splice is
-    // reverted after the replica samples it), so cone i+1 reads the
-    // pristine module and the cones stay mutually independent.
+    // only adds cells and never rewires an original one, so cone i+1
+    // reads the pristine module and the cones stay mutually
+    // independent.
     std::vector<NetId> mismatches;
     mismatches.reserve(specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {

@@ -9,16 +9,20 @@
  * mitigation narrows activation to a specific edge of X so generated
  * tests do not depend on pre-existing register state.
  *
- * The model is built from ordinary cells (a history DFF, an activation
- * comparator, and a MUX in front of Y's D pin), so the same construction
- * serves both products of this phase:
+ * The model is built from ordinary cells (a C source, a history DFF, an
+ * activation comparator, and a MUX computing Y's corrupted next-state),
+ * and one construction of the C source and the activation serves every
+ * product of this phase:
  *
- *  - a *failing netlist*: the fault spliced directly into a copy of the
- *    module, used for fault-injection evaluation (§5.2.2) and exportable
- *    as synthesizable Verilog;
- *  - a *shadow replica*: the fault feeding a duplicated fanout cone of Y
+ *  - a *failing netlist*: the MUX spliced into Y's D pin in a copy of
+ *    the module, used for fault-injection evaluation (§5.2.2) and
+ *    exportable as synthesizable Verilog;
+ *  - a *fault bank*: many failing netlists in one copy, each fault's
+ *    activation gated by its own enable bit;
+ *  - a *shadow replica*: the MUX feeding a duplicated fanout cone of Y
  *    whose outputs are compared against the originals, producing the
- *    cover target for trace generation (§3.3.3).
+ *    cover target for trace generation (§3.3.3). Y itself is never
+ *    rewired.
  */
 #pragma once
 

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "runtime/test_case.h"
 #include "sim/batch_sim.h"
 
 namespace vega::lift {
@@ -51,7 +52,9 @@ fuzz_cover(const ShadowInstrumentation &shadow, ModuleKind kind,
     for (const auto &bus : nl.output_bus_names())
         buses.push_back(bus);
 
-    bool is_fpu = kind == ModuleKind::Fpu32;
+    const bool is_fpu = kind == ModuleKind::Fpu32;
+    const uint32_t num_ops = runtime::fu_num_ops(kind);
+    const size_t op_width = nl.bus("op").size();
     size_t batches = (config.max_episodes + kLanes - 1) / kLanes;
     for (size_t batch = 0; batch < batches; ++batch) {
         sim.reset();
@@ -62,11 +65,10 @@ fuzz_cover(const ShadowInstrumentation &shadow, ModuleKind kind,
             for (int lane = 0; lane < kLanes; ++lane) {
                 uint32_t a = random_operand(rng);
                 uint32_t b = random_operand(rng);
-                uint32_t op = is_fpu ? uint32_t(rng.below(8))
-                                     : uint32_t(rng.below(10));
+                uint32_t op = uint32_t(rng.below(num_ops));
                 sim.set_bus_lane("a", lane, BitVec(32, a));
                 sim.set_bus_lane("b", lane, BitVec(32, b));
-                sim.set_bus_lane("op", lane, BitVec(is_fpu ? 3 : 4, op));
+                sim.set_bus_lane("op", lane, BitVec(op_width, op));
                 if (is_fpu) {
                     // Same restrictions as the formal path: no
                     // mid-trace clears; mostly-valid issue.

@@ -1,6 +1,5 @@
 #include "lift/instruction_builder.h"
 
-#include "common/logging.h"
 #include "cpu/alu_ops.h"
 #include "cpu/mdu_ops.h"
 #include "cpu/softfp.h"
@@ -8,156 +7,79 @@
 
 namespace vega::lift {
 
-namespace {
-
 ConversionResult
-convert_alu(const Waveform &trace, int pair_index,
-            const std::string &config_name)
+build_test_case(ModuleKind kind, const Waveform &trace, int pair_index,
+                const std::string &config_name)
 {
     ConversionResult out;
-    runtime::TestCase tc;
-    tc.module = ModuleKind::Alu32;
-    tc.pair_index = pair_index;
-    tc.config = config_name;
-    tc.name = "alu_pair" + std::to_string(pair_index) + "_" + config_name;
-
-    size_t frames = trace.num_cycles();
-    if (frames > 8) {
+    const char *unit = kind == ModuleKind::Alu32   ? "alu"
+                       : kind == ModuleKind::Mdu32 ? "mdu"
+                       : kind == ModuleKind::Fpu32 ? "fpu"
+                                                   : nullptr;
+    if (!unit) {
+        out.reason = "no instruction mapping for this module";
+        return out;
+    }
+    if (trace.num_cycles() > runtime::kMaxTestSteps) {
         out.reason = "trace longer than the register budget allows";
         return out;
     }
-    for (size_t f = 0; f < frames; ++f) {
+    runtime::TestCase tc;
+    tc.module = kind;
+    tc.pair_index = pair_index;
+    tc.config = config_name;
+    tc.name = std::string(unit) + "_pair" + std::to_string(pair_index) +
+              "_" + config_name;
+
+    // One trace cycle per step; every issued op is checked against the
+    // unit's golden model. Only the FPU has valid/clear handshakes and
+    // sticky flags.
+    const bool is_fpu = kind == ModuleKind::Fpu32;
+    uint8_t flags_acc = 0;
+    for (size_t f = 0; f < trace.num_cycles(); ++f) {
         runtime::ModuleStep step;
         step.a = uint32_t(trace.at("a", f).to_u64());
         step.b = uint32_t(trace.at("b", f).to_u64());
         step.op = uint32_t(trace.at("op", f).to_u64());
-        if (step.op >= uint32_t(kNumAluOps)) {
+        if (step.op >= runtime::fu_num_ops(kind)) {
             out.reason = "trace uses an undefined opcode";
             return out;
         }
+        if (is_fpu) {
+            step.valid = trace.at("valid", f).to_u64() != 0;
+            step.clear = trace.at("clear", f).to_u64() != 0;
+        }
         tc.stimulus.push_back(step);
-        runtime::ResultCheck check;
-        check.step = f;
-        check.expected = alu_compute(AluOp(step.op), step.a, step.b);
-        tc.checks.push_back(check);
-    }
-
-    runtime::finalize_test_case(tc);
-    out.ok = true;
-    out.test = std::move(tc);
-    return out;
-}
-
-ConversionResult
-convert_fpu(const Waveform &trace, int pair_index,
-            const std::string &config_name)
-{
-    ConversionResult out;
-    runtime::TestCase tc;
-    tc.module = ModuleKind::Fpu32;
-    tc.pair_index = pair_index;
-    tc.config = config_name;
-    tc.name = "fpu_pair" + std::to_string(pair_index) + "_" + config_name;
-
-    size_t frames = trace.num_cycles();
-    if (frames > 8) {
-        out.reason = "trace longer than the register budget allows";
-        return out;
-    }
-
-    uint8_t flags_acc = 0;
-    for (size_t f = 0; f < frames; ++f) {
-        runtime::ModuleStep step;
-        step.a = uint32_t(trace.at("a", f).to_u64());
-        step.b = uint32_t(trace.at("b", f).to_u64());
-        step.op = uint32_t(trace.at("op", f).to_u64());
-        step.valid = trace.at("valid", f).to_u64() != 0;
-        step.clear = trace.at("clear", f).to_u64() != 0;
-        tc.stimulus.push_back(step);
-
         if (step.clear) {
             flags_acc = 0;
             continue;
         }
         if (!step.valid)
             continue;
-        auto op = fp::FpuOp(step.op);
-        fp::FpResult golden = fp::fpu_compute(op, step.a, step.b);
-        flags_acc |= golden.flags;
 
         runtime::ResultCheck check;
         check.step = f;
-        check.expected = golden.bits;
-        check.to_xreg = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
-                        op == fp::FpuOp::Le;
+        if (kind == ModuleKind::Alu32) {
+            check.expected = alu_compute(AluOp(step.op), step.a, step.b);
+        } else if (kind == ModuleKind::Mdu32) {
+            check.expected = mdu_compute(MduOp(step.op), step.a, step.b);
+        } else {
+            auto op = fp::FpuOp(step.op);
+            fp::FpResult golden = fp::fpu_compute(op, step.a, step.b);
+            flags_acc |= golden.flags;
+            check.expected = golden.bits;
+            check.to_xreg = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
+                            op == fp::FpuOp::Le;
+        }
         tc.checks.push_back(check);
     }
-    tc.check_final_flags = true;
+    tc.check_final_flags = is_fpu;
     tc.expected_flags = flags_acc;
 
     runtime::finalize_test_case(tc);
     out.ok = true;
     out.test = std::move(tc);
     return out;
-}
-
-ConversionResult
-convert_mdu(const Waveform &trace, int pair_index,
-            const std::string &config_name)
-{
-    ConversionResult out;
-    runtime::TestCase tc;
-    tc.module = ModuleKind::Mdu32;
-    tc.pair_index = pair_index;
-    tc.config = config_name;
-    tc.name = "mdu_pair" + std::to_string(pair_index) + "_" + config_name;
-
-    size_t frames = trace.num_cycles();
-    if (frames > 8) {
-        out.reason = "trace longer than the register budget allows";
-        return out;
-    }
-    for (size_t f = 0; f < frames; ++f) {
-        runtime::ModuleStep step;
-        step.a = uint32_t(trace.at("a", f).to_u64());
-        step.b = uint32_t(trace.at("b", f).to_u64());
-        step.op = uint32_t(trace.at("op", f).to_u64());
-        if (step.op >= uint32_t(kNumMduOps)) {
-            out.reason = "trace uses an undefined opcode";
-            return out;
-        }
-        tc.stimulus.push_back(step);
-        runtime::ResultCheck check;
-        check.step = f;
-        check.expected = mdu_compute(MduOp(step.op), step.a, step.b);
-        tc.checks.push_back(check);
-    }
-
-    runtime::finalize_test_case(tc);
-    out.ok = true;
-    out.test = std::move(tc);
-    return out;
-}
-
-} // namespace
-
-ConversionResult
-build_test_case(ModuleKind kind, const Waveform &trace, int pair_index,
-                const std::string &config_name)
-{
-    switch (kind) {
-      case ModuleKind::Alu32:
-        return convert_alu(trace, pair_index, config_name);
-      case ModuleKind::Fpu32:
-        return convert_fpu(trace, pair_index, config_name);
-      case ModuleKind::Mdu32:
-        return convert_mdu(trace, pair_index, config_name);
-      default: {
-        ConversionResult out;
-        out.reason = "no instruction mapping for this module";
-        return out;
-      }
-    }
 }
 
 std::vector<NetId>

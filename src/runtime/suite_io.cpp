@@ -7,35 +7,18 @@ namespace vega::runtime {
 
 namespace {
 
-const char *
-module_token(ModuleKind kind)
-{
-    switch (kind) {
-      case ModuleKind::Adder2:   return "adder2";
-      case ModuleKind::Alu32:    return "alu32";
-      case ModuleKind::Fpu32:    return "fpu32";
-      case ModuleKind::Mdu32:    return "mdu32";
-      case ModuleKind::MemDec16: return "memdec16";
-    }
-    return "?";
-}
-
 bool
 parse_module(const std::string &token, ModuleKind &out)
 {
-    if (token == "adder2")
-        out = ModuleKind::Adder2;
-    else if (token == "alu32")
-        out = ModuleKind::Alu32;
-    else if (token == "fpu32")
-        out = ModuleKind::Fpu32;
-    else if (token == "mdu32")
-        out = ModuleKind::Mdu32;
-    else if (token == "memdec16")
-        out = ModuleKind::MemDec16;
-    else
-        return false;
-    return true;
+    for (ModuleKind kind :
+         {ModuleKind::Adder2, ModuleKind::Alu32, ModuleKind::Fpu32,
+          ModuleKind::Mdu32, ModuleKind::MemDec16}) {
+        if (token == module_kind_name(kind)) {
+            out = kind;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace
@@ -46,8 +29,8 @@ serialize_suite(const std::vector<TestCase> &suite)
     std::ostringstream os;
     os << "# vega test suite v1\n";
     for (const TestCase &t : suite) {
-        os << "testcase " << module_token(t.module) << " " << t.pair_index
-           << " " << (t.name.empty() ? "-" : t.name) << " "
+        os << "testcase " << module_kind_name(t.module) << " "
+           << t.pair_index << " " << (t.name.empty() ? "-" : t.name) << " "
            << (t.config.empty() ? "-" : t.config) << "\n";
         for (const ModuleStep &s : t.stimulus)
             os << "  step " << s.a << " " << s.b << " " << s.op << " "

@@ -82,8 +82,21 @@ class OperandPool
     int next_ = 0;
 };
 
+/** End a block: the fail path sets x31, both paths halt. */
 void
-build_alu_program(TestCase &tc)
+finish_block(cpu::Asm &a, TestCase &tc)
+{
+    a.j("done");
+    a.label("fail");
+    a.addi(kFailFlag, 0, 1);
+    a.label("done");
+    a.halt();
+    tc.program = a.finish();
+}
+
+/** ALU and MDU blocks: one integer instruction per step. */
+void
+build_int_program(TestCase &tc)
 {
     cpu::Asm a;
     a.addi(kFailFlag, 0, 0);
@@ -98,8 +111,16 @@ build_alu_program(TestCase &tc)
     for (size_t i = 0; i < tc.stimulus.size(); ++i) {
         auto [ra, rb] = op_regs[i];
         cpu::Reg rd = kResultBase + cpu::Reg(i);
-        auto op = AluOp(tc.stimulus[i].op);
-        switch (op) {
+        uint32_t op = tc.stimulus[i].op;
+        if (tc.module == ModuleKind::Mdu32) {
+            switch (MduOp(op)) {
+              case MduOp::Mul: a.mul(rd, ra, rb); break;
+              case MduOp::Mulh: a.mulh(rd, ra, rb); break;
+              case MduOp::Mulhu: a.mulhu(rd, ra, rb); break;
+            }
+            continue;
+        }
+        switch (AluOp(op)) {
           case AluOp::Add: a.add(rd, ra, rb); break;
           case AluOp::Sub: a.sub(rd, ra, rb); break;
           case AluOp::Sll: a.sll(rd, ra, rb); break;
@@ -117,12 +138,7 @@ build_alu_program(TestCase &tc)
         a.li(kScratchA, c.expected);
         a.bne(kResultBase + cpu::Reg(c.step), kScratchA, "fail");
     }
-    a.j("done");
-    a.label("fail");
-    a.addi(kFailFlag, 0, 1);
-    a.label("done");
-    a.halt();
-    tc.program = a.finish();
+    finish_block(a, tc);
 }
 
 void
@@ -196,46 +212,7 @@ build_fpu_program(TestCase &tc)
         a.li(kScratchB, tc.expected_flags);
         a.bne(kScratchA, kScratchB, "fail");
     }
-    a.j("done");
-    a.label("fail");
-    a.addi(kFailFlag, 0, 1);
-    a.label("done");
-    a.halt();
-    tc.program = a.finish();
-}
-
-void
-build_mdu_program(TestCase &tc)
-{
-    cpu::Asm a;
-    a.addi(kFailFlag, 0, 0);
-    OperandPool pool(a, false);
-
-    std::vector<std::pair<uint8_t, uint8_t>> op_regs;
-    for (const ModuleStep &s : tc.stimulus)
-        op_regs.emplace_back(pool.reg_for(s.a), pool.reg_for(s.b));
-
-    VEGA_CHECK(tc.stimulus.size() <= kResultMax, "too many steps");
-    for (size_t i = 0; i < tc.stimulus.size(); ++i) {
-        auto [ra, rb] = op_regs[i];
-        cpu::Reg rd = kResultBase + cpu::Reg(i);
-        switch (MduOp(tc.stimulus[i].op)) {
-          case MduOp::Mul: a.mul(rd, ra, rb); break;
-          case MduOp::Mulh: a.mulh(rd, ra, rb); break;
-          case MduOp::Mulhu: a.mulhu(rd, ra, rb); break;
-        }
-    }
-
-    for (const ResultCheck &c : tc.checks) {
-        a.li(kScratchA, c.expected);
-        a.bne(kResultBase + cpu::Reg(c.step), kScratchA, "fail");
-    }
-    a.j("done");
-    a.label("fail");
-    a.addi(kFailFlag, 0, 1);
-    a.label("done");
-    a.halt();
-    tc.program = a.finish();
+    finish_block(a, tc);
 }
 
 /**
@@ -273,12 +250,7 @@ build_mem_program(TestCase &tc)
             break;
         }
     }
-    a.j("done");
-    a.label("fail");
-    a.addi(kFailFlag, 0, 1);
-    a.label("done");
-    a.halt();
-    tc.program = a.finish();
+    finish_block(a, tc);
 }
 
 // The public limits must match the register plan the builders assume.
@@ -286,6 +258,17 @@ static_assert(kMaxTestSteps == size_t(kResultMax));
 static_assert(kMaxDistinctOperands == size_t(kOperandMax));
 
 } // namespace
+
+uint32_t
+fu_num_ops(ModuleKind kind)
+{
+    switch (kind) {
+      case ModuleKind::Alu32: return kNumAluOps;
+      case ModuleKind::Mdu32: return kNumMduOps;
+      case ModuleKind::Fpu32: return fp::kNumFpuOps;
+      default:                return 0;
+    }
+}
 
 Expected<void>
 validate_test_case(const TestCase &tc)
@@ -317,18 +300,10 @@ validate_test_case(const TestCase &tc)
         return {};
     }
 
-    uint32_t num_ops = 0;
-    bool is_fpu = false;
-    switch (tc.module) {
-      case ModuleKind::Alu32: num_ops = kNumAluOps; break;
-      case ModuleKind::Mdu32: num_ops = kNumMduOps; break;
-      case ModuleKind::Fpu32:
-        num_ops = 8; // FpuOp::Add .. FpuOp::Max
-        is_fpu = true;
-        break;
-      default:
+    const uint32_t num_ops = fu_num_ops(tc.module);
+    if (num_ops == 0)
         return err("module is not a compilable functional unit");
-    }
+    const bool is_fpu = tc.module == ModuleKind::Fpu32;
 
     if (tc.stimulus.size() > kMaxTestSteps)
         return err("too many steps (" +
@@ -373,13 +348,11 @@ try_finalize_test_case(TestCase &tc)
 
     switch (tc.module) {
       case ModuleKind::Alu32:
-        build_alu_program(tc);
+      case ModuleKind::Mdu32:
+        build_int_program(tc);
         break;
       case ModuleKind::Fpu32:
         build_fpu_program(tc);
-        break;
-      case ModuleKind::Mdu32:
-        build_mdu_program(tc);
         break;
       case ModuleKind::MemDec16:
         build_mem_program(tc);

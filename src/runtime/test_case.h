@@ -84,6 +84,12 @@ constexpr uint32_t kMemTestRows = 16; ///< rows of the MemDec16 macro
 constexpr uint32_t kNumMarchOps = 4;
 
 /**
+ * Operations the op bus of functional unit @p kind encodes: kNumAluOps,
+ * kNumMduOps or fp::kNumFpuOps; 0 for a module that is not one.
+ */
+uint32_t fu_num_ops(ModuleKind kind);
+
+/**
  * Check @p tc against the compilation limits and per-module op
  * encodings *before* compiling it: step count, distinct operand count,
  * check indices, and op ranges. Untrusted suites (suite_io) must pass

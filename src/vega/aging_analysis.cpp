@@ -51,18 +51,6 @@ record_mem_workload_trace(const std::vector<std::vector<cpu::Instr>> &programs)
 
 namespace {
 
-/** Opcode-bus width of a module's interface. */
-size_t
-op_width(ModuleKind kind)
-{
-    switch (kind) {
-      case ModuleKind::Alu32: return 4;
-      case ModuleKind::Fpu32: return 3;
-      case ModuleKind::Mdu32: return 2;
-      default: return 0;
-    }
-}
-
 /** Drive one trace entry (or an idle cycle) into the module. */
 void
 apply_entry(BatchSimulator &sim, ModuleKind kind, const cpu::FuTraceEntry *e)
@@ -85,7 +73,8 @@ apply_entry(BatchSimulator &sim, ModuleKind kind, const cpu::FuTraceEntry *e)
     if (e) {
         sim.set_bus_all("a", BitVec(32, e->a));
         sim.set_bus_all("b", BitVec(32, e->b));
-        sim.set_bus_all("op", BitVec(op_width(kind), e->op));
+        sim.set_bus_all("op",
+                        BitVec(sim.netlist().bus("op").size(), e->op));
         if (is_fpu_module) {
             sim.set_bus_all("valid", BitVec(1, 1));
             sim.set_bus_all("clear", BitVec(1, 0));

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "cpu/assembler.h"
 #include "cpu/mdu_ops.h"
+#include "lift/fuzz_lifting.h"
 #include "reference_fu.h"
 #include "sim/batch_sim.h"
 #include "vega/workflow.h"
@@ -111,6 +112,60 @@ TEST(Mdu32, FullWorkflowGeneratesValidatedTests)
     EXPECT_EQ(library.run_all(engine), runtime::Detection::None);
     for (const auto &t : r.suite)
         EXPECT_EQ(t.module, ModuleKind::Mdu32);
+}
+
+TEST(Mdu32, FuzzCoverDrivesOnlyMduOps)
+{
+    // The fuzzer must drive the MDU's own 2-bit op bus and draw only
+    // the encodings the MDU defines.
+    HwModule mdu = make_mdu32();
+    auto dffs = mdu.netlist.dffs();
+    lift::FailureModelSpec spec;
+    spec.launch = dffs[0];
+    spec.capture = dffs.back();
+    spec.is_setup = true;
+    spec.constant = lift::FaultConstant::One;
+    lift::ShadowInstrumentation shadow =
+        lift::build_shadow_instrumentation(mdu.netlist, spec);
+
+    lift::FuzzConfig cfg;
+    cfg.max_episodes = 2000;
+    lift::FuzzResult r = lift::fuzz_cover(shadow, ModuleKind::Mdu32, cfg);
+    ASSERT_TRUE(r.found);
+    for (size_t t = 0; t < r.trace.num_cycles(); ++t)
+        EXPECT_LT(r.trace.at("op", t).to_u64(), uint64_t(kNumMduOps)) << t;
+}
+
+TEST(Mdu32, DegradedLadderFallsBackToFuzzing)
+{
+    // The MDU twin of AluLift.DegradedLadderFallsBackToFuzzing: a
+    // starved formal budget sends every configuration to the fuzz
+    // fallback, whose traces become tests like formal ones.
+    HwModule mdu = make_mdu32();
+    auto lib = aging::AgingTimingLibrary::build(aging::RdModelParams{});
+    WorkflowConfig cfg;
+    cfg.aging.utilization = 0.99;
+    cfg.aging.max_trace = 3000;
+    cfg.lift.max_pairs = 4;
+    cfg.lift.bmc.max_frames = 4;
+    cfg.lift.bmc.conflict_budget = 1;
+    cfg.lift.formal_attempts = 1;
+    cfg.lift.degrade_to_fuzz = true;
+
+    WorkflowResult r = run_workflow(mdu, lib, minver_trace(), cfg);
+    ASSERT_EQ(r.lift.pairs.size(), 4u);
+    size_t configs = 0;
+    for (const lift::PairResult &pr : r.lift.pairs)
+        for (const lift::ConfigOutcome &co : pr.configs) {
+            ++configs;
+            EXPECT_TRUE(co.degraded_to_fuzz) << co.name;
+            EXPECT_EQ(co.bmc, formal::BmcStatus::Covered) << co.name;
+        }
+    EXPECT_EQ(configs, 8u);
+    EXPECT_EQ(r.suite.size(), 8u);
+    for (const runtime::TestCase &t : r.suite)
+        for (const runtime::ModuleStep &s : t.stimulus)
+            EXPECT_LT(s.op, uint32_t(kNumMduOps)) << t.name;
 }
 
 TEST(Mdu32, MinverTraceContainsMduOps)
