@@ -123,8 +123,7 @@ make_random_test(ModuleKind kind, Rng &rng, size_t index)
         auto op = fp::FpuOp(step.op);
         fp::FpResult golden = fp::fpu_compute(op, step.a, step.b);
         check.expected = golden.bits;
-        check.to_xreg = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
-                        op == fp::FpuOp::Le;
+        check.to_xreg = fp::writes_xreg(op);
         tc.check_final_flags = true;
         tc.expected_flags = golden.flags;
     }

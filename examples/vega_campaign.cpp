@@ -23,6 +23,7 @@
  * The aggregated report is byte-identical to an unsharded run of the
  * same campaign (timing aside — use --no-timing to diff).
  */
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -376,7 +377,11 @@ main(int argc, char **argv)
                 opt.workflow_max_pairs);
     const auto &trace = is_mem_module(opt.module) ? mem_workload_trace()
                                                   : minver_trace();
+    auto t0 = std::chrono::steady_clock::now();
     WorkflowResult wf = run_workflow(module, lib, trace, wf_cfg);
+    double workflow_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
     std::printf("workflow: %zu lifted pairs, %zu suite tests\n",
                 wf.lift.pairs.size(), wf.suite.size());
     if (wf.suite.empty()) {
@@ -397,6 +402,7 @@ main(int argc, char **argv)
         return 1;
     }
     campaign::CampaignReport report = std::move(run).value();
+    report.timing.workflow_seconds = workflow_s;
 
     std::printf("\ncampaign totals over %zu jobs:\n",
                 report.jobs.size());

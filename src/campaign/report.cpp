@@ -139,7 +139,8 @@ CampaignReport::to_json(bool include_timing, bool include_jobs) const
         kv(out, "characterize_seconds", timing.characterize_seconds);
         kv(out, "simulate_seconds", timing.simulate_seconds);
         kv(out, "journal_seconds", timing.journal_seconds);
-        kv(out, "aggregate_seconds", timing.aggregate_seconds, false);
+        kv(out, "aggregate_seconds", timing.aggregate_seconds);
+        kv(out, "workflow_seconds", timing.workflow_seconds, false);
         out += '}';
     }
     out += '}';

@@ -126,6 +126,10 @@ struct CampaignTiming
     double simulate_seconds = 0.0;
     double journal_seconds = 0.0;
     double aggregate_seconds = 0.0;
+    /** The workflow before the campaign (aging analysis and error
+     *  lifting), filled by a caller that times it (vega_campaign); 0
+     *  otherwise. */
+    double workflow_seconds = 0.0;
 };
 
 struct CampaignReport

@@ -1,5 +1,6 @@
 #include "campaign/wave.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "common/bitvec.h"
@@ -31,6 +32,49 @@ representative_kernel(ModuleKind kind)
             return k;
     VEGA_CHECK(false, "kernel missing from embench suite");
     return suite.front();
+}
+
+namespace {
+
+/** Instructions @p kind's representative kernel retires on the golden ISS. */
+uint64_t
+golden_length(ModuleKind kind)
+{
+    const workloads::Kernel &kernel = representative_kernel(kind);
+    cpu::Iss iss(kernel.program);
+    VEGA_CHECK(iss.run() == cpu::Iss::Status::Halted &&
+                   iss.read_u32(workloads::kChecksumAddr) ==
+                       kernel.expected_checksum,
+               kernel.name, " fails on the golden ISS");
+    return iss.instret();
+}
+
+} // namespace
+
+uint64_t
+probe_watchdog(ModuleKind kind)
+{
+    uint64_t golden = 0;
+    switch (kind) {
+      case ModuleKind::Fpu32: {
+        static const uint64_t fpu = golden_length(kind);
+        golden = fpu;
+        break;
+      }
+      case ModuleKind::Alu32: {
+        static const uint64_t alu = golden_length(kind);
+        golden = alu;
+        break;
+      }
+      case ModuleKind::Mdu32: {
+        static const uint64_t mdu = golden_length(kind);
+        golden = mdu;
+        break;
+      }
+      default:
+        VEGA_CHECK(false, "not a CPU functional unit");
+    }
+    return std::min(kWorkloadWatchdog, kProbeLengthFactor * golden);
 }
 
 lift::FailureModelSpec
@@ -239,7 +283,7 @@ Episode
 probe_episode(ModuleKind kind, size_t bank_index, uint64_t seed)
 {
     return {bank_index, seed, &representative_kernel(kind).program,
-            kWorkloadWatchdog};
+            probe_watchdog(kind)};
 }
 
 bool

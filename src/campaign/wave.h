@@ -49,13 +49,20 @@ constexpr size_t kWaveLanes = 64;
  * Instruction budgets for gate-level runs. A fault that corrupts loop
  * control flow can turn a terminating kernel into an infinite one, and
  * the ISS default watchdog (100M instructions) is far too generous
- * when every instruction is a gate-level netlist simulation. The
- * representative kernels retire at most ~81k instructions (ud; crc32
- * and minver are well under that), so the workload bound only ever
- * trips on runaway faulty executions — and every extra watchdog
- * instruction is pure wall-clock on runs already known corrupt.
+ * when every instruction is a gate-level netlist simulation.
+ *
+ * kWorkloadWatchdog is only the cap of a workload probe's budget: a
+ * probe stops at kProbeLengthFactor times its kernel's golden length
+ * (probe_watchdog()), and a probe still running there is a hang, which
+ * corrupts. Every instruction past that is pure wall-clock on a run
+ * already known corrupt: in the census that
+ * WaveCampaign.ProbeBoundKeepsEveryVerdict keeps, every faulty ALU
+ * probe that halts does so by 1.12x golden. The cap binds for minver
+ * (79,495 golden instructions) and ud (80,505); crc32 (35,775) stops
+ * at 71,550.
  */
 constexpr uint64_t kWorkloadWatchdog = 120000;
+constexpr uint64_t kProbeLengthFactor = 2;
 constexpr uint64_t kTestWatchdog = 1000000;
 
 /**
@@ -64,6 +71,14 @@ constexpr uint64_t kTestWatchdog = 1000000;
  * for the ALU, ud (divide/remainder chains) for the MDU.
  */
 const workloads::Kernel &representative_kernel(ModuleKind kind);
+
+/**
+ * A workload probe's instruction budget: min(kWorkloadWatchdog,
+ * kProbeLengthFactor x the instructions representative_kernel(kind)
+ * retires on the golden ISS). Measured once per kind, on first use.
+ * probe_episode() and the scalar test oracle both take it from here.
+ */
+uint64_t probe_watchdog(ModuleKind kind);
 
 /** The failure model of @p pair with constant @p c (no mitigation). */
 lift::FailureModelSpec fault_spec(const sta::EndpointPair &pair,
@@ -97,7 +112,7 @@ struct Episode
     uint64_t seed = 0;
     /** Must outlive the wave. */
     const std::vector<cpu::Instr> *program = nullptr;
-    /** Instruction budget (kWorkloadWatchdog or kTestWatchdog). */
+    /** Instruction budget (probe_watchdog() or kTestWatchdog). */
     uint64_t watchdog = 0;
 };
 

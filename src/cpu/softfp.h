@@ -63,6 +63,14 @@ enum class FpuOp : uint8_t {
 
 constexpr int kNumFpuOps = 8;
 
+/** True for the comparisons, whose 0/1 result goes to an x-register;
+ *  every other op writes an f-register. */
+constexpr bool
+writes_xreg(FpuOp op)
+{
+    return op == FpuOp::Eq || op == FpuOp::Lt || op == FpuOp::Le;
+}
+
 /** Dispatch by FpuOp. */
 FpResult fpu_compute(FpuOp op, uint32_t a, uint32_t b);
 

@@ -68,8 +68,7 @@ build_test_case(ModuleKind kind, const Waveform &trace, int pair_index,
             fp::FpResult golden = fp::fpu_compute(op, step.a, step.b);
             flags_acc |= golden.flags;
             check.expected = golden.bits;
-            check.to_xreg = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
-                            op == fp::FpuOp::Le;
+            check.to_xreg = fp::writes_xreg(op);
         }
         tc.checks.push_back(check);
     }

@@ -162,9 +162,7 @@ build_fpu_program(TestCase &tc)
     for (size_t i = 0; i < tc.stimulus.size(); ++i) {
         if (!tc.stimulus[i].valid)
             continue;
-        auto op = fp::FpuOp(tc.stimulus[i].op);
-        bool to_x = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
-                    op == fp::FpuOp::Le;
+        bool to_x = fp::writes_xreg(fp::FpuOp(tc.stimulus[i].op));
         result_reg[i] = to_x ? kResultBase + uint8_t(n_x++)
                              : kFResultBase + uint8_t(n_f++);
         VEGA_CHECK(n_x <= kResultMax && n_f <= kResultMax,

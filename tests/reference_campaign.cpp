@@ -131,7 +131,7 @@ workload_corrupts(ModuleKind kind, const Netlist &netlist,
     ReferenceFu fu(kind, netlist, has_random_input, seed);
     const workloads::Kernel &kernel = representative_kernel(kind);
     cpu::IssConfig cfg;
-    cfg.max_instructions = kWorkloadWatchdog;
+    cfg.max_instructions = probe_watchdog(kind);
     cpu::Iss iss(kernel.program, cfg);
     if (run_reference(iss, fu) != cpu::Iss::Status::Halted)
         return true;

@@ -50,9 +50,10 @@ class NetlistEngine : public runtime::Engine
 };
 
 /**
- * Run the representative kernel with @p netlist mounted as the unit.
- * True when the run stalls or the stored checksum deviates — i.e. the
- * fault reaches this workload's data.
+ * Run the representative kernel with @p netlist mounted as the unit,
+ * for at most probe_watchdog(kind) instructions, the wave probe's
+ * budget. True when the run stalls or the stored checksum deviates —
+ * i.e. the fault reaches this workload's data.
  */
 bool workload_corrupts(ModuleKind kind, const Netlist &netlist,
                        bool has_random_input = false, uint64_t seed = 1);

@@ -16,6 +16,7 @@
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
 #include "cpu/alu_ops.h"
+#include "cpu/iss.h"
 #include "cpu/softfp.h"
 #include "lift/failure_model.h"
 #include "obs/metrics.h"
@@ -56,9 +57,7 @@ fpu_test(const char *name, fp::FpuOp op, uint32_t a, uint32_t b, int pair,
     tc.module = ModuleKind::Fpu32;
     tc.stimulus = {runtime::ModuleStep{a, b, uint32_t(op), true, false}};
     fp::FpResult r = fp::fpu_compute(op, a, b);
-    bool to_xreg = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
-                   op == fp::FpuOp::Le;
-    tc.checks = {{0, r.bits, to_xreg}};
+    tc.checks = {{0, r.bits, fp::writes_xreg(op)}};
     if (check_flags) {
         tc.check_final_flags = true;
         tc.expected_flags = r.flags;
@@ -215,6 +214,81 @@ TEST(WaveCampaign, CharacterizeWaveMatchesScalarVerdicts)
         EXPECT_EQ(int(probe_corrupts(e.module.kind, wave[i])),
                   int(scalar[i]))
             << "fault " << i;
+}
+
+TEST(WaveCampaign, ProbeBoundIsTwiceGoldenLength)
+{
+    // A kernel edit that moves a probe's budget fails here by name.
+    struct Pin
+    {
+        ModuleKind kind;
+        const char *kernel;
+        uint64_t golden;
+        uint64_t bound;
+    };
+    for (const Pin &p : {Pin{ModuleKind::Alu32, "crc32", 35775, 71550},
+                         Pin{ModuleKind::Fpu32, "minver", 79495, 120000},
+                         Pin{ModuleKind::Mdu32, "ud", 80505, 120000}}) {
+        const workloads::Kernel &k = representative_kernel(p.kind);
+        EXPECT_EQ(k.name, p.kernel);
+        cpu::Iss iss(k.program);
+        ASSERT_EQ(iss.run(), cpu::Iss::Status::Halted) << k.name;
+        EXPECT_EQ(iss.instret(), p.golden) << k.name;
+        EXPECT_EQ(probe_watchdog(p.kind), p.bound) << k.name;
+    }
+}
+
+TEST(WaveCampaign, ProbeBoundKeepsEveryVerdict)
+{
+    // The census behind probe_watchdog(): every liftable ALU pair at
+    // vega_campaign's aging settings, C = 0 and C = 1 once each and
+    // C = rand under four fm_rand seeds, probed at the cap and again
+    // at the bound. A faulty run that halts between the two would turn
+    // from a clean or corrupt-checksum verdict into a hang; none does.
+    HwModule alu = rtl::make_alu32();
+    auto lib = aging::AgingTimingLibrary::build(aging::RdModelParams{});
+    AgingAnalysisConfig cfg;
+    cfg.utilization = 0.985;
+    cfg.max_trace = 4000;
+    auto pairs =
+        run_aging_analysis(alu, lib, minver_trace(), cfg).liftable_pairs();
+    ASSERT_EQ(pairs.size(), 8u);
+
+    std::vector<lift::FailureModelSpec> specs;
+    std::vector<Episode> probes;
+    for (const auto &pair : pairs) {
+        for (lift::FaultConstant c :
+             {lift::FaultConstant::Zero, lift::FaultConstant::One,
+              lift::FaultConstant::RandomInput}) {
+            size_t bank = specs.size();
+            specs.push_back(fault_spec(pair, c));
+            int seeds = c == lift::FaultConstant::RandomInput ? 4 : 1;
+            for (int s = 0; s < seeds; ++s)
+                probes.push_back(probe_episode(
+                    alu.kind, bank, job_stream(~uint64_t(3), probes.size())));
+        }
+    }
+    ASSERT_EQ(probes.size(), 48u);
+    ASSERT_LT(probe_watchdog(alu.kind), kWorkloadWatchdog);
+    WaveContext ctx = make_wave_context(alu, specs);
+    std::vector<EpisodeResult> bounded = characterize_wave(ctx, probes);
+    for (Episode &ep : probes)
+        ep.watchdog = kWorkloadWatchdog;
+    std::vector<EpisodeResult> capped = characterize_wave(ctx, probes);
+
+    size_t stalls = 0;
+    for (size_t i = 0; i < probes.size(); ++i) {
+        EXPECT_STREQ(runtime::detection_name(bounded[i].detection),
+                     runtime::detection_name(capped[i].detection))
+            << "lane " << i;
+        EXPECT_EQ(probe_corrupts(alu.kind, bounded[i]),
+                  probe_corrupts(alu.kind, capped[i]))
+            << "lane " << i;
+        stalls += capped[i].detection == runtime::Detection::Stall;
+    }
+    // The corpus holds runaway lanes, which the bound cuts short and
+    // which stop as stalls under either budget.
+    EXPECT_GT(stalls, 0u);
 }
 
 TEST(WaveCampaign, LaneCyclesCountOnlyOccupiedLanes)

@@ -559,9 +559,7 @@ fpu_test(const char *name, fp::FpuOp op, uint32_t a, uint32_t b, int pair,
     tc.module = ModuleKind::Fpu32;
     tc.stimulus = {runtime::ModuleStep{a, b, uint32_t(op), true, false}};
     fp::FpResult r = fp::fpu_compute(op, a, b);
-    bool to_xreg = op == fp::FpuOp::Eq || op == fp::FpuOp::Lt ||
-                   op == fp::FpuOp::Le;
-    tc.checks = {{0, r.bits, to_xreg}};
+    tc.checks = {{0, r.bits, fp::writes_xreg(op)}};
     if (check_flags) {
         tc.check_final_flags = true;
         tc.expected_flags = r.flags;

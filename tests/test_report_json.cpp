@@ -143,6 +143,7 @@ TEST(JsonGolden, CampaignReportBytes)
     r.timing.simulate_seconds = 2.5e-7;
     r.timing.journal_seconds = -0.0;
     r.timing.aggregate_seconds = 123456789012345.0;
+    r.timing.workflow_seconds = 0.125;
 
     EXPECT_EQ(r.to_json(true, true),
               R"({"campaign":{"module":"alu32","seed":18446744073709551615,)"
@@ -193,7 +194,8 @@ TEST(JsonGolden, CampaignReportBytes)
               R"("peak_queue_depth":9,"journal_flushes":2,)"
               R"("journal_bytes":4096,"characterize_seconds":2,)"
               R"("simulate_seconds":2.5e-07,"journal_seconds":0,)"
-              R"("aggregate_seconds":123456789012345}})");
+              R"("aggregate_seconds":123456789012345,)"
+              R"("workflow_seconds":0.125}})");
     EXPECT_EQ(r.to_json(false, false),
               R"({"campaign":{"module":"alu32","seed":18446744073709551615,)"
               R"("num_jobs":5,"suite_size":6,"num_pairs":2,"max_slots":12,)"
