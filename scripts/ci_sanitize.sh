@@ -176,9 +176,10 @@ sharded_kill_resume mem 100 --module mem --jobs 600 --seed 7 --max-pairs 2
 # regenerate the committed BENCH_mem.json, against pinned bytes, and
 # reruns campaign_scaling and bmc_throughput in full, whose verdicts
 # and counts must equal those in the committed BENCH_campaign.json and
-# BENCH_bmc.json (tests/pin_fields.cmake). Run them focused so an
-# output that moves under the sanitizers fails readably before the
-# full suite.
+# BENCH_bmc.json, and sim_throughput --smoke, whose module and tape
+# sizes must equal BENCH_sim.json's (tests/pin_fields.cmake). Run them
+# focused so an output that moves under the sanitizers fails readably
+# before the full suite.
 ctest --test-dir "$build" --output-on-failure -R 'OutputPin|output_pin' \
     -j "$jobs"
 echo "ci_sanitize: output pins hold"

@@ -1,9 +1,12 @@
 #include "sim/eval_tape.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <tuple>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -11,10 +14,66 @@ namespace vega {
 
 namespace {
 
-bool
-is_const(CellType t)
+/**
+ * A combinational function over representatives. Op Buf means "equals
+ * in[0]", an alias that never becomes an instruction; pins past the
+ * op's input count hold 0.
+ */
+struct Gate
 {
-    return t == CellType::Const0 || t == CellType::Const1;
+    CellType op = CellType::Buf;
+    std::array<NetId, 3> in{};
+
+    bool operator==(const Gate &) const = default;
+};
+
+/**
+ * Fold cell type @p t over representatives @p a, @p b, @p s.
+ * Representatives at or past @p zero are constants: zero stands for 0
+ * and zero + 1 for 1. The result is a constant or an earlier net (op
+ * Buf), the complement of a net (op Not), or the cell itself with its
+ * commutative inputs ordered.
+ */
+Gate
+fold(CellType t, NetId a, NetId b, NetId s, NetId zero)
+{
+    auto is_const = [&](NetId r) { return r >= zero; };
+    // f(x) with f(0) = f0 and f(1) = f1: a constant, x or ~x.
+    auto unary = [&](NetId x, bool f0, bool f1) -> Gate {
+        if (is_const(x))
+            f0 = f1 = x == zero ? f0 : f1;
+        if (f0 == f1)
+            return {CellType::Buf, {zero + NetId(f1)}};
+        return {f1 ? CellType::Buf : CellType::Not, {x}};
+    };
+    switch (t) {
+      case CellType::Const0:
+      case CellType::Const1:
+        return {CellType::Buf, {zero + NetId(t == CellType::Const1)}};
+      case CellType::Buf:
+        return {CellType::Buf, {a}};
+      case CellType::Not:
+        return unary(a, true, false);
+      case CellType::Mux2:
+        if (is_const(s))
+            return {CellType::Buf, {s == zero ? a : b}};
+        if (a == b)
+            return {CellType::Buf, {a}};
+        if (is_const(a) && is_const(b))
+            return unary(s, a != zero, b != zero);
+        return {CellType::Mux2, {a, b, s}};
+      default: // the two-input gates, all commutative
+        if (is_const(a))
+            return unary(b, eval_cell(t, a != zero, false),
+                         eval_cell(t, a != zero, true));
+        if (is_const(b))
+            return unary(a, eval_cell(t, false, b != zero),
+                         eval_cell(t, true, b != zero));
+        if (a == b)
+            return unary(a, eval_cell(t, false, false),
+                         eval_cell(t, true, true));
+        return {t, {std::min(a, b), std::max(a, b)}};
+    }
 }
 
 } // namespace
@@ -23,47 +82,90 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
 {
     VEGA_SPAN("sim.tape_build");
 
-    // Validates acyclicity and fixes a valid evaluation order. The
-    // stream below re-sorts it without breaking dependencies.
+    // Validates acyclicity and fixes a valid evaluation order.
     const std::vector<CellId> &topo = nl.topo_order();
 
+    // Canonicalize nets in topo order. rep[n] is net n's representative:
+    // a primary input, a DFF Q, a kept gate's output, or one of the two
+    // constant ids past the last net. Each kept gate is the first of its
+    // (op, representative inputs), found by open addressing in `table`.
+    const NetId zero = NetId(nl.num_nets()), one = zero + 1;
+    std::vector<NetId> rep(nl.num_nets() + 2, kInvalidId);
+    rep[zero] = zero;
+    rep[one] = one;
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+        CellId d = nl.net(n).driver;
+        if (nl.net(n).is_primary_input ||
+            (d != kInvalidId && nl.cell(d).type == CellType::Dff))
+            rep[n] = n;
+    }
+    std::vector<Gate> gates;         // kept gates, in topo order
+    std::vector<NetId> gate_out;     // their output nets
+    std::vector<NetId> not_in(nl.num_nets(), kInvalidId); // x of kept ~x
+    std::vector<uint32_t> table(std::bit_ceil(2 * topo.size() + 1),
+                                kInvalidId);
+    const size_t mask = table.size() - 1;
+    for (CellId c : topo) {
+        const Cell &cell = nl.cell(c);
+        auto in = [&](int i) {
+            return i < cell.num_inputs() ? rep[cell.in[i]] : 0;
+        };
+        Gate g = fold(cell.type, in(0), in(1), in(2), zero);
+        if (g.op == CellType::Not && not_in[g.in[0]] != kInvalidId)
+            g = {CellType::Buf, {not_in[g.in[0]]}};
+        if (g.op == CellType::Buf) {
+            rep[cell.out] = g.in[0];
+            continue;
+        }
+        uint64_t key = (uint64_t(g.in[0]) << 32 | g.in[1]) ^
+                       (uint64_t(g.in[2]) << 8 | uint64_t(g.op)) *
+                           0x9e3779b97f4a7c15ull;
+        size_t i = splitmix64(key) & mask;
+        while (table[i] != kInvalidId && !(gates[table[i]] == g))
+            i = (i + 1) & mask;
+        if (table[i] == kInvalidId) {
+            table[i] = uint32_t(gates.size());
+            gates.push_back(g);
+            gate_out.push_back(cell.out);
+            if (g.op == CellType::Not)
+                not_in[cell.out] = g.in[0];
+        }
+        rep[cell.out] = gate_out[table[i]];
+    }
+
     // Stream order: (part, level, opcode), stable over topo order. A
-    // cell is in the input part when a pin reads a primary input or an
-    // input-part cell. Its level counts only drivers in its own part,
-    // so each part starts at level 0 and is self-contained once the
-    // parts before it are settled.
+    // gate is in the input part when an input is a primary input or an
+    // input-part gate. Its level counts only gate inputs in its own
+    // part, so each part starts at level 0 and is self-contained once
+    // the parts before it are settled.
     struct Key
     {
         bool input_part;
         uint32_t level;
         CellType op;
-        CellId cell;
+        uint32_t gate;
     };
-    std::vector<uint8_t> input_part(nl.num_cells(), 0);
-    std::vector<uint32_t> level(nl.num_cells(), 0);
+    std::vector<uint8_t> input_part(rep.size(), 0);
+    std::vector<uint32_t> level(rep.size(), 0);
+    std::vector<uint8_t> is_gate(rep.size(), 0);
+    for (NetId n = 0; n < nl.num_nets(); ++n)
+        input_part[n] = nl.net(n).is_primary_input;
     std::vector<Key> stream;
-    stream.reserve(topo.size());
-    for (CellId c : topo) {
-        const Cell &cell = nl.cell(c);
-        if (is_const(cell.type))
-            continue; // hoisted out of the per-cycle stream
+    stream.reserve(gates.size());
+    for (uint32_t i = 0; i < gates.size(); ++i) {
+        const Gate &g = gates[i];
+        const int n_in = cell_num_inputs(g.op);
         bool part = false;
-        for (int i = 0; i < cell.num_inputs(); ++i) {
-            const Net &net = nl.net(cell.in[i]);
-            part = part || net.is_primary_input ||
-                   (net.driver != kInvalidId && input_part[net.driver]);
-        }
+        for (int k = 0; k < n_in; ++k)
+            part = part || input_part[g.in[k]];
         uint32_t lvl = 0;
-        for (int i = 0; i < cell.num_inputs(); ++i) {
-            CellId d = nl.net(cell.in[i]).driver;
-            if (d == kInvalidId || nl.cell(d).type == CellType::Dff ||
-                is_const(nl.cell(d).type) || bool(input_part[d]) != part)
-                continue;
-            lvl = std::max(lvl, level[d] + 1);
-        }
-        input_part[c] = part;
-        level[c] = lvl;
-        stream.push_back({part, lvl, cell.type, c});
+        for (int k = 0; k < n_in; ++k)
+            if (is_gate[g.in[k]] && bool(input_part[g.in[k]]) == part)
+                lvl = std::max(lvl, level[g.in[k]] + 1);
+        input_part[gate_out[i]] = part;
+        level[gate_out[i]] = lvl;
+        is_gate[gate_out[i]] = 1;
+        stream.push_back({part, lvl, g.op, i});
     }
     std::stable_sort(stream.begin(), stream.end(),
                      [](const Key &x, const Key &y) {
@@ -71,33 +173,35 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
                                 std::tie(y.input_part, y.level, y.op);
                      });
 
-    // Slot assignment by evaluation phase: inputs and constants first,
-    // then DFF Qs (live across edges), then combinational outputs in
-    // stream order, so each settle writes the plane front-to-back.
-    slot_of_net_.assign(nl.num_nets(), 0);
+    // Slot assignment by evaluation phase: inputs, the constants in
+    // use, DFF Qs (live across edges), then one slot per instruction in
+    // stream order, so each settle writes the plane front-to-back. A
+    // folded net reads its representative's slot.
+    std::vector<SlotId> rep_slot(rep.size(), 0);
     SlotId next = 0;
     for (NetId n = 0; n < nl.num_nets(); ++n)
         if (nl.net(n).is_primary_input)
-            slot_of_net_[n] = next++;
+            rep_slot[n] = next++;
     num_inputs_ = next;
-    for (CellId c = 0; c < nl.num_cells(); ++c) {
-        CellType t = nl.cell(c).type;
-        if (is_const(t)) {
-            slot_of_net_[nl.cell(c).out] = next++;
-            const_rules_.push_back(
-                {slot_of_net_[nl.cell(c).out],
-                 uint8_t(t == CellType::Const1 ? 1 : 0)});
-        }
+    for (NetId k : {zero, one}) {
+        if (std::find(rep.begin(), rep.begin() + zero, k) ==
+            rep.begin() + zero)
+            continue;
+        const_rules_.push_back({next, uint8_t(k == one)});
+        rep_slot[k] = next++;
     }
     for (CellId c = 0; c < nl.num_cells(); ++c)
         if (nl.cell(c).type == CellType::Dff)
-            slot_of_net_[nl.cell(c).out] = next++;
+            rep_slot[nl.cell(c).out] = next++;
     first_out_slot_ = next;
     for (const Key &k : stream)
-        slot_of_net_[nl.cell(k.cell).out] = next++;
-    VEGA_CHECK(next == nl.num_nets(),
-               "tape lowering of ", nl.name(), " missed nets (", next,
-               " slots for ", nl.num_nets(), " nets)");
+        rep_slot[gate_out[k.gate]] = next++;
+    slot_of_net_.resize(nl.num_nets());
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+        VEGA_CHECK(rep[n] != kInvalidId, "tape lowering of ", nl.name(),
+                   " found no slot for undriven net ", nl.net(n).name);
+        slot_of_net_[n] = rep_slot[rep[n]];
+    }
 
     // Runs: maximal stretches of one opcode that stay inside one part.
     const size_t n_static = size_t(
@@ -108,16 +212,16 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
     in1_.reserve(stream.size());
     in2_.reserve(stream.size());
     for (size_t i = 0; i < stream.size(); ++i) {
-        const Cell &cell = nl.cell(stream[i].cell);
+        const Gate &g = gates[stream[i].gate];
         if (i == n_static)
             first_input_run_ = runs_.size();
-        if (i == n_static || runs_.empty() || runs_.back().op != cell.type)
-            runs_.push_back({uint32_t(i), uint32_t(i), cell.type});
+        if (i == n_static || runs_.empty() || runs_.back().op != g.op)
+            runs_.push_back({uint32_t(i), uint32_t(i), g.op});
         ++runs_.back().end;
-        int n_in = cell.num_inputs();
-        in0_.push_back(n_in > 0 ? slot_of_net_[cell.in[0]] : 0);
-        in1_.push_back(n_in > 1 ? slot_of_net_[cell.in[1]] : 0);
-        in2_.push_back(n_in > 2 ? slot_of_net_[cell.in[2]] : 0);
+        int n_in = cell_num_inputs(g.op);
+        in0_.push_back(n_in > 0 ? rep_slot[g.in[0]] : 0);
+        in1_.push_back(n_in > 1 ? rep_slot[g.in[1]] : 0);
+        in2_.push_back(n_in > 2 ? rep_slot[g.in[2]] : 0);
     }
     if (n_static == stream.size())
         first_input_run_ = runs_.size();

@@ -24,14 +24,30 @@
  * After new inputs only the input part can change, so an interpreter
  * may settle just that part as long as DFF outputs have not moved.
  *
- * Value slots are a permutation of NetIds ordered by evaluation phase
- * (primary inputs, constants, DFF Qs, then combinational outputs in
- * stream order): instruction i writes slot first_out_slot() + i, so a
- * simulator's value plane is written front-to-back each settle and the
- * stream stores no output slots at all. One interpreter, the 64-lane
- * BatchSimulator, runs it for every simulation consumer — SP
- * profiling, test replay, fuzz lifting and the gate-level FU waves — so
- * all of them share a single lowering of eval_cell semantics.
+ * Lowering canonicalizes nets in topological order, so a settle does not
+ * recompute constants, buffers, double inversions or duplicate cells.
+ * Each combinational net maps to one
+ * representative: one of two shared constant slots; an earlier
+ * equivalent net (a buffer's input, the x of ~~x, a gate or mux with a
+ * constant, equal inputs or constant data that make it equal one of its
+ * inputs); or itself. Gates that reduce to a complement become Nots.
+ * The surviving cells are hash-consed on (opcode, representative
+ * inputs, commutative inputs ordered), and the stream holds one
+ * instruction per representative. Input parts, levels, DFF rules and
+ * bus slots all read representatives.
+ *
+ * Value slots belong to representatives, ordered by evaluation phase
+ * (primary inputs, the constants in use, DFF Qs, then combinational
+ * outputs in stream order): instruction i writes slot first_out_slot() +
+ * i, so a simulator's value plane is written front-to-back each settle
+ * and the stream stores no output slots at all. slot() stays total: a
+ * folded net reads its representative's slot, so every net's value is
+ * still one load away. Nothing is dead-code eliminated, because SP
+ * profiling reads every cell's output, including cells that drive no
+ * port. One interpreter, the 64-lane BatchSimulator, runs the tape for
+ * every simulation consumer — SP profiling, test replay, fuzz lifting
+ * and the gate-level FU waves — so all of them share a single lowering
+ * of eval_cell semantics.
  */
 #pragma once
 
@@ -61,13 +77,19 @@ class EvalTape
 
     const Netlist &netlist() const { return nl_; }
 
-    /** One slot per net: the value plane length of any interpreter. */
-    size_t num_slots() const { return slot_of_net_.size(); }
+    /**
+     * The value plane length of any interpreter: inputs, constants in
+     * use, DFF Qs and one slot per instruction; at most num_nets().
+     */
+    size_t num_slots() const { return first_out_slot_ + in0_.size(); }
 
     /** Primary inputs hold slots [0, num_inputs()). */
     size_t num_inputs() const { return num_inputs_; }
 
-    /** Value slot holding the current value of @p net. */
+    /**
+     * Value slot holding the current value of @p net: its
+     * representative's, which folded nets share.
+     */
     SlotId slot(NetId net) const { return slot_of_net_[net]; }
 
     /// @name Combinational instruction stream (see file docs)
@@ -122,7 +144,7 @@ class EvalTape
   private:
     const Netlist &nl_;
 
-    std::vector<SlotId> slot_of_net_; ///< NetId -> slot
+    std::vector<SlotId> slot_of_net_; ///< NetId -> representative's slot
     size_t num_inputs_ = 0;
 
     std::vector<SlotId> in0_, in1_, in2_;

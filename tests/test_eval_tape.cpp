@@ -5,20 +5,27 @@
  * simulator (ReferenceSim, tests/reference_sim.h). Every lane is
  * checked against its own ReferenceSim in lockstep, on random
  * sequential netlists (full settles after each edge and input-only
- * settles after re-driven inputs) and on the real ALU32/FPU32 blocks,
- * and lanes driven alike must all match it (single-stream consumers
- * read lane 0). Save/restore round-trips and the input-only bus
- * writes are pinned here too.
+ * settles after re-driven inputs), on the real ALU32/FPU32/MDU32
+ * blocks and on an ALU32 fault bank, reading every net, and lanes
+ * driven alike must all match it (single-stream consumers read lane
+ * 0). The folded lowering's slot layout, save/restore round-trips and
+ * the input-only bus writes are pinned here too.
  */
 #include "sim/eval_tape.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "common/rng.h"
+#include "lift/failure_model.h"
 #include "netlist/builder.h"
 #include "reference_sim.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
+#include "rtl/mdu32.h"
+#include "runtime/test_case.h"
 #include "sim/batch_sim.h"
 
 namespace vega {
@@ -78,38 +85,136 @@ random_netlist(uint64_t seed, size_t n_inputs, size_t n_cells,
     return nl;
 }
 
-TEST(EvalTape, LowersEveryNetToExactlyOneSlot)
+TEST(EvalTape, LowersEveryNetToASlot)
 {
     Netlist nl = random_netlist(11, 8, 200, 6);
     EvalTape tape(nl);
-    EXPECT_EQ(tape.num_slots(), nl.num_nets());
-    std::vector<bool> seen(tape.num_slots(), false);
+    // slot() is total, and every slot holds some net's value.
+    std::vector<bool> read(tape.num_slots(), false);
     for (NetId n = 0; n < nl.num_nets(); ++n) {
-        SlotId s = tape.slot(n);
-        ASSERT_LT(s, tape.num_slots());
-        EXPECT_FALSE(seen[s]) << "slot " << s << " assigned twice";
-        seen[s] = true;
+        ASSERT_LT(tape.slot(n), tape.num_slots()) << nl.net(n).name;
+        read[tape.slot(n)] = true;
     }
-    // Constants are hoisted out of the per-cycle stream; everything
-    // combinational and non-constant is in it, in some order.
-    size_t n_comb = 0, n_const = 0, n_dff = 0;
+    EXPECT_EQ(std::count(read.begin(), read.end(), false), 0);
+    // Primary inputs and DFF Qs keep distinct slots of their own: inputs
+    // in [0, num_inputs()), Qs after them and before the stream.
+    std::vector<bool> owned(tape.num_slots(), false);
+    for (NetId in : nl.primary_inputs()) {
+        SlotId s = tape.slot(in);
+        EXPECT_LT(s, tape.num_inputs());
+        EXPECT_FALSE(owned[s]) << "slot " << s << " owned twice";
+        owned[s] = true;
+    }
+    size_t n_comb = 0, n_dff = 0;
     for (const Cell &c : nl.cells()) {
-        if (c.type == CellType::Dff)
+        if (c.type == CellType::Dff) {
             ++n_dff;
-        else if (c.type == CellType::Const0 || c.type == CellType::Const1)
-            ++n_const;
-        else
+            SlotId s = tape.slot(c.out);
+            EXPECT_GE(s, tape.num_inputs());
+            EXPECT_LT(s, tape.first_out_slot());
+            EXPECT_FALSE(owned[s]) << "slot " << s << " owned twice";
+            owned[s] = true;
+        } else if (c.type != CellType::Const0 &&
+                   c.type != CellType::Const1) {
             ++n_comb;
+        }
     }
-    EXPECT_EQ(tape.num_instrs(), n_comb);
-    EXPECT_EQ(tape.const_rules().size(), n_const);
+    EXPECT_EQ(tape.num_inputs(), nl.primary_inputs().size());
     EXPECT_EQ(tape.dff_rules().size(), n_dff);
-    // Instruction i writes slot first_out_slot() + i: the stream's
-    // outputs are the last n_comb slots, after inputs, constants and
-    // DFF Qs.
-    EXPECT_EQ(tape.first_out_slot(),
-              tape.num_inputs() + n_const + n_dff);
+    // Instruction i writes slot first_out_slot() + i, so the stream's
+    // outputs are the last slots. Folding keeps at most two constant
+    // slots and at most one instruction per non-constant cell.
     EXPECT_EQ(tape.first_out_slot() + tape.num_instrs(), tape.num_slots());
+    EXPECT_LE(tape.const_rules().size(), 2u);
+    EXPECT_LE(tape.num_instrs(), n_comb);
+}
+
+TEST(EvalTape, FoldsConstantsAliasesAndDuplicates)
+{
+    // One instance of each fold rule, plus duplicate gates, around a
+    // DFF so that edges drive full settles.
+    Netlist nl("folds");
+    Builder b(nl);
+    auto in = nl.add_input_bus("a", 3);
+    const NetId x = in[0], y = in[1], s = in[2];
+    const NetId k0 = b.const0(), k1 = b.const1(), k0b = b.const0();
+    const NetId bx = b.buf(x);
+    const NetId nx = b.not_(x);               // kept
+    const NetId nnx = b.not_(nx);             // ~~x = x
+    const NetId and0 = b.and_(x, k0);         // absorbing constant
+    const NetId and1 = b.and_(y, k1);         // identity constant
+    const NetId or1 = b.or_(x, k1);
+    const NetId or0 = b.or_(k0b, y);
+    const NetId andxx = b.and_(x, bx);        // equal inputs
+    const NetId xorxx = b.xor_(y, y);
+    const NetId xnor1 = b.xnor_(x, k1);
+    const NetId nand0 = b.nand_(k0, y);
+    const NetId nor1 = b.nor_(x, k1);
+    const NetId nandyy = b.nand_(y, y);       // ~y: kept as a Not
+    const NetId norx0 = b.nor_(x, k0);        // ~x: a duplicate of nx
+    const NetId xornx1 = b.xor_(nx, k1);      // ~~x = x
+    const NetId mux_ks = b.mux(x, y, k1);     // constant select
+    const NetId mux_eq = b.mux(y, y, s);      // equal data
+    const NetId mux_01 = b.mux(k0, k1, s);    // data (0, 1): s
+    const NetId mux_10 = b.mux(k1, k0b, s);   // data (1, 0): ~s, kept
+    const NetId g1 = b.and_(x, y);            // kept
+    const NetId g2 = b.and_(y, bx);           // duplicate of g1
+    const NetId m1 = b.mux(x, y, s);          // kept
+    const NetId m2 = b.mux(nnx, and1, s);     // duplicate of m1
+    const NetId m3 = b.mux(x, y, g1);         // another select: kept
+    const NetId fb = nl.new_net("fb");
+    const NetId d = b.xor_(g1, fb);           // kept
+    nl.add_dff("ff", d, fb, true);
+    nl.add_output_bus("r", {and0, or1, nandyy, mux_10, g2, m2, m3, d, fb});
+
+    EvalTape tape(nl);
+    EXPECT_EQ(tape.num_instrs(), 7u); // nx, nandyy, mux_10, g1, m1, m3, d
+    EXPECT_EQ(tape.const_rules().size(), 2u);
+    EXPECT_EQ(tape.num_slots(), 3u + 2u + 1u + 7u);
+    auto shares = [&](NetId folded, NetId rep) {
+        EXPECT_EQ(tape.slot(folded), tape.slot(rep))
+            << nl.net(folded).name << " should read "
+            << nl.net(rep).name << "'s slot";
+    };
+    for (NetId n : {bx, nnx, andxx, xnor1, xornx1})
+        shares(n, x);
+    for (NetId n : {and1, or0, mux_ks, mux_eq})
+        shares(n, y);
+    for (NetId n : {k0b, and0, xorxx, nor1})
+        shares(n, k0);
+    shares(nand0, k1);
+    shares(mux_01, s);
+    shares(norx0, nx);
+    shares(g2, g1);
+    shares(m2, m1);
+    std::vector<bool> seen(tape.num_slots(), false);
+    for (NetId n :
+         {x, y, s, k0, k1, fb, nx, nandyy, mux_10, g1, m1, m3, d}) {
+        EXPECT_FALSE(seen[tape.slot(n)]) << nl.net(n).name;
+        seen[tape.slot(n)] = true;
+    }
+
+    // Every net against the reference, after each edge (a full settle)
+    // and after re-driven inputs (an input-only settle).
+    BatchSimulator sim(nl);
+    ReferenceSim ref(nl);
+    auto expect_nets = [&](int t, const char *when) {
+        ref.eval();
+        for (NetId n = 0; n < nl.num_nets(); ++n)
+            ASSERT_EQ(sim.value(n), ref.values[n] ? ~uint64_t(0) : 0)
+                << "cycle " << t << " " << when << " net "
+                << nl.net(n).name;
+    };
+    for (int t = 0; t < 16; ++t) {
+        sim.set_bus_all("a", BitVec(3, uint64_t(t)));
+        ref.set_bus("a", BitVec(3, uint64_t(t)));
+        expect_nets(t, "after the edge");
+        sim.set_bus_all("a", BitVec(3, uint64_t(t * 5 + 3)));
+        ref.set_bus("a", BitVec(3, uint64_t(t * 5 + 3)));
+        expect_nets(t, "after re-driven inputs");
+        sim.step();
+        ref.step();
+    }
 }
 
 TEST(EvalTape, MatchesPreTapeReferenceOnRandomNetlists)
@@ -139,6 +244,60 @@ TEST(EvalTape, MatchesPreTapeReferenceOnRandomNetlists)
     }
 }
 
+/**
+ * A BatchSimulator beside one scalar ReferenceSim per lane, each lane
+ * with its own stimulus.
+ */
+struct Lockstep
+{
+    BatchSimulator batch;
+    std::vector<ReferenceSim> lanes;
+
+    explicit Lockstep(const Netlist &nl) : batch(nl)
+    {
+        lanes.reserve(BatchSimulator::kLanes);
+        for (int l = 0; l < BatchSimulator::kLanes; ++l)
+            lanes.emplace_back(nl);
+    }
+
+    /** Drive primary input @p in with @p plane (bit L to lane L). */
+    void drive(NetId in, uint64_t plane)
+    {
+        batch.set_input(in, plane);
+        for (int l = 0; l < BatchSimulator::kLanes; ++l)
+            lanes[l].values[in] = (plane >> l) & 1;
+    }
+
+    /** Drive input bus @p bus in lane @p lane only. */
+    void drive(const std::string &bus, int lane, const BitVec &value)
+    {
+        batch.set_bus_lane(bus, lane, value);
+        lanes[lane].set_bus(bus, value);
+    }
+
+    /** Settle, then require every net to match in every lane. */
+    void expect_every_net(const std::string &when)
+    {
+        const Netlist &nl = batch.netlist();
+        for (ReferenceSim &lane : lanes)
+            lane.eval();
+        for (NetId n = 0; n < nl.num_nets(); ++n) {
+            uint64_t plane = batch.value(n);
+            for (int l = 0; l < BatchSimulator::kLanes; ++l)
+                ASSERT_EQ((plane >> l) & 1, uint64_t(lanes[l].values[n]))
+                    << when << " lane " << l << " net " << nl.net(n).name;
+        }
+    }
+
+    /** One clock edge in the batch and in every lane. */
+    void step()
+    {
+        batch.step();
+        for (ReferenceSim &lane : lanes)
+            lane.step();
+    }
+};
+
 TEST(BatchSimulator, LockstepWithScalarOnRandomNetlists)
 {
     // Each lane carries its own stimulus and is checked against its
@@ -147,102 +306,108 @@ TEST(BatchSimulator, LockstepWithScalarOnRandomNetlists)
     // after re-driving a random subset of inputs (an input-only settle).
     for (uint64_t seed : {21u, 22u, 23u}) {
         Netlist nl = random_netlist(seed, 6, 250, 10);
-        BatchSimulator batch(nl);
-        std::vector<ReferenceSim> lanes;
-        lanes.reserve(BatchSimulator::kLanes);
-        for (int l = 0; l < BatchSimulator::kLanes; ++l)
-            lanes.emplace_back(nl);
-
+        Lockstep ls(nl);
         Rng stim(seed * 1319);
         auto inputs = nl.primary_inputs();
         auto drive = [&](double share) {
-            for (NetId in : inputs) {
-                if (!stim.chance(share))
-                    continue;
-                uint64_t plane = stim.next();
-                batch.set_input(in, plane);
-                for (int l = 0; l < BatchSimulator::kLanes; ++l)
-                    lanes[l].values[in] = (plane >> l) & 1;
-            }
-            for (ReferenceSim &lane : lanes)
-                lane.eval();
-        };
-        auto expect_lanes = [&](int t, const char *when) {
-            for (NetId n = 0; n < nl.num_nets(); ++n) {
-                uint64_t plane = batch.value(n);
-                for (int l = 0; l < BatchSimulator::kLanes; ++l)
-                    ASSERT_EQ((plane >> l) & 1, uint64_t(lanes[l].values[n]))
-                        << "seed " << seed << " cycle " << t << " " << when
-                        << " lane " << l << " net " << nl.net(n).name;
-            }
+            for (NetId in : inputs)
+                if (stim.chance(share))
+                    ls.drive(in, stim.next());
         };
         for (int t = 0; t < 12; ++t) {
+            const std::string at = "seed " + std::to_string(seed) +
+                                   " cycle " + std::to_string(t);
             drive(1.0);
-            expect_lanes(t, "after the edge");
+            ASSERT_NO_FATAL_FAILURE(ls.expect_every_net(at + " after the edge"));
             drive(0.5);
-            expect_lanes(t, "after re-driven inputs");
-            batch.step();
-            for (ReferenceSim &lane : lanes)
-                lane.step();
+            ASSERT_NO_FATAL_FAILURE(
+                ls.expect_every_net(at + " after re-driven inputs"));
+            ls.step();
         }
     }
 }
 
 /**
- * All 64 lanes vs 64 scalar ReferenceSim runs on a real block, via its
- * port buses.
+ * All 64 lanes vs 64 scalar ReferenceSim runs on a functional unit of
+ * kind @p kind (its own netlist or a fault bank over it), every net
+ * compared: random operands and ops on its port buses, plus whatever
+ * @p drive_extra drives in each lane.
  */
 void
-lockstep_module(const Netlist &nl, bool is_fpu, uint64_t seed)
+lockstep_module(
+    const Netlist &nl, ModuleKind kind, uint64_t seed,
+    const std::function<void(Lockstep &, int, Rng &)> &drive_extra = {})
 {
-    BatchSimulator batch(nl);
-    std::vector<ReferenceSim> lanes;
-    lanes.reserve(BatchSimulator::kLanes);
-    for (int l = 0; l < BatchSimulator::kLanes; ++l)
-        lanes.emplace_back(nl);
-
+    Lockstep ls(nl);
     Rng stim(seed);
-    std::vector<std::string> outs(nl.output_bus_names());
+    const size_t op_width = nl.bus("op").size();
+    const uint32_t num_ops = runtime::fu_num_ops(kind);
     for (int t = 0; t < 6; ++t) {
         for (int l = 0; l < BatchSimulator::kLanes; ++l) {
-            BitVec a(32, stim.next());
-            BitVec b(32, stim.next());
-            BitVec op(is_fpu ? 3 : 4, stim.below(is_fpu ? 8 : 10));
-            batch.set_bus_lane("a", l, a);
-            batch.set_bus_lane("b", l, b);
-            batch.set_bus_lane("op", l, op);
-            lanes[l].set_bus("a", a);
-            lanes[l].set_bus("b", b);
-            lanes[l].set_bus("op", op);
-            if (is_fpu) {
-                BitVec valid(1, stim.chance(0.8) ? 1 : 0);
-                batch.set_bus_lane("valid", l, valid);
-                batch.set_bus_lane("clear", l, BitVec(1, 0));
-                lanes[l].set_bus("valid", valid);
-                lanes[l].set_bus("clear", BitVec(1, 0));
+            ls.drive("a", l, BitVec(32, stim.next()));
+            ls.drive("b", l, BitVec(32, stim.next()));
+            ls.drive("op", l, BitVec(op_width, stim.below(num_ops)));
+            if (kind == ModuleKind::Fpu32) {
+                ls.drive("valid", l, BitVec(1, stim.chance(0.8) ? 1 : 0));
+                ls.drive("clear", l, BitVec(1, 0));
             }
-            lanes[l].eval();
+            if (drive_extra)
+                drive_extra(ls, l, stim);
         }
-        for (const std::string &bus : outs)
-            for (int l = 0; l < BatchSimulator::kLanes; ++l)
-                ASSERT_EQ(batch.bus_value(bus, l), lanes[l].bus_value(bus))
-                    << "cycle " << t << " lane " << l << " bus " << bus;
-        batch.step();
-        for (ReferenceSim &lane : lanes)
-            lane.step();
+        ASSERT_NO_FATAL_FAILURE(
+            ls.expect_every_net("cycle " + std::to_string(t)));
+        ls.step();
     }
 }
 
 TEST(BatchSimulator, LockstepWithScalarOnAlu32)
 {
     static HwModule m = rtl::make_alu32();
-    lockstep_module(m.netlist, false, 4242);
+    lockstep_module(m.netlist, m.kind, 4242);
 }
 
 TEST(BatchSimulator, LockstepWithScalarOnFpu32)
 {
     static HwModule m = rtl::make_fpu32();
-    lockstep_module(m.netlist, true, 2424);
+    lockstep_module(m.netlist, m.kind, 2424);
+}
+
+TEST(BatchSimulator, LockstepWithScalarOnMdu32)
+{
+    static HwModule m = rtl::make_mdu32();
+    lockstep_module(m.netlist, m.kind, 2442);
+}
+
+TEST(BatchSimulator, LockstepWithScalarOnFaultBank)
+{
+    // The netlist campaign waves run: every lane enables its own fault
+    // and draws its own fm_rand bits, and must match a scalar run of
+    // the same bank netlist, net for net.
+    static HwModule m = rtl::make_alu32();
+    const std::vector<CellId> regs = m.netlist.dffs();
+    Rng pick(31);
+    std::vector<lift::FailureModelSpec> specs;
+    for (int i = 0; i < 6; ++i) {
+        lift::FailureModelSpec fm;
+        fm.launch = regs[pick.below(regs.size())];
+        fm.capture = regs[pick.below(regs.size())];
+        fm.is_setup = i % 3 != 2;
+        fm.constant = i == 5    ? lift::FaultConstant::RandomInput
+                      : i % 2 ? lift::FaultConstant::One
+                              : lift::FaultConstant::Zero;
+        fm.mitigation = lift::Mitigation(i % 3);
+        specs.push_back(fm);
+    }
+    const lift::FaultBank bank = lift::build_fault_bank(m.netlist, specs);
+    ASSERT_TRUE(bank.has_random_input);
+    lockstep_module(bank.netlist, m.kind, 4343,
+                    [&](Lockstep &ls, int lane, Rng &stim) {
+                        BitVec en(bank.num_faults);
+                        en.set(size_t(lane) % bank.num_faults, true);
+                        ls.drive("fm_en", lane, en);
+                        ls.drive("fm_rand", lane,
+                                 BitVec(1, stim.chance(0.5) ? 1 : 0));
+                    });
 }
 
 TEST(BatchSimulator, SaveRestoreRoundTrip)
