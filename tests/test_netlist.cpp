@@ -139,6 +139,37 @@ TEST(Netlist, FanoutCone)
         EXPECT_NE(std::find(cone.begin(), cone.end(), c), cone.end());
 }
 
+TEST(Netlist, ReadersListEveryPinInCellOrder)
+{
+    // g1 reads `a` on both pins, so it is listed twice; the DFF reads
+    // the combinational net n0, and g2 reads the DFF's Q.
+    Netlist nl("t");
+    auto in = nl.add_input_bus("in", 2);
+    NetId a = in[0], b = in[1];
+    NetId n0 = nl.new_net("n0");
+    CellId g0 = nl.add_cell(CellType::Xor2, "g0", {a, b}, n0);
+    NetId n1 = nl.new_net("n1");
+    CellId g1 = nl.add_cell(CellType::And2, "g1", {a, a}, n1);
+    NetId q = nl.new_net("q");
+    CellId ff = nl.add_dff("ff", n0, q);
+    NetId n2 = nl.new_net("n2");
+    CellId g2 = nl.add_cell(CellType::Or2, "g2", {n1, q}, n2);
+    nl.add_output_bus("y", {n2});
+    nl.validate();
+
+    auto list = [&](NetId n) {
+        return std::vector<CellId>(nl.readers(n).begin(),
+                                   nl.readers(n).end());
+    };
+    EXPECT_EQ(list(a), (std::vector<CellId>{g0, g1, g1}));
+    EXPECT_EQ(list(b), (std::vector<CellId>{g0}));
+    EXPECT_EQ(list(n0), (std::vector<CellId>{ff}));
+    EXPECT_EQ(list(n1), (std::vector<CellId>{g2}));
+    EXPECT_EQ(list(q), (std::vector<CellId>{g2}));
+    EXPECT_TRUE(list(n2).empty());
+    EXPECT_EQ(nl.topo_order(), (std::vector<CellId>{g0, g1, g2}));
+}
+
 TEST(Netlist, TypeHistogram)
 {
     Netlist nl("t");

@@ -10,7 +10,13 @@
  *    every ALU liftable pair and every adder2 flop as a same-flop path;
  *  - the lifted suites of the ALU, MDU and FPU under the campaign and
  *    fleet CLIs' workflow settings, with each test's compiled block,
- *    cycle cost and the per-configuration lifting outcomes.
+ *    cycle cost and the per-configuration lifting outcomes;
+ *  - the SAT search behind ALU and FPU lifting, as its solve, conflict,
+ *    propagation, decision and unrolled-frame counts, which move with
+ *    any reordered clause or watch list even when no witness does;
+ *  - the netlist orders the CNF and the tape are numbered by: every
+ *    generated unit's and an ALU shadow bank's topological order and
+ *    reader lists.
  *
  * A change that means to move one of these outputs re-pins its digest
  * and says why.
@@ -21,6 +27,7 @@
 #include "common/checksum.h"
 #include "lift/failure_model.h"
 #include "netlist/verilog_writer.h"
+#include "obs/metrics.h"
 #include "runtime/suite_io.h"
 #include "vega/workflow.h"
 
@@ -137,13 +144,17 @@ suite_digest(ModuleKind kind, size_t max_pairs)
     return crc32c(bytes);
 }
 
-TEST(OutputPin, AluFailureModelProducts)
+/**
+ * The (launch, capture, setup) paths of @p module's liftable pairs
+ * after aging analysis at the CLIs' trace length.
+ */
+std::vector<FailureModelSpec>
+liftable_paths(HwModule &module)
 {
-    HwModule alu = make_module(ModuleKind::Alu32);
     AgingAnalysisConfig acfg;
     acfg.max_trace = 4000;
     AgingAnalysisResult aging =
-        run_aging_analysis(alu, lib(), minver_trace(), acfg);
+        run_aging_analysis(module, lib(), minver_trace(), acfg);
     std::vector<FailureModelSpec> paths;
     for (const sta::EndpointPair &p : aging.liftable_pairs()) {
         FailureModelSpec s;
@@ -152,6 +163,56 @@ TEST(OutputPin, AluFailureModelProducts)
         s.is_setup = p.is_setup;
         paths.push_back(s);
     }
+    return paths;
+}
+
+/**
+ * The SAT search of lifting @p module's first @p max_pairs pairs under
+ * the CLIs' workflow settings: the solve, conflict, propagation,
+ * decision and unrolled-frame counters spent by run_error_lifting.
+ */
+std::string
+lifting_search_counters(ModuleKind kind, size_t max_pairs)
+{
+    HwModule module = make_module(kind);
+    WorkflowConfig cfg = cli_workflow_config(max_pairs);
+    AgingAnalysisResult aging =
+        run_aging_analysis(module, lib(), minver_trace(), cfg.aging);
+    const std::vector<std::string> names = {
+        "sat.solves", "sat.conflicts", "sat.propagations", "sat.decisions",
+        "bmc.frames_unrolled"};
+    obs::reset_metrics();
+    std::vector<uint64_t> before;
+    for (const std::string &name : names)
+        before.push_back(obs::counter(name).value());
+    lift::run_error_lifting(module, aging.liftable_pairs(), cfg.lift);
+    std::string out;
+    for (size_t i = 0; i < names.size(); ++i)
+        out += std::string(i ? " " : "") + names[i] + " " +
+               std::to_string(obs::counter(names[i]).value() - before[i]);
+    return out;
+}
+
+/** CRC32C over @p nl's topological order and every net's readers. */
+uint32_t
+order_digest(const Netlist &nl)
+{
+    std::string bytes;
+    for (CellId c : nl.topo_order())
+        bytes += std::to_string(c) + " ";
+    bytes += "\n";
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+        for (CellId r : nl.readers(n))
+            bytes += std::to_string(r) + " ";
+        bytes += "\n";
+    }
+    return crc32c(bytes);
+}
+
+TEST(OutputPin, AluFailureModelProducts)
+{
+    HwModule alu = make_module(ModuleKind::Alu32);
+    std::vector<FailureModelSpec> paths = liftable_paths(alu);
     ASSERT_EQ(paths.size(), 8u);
     EXPECT_EQ(crc32c_hex(failure_model_digest(alu.netlist,
                                               all_configs(paths))),
@@ -191,6 +252,43 @@ TEST(OutputPin, MduSuite)
 TEST(OutputPin, FpuSuite)
 {
     EXPECT_EQ(crc32c_hex(suite_digest(ModuleKind::Fpu32, 8)), "4b3eb534");
+}
+
+TEST(OutputPin, LiftingSearchCounters)
+{
+    EXPECT_EQ(lifting_search_counters(ModuleKind::Alu32, 8),
+              "sat.solves 64 sat.conflicts 120 sat.propagations 107830 "
+              "sat.decisions 13947 bmc.frames_unrolled 51");
+    EXPECT_EQ(lifting_search_counters(ModuleKind::Fpu32, 4),
+              "sat.solves 32 sat.conflicts 1975 sat.propagations 1191122 "
+              "sat.decisions 27656 bmc.frames_unrolled 27");
+}
+
+TEST(OutputPin, TopoOrders)
+{
+    const std::pair<ModuleKind, const char *> units[] = {
+        {ModuleKind::Alu32, "8f9a2cd8"},
+        {ModuleKind::Fpu32, "0e2201d2"},
+        {ModuleKind::Mdu32, "1dc2e333"},
+        {ModuleKind::MemDec16, "0cda4398"},
+    };
+    for (const auto &[kind, pin] : units)
+        EXPECT_EQ(crc32c_hex(order_digest(make_module(kind).netlist)), pin)
+            << static_cast<int>(kind);
+
+    // The shadow bank lifting unrolls: C in {0, 1} on every pair.
+    HwModule alu = make_module(ModuleKind::Alu32);
+    std::vector<FailureModelSpec> specs;
+    for (const FailureModelSpec &path : liftable_paths(alu))
+        for (FaultConstant c : {FaultConstant::Zero, FaultConstant::One}) {
+            FailureModelSpec s = path;
+            s.constant = c;
+            specs.push_back(s);
+        }
+    ASSERT_EQ(specs.size(), 16u);
+    EXPECT_EQ(crc32c_hex(order_digest(
+                  lift::build_shadow_bank(alu.netlist, specs).netlist)),
+              "e6b298fd");
 }
 
 } // namespace
