@@ -169,8 +169,12 @@ sharded_kill_resume mem 100 --module mem --jobs 600 --seed 7 --max-pairs 2
 # Output pins: the bytes a refactor must hold still. OutputPin.* takes
 # CRC32Cs of every failure-model product as exported Verilog (failing
 # netlist, shadow instrumentation, fault bank, shadow bank; ALU pairs
-# and adder2 same-flop paths) and of the lifted ALU, MDU and FPU suites
-# with their compiled blocks and lifting outcomes. output_pin_* compares
+# and adder2 same-flop paths), of the lifted ALU, MDU and FPU suites
+# with their compiled blocks and lifting outcomes, and of the
+# topological orders and reader lists of every generated unit and an
+# ALU shadow bank (TopoOrders), and pins the SAT search of ALU and FPU
+# lifting as its solve, conflict, propagation, decision and frame
+# counts (LiftingSearchCounters). output_pin_* compares
 # vega_campaign reports (alu, mem, mdu at 1 and 4 threads), vega_fleet
 # --smoke's bench record and the full mem_substrate run, which must
 # regenerate the committed BENCH_mem.json, against pinned bytes, and
@@ -183,6 +187,18 @@ sharded_kill_resume mem 100 --module mem --jobs 600 --seed 7 --max-pairs 2
 ctest --test-dir "$build" --output-on-failure -R 'OutputPin|output_pin' \
     -j "$jobs"
 echo "ci_sanitize: output pins hold"
+
+# The workflow's allocation-free paths: the solver's clause adds
+# normalize in a reused scratch buffer and watch lists reserve on first
+# use, netlist reader lists are one CSR array behind std::span views
+# (VerilogReader feeds check_valid() malformed netlists, which must be
+# rejected before the array is built), and SP profiling packs 64 cycles
+# per history word. Run the tests over them, and over the unroller and
+# cover solving built on the solver, focused so a scratch-buffer,
+# reserve or span-lifetime bug fails readably before the full suite.
+ctest --test-dir "$build" --output-on-failure \
+    -R 'SatSolver|Netlist|VerilogReader|SpProfiler|AgingAnalysis|Unroller|Bmc|CoverBatch|CheckCover' \
+    -j "$jobs"
 
 ctest --test-dir "$build" --output-on-failure -j "$jobs" "$@"
 

@@ -138,87 +138,95 @@ Netlist::type_histogram() const
     return h;
 }
 
-const std::vector<CellId> &
-Netlist::topo_order() const
+std::pair<size_t, size_t>
+Netlist::build_order() const
 {
-    if (!topo_dirty_)
-        return topo_;
+    // Reader CSR: count each net's readers, prefix-sum the counts into
+    // offsets, then place (cell, pin) entries in cell-id and pin order.
+    reader_begin_.assign(nets_.size() + 1, 0);
+    for (const Cell &cell : cells_)
+        for (int i = 0; i < cell.num_inputs(); ++i)
+            ++reader_begin_[cell.in[i] + 1];
+    for (size_t n = 0; n < nets_.size(); ++n)
+        reader_begin_[n + 1] += reader_begin_[n];
+    reader_cells_.resize(reader_begin_.back());
+    std::vector<uint32_t> next(reader_begin_.begin(),
+                               reader_begin_.end() - 1);
+    for (CellId c = 0; c < cells_.size(); ++c)
+        for (int i = 0; i < cells_[c].num_inputs(); ++i)
+            reader_cells_[next[cells_[c].in[i]]++] = c;
 
     // Kahn's algorithm over the combinational subgraph. A combinational
     // cell becomes ready once all its input nets are resolved; primary
     // inputs, constants, and DFF Q outputs are resolved from the start.
+    // topo_ is the FIFO ready queue: cells leave it in the order they
+    // join it.
     std::vector<bool> net_ready(nets_.size(), false);
     for (NetId n = 0; n < nets_.size(); ++n) {
         const Net &net = nets_[n];
-        if (net.is_primary_input)
-            net_ready[n] = true;
-        else if (net.driver != kInvalidId &&
-                 cells_[net.driver].type == CellType::Dff)
+        if (net.is_primary_input ||
+            (net.driver != kInvalidId &&
+             cells_[net.driver].type == CellType::Dff))
             net_ready[n] = true;
     }
-
-    // Build reader lists while we are at it.
-    readers_.assign(nets_.size(), {});
-    for (CellId c = 0; c < cells_.size(); ++c)
-        for (int i = 0; i < cells_[c].num_inputs(); ++i)
-            readers_[cells_[c].in[i]].push_back(c);
-
     std::vector<int> missing(cells_.size(), 0);
-    std::deque<CellId> ready;
+    topo_.clear();
+    size_t num_comb = 0;
     for (CellId c = 0; c < cells_.size(); ++c) {
         const Cell &cell = cells_[c];
         if (cell.type == CellType::Dff)
             continue;
+        ++num_comb;
         int need = 0;
         for (int i = 0; i < cell.num_inputs(); ++i)
             if (!net_ready[cell.in[i]])
                 ++need;
         missing[c] = need;
         if (need == 0)
-            ready.push_back(c);
+            topo_.push_back(c);
     }
-
-    topo_.clear();
-    size_t num_comb = 0;
-    for (const Cell &c : cells_)
-        if (c.type != CellType::Dff)
-            ++num_comb;
-
-    while (!ready.empty()) {
-        CellId c = ready.front();
-        ready.pop_front();
-        topo_.push_back(c);
-        NetId out = cells_[c].out;
+    for (size_t head = 0; head < topo_.size(); ++head) {
+        NetId out = cells_[topo_[head]].out;
+        if (net_ready[out])
+            continue;
         net_ready[out] = true;
-        // readers_ holds one entry per (cell, pin), so a cell reading
-        // this net on several pins appears several times — decrement
-        // exactly once per occurrence.
-        for (CellId r : readers_[out]) {
-            if (cells_[r].type == CellType::Dff)
-                continue;
-            if (--missing[r] == 0)
-                ready.push_back(r);
+        // One reader entry per (cell, pin), so a cell reading this net
+        // on several pins is decremented once per occurrence.
+        for (uint32_t k = reader_begin_[out]; k < reader_begin_[out + 1];
+             ++k) {
+            CellId r = reader_cells_[k];
+            if (cells_[r].type != CellType::Dff && --missing[r] == 0)
+                topo_.push_back(r);
         }
     }
-
-    VEGA_CHECK(topo_.size() == num_comb,
-               "combinational cycle in netlist ", name_, " (", topo_.size(),
-               " of ", num_comb, " cells ordered)");
-    topo_dirty_ = false;
-    return topo_;
+    topo_dirty_ = topo_.size() != num_comb;
+    return {topo_.size(), num_comb};
 }
 
 const std::vector<CellId> &
+Netlist::topo_order() const
+{
+    if (topo_dirty_) {
+        auto [ordered, num_comb] = build_order();
+        VEGA_CHECK(ordered == num_comb, "combinational cycle in netlist ",
+                   name_, " (", ordered, " of ", num_comb,
+                   " cells ordered)");
+    }
+    return topo_;
+}
+
+std::span<const CellId>
 Netlist::readers(NetId net) const
 {
-    topo_order(); // refreshes readers_ if dirty
-    return readers_[net];
+    topo_order(); // refreshes the reader lists if dirty
+    return std::span<const CellId>(reader_cells_)
+        .subspan(reader_begin_[net],
+                 reader_begin_[net + 1] - reader_begin_[net]);
 }
 
 std::vector<CellId>
 Netlist::fanout_cone(CellId root) const
 {
-    topo_order();
     std::vector<bool> seen(cells_.size(), false);
     std::deque<CellId> work{root};
     seen[root] = true;
@@ -227,7 +235,7 @@ Netlist::fanout_cone(CellId root) const
         CellId c = work.front();
         work.pop_front();
         cone.push_back(c);
-        for (CellId r : readers_[cells_[c].out]) {
+        for (CellId r : readers(cells_[c].out)) {
             if (!seen[r]) {
                 seen[r] = true;
                 work.push_back(r);
@@ -242,7 +250,6 @@ Netlist::validate() const
 {
     Expected<void> ok = check_valid();
     VEGA_CHECK(ok.ok(), "netlist ", name_, ": ", ok.error().context);
-    topo_order(); // refreshes the caches check_valid() cannot touch
 }
 
 Expected<void>
@@ -269,57 +276,16 @@ Netlist::check_valid() const
                               "cell " + cell.name + " dangling output");
     }
 
-    // Acyclicity of the combinational subgraph, with the same ready
-    // rules as topo_order() but without touching the mutable caches or
-    // panicking: count how many combinational cells can be ordered.
-    std::vector<bool> net_ready(nets_.size(), false);
-    for (NetId n = 0; n < nets_.size(); ++n) {
-        const Net &net = nets_[n];
-        if (net.is_primary_input ||
-            (net.driver != kInvalidId &&
-             cells_[net.driver].type == CellType::Dff))
-            net_ready[n] = true;
+    // Acyclicity of the combinational subgraph: with every pin in
+    // range, order the cells; a clean cache was ordered already.
+    if (topo_dirty_) {
+        auto [ordered, num_comb] = build_order();
+        if (ordered != num_comb)
+            return make_error(
+                ErrorCode::ValidationError,
+                "combinational cycle (" + std::to_string(ordered) + " of " +
+                    std::to_string(num_comb) + " cells ordered)");
     }
-    std::vector<std::vector<CellId>> readers(nets_.size());
-    for (CellId c = 0; c < cells_.size(); ++c)
-        for (int i = 0; i < cells_[c].num_inputs(); ++i)
-            readers[cells_[c].in[i]].push_back(c);
-    std::vector<int> missing(cells_.size(), 0);
-    std::deque<CellId> ready;
-    size_t num_comb = 0;
-    for (CellId c = 0; c < cells_.size(); ++c) {
-        if (cells_[c].type == CellType::Dff)
-            continue;
-        ++num_comb;
-        int need = 0;
-        for (int i = 0; i < cells_[c].num_inputs(); ++i)
-            if (!net_ready[cells_[c].in[i]])
-                ++need;
-        missing[c] = need;
-        if (need == 0)
-            ready.push_back(c);
-    }
-    size_t ordered = 0;
-    while (!ready.empty()) {
-        CellId c = ready.front();
-        ready.pop_front();
-        ++ordered;
-        NetId out = cells_[c].out;
-        if (net_ready[out])
-            continue;
-        net_ready[out] = true;
-        for (CellId r : readers[out]) {
-            if (cells_[r].type == CellType::Dff)
-                continue;
-            if (--missing[r] == 0)
-                ready.push_back(r);
-        }
-    }
-    if (ordered != num_comb)
-        return make_error(
-            ErrorCode::ValidationError,
-            "combinational cycle (" + std::to_string(ordered) + " of " +
-                std::to_string(num_comb) + " cells ordered)");
     return {};
 }
 

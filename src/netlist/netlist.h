@@ -19,8 +19,10 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -144,8 +146,13 @@ class Netlist
      */
     const std::vector<CellId> &topo_order() const;
 
-    /** Cells reading @p net (computed once, cached; invalidated on edit). */
-    const std::vector<CellId> &readers(NetId net) const;
+    /**
+     * Cells reading @p net, one entry per (cell, pin) in cell-id and pin
+     * order, so a cell reading the net on two pins appears twice. A view
+     * into a cache built with topo_order(): any edit of the netlist
+     * invalidates it.
+     */
+    std::span<const CellId> readers(NetId net) const;
 
     /**
      * Transitive fanout cone of a cell, crossing DFF boundaries, as used
@@ -191,9 +198,20 @@ class Netlist
     double timing_scale_ = 1.0;
     double clock_period_ps_ = 1000.0;
 
+    /**
+     * Fill the reader lists and order the combinational cells (Kahn's
+     * algorithm). Returns {cells ordered, combinational cells}; the
+     * caches are clean only when the two match, i.e. the combinational
+     * subgraph is acyclic. Every pin must reference a valid net.
+     */
+    std::pair<size_t, size_t> build_order() const;
+
     mutable bool topo_dirty_ = true;
     mutable std::vector<CellId> topo_;
-    mutable std::vector<std::vector<CellId>> readers_;
+    /** Reader lists as one CSR array: net n's readers are
+     *  reader_cells_[reader_begin_[n], reader_begin_[n + 1]). */
+    mutable std::vector<uint32_t> reader_begin_;
+    mutable std::vector<CellId> reader_cells_;
 };
 
 } // namespace vega

@@ -93,35 +93,41 @@ void
 Solver::attach(Cref c)
 {
     Lit *ls = clause_lits(c);
-    watches_[(~ls[0]).x].push_back({c, ls[1]});
-    watches_[(~ls[1]).x].push_back({c, ls[0]});
+    for (int k = 0; k < 2; ++k) {
+        std::vector<Watcher> &ws = watches_[(~ls[k]).x];
+        if (ws.capacity() == 0)
+            ws.reserve(kWatchReserve);
+        ws.push_back({c, ls[1 - k]});
+    }
 }
 
 bool
-Solver::add_clause(std::vector<Lit> lits)
+Solver::add_clause(std::span<const Lit> lits)
 {
     if (!ok_)
         return false;
     VEGA_CHECK(trail_lim_.empty(), "add_clause after search started");
 
-    // Normalize: drop duplicate/false literals, detect tautologies and
-    // satisfied clauses at level 0.
-    std::sort(lits.begin(), lits.end(),
+    // Normalize in place in the scratch buffer: drop duplicate/false
+    // literals, detect tautologies and satisfied clauses at level 0.
+    std::vector<Lit> &out = add_buf_;
+    out.assign(lits.begin(), lits.end());
+    std::sort(out.begin(), out.end(),
               [](Lit a, Lit b) { return a.x < b.x; });
-    std::vector<Lit> out;
-    Lit prev;
-    for (Lit l : lits) {
+    size_t n = 0;
+    for (size_t i = 0; i < out.size(); ++i) {
+        Lit l = out[i];
         if (value(l) == kTrue)
             return true; // already satisfied
         if (value(l) == kFalse)
             continue; // can never help
-        if (!out.empty() && l == prev)
+        if (n > 0 && l == out[n - 1])
             continue;
-        if (!out.empty() && l == ~prev)
+        if (n > 0 && l == ~out[n - 1])
             return true; // tautology
-        out.push_back(l);
-        prev = l;
+        out[n++] = l;
     }
+    out.resize(n);
 
     if (out.empty()) {
         ok_ = false;

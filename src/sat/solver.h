@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace vega::sat {
@@ -70,13 +71,31 @@ class Solver
      * Returns false if the solver is already in an unsat state. Legal
      * between solve() calls: the solver always returns to the root
      * level, so new clauses join the existing (learned) database.
+     *
+     * The literals are copied: normalization (sort, drop false and
+     * duplicate literals, detect tautologies and satisfied clauses)
+     * runs in a scratch buffer the solver reuses, so a steady-state add
+     * allocates nothing beyond the clause arena's and watch lists'
+     * amortized growth.
      */
-    bool add_clause(std::vector<Lit> lits);
+    bool add_clause(std::span<const Lit> lits);
 
-    /** Convenience single/binary/ternary clause adders. */
-    bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-    bool add_clause(Lit a, Lit b) { return add_clause({a, b}); }
-    bool add_clause(Lit a, Lit b, Lit c) { return add_clause({a, b, c}); }
+    /** Convenience adders; all forward to the span overload. */
+    bool add_clause(const std::vector<Lit> &lits)
+    {
+        return add_clause(std::span<const Lit>(lits));
+    }
+    bool add_clause(Lit a) { return add_clause(std::span<const Lit>(&a, 1)); }
+    bool add_clause(Lit a, Lit b)
+    {
+        const Lit lits[] = {a, b};
+        return add_clause(std::span<const Lit>(lits));
+    }
+    bool add_clause(Lit a, Lit b, Lit c)
+    {
+        const Lit lits[] = {a, b, c};
+        return add_clause(std::span<const Lit>(lits));
+    }
 
     /**
      * Solve. Stops with Result::Unknown once @p conflict_budget conflicts
@@ -174,6 +193,11 @@ class Solver
     }
     uint32_t &clause_lbd(Cref c) { return arena_[c + 1]; }
 
+    /** Room a literal's watch list reserves for its first watcher:
+     *  typical Tseitin occupancy, so short lists skip the 1-2-4-8
+     *  regrowth. */
+    static constexpr size_t kWatchReserve = 8;
+
     void attach(Cref c);
     void enqueue(Lit l, Cref reason);
     Cref propagate();
@@ -215,6 +239,7 @@ class Solver
     }
 
     std::vector<uint8_t> seen_; ///< scratch for analyze()
+    std::vector<Lit> add_buf_;  ///< scratch for add_clause()
 
     /** Model snapshot taken at the moment of a Sat answer (the search
      *  state itself is rewound to the root so the instance stays

@@ -111,6 +111,13 @@ class BatchSimulator
         return planes_[slot];
     }
 
+    /** Every value slot's plane (post-settle), indexed by SlotId. */
+    const std::vector<uint64_t> &planes()
+    {
+        eval();
+        return planes_;
+    }
+
     /** Value of @p net in lane @p lane. */
     bool value_lane(NetId net, int lane)
     {

@@ -9,11 +9,12 @@
  *
  * A workload trace is one stimulus stream, so the profile samples lane 0
  * of a BatchSimulator whose lanes are all driven alike: one sample per
- * call, and activity() keeps its per-stream `samples - 1` denominator.
+ * cycle, and activity() keeps its per-stream `samples - 1` denominator.
  */
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -26,14 +27,21 @@ class SpProfile
 {
   public:
     explicit SpProfile(size_t num_cells = 0)
-        : ones_(num_cells, 0), transitions_(num_cells, 0),
-          prev_(num_cells, 0), samples_(0)
+        : ones_(num_cells, 0), transitions_(num_cells, 0)
     {
     }
 
+    /**
+     * A profile of @p samples samples in which cell c's output read "1"
+     * @p ones[c] times and toggled between consecutive samples
+     * @p transitions[c] times (the two vectors must be equally long).
+     */
+    SpProfile(std::vector<uint64_t> ones, std::vector<uint64_t> transitions,
+              uint64_t samples);
+
     size_t num_cells() const { return ones_.size(); }
 
-    /** Total samples (one per sample() call). */
+    /** Total samples (one per profiled cycle). */
     uint64_t samples() const { return samples_; }
 
     /** SP of cell @p c: fraction of samples with output at "1". */
@@ -55,41 +63,33 @@ class SpProfile
                                    (samples_ - 1);
     }
 
-    /** Record one sample of every cell output, read in lane 0. */
-    void sample(BatchSimulator &sim);
-
     /** Merge another profile over the same netlist. */
     void merge(const SpProfile &other);
 
   private:
     std::vector<uint64_t> ones_;
     std::vector<uint64_t> transitions_;
-    std::vector<uint8_t> prev_;
-    uint64_t samples_;
+    uint64_t samples_ = 0;
 };
+
+/** Stimulus callback: sets inputs in every lane before cycle @p t. */
+using SpDriveFn = std::function<void(BatchSimulator &sim, uint64_t t)>;
 
 /**
  * The profiling harness: instruments the netlist's cell outputs with
  * counters and samples them every cycle while @p drive supplies stimulus.
  *
+ * Samples are bit-packed: each cycle ORs lane 0 of every value slot into
+ * a 64-cycle history word h; every 64 cycles, and after the last, each
+ * cell adds popcount(h) to its ones and the popcount of h XOR its
+ * one-cycle delay (the previous window's last sample shifted in) to its
+ * toggles, leaving out the first sample, which has no predecessor.
+ *
  * @param sim      simulator over the netlist under profile
  * @param cycles   number of cycles to run
- * @param drive    callback invoked before each cycle to set inputs in
- *                 every lane; receives the cycle index
+ * @param drive    invoked before each cycle with the cycle index
  */
-template <typename DriveFn>
-SpProfile
-profile_signal_probability(BatchSimulator &sim, uint64_t cycles,
-                           DriveFn drive)
-{
-    SpProfile profile(sim.netlist().num_cells());
-    for (uint64_t t = 0; t < cycles; ++t) {
-        drive(sim, t);
-        sim.eval();
-        profile.sample(sim);
-        sim.step();
-    }
-    return profile;
-}
+SpProfile profile_signal_probability(BatchSimulator &sim, uint64_t cycles,
+                                     const SpDriveFn &drive);
 
 } // namespace vega

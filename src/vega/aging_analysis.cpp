@@ -100,21 +100,16 @@ run_aging_analysis(HwModule &module, const aging::AgingTimingLibrary &lib,
     // activity ratios. One recorded trace is one stimulus stream: every
     // lane gets the same entry and the profile samples lane 0.
     BatchSimulator sim(module.netlist);
-    SpProfile profile(module.netlist.num_cells());
     size_t limit = config.max_trace == 0
                        ? trace.size()
                        : std::min(trace.size(), config.max_trace);
-    for (size_t i = 0; i < limit; ++i) {
-        const cpu::FuTraceEntry &e = trace[i];
-        bool matches = e.unit == module.kind;
-        apply_entry(sim, module.kind, matches ? &e : nullptr);
-        sim.eval();
-        profile.sample(sim);
-        sim.step();
-    }
-
     AgingAnalysisResult result;
-    result.profile = std::move(profile);
+    result.profile = profile_signal_probability(
+        sim, limit, [&](BatchSimulator &s, uint64_t i) {
+            const cpu::FuTraceEntry &e = trace[i];
+            apply_entry(s, module.kind,
+                        e.unit == module.kind ? &e : nullptr);
+        });
     result.fresh =
         sta::compute_aged_timing(module, result.profile, lib, 0.0);
     result.aged = sta::compute_aged_timing(module, result.profile, lib,

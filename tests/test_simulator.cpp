@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "netlist/builder.h"
+#include "rtl/alu32.h"
 #include "sim/sp_profiler.h"
 
 namespace vega {
@@ -190,6 +192,83 @@ TEST(SpProfiler, MergeAccumulates)
     p1.merge(p2);
     EXPECT_EQ(p1.samples(), 40u);
     EXPECT_DOUBLE_EQ(p1.sp(0), 1.0);
+}
+
+/**
+ * The per-cycle sampler profile_signal_probability's packed counts
+ * replaced: reads every cell's output in lane 0 once per cycle.
+ */
+SpProfile
+per_cycle_profile(BatchSimulator &sim, uint64_t cycles,
+                  const SpDriveFn &drive)
+{
+    const Netlist &nl = sim.netlist();
+    std::vector<uint64_t> ones(nl.num_cells(), 0);
+    std::vector<uint64_t> toggles(nl.num_cells(), 0);
+    std::vector<uint8_t> prev(nl.num_cells(), 0);
+    for (uint64_t t = 0; t < cycles; ++t) {
+        drive(sim, t);
+        sim.eval();
+        for (CellId c = 0; c < nl.num_cells(); ++c) {
+            uint8_t v = sim.value_lane(nl.cell(c).out, 0) ? 1 : 0;
+            ones[c] += v;
+            if (t > 0 && v != prev[c])
+                ++toggles[c];
+            prev[c] = v;
+        }
+        sim.step();
+    }
+    return SpProfile(std::move(ones), std::move(toggles), cycles);
+}
+
+/** Random ALU operands and op, a pure function of (seed, cycle). */
+SpDriveFn
+random_alu_stimulus(uint64_t seed)
+{
+    return [seed](BatchSimulator &s, uint64_t t) {
+        uint64_t x = seed * 0x100000001b3ull + t;
+        uint64_t ab = splitmix64(x);
+        size_t op_width = s.netlist().bus("op").size();
+        s.set_bus_all("a", BitVec(32, ab & 0xffffffffu));
+        s.set_bus_all("b", BitVec(32, ab >> 32));
+        s.set_bus_all("op", BitVec(op_width, splitmix64(x)));
+    };
+}
+
+void
+expect_same_profile(const SpProfile &packed, const SpProfile &oracle,
+                    const Netlist &nl, uint64_t cycles)
+{
+    ASSERT_EQ(packed.samples(), oracle.samples()) << cycles << " cycles";
+    ASSERT_EQ(packed.num_cells(), nl.num_cells());
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+        ASSERT_EQ(packed.sp(c), oracle.sp(c))
+            << cycles << " cycles, cell " << nl.cell(c).name;
+        ASSERT_EQ(packed.activity(c), oracle.activity(c))
+            << cycles << " cycles, cell " << nl.cell(c).name;
+    }
+}
+
+TEST(SpProfiler, PackedCountsMatchPerCycleOracle)
+{
+    // Window edges: one sample, a partial window, exactly one, one past
+    // it, and several windows with a partial tail.
+    HwModule alu = rtl::make_alu32();
+    const Netlist &nl = alu.netlist;
+    SpProfile packed_merged(nl.num_cells()), oracle_merged(nl.num_cells());
+    for (uint64_t cycles : {1, 63, 64, 65, 200}) {
+        BatchSimulator packed_sim(nl), oracle_sim(nl);
+        SpProfile packed = profile_signal_probability(
+            packed_sim, cycles, random_alu_stimulus(cycles));
+        SpProfile oracle = per_cycle_profile(oracle_sim, cycles,
+                                             random_alu_stimulus(cycles));
+        expect_same_profile(packed, oracle, nl, cycles);
+        if (cycles == 65 || cycles == 200) {
+            packed_merged.merge(packed);
+            oracle_merged.merge(oracle);
+        }
+    }
+    expect_same_profile(packed_merged, oracle_merged, nl, 265);
 }
 
 } // namespace
